@@ -45,14 +45,17 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import argparse  # noqa: E402
+import ctypes  # noqa: E402
 import gc  # noqa: E402
 import json  # noqa: E402
 import platform  # noqa: E402
 import resource  # noqa: E402
+import signal  # noqa: E402
 import statistics  # noqa: E402
 import subprocess  # noqa: E402
 import sys  # noqa: E402
 import traceback  # noqa: E402
+from multiprocessing import resource_tracker  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 HERE = Path(__file__).resolve().parent
@@ -81,6 +84,9 @@ FAILED_REF_ERR = 1e9
 
 #: Share of traced wall time the layer spans must cover.
 MIN_COVERAGE = 0.9
+
+#: prctl(2) option that makes orphaned descendants children of this process.
+PR_SET_CHILD_SUBREAPER = 36
 
 
 class Phase:
@@ -472,5 +478,64 @@ def _benchmark_spec() -> dict:
     return json.loads((ROOT / "BENCHMARK.json").read_text())
 
 
+# -- child processes -------------------------------------------------------------
+
+
+def become_subreaper() -> None:
+    """Adopt orphaned descendants, so :func:`reap_children` can wait for
+    helpers that outlive the set-up process that started them."""
+    try:
+        ctypes.CDLL(None, use_errno=True).prctl(PR_SET_CHILD_SUBREAPER, 1, 0, 0, 0)
+    except (OSError, AttributeError):  # pragma: no cover - non-Linux
+        pass
+
+
+def _child_pids() -> list:
+    pids = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            fields = stat.read_text().rsplit(")", 1)[1].split()
+        except (OSError, IndexError):
+            continue
+        if int(fields[1]) == os.getpid():
+            pids.append(int(stat.parent.name))
+    return pids
+
+
+def reap_children(grace_s: float = 10.0) -> None:
+    """Stop and wait for every child this process still has.
+
+    Shared-memory campaigns start multiprocessing's resource tracker,
+    which otherwise outlives the benchmark until it notices the exit.
+    Stopping it closes its pipe and waits for it; any other child gets
+    ``grace_s`` to end by itself and is then killed.
+    """
+    tracker = getattr(resource_tracker, "_resource_tracker", None)
+    if tracker is not None and hasattr(tracker, "_stop"):
+        tracker._stop()
+    deadline = time.monotonic() + grace_s
+    while True:
+        try:
+            pid, _status = os.waitpid(-1, os.WNOHANG)
+        except ChildProcessError:
+            return
+        if pid:
+            continue
+        if time.monotonic() < deadline:
+            time.sleep(0.01)
+            continue
+        for pid in _child_pids():
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+        deadline = float("inf")
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    become_subreaper()
+    try:
+        code = main()
+    finally:
+        reap_children()
+    sys.exit(code)
