@@ -5,6 +5,9 @@
 #   make bench      regenerate BENCH_transient.json (full workloads)
 #   make bench-check  gate only: rerun committed workloads, fail on a
 #                     >15% speedup regression vs BENCH_transient.json
+#   make perf WORKLOAD=envelope_mc SEED=1 TRACE=0
+#                   one repository-benchmark run (perfbench/run.py);
+#                   TRACE=1 adds the per-layer metrics
 #
 # The bench gate compares hardware-independent *speedups* (seed engine
 # and golden runs are timed live on the same machine), so it is
@@ -12,8 +15,11 @@
 
 PYTHON ?= python
 PYTHONPATH_PREFIX = PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH}
+WORKLOAD ?= envelope_mc
+SEED ?= 1
+TRACE ?= 0
 
-.PHONY: verify test bench bench-check
+.PHONY: verify test bench bench-check perf
 
 verify: test bench-check
 
@@ -25,3 +31,6 @@ bench:
 
 bench-check:
 	$(PYTHONPATH_PREFIX) $(PYTHON) benchmarks/run_perf.py --check
+
+perf:
+	$(PYTHON) perfbench/run.py --workload $(WORKLOAD) --seed $(SEED) --seconds 15 --trace $(TRACE)

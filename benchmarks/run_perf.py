@@ -97,8 +97,10 @@ Regression gate
 committed baseline JSON and fails (exit 1) if any workload's
 ``speedup`` regressed by more than ``--tolerance`` (default 15 %), or
 if an adaptive workload's amplitude/frequency error exceeded its
-acceptance bound.  ``make verify`` wires this behind the tier-1
-pytest run.
+acceptance bound.  Each workload runs on its own: one whose live
+assertion fails is reported by name as a gate failure and the rest
+are still run and checked.  ``make verify`` wires this behind the
+tier-1 pytest run.
 
 Usage::
 
@@ -992,31 +994,45 @@ def run_benches(
     batched_samples: int,
     ladder_segments: int,
     mesh_nx: int,
-) -> dict:
-    benches = {
-        "fig16_startup": bench_fig16_startup(cycles),
-        "fig16_startup_adaptive": bench_fig16_adaptive(cycles),
-        "supply_loss_adaptive": bench_supply_loss_adaptive(supply_cycles),
-        "supply_loss_gear": bench_supply_loss_gear(supply_cycles),
-        "fig16_startup_envelope": bench_fig16_startup_envelope(supply_cycles),
-        "supply_loss_envelope": bench_supply_loss_envelope(supply_cycles),
-        "mc_startup": bench_mc_startup(samples),
-        "mc_startup_batched": bench_mc_startup_batched(batched_samples),
-        "mc_startup_sharded": bench_mc_startup_sharded(batched_samples),
-        "fault_coverage": bench_fault_coverage(),
+) -> "tuple[dict, dict]":
+    """Run every workload on its own: ``(benches, gate_failures)``.
+
+    A bench whose live assertion fails is reported by name in
+    ``gate_failures`` (name -> message) and the remaining benches
+    still run, so one failing gate never hides the others.
+    """
+    runs = {
+        "fig16_startup": lambda: bench_fig16_startup(cycles),
+        "fig16_startup_adaptive": lambda: bench_fig16_adaptive(cycles),
+        "supply_loss_adaptive": lambda: bench_supply_loss_adaptive(supply_cycles),
+        "supply_loss_gear": lambda: bench_supply_loss_gear(supply_cycles),
+        "fig16_startup_envelope": lambda: bench_fig16_startup_envelope(supply_cycles),
+        "supply_loss_envelope": lambda: bench_supply_loss_envelope(supply_cycles),
+        "mc_startup": lambda: bench_mc_startup(samples),
+        "mc_startup_batched": lambda: bench_mc_startup_batched(batched_samples),
+        "mc_startup_sharded": lambda: bench_mc_startup_sharded(batched_samples),
+        "fault_coverage": bench_fault_coverage,
     }
     if SCIPY_VERSION is not None:
-        benches["ladder_transient_dense_vs_sparse"] = (
-            bench_ladder_dense_vs_sparse(ladder_segments)
+        runs["ladder_transient_dense_vs_sparse"] = (
+            lambda: bench_ladder_dense_vs_sparse(ladder_segments)
         )
-        benches["coil_mesh_krylov"] = bench_coil_mesh_krylov(mesh_nx)
-    # Every entry carries its effective parallelism so recorded wall
-    # numbers are never read without their hardware context; only the
-    # sharded campaign uses more than one worker today.
-    for bench in benches.values():
+        runs["coil_mesh_krylov"] = lambda: bench_coil_mesh_krylov(mesh_nx)
+    benches, gate_failures = {}, {}
+    for name, run in runs.items():
+        try:
+            bench = run()
+        except AssertionError as exc:
+            gate_failures[name] = str(exc) or "assertion failed"
+            print(f"{name:24s} GATE FAILED: {gate_failures[name]}")
+            continue
+        # Every entry carries its effective parallelism so recorded wall
+        # numbers are never read without their hardware context; only the
+        # sharded campaign uses more than one worker today.
         bench.setdefault("effective_workers", 1)
         bench.setdefault("effective_shards", 1)
-    return benches
+        benches[name] = bench
+    return benches, gate_failures
 
 
 #: Deterministic gate metrics: ratios where higher is better (gated
@@ -1042,7 +1058,8 @@ _WALL_SLACK_FACTOR = 2.5
 def check_against_baseline(baseline: dict, tolerance: float) -> int:
     """Rerun the baseline's workloads and flag efficiency regressions.
 
-    Returns the number of failures (0 = gate passes).  Every workload
+    Returns the number of failures (0 = gate passes); a bench whose
+    own assertion fails counts as one, reported by name.  Every workload
     gates its *deterministic* counters (Newton solves, step ratios vs
     the golden run) at ``tolerance``; wall-clock speedups get
     ``_WALL_SLACK_FACTOR`` times the slack, enough to ride out shared
@@ -1059,12 +1076,12 @@ def check_against_baseline(baseline: dict, tolerance: float) -> int:
         "segments", 250
     )
     mesh_nx = recorded.get("coil_mesh_krylov", {}).get("nx", 50)
-    fresh = run_benches(
+    fresh, gate_failures = run_benches(
         cycles, samples, supply_cycles, batched_samples, ladder_segments,
         mesh_nx,
     )
 
-    failures = 0
+    failures = len(gate_failures)
     for name, old in recorded.items():
         new = fresh.get(name)
         if new is None or "speedup" not in old:
@@ -1361,8 +1378,8 @@ def main(argv=None) -> int:
         envelope_failures = check_envelope_identity()
         if failures or overhead_failures or health_failures or envelope_failures:
             if failures:
-                print(f"FAIL: {failures} workload(s) regressed > "
-                      f"{args.tolerance:.0%} vs {args.baseline}")
+                print(f"FAIL: {failures} workload(s) failed their gate or "
+                      f"regressed > {args.tolerance:.0%} vs {args.baseline}")
             if overhead_failures:
                 print(f"FAIL: {overhead_failures} healthy workload(s) "
                       "changed with the rescue ladder armed")
@@ -1382,10 +1399,14 @@ def main(argv=None) -> int:
     batched_samples = 8 if args.quick else 64
     ladder_segments = 80 if args.quick else 250
     mesh_nx = 24 if args.quick else 50
-    benches = run_benches(
+    benches, gate_failures = run_benches(
         cycles, samples, supply_cycles, batched_samples, ladder_segments,
         mesh_nx,
     )
+    if gate_failures:
+        print(f"FAIL: {', '.join(gate_failures)} failed their gate; "
+              f"{args.out} not written")
+        return 1
     payload = {
         "generated_by": "benchmarks/run_perf.py",
         "generated_at": time.strftime("%Y-%m-%dT%H:%M:%S"),

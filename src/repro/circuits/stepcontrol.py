@@ -499,7 +499,10 @@ class StepController:
         """
         bp = self.next_breakpoint
         remaining = bp - self.t
-        if self.dt >= remaining * (1.0 - 1e-9):
+        # Land when the step reaches bp within the module's time slack:
+        # a step ending a rounding sliver short of bp would leave a
+        # fixed-size remainder that no step shrinking can resolve.
+        if self.t + self.dt >= bp * (1.0 - _TIME_EPS):
             self._landing_on_bp = True
             return bp, remaining
         self._landing_on_bp = False

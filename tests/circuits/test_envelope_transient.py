@@ -98,6 +98,21 @@ class TestFig16Equivalence:
             assert abs(x_i) <= gold_env[lo:hi].max() * 1.10
 
 
+class TestFig16SkipSchedule:
+    def test_400_cycle_schedule_is_pinned(self):
+        """The skip schedule ``run_perf``'s fig16_startup_envelope records.
+
+        A rounding change in the describing-function predictor that
+        flips a single skip decision moves at least one of these counts.
+        """
+        env = run_transient_envelope(_circuit(), _options(400), _envelope())
+        e = env.stats["envelope"]
+        assert e["resolved_cycles"] == 22
+        assert len(e["skip_history"]) == 9
+        assert e["final"]["skip"] == 256
+        assert env.stats["newton_iterations"] == 2196
+
+
 class TestSkipOffBitIdentity:
     def test_skip_off_matches_plain_engine_bitwise(self):
         options = _options(60)

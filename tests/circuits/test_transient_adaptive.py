@@ -183,6 +183,41 @@ class TestSupplyLossAdaptive:
         assert adaptive.stats["steps"] < fine.stats["steps"] / 5
         assert adaptive.stats["breakpoints_hit"] >= 1
 
+    def test_rounding_sliver_before_fault_lands_on_breakpoint(self):
+        """At this Q the accumulated step times end a regular step
+        ~5e-19 s short of the fault; the controller must land on the
+        breakpoint instead of proposing an unresolvable sliver step."""
+        from repro.circuits import PhaseSchedule
+        from repro.core import supply_loss_tank_circuit
+
+        T = 1.0 / self.F0
+        t_fault = 40 * T
+        result = run_transient(
+            supply_loss_tank_circuit(
+                self.F0, t_fault, q=17.319822299459005, inductance=1e-6
+            ),
+            TransientOptions(
+                t_stop=400 * T,
+                dt=T / 40,
+                step_control="adaptive",
+                use_dc_operating_point=False,
+                dt_min=T / 81920,
+                dt_max=8 * T,
+                lte_reltol=1e-6,
+                lte_abstol=1e-9,
+                phases=PhaseSchedule.carrier_then_settle(
+                    t_fault,
+                    carrier_dt=T / 40,
+                    settle_dt=T / 4,
+                    settle_method="gear",
+                    max_order=3,
+                ),
+            ),
+        )
+        assert result.t[-1] == 400 * T
+        assert t_fault in result.t
+        assert result.stats["phase_switches"] == 1
+
 
 class TestAdaptiveNonlinearStrategies:
     def _rectifier(self):

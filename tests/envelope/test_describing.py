@@ -154,3 +154,41 @@ def test_property_fundamental_bounds(gm, i_max, amp):
     assert i1 >= 0.0
     assert i1 <= gm * amp * (1 + 1e-9)
     assert i1 <= 4 * i_max / math.pi * (1 + 1e-9)
+
+
+def _full_period_trapezoid(lim, amp, n=2048):
+    """``(I1, mean |i|)`` by the plain n-point trapezoid over one period."""
+    s = np.sin(2.0 * np.pi * np.arange(n) / n)
+    i = lim.sample(amp * s)
+    return float(np.sum(i * s)) * 2.0 / n, float(np.mean(np.abs(i)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    kind=st.sampled_from(["tanh", "hard"]),
+    gm=st.floats(1e-4, 1e-1),
+    i_max=st.floats(1e-5, 1e-1),
+    decades=st.floats(-6.0, 3.0),
+)
+def test_property_quarter_wave_matches_full_period(kind, gm, i_max, decades):
+    """The quarter-wave quadrature equals the full-period trapezoid sum."""
+    if kind == "tanh":
+        lim = quad = TanhLimiter(gm=gm, i_max=i_max)
+    else:
+        lim = HardLimiter(gm=gm, i_max=i_max)
+        quad = super(HardLimiter, lim)
+    amp = lim.corner_voltage * 10.0**decades
+    i1, mean_abs = _full_period_trapezoid(lim, amp)
+    assert quad.fundamental(amp) == pytest.approx(i1, rel=1e-12)
+    assert quad.mean_abs(amp) == pytest.approx(mean_abs, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [2046, 0, -4])
+def test_quadrature_points_must_be_positive_multiple_of_four(n):
+    lim = TanhLimiter(gm=1e-3, i_max=1e-3)
+    with pytest.raises(ConfigurationError):
+        lim.fundamental(1.0, n=n)
+    with pytest.raises(ConfigurationError):
+        lim.mean_abs(1.0, n=n)
+    with pytest.raises(ConfigurationError):
+        super(HardLimiter, HardLimiter(gm=1e-3, i_max=1e-3)).fundamental(1.0, n=n)
