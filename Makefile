@@ -8,6 +8,10 @@
 #   make perf WORKLOAD=envelope_mc SEED=1 TRACE=0
 #                   one repository-benchmark run (perfbench/run.py);
 #                   TRACE=1 adds the per-layer metrics
+#   make perf-pairs BASE=HEAD WORKLOAD=envelope_mc PAIRS=10
+#                   alternating runs of BASE (a temporary git worktree)
+#                   and the working tree; medians, quartiles, pairs won
+#                   and the gain verdict per end-to-end metric
 #
 # The bench gate compares hardware-independent *speedups* (seed engine
 # and golden runs are timed live on the same machine), so it is
@@ -18,8 +22,10 @@ PYTHONPATH_PREFIX = PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH}
 WORKLOAD ?= envelope_mc
 SEED ?= 1
 TRACE ?= 0
+BASE ?= HEAD
+PAIRS ?= 10
 
-.PHONY: verify test bench bench-check perf
+.PHONY: verify test bench bench-check perf perf-pairs
 
 verify: test bench-check
 
@@ -34,3 +40,6 @@ bench-check:
 
 perf:
 	$(PYTHON) perfbench/run.py --workload $(WORKLOAD) --seed $(SEED) --seconds 15 --trace $(TRACE)
+
+perf-pairs:
+	$(PYTHON) benchmarks/perf_pairs.py --base $(BASE) --workload $(WORKLOAD) --pairs $(PAIRS)

@@ -1,10 +1,13 @@
 """Tests for envelope dynamics, incl. cross-validation against the MNA
 transient of the same oscillator — the two substrates must agree."""
 
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.analysis import envelope_by_peaks, oscillation_frequency
 from repro.circuits import Circuit, TransientOptions, run_transient
@@ -96,6 +99,121 @@ class TestSimulation:
             model.simulate(0.0)
         with pytest.raises(SimulationError):
             model.startup_time(fraction=1.5)
+
+    def test_startup_time_zero_amplitude_raises(self, tank):
+        model = EnvelopeModel(tank, HardLimiter(gm=10e-3, i_max=1e-3))
+        with pytest.raises(SimulationError, match="must be positive"):
+            model.startup_time(a0=0.0)
+
+    @pytest.mark.parametrize(
+        "a0, duration", [(math.nan, 1e-6), (math.inf, 1e-6), (1e-3, math.nan), (1e-3, math.inf)]
+    )
+    def test_advance_rejects_non_finite(self, tank, a0, duration):
+        model = EnvelopeModel(tank, TanhLimiter(gm=10e-3, i_max=1e-3))
+        with pytest.raises(SimulationError, match="finite"):
+            model.advance(a0, duration)
+
+
+FIG16_PERIOD = 1.0 / 4e6
+
+
+def exact_rk4(model, a0, duration, n=64):
+    """``advance``'s RK4 on the exact (quadrature) derivative."""
+    h = duration / n
+    a = max(a0, 0.0)
+    for _ in range(n):
+        k1 = model.derivative(a)
+        k2 = model.derivative(a + 0.5 * h * k1)
+        k3 = model.derivative(a + 0.5 * h * k2)
+        k4 = model.derivative(a + h * k3)
+        a = max(a + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), 0.0)
+    return a
+
+
+def fig16_model(limiter=None):
+    tank = RLCTank.from_frequency_and_q(4e6, 15.0, 1e-6)
+    return EnvelopeModel(tank, limiter or TanhLimiter(gm=6e-3, i_max=2e-3))
+
+
+class TestTabulatedAdvance:
+    """``advance`` integrates a tabulated describing function; it must
+    match RK4 on the exact ``derivative`` and fall back to it exactly."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        q=st.floats(5.0, 500.0),
+        gm=st.floats(2e-3, 60e-3),
+        i_max=st.floats(0.5e-3, 5e-3),
+        a0_frac=st.floats(0.0, 1.0),
+        cycles=st.integers(4, 256),
+    )
+    def test_matches_exact_rk4(self, q, gm, i_max, a0_frac, cycles):
+        tank = RLCTank.from_frequency_and_q(4e6, q, 1e-6)
+        model = EnvelopeModel(tank, TanhLimiter(gm=gm, i_max=i_max))
+        # Log-uniform 1e-6 .. 2 A_ss (2 v_c when the tank cannot oscillate).
+        a_top = 2.0 * (model.steady_state() or model.limiter.corner_voltage)
+        a0 = 1e-6 * (a_top / 1e-6) ** a0_frac
+        duration = cycles * FIG16_PERIOD
+        expected = exact_rk4(model, a0, duration)
+        assert model.advance(a0, duration) == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize(
+        "limiter, a0_per_corner",
+        [
+            # Kinked describing function: the table fails verification.
+            (HardLimiter(gm=6e-3, i_max=2e-3), 0.5),
+            # Beyond where the 2048-point quadrature converges.
+            (TanhLimiter(gm=6e-3, i_max=2e-3), 1e3),
+        ],
+    )
+    def test_rejected_table_is_exact(self, limiter, a0_per_corner):
+        model = fig16_model(limiter)
+        a0 = a0_per_corner * limiter.corner_voltage
+        duration = 64 * FIG16_PERIOD
+        assert model.advance(a0, duration) == exact_rk4(model, a0, duration)
+        assert model._table.pieces is None
+
+    def test_larger_amplitude_widens_the_table(self):
+        model = fig16_model()
+        model.advance(0.1, FIG16_PERIOD)
+        first = model._table
+        assert first.pieces is not None
+        model.advance(0.5 * first.a_hi, FIG16_PERIOD)
+        assert model._table is first
+        model.advance(2.0 * first.a_hi, FIG16_PERIOD)
+        assert model._table.a_hi > first.a_hi
+
+
+class TestTableHygiene:
+    def test_equality_and_repr_ignore_the_table(self):
+        used, fresh = fig16_model(), fig16_model()
+        text = repr(used)
+        used.advance(0.1, 8 * FIG16_PERIOD)
+        assert used == fresh
+        assert repr(used) == text == repr(fresh)
+
+    def test_pickle_round_trip_keeps_advance(self):
+        model = fig16_model()
+        model.advance(0.1, 8 * FIG16_PERIOD)
+        clone = pickle.loads(pickle.dumps(model))
+        assert clone.advance(0.2, 32 * FIG16_PERIOD) == model.advance(0.2, 32 * FIG16_PERIOD)
+
+    def test_models_never_share_a_table(self):
+        first, second = fig16_model(), fig16_model()
+        first.advance(0.1, 8 * FIG16_PERIOD)
+        second.advance(0.1, 8 * FIG16_PERIOD)
+        assert first._table is not second._table
+        assert dataclasses.replace(first)._table is None
+
+    def test_new_limiter_rebuilds_the_table(self):
+        model = fig16_model()
+        model.advance(0.1, 8 * FIG16_PERIOD)
+        old = model._table
+        model.limiter = TanhLimiter(gm=9e-3, i_max=2e-3)
+        got = model.advance(0.1, 32 * FIG16_PERIOD)
+        assert model._table is not old
+        assert model._table.limiter is model.limiter
+        assert got == fig16_model(model.limiter).advance(0.1, 32 * FIG16_PERIOD)
 
 
 class TestCrossValidationAgainstMNA:
