@@ -11,7 +11,8 @@
 #   make perf-pairs BASE=HEAD WORKLOAD=envelope_mc PAIRS=10
 #                   alternating runs of BASE (a temporary git worktree)
 #                   and the working tree; medians, quartiles, pairs won
-#                   and the gain verdict per end-to-end metric
+#                   and the gain verdict per end-to-end metric;
+#                   WORKLOAD=all runs every workload of BENCHMARK.json
 #
 # The bench gate compares hardware-independent *speedups* (seed engine
 # and golden runs are timed live on the same machine), so it is

@@ -4,17 +4,19 @@ Run from the repository root::
 
     python benchmarks/perf_pairs.py --base HEAD --workload envelope_mc --pairs 10
     make perf-pairs BASE=HEAD WORKLOAD=envelope_mc PAIRS=10    # same
+    make perf-pairs BASE=HEAD WORKLOAD=all PAIRS=10            # every workload
 
 ``BASE`` is checked out into a temporary ``git worktree``; pair ``i``
 runs ``perfbench/run.py --trace 0 --seed i+1`` once from that worktree
 and once from the working tree (uncommitted changes included), the
 base first in pairs 1, 3, 5, ... and the change first in the others,
-so a drift in host speed does not favour one side.  The worktree is
-removed on every way out.
+so a drift in host speed does not favour one side.  ``--workload all``
+runs the pairs of every workload in ``BENCHMARK.json``, one workload
+after another.  The worktree is removed on every way out.
 
-For every end-to-end metric in ``BENCHMARK.json`` the report gives
-each side's median and quartiles, the change's ratio to the base
-median, the pairs the change won, and the verdict of the gain rule: a
+For every workload and every end-to-end metric in ``BENCHMARK.json``
+the report gives one row: each side's median and quartiles, the
+change's ratio to the base median, the pairs the change won, and the verdict of the gain rule: a
 gain needs at least 9 wins in 10 pairs and a median gap larger than
 the base's interquartile distance.  A metric whose median is worse than
 the base's by more than its ``bound`` is flagged ``REGRESSION``.  Exit
@@ -38,7 +40,8 @@ WIN_SHARE = 0.9
 def parse_args(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", default="HEAD", help="git revision to compare against")
-    parser.add_argument("--workload", default="envelope_mc")
+    parser.add_argument("--workload", default="envelope_mc",
+                        help="a workload of BENCHMARK.json, or 'all'")
     parser.add_argument("--pairs", type=int, default=10)
     args = parser.parse_args(argv)
     if args.pairs < 2:
@@ -53,7 +56,8 @@ def git(*args: str) -> str:
 
 
 def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One ``perfbench/run.py`` run from ``root``: its final JSON line."""
+    """One ``perfbench/run.py`` run from ``root``: its final JSON line,
+    plus the stamp's ``ref_err``."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
@@ -68,6 +72,7 @@ def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
     if proc.returncode or "metrics" not in result:
         sys.stderr.write(proc.stderr)
         return {"correct": False, "metrics": {}}
+    result["ref_err"] = json.loads(lines[-2])["stamp"]["ref_err"]
     return result
 
 
@@ -95,50 +100,62 @@ def judge(spec: dict, base: list, change: list) -> dict:
     }
 
 
-def report(workload: str, base_rev: str, specs: list, runs: dict) -> None:
-    pairs = len(runs["base"])
-    print(f"{workload}: {pairs} pairs, base {base_rev[:12]} vs working tree")
-    print(f"{'metric':<18}{'base median [q1, q3]':<34}{'change median [q1, q3]':<34}"
-          f"{'ratio':>7}{'won':>8}  verdict")
-    for spec in specs:
-        name = spec["name"]
-        base = [r["metrics"][name]["value"] for r in runs["base"]]
-        change = [r["metrics"][name]["value"] for r in runs["change"]]
-        v = judge(spec, base, change)
-        sides = ["{:.4g} [{:.4g}, {:.4g}]".format(*v[side]) for side in ("base", "change")]
-        verdict = "gain" if v["gain"] else "no gain"
-        if v["regression"]:
-            verdict += f", REGRESSION beyond bound {spec['bound']:g}"
-        print(f"{name:<18}{sides[0]:<34}{sides[1]:<34}{v['ratio']:>6.3f}x"
-              f"{v['wins']:>5}/{pairs:<2}  {verdict}")
+def report(base_rev: str, specs: list, runs: dict) -> None:
+    """One row per workload and end-to-end metric; ``runs`` maps each
+    workload to its ``{"base": [...], "change": [...]}`` results."""
+    pairs = len(next(iter(runs.values()))["base"])
+    print(f"{pairs} pairs per workload, base {base_rev[:12]} vs working tree")
+    print(f"{'workload':<15}{'metric':<18}{'base median [q1, q3]':<34}"
+          f"{'change median [q1, q3]':<34}{'ratio':>7}{'won':>8}  verdict")
+    for workload, sides in runs.items():
+        for spec in specs:
+            name = spec["name"]
+            base = [r["metrics"][name]["value"] for r in sides["base"]]
+            change = [r["metrics"][name]["value"] for r in sides["change"]]
+            v = judge(spec, base, change)
+            cells = ["{:.4g} [{:.4g}, {:.4g}]".format(*v[side]) for side in ("base", "change")]
+            verdict = "gain" if v["gain"] else "no gain"
+            if v["regression"]:
+                verdict += f", REGRESSION beyond bound {spec['bound']:g}"
+            print(f"{workload:<15}{name:<18}{cells[0]:<34}{cells[1]:<34}{v['ratio']:>6.3f}x"
+                  f"{v['wins']:>5}/{pairs:<2}  {verdict}")
 
 
 def main(argv=None) -> int:
     args = parse_args(argv)
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    names = [w["name"] for w in bench["workloads"]]
+    if args.workload not in names + ["all"]:
+        sys.exit(f"unknown workload {args.workload!r}; choose from {names} or 'all'")
+    workloads = names if args.workload == "all" else [args.workload]
     base_rev = git("rev-parse", "--verify", f"{args.base}^{{commit}}")
-    runs = {"base": [], "change": []}
+    runs = {w: {"base": [], "change": []} for w in workloads}
     failed = 0
     with tempfile.TemporaryDirectory(prefix="perf-pairs-") as tmp:
         worktree = Path(tmp) / "base"
         git("worktree", "add", "--detach", str(worktree), base_rev)
         try:
             roots = {"base": worktree, "change": ROOT}
-            for i in range(args.pairs):
-                order = ("base", "change") if i % 2 == 0 else ("change", "base")
-                for side in order:
-                    result = run_once(roots[side], args.workload, i + 1, bench["run_seconds"])
-                    failed += not result.get("correct")
-                    runs[side].append(result)
-                    value = result["metrics"].get("sim_cycles_per_s", {}).get("value")
-                    print(f"pair {i + 1} {side}: sim_cycles_per_s {value}", file=sys.stderr)
+            for workload in workloads:
+                for i in range(args.pairs):
+                    order = ("base", "change") if i % 2 == 0 else ("change", "base")
+                    for side in order:
+                        result = run_once(roots[side], workload, i + 1, bench["run_seconds"])
+                        failed += not result.get("correct")
+                        runs[workload][side].append(result)
+                        values = " ".join(
+                            f"{spec['name']} {result['metrics'].get(spec['name'], {}).get('value')}"
+                            for spec in bench["end_to_end"]
+                        )
+                        print(f"{workload} pair {i + 1} {side}: {values} "
+                              f"ref_err {result.get('ref_err')}", file=sys.stderr)
         finally:
             git("worktree", "remove", "--force", str(worktree))
             git("worktree", "prune")
     if failed:
         print(f"{failed} run(s) failed or reported correct: false", file=sys.stderr)
         return 1
-    report(args.workload, base_rev, bench["end_to_end"], runs)
+    report(base_rev, bench["end_to_end"], runs)
     return 0
 
 

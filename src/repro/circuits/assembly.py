@@ -372,6 +372,14 @@ class _ReactiveSet:
         )
         self.br_idx = np.array([l._b[0] for l in inds], dtype=np.intp)
         self.n_caps = len(caps)
+        #: Element values (C per cap, then L per inductor), read from
+        #: the components here only: :meth:`coeffs` scales them into
+        #: companion conductances and :meth:`bootstrap_history` turns
+        #: the conjugate-derivative row into state derivatives.
+        self.values = np.array(
+            [c.capacitance for c in caps] + [l.inductance for l in inds],
+            dtype=float,
+        )
 
         # Scatter matrix: rhs += S @ term.  A cap's ieq flows a->b
         # (rhs[a] -= ieq, rhs[b] += ieq); an inductor's term lands on
@@ -426,10 +434,6 @@ class _ReactiveSet:
         # trapezoidal history bootstrap) and costs one small copy per
         # commit.
         self.ring = _HistoryRing((n,))
-        #: Per-element energy-storage values (C for caps, L for
-        #: inductors), built lazily by :meth:`bootstrap_history` to
-        #: convert the conjugate-derivative row into state derivatives.
-        self._energy: Optional[np.ndarray] = None
         #: Single-slot companion-term memo: within one candidate step
         #: the identical term is needed by the step RHS *and* the
         #: commit.  ``(dt, order, t_now, fill)`` pins the state —
@@ -502,15 +506,8 @@ class _ReactiveSet:
         """
         if not self.ring.depth or not self.n:
             return 0
-        if self._energy is None:
-            self._energy = np.concatenate(
-                [
-                    np.array([c.capacitance for c in self.caps], dtype=float),
-                    np.array([l.inductance for l in self.inds], dtype=float),
-                ]
-            )
         self.ring.set_current(self.v, self.i, self.n_caps)
-        filled = self.ring.bootstrap(dt, self.ring.fd[0] / self._energy)
+        filled = self.ring.bootstrap(dt, self.ring.fd[0] / self.values)
         self._cterm = None
         return filled
 
@@ -525,17 +522,16 @@ class _ReactiveSet:
     ) -> _ReactiveCoeffs:
         """Companion coefficients for one ``(dt, method, order)``."""
         base = method.base_coeffs(order)
-        geq = np.array(
-            [c.companion_conductance(dt, base) for c in self.caps], dtype=float
-        )
-        req = np.array(
-            [l.companion_resistance(dt, base) for l in self.inds], dtype=float
-        )
+        # Cap geq and inductor req, lead*value/dt evaluated in the
+        # order Capacitor.companion_conductance and
+        # Inductor.companion_resistance use, so the vectorized and
+        # stamped values agree bit for bit.
+        gcol = base.lead * self.values / dt
+        geq, req = gcol[: self.n_caps], gcol[self.n_caps :]
         n_inds = len(self.inds)
         if method.is_multistep:
             # Spacing-dependent weights are per-step products; only
             # the companion conductances belong to the cache entry.
-            gcol = np.concatenate([geq, req])
             return _ReactiveCoeffs(
                 None, None, None, 0.0,
                 gcol=gcol, method=method, dt=dt, order=order,

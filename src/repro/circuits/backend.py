@@ -17,7 +17,8 @@ the paper's hand-built netlists:
   dominates arithmetic.
 * :class:`SparseBackend` — CSR matrices finalized from the same stamp
   stream (:meth:`~repro.circuits.component.StampPattern.csr_arrays`)
-  and factored once per step size by ``scipy.sparse.linalg.splu``;
+  and factored once per step size by ``scipy.sparse.linalg.splu`` in
+  SuperLU's symmetric mode (see :class:`SparseLU`);
   the factorization is reused for every solve at that step size, and
   the engines' Sherman–Morrison / Woodbury rank-k Newton updates are
   applied *against* the sparse LU, so nonlinear steps never
@@ -156,8 +157,11 @@ SPARSE_AUTO_THRESHOLD = 100
 #: mesh fill-in grows superlinearly) and an adaptive run's entry
 #: churn — breakpoint-truncated one-shot step sizes, LRU evictions,
 #: order switches — makes refactorization the dominant cost.  Kept
-#: well above every pre-existing workload so dense/sparse results
-#: below it are bit-identical to earlier releases.
+#: well above every pre-existing workload, so below it ``"auto"``
+#: picks the same backend as earlier releases: dense results are
+#: bit-identical to them, sparse results agree to rounding (the
+#: symmetric-mode factorization of :class:`SparseLU` pivots in a
+#: different order).
 KRYLOV_AUTO_THRESHOLD = 20_000
 
 
@@ -216,6 +220,17 @@ class SparseLU:
     column) right-hand sides, degrade to a dense least-squares solve
     when the matrix is singular (floating nodes under fault injection)
     so callers never need their own error handling.
+
+    Factored in SuperLU's ``SymmetricMode`` (SuperLU Users' Guide),
+    meant for structurally symmetric matrices, which MNA matrices are
+    up to the couplings of controlled sources.  On the 12.3k-unknown
+    coil mesh it gives the same fill and backward-error class as the
+    default mode, with ~30% faster triangular solves.  The pivot
+    threshold stays at the default 1.0, i.e. ordinary partial
+    pivoting, so structurally unsymmetric matrices stay as stable as
+    before.  A relaxed threshold (0.1 or 0.01) factors and solves
+    faster still, but moved the mesh's answer up to 3.2e-6 from its
+    reference, past the 1e-6 tolerance.
     """
 
     def __init__(self, matrix):
@@ -225,7 +240,7 @@ class SparseLU:
         self._condest: Optional[float] = None
         self.n_factorizations = 1
         try:
-            self._lu = _splu(matrix.tocsc())
+            self._lu = _splu(matrix.tocsc(), options=dict(SymmetricMode=True))
         except (RuntimeError, ValueError):
             # Exactly singular: remember the densified matrix for the
             # minimum-norm fallback (rare, never the hot path).

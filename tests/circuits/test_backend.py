@@ -302,3 +302,66 @@ class TestSparseSingularDegradation:
         assert lu.is_singular
         solution = lu.solve(np.array([1.0, 0.0, 0.0]))
         assert np.all(np.isfinite(solution))
+
+
+def _vccs_ladder(stages=40):
+    """An RC ladder whose stages are also coupled forward by VCCSs
+    (a transconductance from node k into node k+2, none back), so the
+    MNA matrix is structurally unsymmetric."""
+    c = Circuit("vccs ladder")
+    c.voltage_source("vin", "n0", "0", sine(1.0, 1e6))
+    for k in range(stages):
+        c.resistor(f"r{k}", f"n{k}", f"n{k + 1}", 100.0 * (1 + k % 3))
+        c.capacitor(f"c{k}", f"n{k + 1}", "0", 1e-10 * (1 + k % 5))
+        if k + 2 <= stages:
+            c.vccs(f"g{k}", f"n{k + 2}", "0", f"n{k}", "0", 2e-3)
+    c.inductor("l1", f"n{stages}", "0", 1e-6)
+    c.prepare()
+    return c
+
+
+def _companion_csr(circuit, dt):
+    tri = TripletSystem(circuit.size)
+    _stamp_all(circuit, tri, dt=dt)
+    return SparseBackend().finalize(tri.pattern(), tri.values())
+
+
+class TestSparseLUSymmetricMode:
+    """SparseLU factors in SuperLU's symmetric mode with ordinary
+    partial pivoting; both structurally symmetric and structurally
+    unsymmetric MNA matrices must still solve to rounding."""
+
+    def _check(self, matrix, structurally_symmetric):
+        from repro.circuits.backend import SparseLU
+
+        pattern = (matrix != 0).astype(int)
+        assert ((pattern - pattern.T).nnz == 0) == structurally_symmetric
+        rng = np.random.default_rng(7)
+        rhs = rng.standard_normal(matrix.shape[0])
+        x = SparseLU(matrix).solve(rhs)
+        dense = matrix.toarray()
+        norm_a = np.abs(dense).sum(axis=1).max()
+        backward = np.abs(dense @ x - rhs).max() / (
+            norm_a * np.abs(x).max() + np.abs(rhs).max()
+        )
+        assert backward <= 1e-13
+        # Scaled to the solution's largest entry: the mesh matrix's
+        # condition number (~3e6) leaves its smallest entries only
+        # ~1e-8 relative in any pivot order, the default one included.
+        expected = np.linalg.solve(dense, rhs)
+        np.testing.assert_allclose(
+            x, expected, rtol=1e-9, atol=1e-9 * np.abs(expected).max()
+        )
+
+    def test_coil_mesh_companion_matrix(self):
+        pytest.importorskip("scipy")
+        from repro.sensor.coils import CoilMesh
+
+        mesh = CoilMesh(tank=TANK, nx=20, ny=20)
+        circuit = mesh.build_circuit(drive="pulse")
+        circuit.prepare()
+        self._check(_companion_csr(circuit, 0.01 / TANK.frequency), True)
+
+    def test_vccs_netlist_matrix(self):
+        pytest.importorskip("scipy")
+        self._check(_companion_csr(_vccs_ladder(), 1e-8), False)
