@@ -13,6 +13,10 @@
 #                   and the working tree; medians, quartiles, pairs won
 #                   and the gain verdict per end-to-end metric;
 #                   WORKLOAD=all runs every workload of BENCHMARK.json
+#   make same-outputs BASE=HEAD WORKLOAD=all SEEDS=1,2
+#                   one pass of each workload's jobs from BASE (a temporary
+#                   git worktree) and from the working tree; fails unless
+#                   every result's t, x and stats are identical
 #
 # The bench gate compares hardware-independent *speedups* (seed engine
 # and golden runs are timed live on the same machine), so it is
@@ -25,8 +29,9 @@ SEED ?= 1
 TRACE ?= 0
 BASE ?= HEAD
 PAIRS ?= 10
+SEEDS ?= 1,2
 
-.PHONY: verify test bench bench-check perf perf-pairs
+.PHONY: verify test bench bench-check perf perf-pairs same-outputs
 
 verify: test bench-check
 
@@ -44,3 +49,6 @@ perf:
 
 perf-pairs:
 	$(PYTHON) benchmarks/perf_pairs.py --base $(BASE) --workload $(WORKLOAD) --pairs $(PAIRS)
+
+same-outputs:
+	$(PYTHON) benchmarks/same_outputs.py --base $(BASE) --workload $(WORKLOAD) --seeds $(SEEDS)

@@ -24,6 +24,7 @@ status is 1 if any run fails or reports ``correct: false``.
 """
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -53,6 +54,20 @@ def git(*args: str) -> str:
     return subprocess.run(
         ["git", *args], cwd=ROOT, check=True, capture_output=True, text=True
     ).stdout.strip()
+
+
+@contextlib.contextmanager
+def base_worktree(rev: str):
+    """A temporary detached ``git worktree`` of ``rev``, removed on every
+    way out."""
+    with tempfile.TemporaryDirectory(prefix="perf-pairs-") as tmp:
+        worktree = Path(tmp) / "base"
+        git("worktree", "add", "--detach", str(worktree), rev)
+        try:
+            yield worktree
+        finally:
+            git("worktree", "remove", "--force", str(worktree))
+            git("worktree", "prune")
 
 
 def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -131,27 +146,21 @@ def main(argv=None) -> int:
     base_rev = git("rev-parse", "--verify", f"{args.base}^{{commit}}")
     runs = {w: {"base": [], "change": []} for w in workloads}
     failed = 0
-    with tempfile.TemporaryDirectory(prefix="perf-pairs-") as tmp:
-        worktree = Path(tmp) / "base"
-        git("worktree", "add", "--detach", str(worktree), base_rev)
-        try:
-            roots = {"base": worktree, "change": ROOT}
-            for workload in workloads:
-                for i in range(args.pairs):
-                    order = ("base", "change") if i % 2 == 0 else ("change", "base")
-                    for side in order:
-                        result = run_once(roots[side], workload, i + 1, bench["run_seconds"])
-                        failed += not result.get("correct")
-                        runs[workload][side].append(result)
-                        values = " ".join(
-                            f"{spec['name']} {result['metrics'].get(spec['name'], {}).get('value')}"
-                            for spec in bench["end_to_end"]
-                        )
-                        print(f"{workload} pair {i + 1} {side}: {values} "
-                              f"ref_err {result.get('ref_err')}", file=sys.stderr)
-        finally:
-            git("worktree", "remove", "--force", str(worktree))
-            git("worktree", "prune")
+    with base_worktree(base_rev) as worktree:
+        roots = {"base": worktree, "change": ROOT}
+        for workload in workloads:
+            for i in range(args.pairs):
+                order = ("base", "change") if i % 2 == 0 else ("change", "base")
+                for side in order:
+                    result = run_once(roots[side], workload, i + 1, bench["run_seconds"])
+                    failed += not result.get("correct")
+                    runs[workload][side].append(result)
+                    values = " ".join(
+                        f"{spec['name']} {result['metrics'].get(spec['name'], {}).get('value')}"
+                        for spec in bench["end_to_end"]
+                    )
+                    print(f"{workload} pair {i + 1} {side}: {values} "
+                          f"ref_err {result.get('ref_err')}", file=sys.stderr)
     if failed:
         print(f"{failed} run(s) failed or reported correct: false", file=sys.stderr)
         return 1

@@ -16,10 +16,11 @@ time loop advances every sample together,
   stack once per step size, then every step's solve is one batched
   mat-vec (the ``linear`` strategy's cached-LU path, S-wide);
 * the rank-1 Sherman–Morrison and rank-k Woodbury Newton fast paths
-  of the per-sample engine, vectorized across the sample axis, with a
-  **per-sample convergence mask**: samples whose Newton iteration has
-  converged drop out of the working set while stragglers continue —
-  ragged convergence costs only the stragglers;
+  of the per-sample engine, vectorized across the sample axis, over a
+  **per-sample working set**: a full view of the batch while every
+  sample iterates in step (no gathers at all), index arrays only once
+  samples converge, freeze or split — ragged convergence costs only
+  the stragglers;
 * vectorized companion-state updates: capacitor/inductor integrator
   state lives in ``(S, m)`` arrays and one gather/scatter advances
   all samples;
@@ -105,6 +106,28 @@ class BatchIncompatible(SimulationError):
 def _bsolve(inv: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Batched ``x = G^-1 rhs``: ``(S, n, n) @ (S, n) -> (S, n)``."""
     return np.matmul(inv, rhs[..., np.newaxis])[..., 0]
+
+
+def _row_max(a: np.ndarray) -> np.ndarray:
+    """``a.max(axis=1)`` for ``(S, n)``, ``n >= 1``: the same values, a
+    few times faster for small ``n`` as maxima along the sample axis."""
+    return np.maximum.reduce(np.ascontiguousarray(a.T))
+
+
+#: Working-set selector for every sample: indexing with it gives views.
+_ALL = slice(None)
+
+
+def _subset(rows, mask: np.ndarray):
+    """The members of a Newton working set (``_ALL`` or an index array)
+    where ``mask`` holds: ``rows`` itself when it holds for all, ``None``
+    for none, so an index array is only built for a ragged set."""
+    k = np.count_nonzero(mask)
+    if k == mask.size:
+        return rows
+    if k == 0:
+        return None
+    return np.flatnonzero(mask) if rows is _ALL else rows[mask]
 
 
 # -- lockstep compatibility ---------------------------------------------------
@@ -450,15 +473,16 @@ class _DeviceColumn:
             )
 
     def linearize(
-        self, v_ctrl: np.ndarray, rows: np.ndarray
+        self, v_ctrl: np.ndarray, rows
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """``(gm, i_eq)`` arrays for the sample subset ``rows``."""
+        """``(gm, i_eq)`` arrays for the sample subset ``rows`` (``_ALL``
+        or an index array)."""
         if self.vectorized:
             i_now, gm = self.family(v_ctrl, *(p[rows] for p in self.params))
             return np.asarray(gm, dtype=float), np.asarray(i_now - gm * v_ctrl)
-        gm = np.empty(rows.size)
-        ieq = np.empty(rows.size)
-        for j, s in enumerate(rows):
+        gm = np.empty(v_ctrl.size)
+        ieq = np.empty(v_ctrl.size)
+        for j, s in enumerate(np.arange(len(self.devices))[rows]):
             gm[j], ieq[j] = self.devices[s].linearize(float(v_ctrl[j]))
         return gm, ieq
 
@@ -1105,6 +1129,9 @@ class _BatchedStepSolver:
         #: neighbours and resumes when its mask clears.
         self.skipped = np.zeros(S, dtype=bool)
         self.skipped_steps = np.zeros(S, dtype=np.int64)
+        #: ``frozen``, or ``None`` while no sample is frozen (kept
+        #: current by ``set_skipped`` and ``quarantine``).
+        self.freeze: Optional[np.ndarray] = None
         #: One record per quarantined sample: sample index, the time
         #: the sample died, and why.
         self.quarantine_records: List[Dict[str, object]] = []
@@ -1125,21 +1152,24 @@ class _BatchedStepSolver:
     @property
     def frozen(self) -> np.ndarray:
         """Samples sitting this step out (quarantined or skipped)."""
-        if not self.skipped.any():
-            return self.quarantined
-        return self.quarantined | self.skipped
+        return self.quarantined if self.freeze is None else self.freeze
+
+    def _refreeze(self) -> None:
+        frozen = self.quarantined | self.skipped
+        self.freeze = frozen if frozen.any() else None
 
     def set_skipped(self, mask: Optional[np.ndarray]) -> None:
         """Install this step's skip mask (``None`` clears it)."""
         if mask is None:
             self.skipped[:] = False
-            return
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != self.skipped.shape:
-            raise SimulationError(
-                f"skip mask shape {mask.shape} != ({len(self.skipped)},)"
-            )
-        np.copyto(self.skipped, mask)
+        else:
+            mask = np.asarray(mask, dtype=bool)
+            if mask.shape != self.skipped.shape:
+                raise SimulationError(
+                    f"skip mask shape {mask.shape} != ({len(self.skipped)},)"
+                )
+            np.copyto(self.skipped, mask)
+        self._refreeze()
 
     def _ctrl1(self, vec: np.ndarray) -> np.ndarray:
         """k=1 control projection ``(S, size) -> (S,)`` without the
@@ -1160,9 +1190,9 @@ class _BatchedStepSolver:
         options = self.options
         if self.n_nodes == 0:
             return np.full(len(x), options.abstol_v)
-        return options.abstol_v + options.reltol * np.abs(
-            x[:, : self.n_nodes]
-        ).max(axis=1)
+        return options.abstol_v + options.reltol * _row_max(
+            np.abs(x[:, : self.n_nodes])
+        )
 
     def _fail(self, time: float, active: np.ndarray) -> ConvergenceError:
         rows = np.nonzero(active)[0]
@@ -1257,6 +1287,7 @@ class _BatchedStepSolver:
                 self.quarantine_records.append(
                     {"sample": s, "time": float(time), "reason": reason}
                 )
+        self._refreeze()
 
     def _injected(self, time: float) -> Optional[np.ndarray]:
         """Fault-injection mask from the test-only fail hook."""
@@ -1315,9 +1346,8 @@ class _BatchedStepSolver:
                 raise self._fail_health(time, rows, "non-finite step RHS")
         if self.strategy == "batched-linear":
             x_new = self.assembly.solve(rhs_lin)
-            frozen = self.frozen
-            if frozen.any():
-                x_new[frozen] = x[frozen]
+            if self.freeze is not None:
+                x_new[self.freeze] = x[self.freeze]
         elif self.strategy == "batched-rank1":
             x_new = self._step_rank1(x, rhs_lin, time)
         else:
@@ -1350,6 +1380,13 @@ class _BatchedStepSolver:
         damping rule, same convergence estimate (``|c - q| * w_vmax``
         is the exact node-voltage delta on the line) — just stacked,
         with converged samples leaving the working set.
+
+        The working set and each branch's share are full views while
+        every sample is active and on one side of the line (the
+        lockstep norm), index arrays only once the set is ragged:
+        converged, frozen or skipped samples, mixed branches, a
+        singular denominator.  Every formula is elementwise, so a
+        sample's arithmetic is the same either way.
         """
         asm = self.assembly
         options = self.options
@@ -1369,17 +1406,18 @@ class _BatchedStepSolver:
         # their rows of ``x`` stay frozen at the last converged iterate.
         active = ~self.frozen
         for _iteration in range(options.max_iterations):
-            rows = np.nonzero(active)[0]
-            if rows.size == 0:
+            rows = _subset(_ALL, active)
+            if rows is None:
                 return x
             gm, ieq = device.linearize(v_ctrl[rows], rows)
             self.newton_per_sample[rows] += 1
             denom = 1.0 + gm * vw[rows]
             bad = np.abs(denom) < 1e-12
-            if bad.any():
+            if np.count_nonzero(bad):
                 # Jacobian momentarily singular along the rank-1
                 # direction for these samples: dense fallback step.
-                for j in np.nonzero(bad)[0]:
+                rows = np.arange(S)[rows]
+                for j in np.flatnonzero(bad):
                     s = rows[j]
                     if on_line[s]:
                         x[s] = z_lin[s] - c[s] * w[s]
@@ -1397,12 +1435,14 @@ class _BatchedStepSolver:
             q = ieq + gm * (zl_c[rows] - ieq * vw[rows]) / denom
 
             mask_on = on_line[rows]
+            ro = _subset(rows, mask_on)
+            rf = None if ro is rows else _subset(rows, ~mask_on)
             # -- samples already on the z_lin - c*w line: scalar update.
-            ro, qo = rows[mask_on], q[mask_on]
-            if ro.size:
+            if ro is not None:
+                qo = q if ro is rows else q[mask_on]
                 last = np.abs(c[ro] - qo) * w_vmax[ro]
                 damped = last > max_step
-                if damped.any():
+                if np.count_nonzero(damped):
                     scale = np.where(
                         damped, max_step / np.where(damped, last, 1.0), 1.0
                     )
@@ -1411,21 +1451,20 @@ class _BatchedStepSolver:
                 else:
                     c[ro] = qo
                 v_ctrl[ro] = zl_c[ro] - c[ro] * vw[ro]
-                conv = last < tol[ro]
-                done = ro[conv]
-                if done.size:
+                done = _subset(ro, last < tol[ro])
+                if done is not None:
                     x[done] = z_lin[done] - c[done, None] * w[done]
                     active[done] = False
             # -- samples still off the line: full-vector damped update.
-            rf, qf = rows[~mask_on], q[~mask_on]
-            if rf.size:
+            if rf is not None:
+                qf = q if rf is rows else q[~mask_on]
                 x_new = z_lin[rf] - qf[:, None] * w[rf]
                 delta = x_new - x[rf]
                 v_delta = np.abs(delta[:, :n])
-                maxd = v_delta.max(axis=1) if n else np.zeros(rf.size)
+                maxd = _row_max(v_delta) if n else np.zeros(qf.size)
                 hit = maxd >= max_step  # damped (or exactly at the cap):
                 # stays off the line, like the per-sample branch.
-                if hit.any():
+                if np.count_nonzero(hit):
                     scale = np.where(
                         maxd > max_step,
                         max_step / np.where(maxd > 0, maxd, 1.0),
@@ -1435,10 +1474,6 @@ class _BatchedStepSolver:
                         hit[:, None], x[rf] + delta * scale[:, None], x_new
                     )
                     maxd = np.minimum(maxd, max_step)
-                    landed = ~hit
-                    lr = rf[landed]
-                    on_line[lr] = True
-                    c[lr] = qf[landed]
                     v_ctrl[rf] = np.where(
                         hit,
                         self._ctrl1(x[rf]),
@@ -1446,11 +1481,12 @@ class _BatchedStepSolver:
                     )
                 else:
                     x[rf] = x_new
-                    on_line[rf] = True
-                    c[rf] = qf
                     v_ctrl[rf] = zl_c[rf] - qf * vw[rf]
-                conv = maxd < tol[rf]
-                active[rf[conv]] = False
+                # ``c`` is only read on the line, so the damped
+                # samples' entries are don't-cares until they land.
+                on_line[rf] = ~hit
+                c[rf] = qf
+                active[rf] = ~(maxd < tol[rf])
         if active.any():
             raise self._fail(time, active)
         return x
@@ -1458,7 +1494,8 @@ class _BatchedStepSolver:
     def _step_woodbury(
         self, x: np.ndarray, rhs_lin: np.ndarray, time: float
     ) -> np.ndarray:
-        """Vectorized mirror of the per-sample Woodbury Newton step."""
+        """Vectorized mirror of the per-sample Woodbury Newton step,
+        with the rank-1 kernel's working-set selection."""
         asm = self.assembly
         options = self.options
         k = asm.k
@@ -1470,13 +1507,16 @@ class _BatchedStepSolver:
         v_ctrl = asm.ctrl_project(x)
         active = ~self.frozen
         for _iteration in range(options.max_iterations):
-            rows = np.nonzero(active)[0]
-            if rows.size == 0:
+            rows = _subset(_ALL, active)
+            if rows is None:
                 return x
-            gms = np.empty((rows.size, k))
-            ieqs = np.empty((rows.size, k))
+            # Contiguous columns: a device family sees the same memory
+            # layout whether the working set is a view or a gather.
+            v_rows = np.ascontiguousarray(v_ctrl[rows].T)
+            gms = np.empty((v_rows.shape[1], k))
+            ieqs = np.empty_like(gms)
             for j, column in enumerate(asm.devices):
-                gms[:, j], ieqs[:, j] = column.linearize(v_ctrl[rows, j], rows)
+                gms[:, j], ieqs[:, j] = column.linearize(v_rows[j], rows)
             self.newton_per_sample[rows] += 1
             Wb = z_lin[rows] - np.matmul(WU[rows], ieqs[..., None])[..., 0]
             VWb = asm.ctrl_project(Wb)
@@ -1491,7 +1531,7 @@ class _BatchedStepSolver:
                 # iteration (matches the per-sample engine, which also
                 # falls back for the whole iterate).
                 x_new = np.empty_like(Wb)
-                for j, s in enumerate(rows):
+                for j, s in enumerate(np.arange(len(x))[rows]):
                     try:
                         sj = np.linalg.solve(M[j], VWb[j])
                         x_new[j] = Wb[j] - WU[s] @ (gms[j] * sj)
@@ -1502,14 +1542,13 @@ class _BatchedStepSolver:
                         x_new[j] = solve_dense(G, rhs_lin[s] - asm.U @ ieqs[j])
             delta = x_new - x[rows]
             v_delta = np.abs(delta[:, :n])
-            maxd = v_delta.max(axis=1) if n else np.zeros(rows.size)
+            maxd = _row_max(v_delta) if n else np.zeros(len(gms))
             over = maxd > options.max_step
             scale = np.where(over, options.max_step / np.where(over, maxd, 1.0), 1.0)
             x[rows] += delta * scale[:, None]
             maxd = np.minimum(maxd, options.max_step)
             v_ctrl[rows] = asm.ctrl_project(x[rows])
-            conv = maxd < self._tol(x[rows])
-            active[rows[conv]] = False
+            active[rows] = ~(maxd < self._tol(x[rows]))
         if active.any():
             raise self._fail(time, active)
         return x
@@ -1959,8 +1998,7 @@ def _run_fixed_lockstep(
                         "all_quarantined", error=exc, stats=partial_stats(step)
                     )
                 # Retry the same step with the survivors only.
-        frozen = solver.frozen
-        freeze = frozen if frozen.any() else None
+        freeze = solver.freeze
         if certifier is not None:
             certifier.check_step(
                 x, rhs_lin, time, eligible=None if freeze is None else ~freeze
@@ -2050,8 +2088,7 @@ def _run_adaptive_lockstep(
         )
         ephemeral = dt != controller.dt
         snapshot = assembly.snapshot_state()
-        frozen = solver.frozen
-        freeze = frozen if frozen.any() else None
+        freeze = solver.freeze
         try:
             assembly.set_dt(dt, ephemeral=ephemeral, order=order)
             rhs_lin = assembly.step_rhs(t_target)
@@ -2087,7 +2124,7 @@ def _run_adaptive_lockstep(
             if solver.quarantined.all():
                 raise abort("all_quarantined", error=exc)
             continue
-        mask = None if freeze is None else ~frozen
+        mask = None if freeze is None else ~freeze
         ratio = controller.error_ratio_many(x_full, x_half, n_nodes, mask=mask)
         if ratio <= 1.0:
             if certifier is not None:

@@ -14,15 +14,22 @@ import pytest
 from repro.circuits import (
     BatchIncompatible,
     Circuit,
+    NewtonOptions,
     TransientOptions,
+    pulse,
     run_transient,
     run_transient_batched,
     sine,
 )
+from repro.circuits.batched import (
+    BatchedTransientAssembly,
+    _BatchedStepSolver,
+    _DeviceColumn,
+)
 from repro.core import OscillatorNetlist, supply_loss_tank_circuit
 from repro.envelope import RLCTank, TanhLimiter
 from repro.envelope.describing import tanh_limiter_pair
-from repro.errors import SimulationError
+from repro.errors import ConvergenceError, SimulationError
 
 
 F0 = 4e6
@@ -493,3 +500,197 @@ class TestSkipMask:
         assert results[0].stats["skipped_steps"] == 0
         assert results[1].stats["skipped_steps"] > 0
         assert np.isfinite(results[1].x).all()
+
+
+# -- rank-1 kernel branches the oscillator workloads never reach --------------
+
+DT = 1e-8
+MAX_STEP = 0.05
+
+
+def build_cubic(g0, k=1e-2):
+    """One node: a cubic conductance ``g0*v + k*v**3`` against R || C,
+    driven by a sine current.
+
+    With ``g0`` at minus the node's companion conductance the rank-1
+    Jacobian is singular at ``v = 0`` (the very first Newton iterate)
+    and nowhere else."""
+    circuit = Circuit("cubic")
+    circuit.current_source("I", "0", "a", sine(1e-3, 1e5))
+    circuit.resistor("R", "a", "0", 1e3)
+    circuit.capacitor("C", "a", "0", 1e-9)
+    circuit.nonlinear_vccs(
+        "N", "a", "0", "a", "0",
+        lambda v: g0 * v + k * v**3,
+        dfunc=lambda v: g0 + 3 * k * v * v,
+    )
+    return circuit
+
+
+def build_steep(g, amplitude=3e-3, i_max=1e-3):
+    """One node: a current step into a steep tanh limiter against R || C.
+
+    At ``v = 0`` the limiter's slope is large, so the first Newton
+    update is small and lands on the rank-1 line; the limiter then
+    saturates and the next update is many ``max_step`` long."""
+    circuit = Circuit("steep")
+    circuit.current_source(
+        "I", "0", "a", pulse(0.0, amplitude, delay=0.0, rise=1e-9, width=1e-6)
+    )
+    circuit.resistor("R", "a", "0", 1e3)
+    circuit.capacitor("C", "a", "0", 1e-12)
+    circuit.nonlinear_vccs(
+        "N", "a", "0", "a", "0",
+        lambda v: i_max * np.tanh(g * v / i_max),
+        dfunc=lambda v: g * (1.0 - np.tanh(g * v / i_max) ** 2),
+    )
+    return circuit
+
+
+def newton_iterates(monkeypatch):
+    """Spy on the batched rank-1 kernel: per lockstep step, each
+    sample's control voltages at its Newton linearizations."""
+    steps = []
+    step_rank1 = _BatchedStepSolver._step_rank1
+    linearize = _DeviceColumn.linearize
+
+    def spy_step(self, x, rhs_lin, time):
+        steps.append([[] for _ in range(len(x))])
+        return step_rank1(self, x, rhs_lin, time)
+
+    def spy_linearize(self, v_ctrl, rows):
+        for s, v in zip(np.arange(len(self.devices))[rows], v_ctrl):
+            steps[-1][s].append(float(v))
+        return linearize(self, v_ctrl, rows)
+
+    monkeypatch.setattr(_BatchedStepSolver, "_step_rank1", spy_step)
+    monkeypatch.setattr(_DeviceColumn, "linearize", spy_linearize)
+    return steps
+
+
+def damped_on_line(steps, n_samples, max_step):
+    """Samples that took a damped update *after* landing on the line.
+
+    For a one-node circuit every update moves the control voltage by
+    the damped node delta: an update below ``max_step`` lands on the
+    line, and a later one of exactly ``max_step`` is the damped
+    on-line branch."""
+    hit = np.zeros(n_samples, dtype=bool)
+    for iterates in steps:
+        for s, v in enumerate(iterates):
+            d = np.abs(np.diff(v))
+            landed = np.flatnonzero(d < max_step * (1 - 1e-9))
+            if landed.size and np.isclose(
+                d[landed[0] + 1 :], max_step, rtol=1e-9, atol=0
+            ).any():
+                hit[s] = True
+    return hit
+
+
+class TestRank1Branches:
+    """Each branch is reached by one sample of a batch, not all of
+    them, and pinned to the per-sample engine: same iterates at rtol
+    1e-9 and the same Newton count, or the same failure."""
+
+    def test_singular_denominator_dense_fallback(self, monkeypatch):
+        options = TransientOptions(
+            t_stop=40 * DT, dt=DT, use_dc_operating_point=False
+        )
+        probe = BatchedTransientAssembly(
+            [build_cubic(0.0)], DT, options.resolved_method(), options.newton.gmin
+        )
+        vw = probe.rank1_data()[1][0]
+        # 1 + g0*vw = 1e-13, under the kernel's 1e-12 singularity screen.
+        g_singular = -(1.0 - 1e-13) / vw
+        fallbacks = []
+        fallback = _BatchedStepSolver._dense_fallback
+
+        def spy(self, s, *args):
+            fallbacks.append(int(s))
+            return fallback(self, s, *args)
+
+        monkeypatch.setattr(_BatchedStepSolver, "_dense_fallback", spy)
+        builders = [
+            lambda g=g: build_cubic(g) for g in (g_singular, -0.5e-3, 1e-3)
+        ]
+        per, bat = assert_batch_equivalent(builders, options)
+        assert fallbacks == [0]
+        assert [r.stats["newton_iterations"] for r in bat] == [
+            r.stats["newton_iterations"] for r in per
+        ]
+
+    def test_damped_on_line_update(self, monkeypatch):
+        options = TransientOptions(
+            t_stop=40 * DT,
+            dt=DT,
+            use_dc_operating_point=False,
+            newton=NewtonOptions(max_step=MAX_STEP, max_iterations=100),
+        )
+        gms = (0.05, 0.15, 0.4)
+        steps = newton_iterates(monkeypatch)
+        builders = [lambda g=g: build_steep(g) for g in gms]
+        per, bat = assert_batch_equivalent(builders, options)
+        assert damped_on_line(steps, len(gms), MAX_STEP).tolist() == [
+            False,
+            True,
+            True,
+        ]
+        assert [r.stats["newton_iterations"] for r in bat] == [
+            r.stats["newton_iterations"] for r in per
+        ]
+
+    def test_newton_nonconvergence_names_the_failed_samples(self):
+        options = TransientOptions(
+            t_stop=40 * DT,
+            dt=DT,
+            use_dc_operating_point=False,
+            newton=NewtonOptions(max_step=MAX_STEP, max_iterations=20),
+        )
+        # A larger step needs more max_step-damped updates to settle.
+        amplitudes = (1.5e-3, 3e-3, 5e-3)
+        fail_times = []
+        for amplitude in amplitudes:
+            try:
+                run_transient(build_steep(0.15, amplitude), options)
+                fail_times.append(np.inf)
+            except ConvergenceError as exc:
+                fail_times.append(exc.time)
+        first = min(fail_times)
+        expected = [s for s, t in enumerate(fail_times) if t == first]
+        assert 0 < len(expected) < len(amplitudes)
+        with pytest.raises(ConvergenceError) as info:
+            run_transient_batched(
+                [build_steep(0.15, a) for a in amplitudes], options
+            )
+        assert info.value.time == first
+        assert info.value.failed_samples == expected
+
+
+class TestWoodburyRagged:
+    def test_quarantined_sample_leaves_survivors_per_sample_exact(self):
+        def options(**kw):
+            return TransientOptions(
+                t_stop=2e-5, dt=1e-8, use_dc_operating_point=True, **kw
+            )
+
+        gms = (2e-3, 2.5e-3, 3e-3)
+        circuits = [build_k_vccs(2, g) for g in gms]
+        victim = circuits[1]
+        masked = options(quarantine=True)
+        masked.newton.fail_hook = (
+            lambda t, phase, c: c is victim and t >= 1e-5
+        )
+        bat = run_transient_batched(circuits, masked)
+        per = [run_transient(build_k_vccs(2, g), options()) for g in gms]
+        assert bat[0].stats["strategy"] == "batched-woodbury"
+        assert [r.stats["quarantined"] for r in bat] == [False, True, False]
+        for s in (0, 2):
+            np.testing.assert_allclose(bat[s].x, per[s].x, rtol=1e-9, atol=1e-12)
+            assert bat[s].stats["newton_iterations"] == per[s].stats["newton_iterations"]
+        # The quarantined sample tracks its own run up to the failure
+        # and holds its last converged iterate from there on.
+        before = bat[1].t < bat[1].stats["quarantine"]["time"]
+        np.testing.assert_allclose(
+            bat[1].x[before], per[1].x[before], rtol=1e-9, atol=1e-12
+        )
+        assert (bat[1].x[~before] == bat[1].x[before][-1]).all()
