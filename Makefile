@@ -17,6 +17,10 @@
 #                   one pass of each workload's jobs from BASE (a temporary
 #                   git worktree) and from the working tree; fails unless
 #                   every result's t, x and stats are identical
+#   make importtime WORKLOAD=supply_loss_q
+#                   one set-up-only run under python -X importtime: the 25
+#                   largest cumulative imports and the repro/scipy module
+#                   counts (benchmarks/importtime.py)
 #
 # The bench gate compares hardware-independent *speedups* (seed engine
 # and golden runs are timed live on the same machine), so it is
@@ -31,7 +35,7 @@ BASE ?= HEAD
 PAIRS ?= 10
 SEEDS ?= 1,2
 
-.PHONY: verify test bench bench-check perf perf-pairs same-outputs
+.PHONY: verify test bench bench-check perf perf-pairs same-outputs importtime
 
 verify: test bench-check
 
@@ -52,3 +56,6 @@ perf-pairs:
 
 same-outputs:
 	$(PYTHON) benchmarks/same_outputs.py --base $(BASE) --workload $(WORKLOAD) --seeds $(SEEDS)
+
+importtime:
+	$(PYTHON) benchmarks/importtime.py --workload $(WORKLOAD)

@@ -25,62 +25,29 @@ Quickstart::
     system = OscillatorDriverSystem(OscillatorConfig(tank=tank))
     trace = system.run(0.05)
     print(trace.final_amplitude, trace.final_code)
+
+``import repro`` loads no subpackage.  Each name below, and each
+subpackage reached as an attribute (``repro.circuits``), loads on first
+access through the shared lazy-export idiom of :mod:`repro._lazy`; every
+package of the library exports its names the same way.
 """
 
-from .analysis import Waveform
-from .campaigns import BatchOptions, run_batch, run_chain
-from .core import (
-    ExponentialPWLDAC,
-    FailureKind,
-    HardwareDAC,
-    OscillatorConfig,
-    OscillatorDriverSystem,
-    OscillatorNetlist,
-    encode,
-    multiplication_factor,
-    run_supply_loss_sweep,
-)
-from .envelope import (
-    EnvelopeModel,
-    HardLimiter,
-    InjectionLocking,
-    LeesonModel,
-    RLCTank,
-    TanhLimiter,
-)
-from .errors import ReproError
-from .faults import FaultCampaign, standard_fault_catalog
-from .mc import MismatchProfile
-from .sensor import DualCoSimulation, DualSystemScenario, PositionReceiver
+from ._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "Waveform",
-    "BatchOptions",
-    "run_batch",
-    "run_chain",
-    "ExponentialPWLDAC",
-    "FailureKind",
-    "HardwareDAC",
-    "OscillatorConfig",
-    "OscillatorDriverSystem",
-    "OscillatorNetlist",
-    "encode",
-    "multiplication_factor",
-    "run_supply_loss_sweep",
-    "EnvelopeModel",
-    "InjectionLocking",
-    "LeesonModel",
-    "HardLimiter",
-    "RLCTank",
-    "TanhLimiter",
-    "ReproError",
-    "FaultCampaign",
-    "standard_fault_catalog",
-    "MismatchProfile",
-    "DualCoSimulation",
-    "DualSystemScenario",
-    "PositionReceiver",
-    "__version__",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    ".analysis": ("Waveform",),
+    ".campaigns": ("BatchOptions", "run_batch", "run_chain"),
+    ".core": ("ExponentialPWLDAC", "FailureKind", "HardwareDAC", "OscillatorConfig",
+              "OscillatorDriverSystem", "OscillatorNetlist", "encode",
+              "multiplication_factor", "run_supply_loss_sweep"),
+    ".envelope": ("EnvelopeModel", "HardLimiter", "InjectionLocking", "LeesonModel",
+                  "RLCTank", "TanhLimiter"),
+    ".errors": ("ReproError",),
+    ".faults": ("FaultCampaign", "standard_fault_catalog"),
+    ".mc": ("MismatchProfile",),
+    ".sensor": ("DualCoSimulation", "DualSystemScenario", "PositionReceiver"),
+}, submodules=("analysis", "campaigns", "circuits", "core", "digital", "envelope",
+               "errors", "faults", "mc", "sensor", "units"))
+__all__.append("__version__")

@@ -1,44 +1,16 @@
 """Waveform containers and measurement utilities."""
 
-from .waveform import Waveform
-from .measurements import (
-    StepEvent,
-    amplitude_peak,
-    amplitude_rms_of_sine,
-    crossing_time,
-    find_steps,
-    oscillation_frequency,
-    oscillation_period,
-    settling_time,
-    zero_crossings,
-)
-from .envelope_extract import envelope_by_peaks, envelope_by_rectify_filter
-from .io import load_columns_csv, load_waveform_csv, save_columns_csv, save_waveform_csv
-from .spectrum import HarmonicSpectrum, harmonic_spectrum, tank_harmonic_rejection, thd
-from .tables import format_si, render_series, render_table
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Waveform",
-    "StepEvent",
-    "amplitude_peak",
-    "amplitude_rms_of_sine",
-    "crossing_time",
-    "find_steps",
-    "oscillation_frequency",
-    "oscillation_period",
-    "settling_time",
-    "zero_crossings",
-    "envelope_by_peaks",
-    "envelope_by_rectify_filter",
-    "load_columns_csv",
-    "load_waveform_csv",
-    "save_columns_csv",
-    "save_waveform_csv",
-    "HarmonicSpectrum",
-    "harmonic_spectrum",
-    "tank_harmonic_rejection",
-    "thd",
-    "format_si",
-    "render_series",
-    "render_table",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    ".waveform": ("Waveform",),
+    ".measurements": ("StepEvent", "amplitude_peak", "amplitude_rms_of_sine",
+                      "crossing_time", "find_steps", "oscillation_frequency",
+                      "oscillation_period", "settling_time", "zero_crossings"),
+    ".envelope_extract": ("envelope_by_peaks", "envelope_by_rectify_filter"),
+    ".io": ("load_columns_csv", "load_waveform_csv", "save_columns_csv",
+            "save_waveform_csv"),
+    ".spectrum": ("HarmonicSpectrum", "harmonic_spectrum", "tank_harmonic_rejection",
+                  "thd"),
+    ".tables": ("format_si", "render_series", "render_table"),
+})

@@ -23,49 +23,22 @@ the execution of that shape:
 See :mod:`repro.campaigns.runner` for the execution semantics.  The
 core runner deliberately depends only on the standard library (plus
 the shared error types) so every simulation layer can import it
-without cycles; the transient front-end, which depends on the
-circuits layer, is loaded lazily on first attribute access.
+without cycles.  Like every package of the library, this one exports
+its names through the lazy-export table of :mod:`repro._lazy`, so each
+module loads on first access to one of its names; for the transient
+front-end that is required, not just cheaper: importing
+:mod:`~repro.campaigns.vectorized` eagerly would cycle through
+:mod:`repro.circuits`, whose DC solver imports this package's runner
+for continuation chains.
 """
 
-from ..errors import TaskFailure
-from .runner import (
-    BatchOptions,
-    RetryPolicy,
-    nearest_neighbor_chain,
-    run_batch,
-    run_chain,
-)
-from .sweeps import corner_sweep, labelled_sweep
+from .._lazy import lazy_exports
 
-__all__ = [
-    "BatchOptions",
-    "RetryPolicy",
-    "TaskFailure",
-    "nearest_neighbor_chain",
-    "run_batch",
-    "run_chain",
-    "corner_sweep",
-    "labelled_sweep",
-    "TransientMetricSpec",
-    "run_envelope_campaign",
-    "run_transient_campaign",
-    "transient_worker",
-]
-
-#: Names served lazily from .vectorized — importing it eagerly would
-#: cycle through repro.circuits (whose DC solver imports this
-#: package's runner for continuation chains).
-_VECTORIZED_EXPORTS = (
-    "TransientMetricSpec",
-    "run_envelope_campaign",
-    "run_transient_campaign",
-    "transient_worker",
-)
-
-
-def __getattr__(name):
-    if name in _VECTORIZED_EXPORTS:
-        from . import vectorized
-
-        return getattr(vectorized, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "..errors": ("TaskFailure",),
+    ".runner": ("BatchOptions", "RetryPolicy", "nearest_neighbor_chain", "run_batch",
+                "run_chain"),
+    ".sweeps": ("corner_sweep", "labelled_sweep"),
+    ".vectorized": ("TransientMetricSpec", "run_envelope_campaign",
+                    "run_transient_campaign", "transient_worker"),
+})

@@ -42,125 +42,33 @@ Solver internals (importable for tests/benchmarks):
   :class:`HealthReport` records in ``stats["health"]``.
 """
 
-from .ac import ACResult, run_ac
-from .backend import (
-    DenseBackend,
-    MatrixBackend,
-    SparseBackend,
-    resolve_backend,
-)
-from .batched import (
-    BatchIncompatible,
-    BatchedOperatingPoints,
-    probe_stiffness_ratios,
-    run_transient_batched,
-    solve_dc_batched,
-)
-from .corners import FAST_COLD, FAST_HOT, SLOW_COLD, SLOW_HOT, TYPICAL, ProcessCorner
-from .component import Component, MNASystem, StampContext
-from .controlled import VCCS, VCVS, NonlinearVCCS
-from .dcop import NewtonOptions, OperatingPoint, SweepResult, dc_sweep, solve_dc
-from .diode import Diode, junction_iv
-from .elements import Capacitor, Inductor, Resistor, Switch
-from .integration import (
-    BDF2,
-    BackwardEuler,
-    Gear,
-    IntegrationMethod,
-    StepCoeffs,
-    Trapezoidal,
-    resolve_method,
-)
-from .health import CONDITION_LIMIT, HealthReport
-from .mosfet import Mosfet, MosfetParams, NMOS_DEFAULT, PMOS_DEFAULT
-from .netlist import Circuit
-from .preflight import Diagnostic, PreflightWarning, check_netlist
-from .noise import NoiseResult, run_noise
-from .subcircuit import CellBuilder, SubcircuitDefinition
-from .reference import run_transient_reference
-from .envelope_transient import EnvelopeOptions, run_transient_envelope
-from .sources import CurrentSource, VoltageSource, dc, pulse, pwl, sine, source_breakpoints
-from .stepcontrol import (
-    Phase,
-    PhaseSchedule,
-    StepController,
-    collect_breakpoints,
-    stiffness_bins,
-)
-from .transient import TransientOptions, TransientResult, run_transient
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ACResult",
-    "run_ac",
-    "MatrixBackend",
-    "DenseBackend",
-    "SparseBackend",
-    "resolve_backend",
-    "BatchIncompatible",
-    "BatchedOperatingPoints",
-    "probe_stiffness_ratios",
-    "run_transient_batched",
-    "solve_dc_batched",
-    "ProcessCorner",
-    "TYPICAL",
-    "SLOW_COLD",
-    "SLOW_HOT",
-    "FAST_COLD",
-    "FAST_HOT",
-    "Component",
-    "MNASystem",
-    "StampContext",
-    "VCCS",
-    "VCVS",
-    "NonlinearVCCS",
-    "NewtonOptions",
-    "OperatingPoint",
-    "SweepResult",
-    "dc_sweep",
-    "solve_dc",
-    "Diode",
-    "junction_iv",
-    "Capacitor",
-    "Inductor",
-    "Resistor",
-    "Switch",
-    "IntegrationMethod",
-    "StepCoeffs",
-    "Trapezoidal",
-    "BackwardEuler",
-    "BDF2",
-    "Gear",
-    "resolve_method",
-    "Mosfet",
-    "MosfetParams",
-    "NMOS_DEFAULT",
-    "PMOS_DEFAULT",
-    "Circuit",
-    "CONDITION_LIMIT",
-    "HealthReport",
-    "Diagnostic",
-    "PreflightWarning",
-    "check_netlist",
-    "NoiseResult",
-    "run_noise",
-    "CellBuilder",
-    "SubcircuitDefinition",
-    "CurrentSource",
-    "VoltageSource",
-    "dc",
-    "pulse",
-    "pwl",
-    "sine",
-    "source_breakpoints",
-    "Phase",
-    "PhaseSchedule",
-    "StepController",
-    "collect_breakpoints",
-    "stiffness_bins",
-    "EnvelopeOptions",
-    "run_transient_envelope",
-    "TransientOptions",
-    "TransientResult",
-    "run_transient",
-    "run_transient_reference",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    ".ac": ("ACResult", "run_ac"),
+    ".backend": ("DenseBackend", "MatrixBackend", "SparseBackend", "resolve_backend"),
+    ".batched": ("BatchIncompatible", "BatchedOperatingPoints",
+                 "probe_stiffness_ratios", "run_transient_batched", "solve_dc_batched"),
+    ".corners": ("FAST_COLD", "FAST_HOT", "SLOW_COLD", "SLOW_HOT", "TYPICAL",
+                 "ProcessCorner"),
+    ".component": ("Component", "MNASystem", "StampContext"),
+    ".controlled": ("VCCS", "VCVS", "NonlinearVCCS"),
+    ".dcop": ("NewtonOptions", "OperatingPoint", "SweepResult", "dc_sweep", "solve_dc"),
+    ".diode": ("Diode", "junction_iv"),
+    ".elements": ("Capacitor", "Inductor", "Resistor", "Switch"),
+    ".integration": ("BDF2", "BackwardEuler", "Gear", "IntegrationMethod",
+                     "StepCoeffs", "Trapezoidal", "resolve_method"),
+    ".health": ("CONDITION_LIMIT", "HealthReport"),
+    ".mosfet": ("Mosfet", "MosfetParams", "NMOS_DEFAULT", "PMOS_DEFAULT"),
+    ".netlist": ("Circuit",),
+    ".preflight": ("Diagnostic", "PreflightWarning", "check_netlist"),
+    ".noise": ("NoiseResult", "run_noise"),
+    ".subcircuit": ("CellBuilder", "SubcircuitDefinition"),
+    ".reference": ("run_transient_reference",),
+    ".envelope_transient": ("EnvelopeOptions", "run_transient_envelope"),
+    ".sources": ("CurrentSource", "VoltageSource", "dc", "pulse", "pwl", "sine",
+                 "source_breakpoints"),
+    ".stepcontrol": ("Phase", "PhaseSchedule", "StepController",
+                     "collect_breakpoints", "stiffness_bins"),
+    ".transient": ("TransientOptions", "TransientResult", "run_transient"),
+})

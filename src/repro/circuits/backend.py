@@ -63,6 +63,15 @@ every netlist, merely slower on large ones — while an *explicit*
 ``backend="sparse"`` request raises :class:`~repro.errors.
 SimulationError` immediately with instructions, rather than failing
 deep inside an engine.
+
+Which scipy subpackages load, and when: this module imports
+``scipy.sparse`` and ``scipy.sparse.linalg`` (CSR operators, ``splu``,
+the Krylov solvers) and :mod:`~repro.circuits.linsolve` imports
+``scipy.linalg`` (the dense LU), both at module import, so every
+process that runs a transient loads them up front.  No circuit path
+loads any other scipy subpackage: ``scipy.fft``, ``scipy.integrate``
+and ``scipy.optimize`` serve only :mod:`repro.envelope.dynamics`,
+which imports each on the first call that needs it.
 """
 
 from __future__ import annotations

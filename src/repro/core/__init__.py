@@ -11,151 +11,39 @@ Key entry points:
 * design equations in :mod:`repro.core.design_equations`.
 """
 
-from .area import AreaBudget, default_area_budget
-from .amplitude_detector import AmplitudeDetector, AsymmetryDetector, DETECTOR_GAIN
-from .constants import (
-    I_LSB,
-    I_MAX_DRIVER,
-    MAX_CODE,
-    MAX_MULTIPLICATION_FACTOR,
-    MAX_RELATIVE_STEP,
-    MIN_REGULATED_CODE,
-    N_CODES,
-    POR_CODE,
-    REGULATION_PERIOD,
-)
-from .control_bus import ControlWord, encode, table1_rows
-from .dac import EQUIVALENT_LINEAR_BITS, ExponentialPWLDAC, HardwareDAC, LinearDAC
-from .design_equations import (
-    critical_gm_lumped,
-    critical_gm_stage,
-    current_limit_for_rms,
-    delta_for_range,
-    exponential_current_law,
-    oscillation_condition_met,
-    pwl_approximation_error,
-    relative_voltage_step,
-    steady_state_peak,
-    steady_state_rms,
-)
-from .driver_iv import DriverIV, driver_limiter_for_code, static_iv_curve
-from .gm_block import GmBlock
-from .current_mirror import ComplementaryMirrors, CurrentMirror
-from .oscillator_system import (
-    OscillatorConfig,
-    OscillatorDriverSystem,
-    PlantState,
-    SystemTrace,
-)
-from .output_stage import (
-    TOPOLOGIES,
-    SupplyLossResult,
-    build_supply_loss_testbench,
-    powered_output_low_voltage,
-    run_supply_loss_sweep,
-)
-from .prescaler import Prescaler
-from .regulation_loop import RegulationAction, RegulationEvent, RegulationLoop
-from .safety import FailureKind, SafetyConfig, SafetyMonitors, SafetyReaction
-from .segments import (
-    SEGMENTS,
-    Segment,
-    all_multiplication_factors,
-    code_for_factor,
-    join_code,
-    multiplication_factor,
-    relative_step,
-    segment_of_code,
-    split_code,
-)
-from .startup import StartupPhase, StartupSequencer, startup_current_fraction
-from .transient_system import (
-    OscillatorNetlist,
-    TransientStartupResult,
-    supply_loss_tank_circuit,
-)
-from .registers import ControlRegister, StatusRegister
-from .vref_buffer import OVERDRIVE_CONSUMPTION_TYPICAL, VrefBuffer
-from .clock_comparator import ClockComparator, supervise_waveform
-from .window_comparator import ComparatorState, WindowComparator, design_window
+from .._lazy import lazy_exports
 
-__all__ = [
-    "AreaBudget",
-    "default_area_budget",
-    "AmplitudeDetector",
-    "AsymmetryDetector",
-    "DETECTOR_GAIN",
-    "I_LSB",
-    "I_MAX_DRIVER",
-    "MAX_CODE",
-    "MAX_MULTIPLICATION_FACTOR",
-    "MAX_RELATIVE_STEP",
-    "MIN_REGULATED_CODE",
-    "N_CODES",
-    "POR_CODE",
-    "REGULATION_PERIOD",
-    "ControlWord",
-    "encode",
-    "table1_rows",
-    "EQUIVALENT_LINEAR_BITS",
-    "ExponentialPWLDAC",
-    "HardwareDAC",
-    "LinearDAC",
-    "critical_gm_lumped",
-    "critical_gm_stage",
-    "current_limit_for_rms",
-    "delta_for_range",
-    "exponential_current_law",
-    "oscillation_condition_met",
-    "pwl_approximation_error",
-    "relative_voltage_step",
-    "steady_state_peak",
-    "steady_state_rms",
-    "DriverIV",
-    "driver_limiter_for_code",
-    "static_iv_curve",
-    "GmBlock",
-    "ComplementaryMirrors",
-    "CurrentMirror",
-    "OscillatorConfig",
-    "OscillatorDriverSystem",
-    "PlantState",
-    "SystemTrace",
-    "TOPOLOGIES",
-    "SupplyLossResult",
-    "build_supply_loss_testbench",
-    "powered_output_low_voltage",
-    "run_supply_loss_sweep",
-    "Prescaler",
-    "RegulationAction",
-    "RegulationEvent",
-    "RegulationLoop",
-    "FailureKind",
-    "SafetyConfig",
-    "SafetyMonitors",
-    "SafetyReaction",
-    "SEGMENTS",
-    "Segment",
-    "all_multiplication_factors",
-    "code_for_factor",
-    "join_code",
-    "multiplication_factor",
-    "relative_step",
-    "segment_of_code",
-    "split_code",
-    "StartupPhase",
-    "StartupSequencer",
-    "startup_current_fraction",
-    "OscillatorNetlist",
-    "supply_loss_tank_circuit",
-    "TransientStartupResult",
-    "ControlRegister",
-    "StatusRegister",
-    "OVERDRIVE_CONSUMPTION_TYPICAL",
-    "VrefBuffer",
-    "ClockComparator",
-    "supervise_waveform",
-    "ComparatorState",
-    "WindowComparator",
-    "design_window",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    ".area": ("AreaBudget", "default_area_budget"),
+    ".amplitude_detector": ("AmplitudeDetector", "AsymmetryDetector", "DETECTOR_GAIN"),
+    ".constants": ("I_LSB", "I_MAX_DRIVER", "MAX_CODE", "MAX_MULTIPLICATION_FACTOR",
+                   "MAX_RELATIVE_STEP", "MIN_REGULATED_CODE", "N_CODES", "POR_CODE",
+                   "REGULATION_PERIOD"),
+    ".control_bus": ("ControlWord", "encode", "table1_rows"),
+    ".dac": ("EQUIVALENT_LINEAR_BITS", "ExponentialPWLDAC", "HardwareDAC", "LinearDAC"),
+    ".design_equations": ("critical_gm_lumped", "critical_gm_stage",
+                          "current_limit_for_rms", "delta_for_range",
+                          "exponential_current_law", "oscillation_condition_met",
+                          "pwl_approximation_error", "relative_voltage_step",
+                          "steady_state_peak", "steady_state_rms"),
+    ".driver_iv": ("DriverIV", "driver_limiter_for_code", "static_iv_curve"),
+    ".gm_block": ("GmBlock",),
+    ".current_mirror": ("ComplementaryMirrors", "CurrentMirror"),
+    ".oscillator_system": ("OscillatorConfig", "OscillatorDriverSystem", "PlantState",
+                           "SystemTrace"),
+    ".output_stage": ("TOPOLOGIES", "SupplyLossResult", "build_supply_loss_testbench",
+                      "powered_output_low_voltage", "run_supply_loss_sweep"),
+    ".prescaler": ("Prescaler",),
+    ".regulation_loop": ("RegulationAction", "RegulationEvent", "RegulationLoop"),
+    ".safety": ("FailureKind", "SafetyConfig", "SafetyMonitors", "SafetyReaction"),
+    ".segments": ("SEGMENTS", "Segment", "all_multiplication_factors",
+                  "code_for_factor", "join_code", "multiplication_factor",
+                  "relative_step", "segment_of_code", "split_code"),
+    ".startup": ("StartupPhase", "StartupSequencer", "startup_current_fraction"),
+    ".transient_system": ("OscillatorNetlist", "TransientStartupResult",
+                          "supply_loss_tank_circuit"),
+    ".registers": ("ControlRegister", "StatusRegister"),
+    ".vref_buffer": ("OVERDRIVE_CONSUMPTION_TYPICAL", "VrefBuffer"),
+    ".clock_comparator": ("ClockComparator", "supervise_waveform"),
+    ".window_comparator": ("ComparatorState", "WindowComparator", "design_window"),
+})

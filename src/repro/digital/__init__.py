@@ -1,14 +1,10 @@
 """Digital building blocks: event kernel, watchdog, NVM, POR."""
 
-from .events import EventScheduler, RecurringEvent
-from .nvm import NonVolatileMemory
-from .por import PowerOnReset
-from .watchdog import WatchdogTimer
+from .._lazy import lazy_exports
 
-__all__ = [
-    "EventScheduler",
-    "RecurringEvent",
-    "NonVolatileMemory",
-    "PowerOnReset",
-    "WatchdogTimer",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    ".events": ("EventScheduler", "RecurringEvent"),
+    ".nvm": ("NonVolatileMemory",),
+    ".por": ("PowerOnReset",),
+    ".watchdog": ("WatchdogTimer",),
+})

@@ -1,37 +1,15 @@
 """Averaged (envelope) oscillator models: tank math, describing
 functions of saturating drivers, and amplitude dynamics."""
 
-from .describing import (
-    HardLimiter,
-    K_SQUARE_WAVE,
-    LimiterCharacteristic,
-    TanhLimiter,
-    delivered_power,
-    effective_gm,
-    fundamental_current,
-    k_factor,
-    mean_abs_current,
-)
-from .phase_noise import LeesonModel
-from .locking import InjectionLocking, frequency_mismatch_from_tolerances
-from .dynamics import EnvelopeModel, small_signal_growth_rate, steady_state_amplitude
-from .tank import RLCTank
+from .._lazy import lazy_exports
 
-__all__ = [
-    "HardLimiter",
-    "K_SQUARE_WAVE",
-    "LimiterCharacteristic",
-    "TanhLimiter",
-    "delivered_power",
-    "effective_gm",
-    "fundamental_current",
-    "k_factor",
-    "mean_abs_current",
-    "LeesonModel",
-    "InjectionLocking",
-    "frequency_mismatch_from_tolerances",
-    "EnvelopeModel",
-    "small_signal_growth_rate",
-    "steady_state_amplitude",
-    "RLCTank",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    ".describing": ("HardLimiter", "K_SQUARE_WAVE", "LimiterCharacteristic",
+                    "TanhLimiter", "delivered_power", "effective_gm",
+                    "fundamental_current", "k_factor", "mean_abs_current"),
+    ".phase_noise": ("LeesonModel",),
+    ".locking": ("InjectionLocking", "frequency_mismatch_from_tolerances"),
+    ".dynamics": ("EnvelopeModel", "small_signal_growth_rate",
+                  "steady_state_amplitude"),
+    ".tank": ("RLCTank",),
+})

@@ -1,16 +1,9 @@
 """FMEA fault catalog, injection campaign and coverage reporting."""
 
-from .campaign import CampaignResult, FaultCampaign, FaultResult
-from .coverage import coverage_summary, coverage_table
-from .models import FaultSpec, fault_by_name, standard_fault_catalog
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CampaignResult",
-    "FaultCampaign",
-    "FaultResult",
-    "coverage_summary",
-    "coverage_table",
-    "FaultSpec",
-    "fault_by_name",
-    "standard_fault_catalog",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    ".campaign": ("CampaignResult", "FaultCampaign", "FaultResult"),
+    ".coverage": ("coverage_summary", "coverage_table"),
+    ".models": ("FaultSpec", "fault_by_name", "standard_fault_catalog"),
+})

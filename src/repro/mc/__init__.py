@@ -1,20 +1,10 @@
 """Monte-Carlo and mismatch modelling."""
 
-from .distributions import make_rng, relative_errors
-from .mismatch import DEFAULT_SIGMAS, MismatchProfile, MismatchSigmas
-from .pelgrom import PelgromCoefficients, current_mismatch_sigma, sigmas_for_areas
-from .montecarlo import MonteCarloResult, chain_metric, run_monte_carlo
+from .._lazy import lazy_exports
 
-__all__ = [
-    "make_rng",
-    "relative_errors",
-    "DEFAULT_SIGMAS",
-    "MismatchProfile",
-    "MismatchSigmas",
-    "PelgromCoefficients",
-    "current_mismatch_sigma",
-    "sigmas_for_areas",
-    "MonteCarloResult",
-    "chain_metric",
-    "run_monte_carlo",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    ".distributions": ("make_rng", "relative_errors"),
+    ".mismatch": ("DEFAULT_SIGMAS", "MismatchProfile", "MismatchSigmas"),
+    ".pelgrom": ("PelgromCoefficients", "current_mismatch_sigma", "sigmas_for_areas"),
+    ".montecarlo": ("MonteCarloResult", "chain_metric", "run_monte_carlo"),
+})

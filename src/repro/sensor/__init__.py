@@ -1,32 +1,12 @@
 """Position-sensor application substrate (Fig 9)."""
 
-from .coils import (
-    CoilMesh,
-    CouplingProfile,
-    DistributedCoil,
-    ReceivingCoilPair,
-    coil_mesh_array,
-    tank_with_parallel_load,
-)
-from .receiver import PositionReceiver
-from .dual_cosim import DualCoSimulation, DualTrace
-from .redundant import (
-    DualSystemOutcome,
-    DualSystemScenario,
-    effective_load_resistance,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CoilMesh",
-    "coil_mesh_array",
-    "CouplingProfile",
-    "DistributedCoil",
-    "ReceivingCoilPair",
-    "tank_with_parallel_load",
-    "PositionReceiver",
-    "DualCoSimulation",
-    "DualTrace",
-    "DualSystemOutcome",
-    "DualSystemScenario",
-    "effective_load_resistance",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    ".coils": ("CoilMesh", "CouplingProfile", "DistributedCoil", "ReceivingCoilPair",
+               "coil_mesh_array", "tank_with_parallel_load"),
+    ".receiver": ("PositionReceiver",),
+    ".dual_cosim": ("DualCoSimulation", "DualTrace"),
+    ".redundant": ("DualSystemOutcome", "DualSystemScenario",
+                   "effective_load_resistance"),
+})
