@@ -16,7 +16,9 @@
 #   make same-outputs BASE=HEAD WORKLOAD=all SEEDS=1,2
 #                   one pass of each workload's jobs from BASE (a temporary
 #                   git worktree) and from the working tree; fails unless
-#                   every result's t, x and stats are identical
+#                   every result's t, x and stats are identical;
+#                   RTOL=1e-9 compares t and x to that relative tolerance
+#                   instead and lists the stats that differ
 #   make importtime WORKLOAD=supply_loss_q
 #                   one set-up-only run under python -X importtime: the 25
 #                   largest cumulative imports and the repro/scipy module
@@ -34,6 +36,7 @@ TRACE ?= 0
 BASE ?= HEAD
 PAIRS ?= 10
 SEEDS ?= 1,2
+RTOL ?=
 
 .PHONY: verify test bench bench-check perf perf-pairs same-outputs importtime
 
@@ -55,7 +58,7 @@ perf-pairs:
 	$(PYTHON) benchmarks/perf_pairs.py --base $(BASE) --workload $(WORKLOAD) --pairs $(PAIRS)
 
 same-outputs:
-	$(PYTHON) benchmarks/same_outputs.py --base $(BASE) --workload $(WORKLOAD) --seeds $(SEEDS)
+	$(PYTHON) benchmarks/same_outputs.py --base $(BASE) --workload $(WORKLOAD) --seeds $(SEEDS) $(if $(RTOL),--rtol $(RTOL))
 
 importtime:
 	$(PYTHON) benchmarks/importtime.py --workload $(WORKLOAD)

@@ -4,6 +4,7 @@ Run from the repository root::
 
     python benchmarks/same_outputs.py --base HEAD --workload mc_lockstep --seeds 1,2
     make same-outputs BASE=HEAD WORKLOAD=all SEEDS=1,2    # every workload
+    make same-outputs BASE=HEAD WORKLOAD=all RTOL=1e-9    # within rounding
 
 ``BASE`` is checked out into a temporary ``git worktree`` (see
 ``perf_pairs.py``).  For every workload and seed, one pass of the
@@ -14,6 +15,13 @@ exactly: arrays with ``np.array_equal``, everything else with ``==``
 (NaN equals NaN).  The first differing job and key of each workload
 and seed is printed; the exit status is 1 on any difference or failed
 pass.
+
+``--rtol R`` is for a change that moves results within rounding (a
+different Newton start, say): a result's ``t`` and ``x`` then pass
+when ``max|a - b| <= R * max|a|`` (``a`` the base), and the worst such
+relative deviation of each workload and seed is printed.  ``stats``
+may differ; every differing key is listed once, base -> change, with
+how many results it differs in.
 """
 
 import argparse
@@ -21,6 +29,7 @@ import json
 import math
 import os
 import pickle
+import re
 import subprocess
 import sys
 import tempfile
@@ -37,6 +46,9 @@ def parse_args(argv=None):
     parser.add_argument("--workload", default="mc_lockstep",
                         help="a workload of BENCHMARK.json, or 'all'")
     parser.add_argument("--seeds", default="1,2", help="comma-separated workload seeds")
+    parser.add_argument("--rtol", type=float, default=None,
+                        help="compare t and x to this relative tolerance, "
+                             "list differing stats (default: all bitwise)")
     parser.add_argument("--dump", nargs=4, metavar=("ROOT", "WORKLOAD", "SEED", "OUT"),
                         help=argparse.SUPPRESS)
     return parser.parse_args(argv)
@@ -80,35 +92,55 @@ def dump(root: str, workload: str, seed: int, out: str) -> None:
         pickle.dump(records, fh)
 
 
-def first_difference(a, b, path: str):
-    """The path of the first difference between two ``plain`` values,
-    or ``None`` when they are identical."""
+def differences(a, b, path: str):
+    """Every ``(path, a, b)`` where two ``plain`` values differ, in
+    order; nothing when they are identical."""
     if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
         a, b = np.asarray(a), np.asarray(b)
         nan = a.dtype.kind in "fc" and b.dtype.kind in "fc"
-        same = a.shape == b.shape and a.dtype == b.dtype and np.array_equal(a, b, equal_nan=nan)
-        return None if same else path
-    if type(a) is not type(b):
-        return path
-    if isinstance(a, dict):
+        if not (a.shape == b.shape and a.dtype == b.dtype
+                and np.array_equal(a, b, equal_nan=nan)):
+            yield path, a, b
+    elif type(a) is not type(b):
+        yield path, a, b
+    elif isinstance(a, dict):
         if list(a) != list(b):
-            return f"{path} (keys)"
-        for key in a:
-            diff = first_difference(a[key], b[key], f"{path}.{key}")
-            if diff is not None:
-                return diff
-        return None
-    if isinstance(a, list):
+            yield f"{path} (keys)", list(a), list(b)
+        else:
+            for key in a:
+                yield from differences(a[key], b[key], f"{path}.{key}")
+    elif isinstance(a, list):
         if len(a) != len(b):
-            return f"{path} (length)"
-        for i, (u, v) in enumerate(zip(a, b)):
-            diff = first_difference(u, v, f"{path}[{i}]")
-            if diff is not None:
-                return diff
-        return None
-    if isinstance(a, float) and math.isnan(a) and math.isnan(b):
-        return None
-    return None if a == b else path
+            yield f"{path} (length)", len(a), len(b)
+        else:
+            for i, (u, v) in enumerate(zip(a, b)):
+                yield from differences(u, v, f"{path}[{i}]")
+    elif not (a == b or isinstance(a, float) and math.isnan(a) and math.isnan(b)):
+        yield path, a, b
+
+
+def first_difference(a, b, path: str):
+    """The path of the first difference between two ``plain`` values,
+    or ``None`` when they are identical."""
+    return next((where for where, _, _ in differences(a, b, path)), None)
+
+
+def relative_deviation(a: np.ndarray, b: np.ndarray) -> float:
+    """``max|a - b| / max|a|`` over the finite entries (0 for equal
+    arrays; inf for a shape mismatch, non-finite entries that differ,
+    or a deviation from an all-zero ``a``)."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    if a.shape != b.shape:
+        return math.inf
+    finite = np.isfinite(a)
+    if not (np.array_equal(finite, np.isfinite(b))
+            and np.array_equal(a[~finite], b[~finite], equal_nan=True)):
+        return math.inf
+    worst = float(np.abs(a[finite] - b[finite]).max(initial=0.0))
+    if worst == 0.0:
+        return 0.0
+    scale = float(np.abs(a[finite]).max())
+    return worst / scale if scale > 0.0 else math.inf
 
 
 def run_pass(root: Path, workload: str, seed: int, tmp: str):
@@ -141,6 +173,50 @@ def compare(base: list, change: list):
     return True, f"{len(base)} results identical"
 
 
+def compare_rtol(base: list, change: list, rtol: float):
+    """``(within, message, stats_lines)`` for two passes' records:
+    ``t`` and ``x`` to ``rtol`` relative to the base's largest value,
+    ``stats`` listed key by key (index positions collapsed to ``[*]``)
+    with the first differing pair and the number of results."""
+    if len(base) != len(change):
+        return False, f"{len(base)} results vs {len(change)}", []
+    worst, worst_at, bad = 0.0, "", None
+    keys: dict = {}
+    for i, (b, c) in enumerate(zip(base, change)):
+        if ("failure" in b) != ("failure" in c):
+            return False, f"job {b['job']}, result {i}: failure differs", []
+        for key in ("t", "x"):
+            if key not in b:
+                continue
+            dev = relative_deviation(b[key], c[key])
+            if dev > worst:
+                worst, worst_at = dev, f"job {b['job']}, result {i}: {key}"
+            if dev > rtol and bad is None:
+                bad = f"job {b['job']}, result {i}: {key} deviates {dev:.3g} > {rtol:g}"
+        rest = {k: v for k, v in b.items() if k not in ("t", "x")}
+        rest_c = {k: v for k, v in c.items() if k not in ("t", "x")}
+        seen = set()
+        for where, u, v in differences(rest, rest_c, "result"):
+            where = re.sub(r"\[\d+\]", "[*]", where)
+            if where not in seen:
+                seen.add(where)
+                first, count = keys.get(where, ((u, v), 0))
+                keys[where] = (first, count + 1)
+    lines = [
+        f"    {where}: {short(u)} -> {short(v)} ({count} result{'s' * (count > 1)})"
+        for where, ((u, v), count) in keys.items()
+    ]
+    worst_text = f"worst t/x deviation {worst:.3g}" + (f" ({worst_at})" if worst else "")
+    if bad is not None:
+        return False, f"{bad}; {worst_text}", lines
+    return True, f"{len(base)} results within rtol {rtol:g}, {worst_text}", lines
+
+
+def short(value, width: int = 40) -> str:
+    text = repr(value.tolist() if isinstance(value, np.ndarray) else value)
+    return text if len(text) <= width else text[: width - 3] + "..."
+
+
 def main(argv=None) -> int:
     args = parse_args(argv)
     if args.dump:
@@ -162,12 +238,21 @@ def main(argv=None) -> int:
                 with tempfile.TemporaryDirectory(prefix="same-outputs-") as tmp:
                     base = run_pass(worktree, workload, seed, tmp)
                     change = run_pass(ROOT, workload, seed, tmp)
+                lines = []
                 if base is None or change is None:
                     same, message = False, "a pass failed"
-                else:
+                elif args.rtol is None:
                     same, message = compare(base, change)
+                else:
+                    same, message, lines = compare_rtol(base, change, args.rtol)
                 differ += not same
-                print(f"{workload:<15} seed {seed}: {'same' if same else 'DIFFERENT'}: {message}")
+                verdict = "same" if same else "DIFFERENT"
+                if args.rtol is not None:
+                    verdict = "within" if same else "OUTSIDE"
+                print(f"{workload:<15} seed {seed}: {verdict}: {message}")
+                if lines:
+                    print("  stats differing (base -> change):")
+                    print("\n".join(lines))
     return 1 if differ else 0
 
 

@@ -21,6 +21,12 @@ time loop advances every sample together,
   sample iterates in step (no gathers at all), index arrays only once
   samples converge, freeze or split — ragged convergence costs only
   the stragglers;
+* the per-sample engine's Newton predictor on ``(S,)`` arrays: every
+  rank-1 step starts on the Sherman–Morrison line at the quadratic
+  extrapolation of each sample's control voltage through the last
+  three committed points (the adaptive half steps also through the
+  candidate's full-step probe), and from ``x_n`` after the run start
+  or a crossed breakpoint, where the predictor restarts;
 * vectorized companion-state updates: capacitor/inductor integrator
   state lives in ``(S, m)`` arrays and one gather/scatter advances
   all samples;
@@ -66,7 +72,7 @@ from .health import (
     nonfinite_sample_rows,
 )
 from .integration import IntegrationMethod, resolve_method
-from .linsolve import damp_voltage_delta, solve_dense
+from .linsolve import NewtonPredictor, damp_voltage_delta, solve_dense
 from .netlist import Circuit
 from .preflight import apply_preflight
 from .sources import CurrentSource, VoltageSource
@@ -1148,6 +1154,10 @@ class _BatchedStepSolver:
             self._cn = int(assembly._cn_idx[0])
         else:
             self.strategy = "batched-woodbury"
+        #: The per-sample engine's Newton predictor, on ``(S,)`` arrays.
+        self.predictor = (
+            NewtonPredictor() if self.strategy == "batched-rank1" else None
+        )
 
     @property
     def frozen(self) -> np.ndarray:
@@ -1182,6 +1192,20 @@ class _BatchedStepSolver:
         if cn >= 0:
             return -vec[:, cn]
         return np.zeros(len(vec))
+
+    def note_commit(self, time: float, x: np.ndarray, restart: bool = False) -> None:
+        """``_StepSolver.note_commit`` for the whole batch (frozen
+        samples feed their frozen rows)."""
+        predictor = self.predictor
+        if predictor is not None:
+            if restart:
+                predictor.reset()
+            predictor.push(time, self._ctrl1(x))
+
+    def note_probe(self, time: Optional[float] = None, x=None) -> None:
+        """``_StepSolver.note_probe`` for the whole batch."""
+        if self.predictor is not None:
+            self.predictor.probe(time, None if x is None else self._ctrl1(x))
 
     # -- shared helpers -------------------------------------------------------
 
@@ -1387,6 +1411,11 @@ class _BatchedStepSolver:
         converged, frozen or skipped samples, mixed branches, a
         singular denominator.  Every formula is elementwise, so a
         sample's arithmetic is the same either way.
+
+        Samples start on the line at the shared predictor's
+        extrapolated control voltage, under the per-sample kernel's
+        rule: from ``x_n`` with fewer than three committed points, and
+        per sample where the prediction is a damped move away.
         """
         asm = self.assembly
         options = self.options
@@ -1402,6 +1431,15 @@ class _BatchedStepSolver:
         v_ctrl = self._ctrl1(x)
         on_line = np.zeros(S, dtype=bool)
         c = np.zeros(S)
+        v_pred = self.predictor.predict(time)
+        if v_pred is not None:
+            on_line = np.abs(v_pred - v_ctrl) * w_vmax < max_step * np.abs(vw)
+            if _subset(_ALL, on_line) is _ALL:  # the lockstep norm
+                c = (zl_c - v_pred) / vw
+                v_ctrl = zl_c - c * vw
+            else:
+                np.divide(zl_c - v_pred, vw, out=c, where=on_line)
+                v_ctrl = np.where(on_line, zl_c - c * vw, v_ctrl)
         # Quarantined and skipped samples never enter the working set:
         # their rows of ``x`` stay frozen at the last converged iterate.
         active = ~self.frozen
@@ -1944,6 +1982,7 @@ def _run_fixed_lockstep(
     n_steps = int(round(options.t_stop / options.dt))
     stride = options.record_stride
     recorder.append(0.0, x)
+    solver.note_commit(0.0, x)
     method = assembly.method
     multistep = method.is_multistep
     order_histogram: Dict[int, int] = {}
@@ -2004,6 +2043,7 @@ def _run_fixed_lockstep(
                 x, rhs_lin, time, eligible=None if freeze is None else ~freeze
             )
         assembly.commit(x, time, freeze=freeze)
+        solver.note_commit(time, x)
         if step % stride == 0:
             recorder.append(time, x)
     stats: Dict[str, object] = {"steps": n_steps}
@@ -2058,6 +2098,7 @@ def _run_adaptive_lockstep(
     n_nodes = assembly.n_nodes
     stride = options.record_stride
     recorder.append(0.0, x)
+    solver.note_commit(0.0, x)
     budget = _RunBudget.for_options(options)
 
     def abort(reason: str, error: Optional[BaseException] = None) -> _RunAbort:
@@ -2092,7 +2133,9 @@ def _run_adaptive_lockstep(
         try:
             assembly.set_dt(dt, ephemeral=ephemeral, order=order)
             rhs_lin = assembly.step_rhs(t_target)
+            solver.note_probe()
             x_full = solver.step(x, rhs_lin, t_target)
+            solver.note_probe(t_target, x_full)
             half = 0.5 * dt
             t_mid = t + half
             assembly.set_dt(half, ephemeral=ephemeral, order=order)
@@ -2136,6 +2179,9 @@ def _run_adaptive_lockstep(
             controller.accept(t_target, dt, ratio)
             if multistep and controller.crossed_breakpoint:
                 assembly.reset_history()
+            solver.note_commit(
+                t_target, x, restart=controller.crossed_breakpoint
+            )
             if controller.accepted % stride == 0:
                 recorder.append(t_target, x)
         else:

@@ -331,6 +331,7 @@ def run_transient_envelope(
             rhs_lin = assembly.step_rhs(time, states, x)
             x = solver.step(x, rhs_lin, time, states)
             assembly.commit(x, time, states)
+            solver.note_commit(time, x)
             if k % stride == 0:
                 recorder.append(time, x)
                 provenance.append("resolved")
@@ -349,7 +350,8 @@ def run_transient_envelope(
 
     def jump(x: np.ndarray, scale: float, t_new: float) -> np.ndarray:
         """Rescale the full committed state about its cycle means by
-        the predicted amplitude ratio and reseat it at ``t_new``."""
+        the predicted amplitude ratio and reseat it at ``t_new``; the
+        integrator history and the Newton predictor restart there."""
         x_mean, v_mean, i_mean = cyc.means()
         x_new = x_mean + scale * (x - x_mean)
         reactive.v = v_mean + scale * (reactive.v - v_mean)
@@ -361,10 +363,12 @@ def run_transient_envelope(
             ring.set_current(reactive.v, reactive.i, reactive.n_caps)
         reactive._cterm = None
         cyc.reset()
+        solver.note_commit(t_new, x_new, restart=True)
         return x_new
 
     # -- main loop ---------------------------------------------------------
     recorder.append(0.0, x)
+    solver.note_commit(0.0, x)
     provenance.append("resolved")
 
     warm = envelope.warm_start

@@ -5,7 +5,7 @@ Both analyses (:mod:`~repro.circuits.dcop` and
 damp Newton updates the same way; this module is the single home for
 that logic so the two engines cannot drift apart again.
 
-Three layers:
+Four layers:
 
 * :func:`solve_dense` — one-shot solve with a least-squares fallback
   for singular systems (floating nodes under fault injection).
@@ -15,6 +15,10 @@ Three layers:
   by large amounts in one iteration, so they are never the limiting
   unknowns (this was historically inconsistent between the DC and
   transient Newton loops).
+* :class:`NewtonPredictor` — where a rank-1 Newton step starts: the
+  quadratic extrapolation of the device's control voltage through the
+  last three committed points, one implementation for the per-sample
+  and the lockstep engine so their iterates cannot drift apart.
 * :class:`ReusableLU` — a factorization cached across many solves
   with the same matrix: LU (``scipy.linalg.lu_factor``/``lu_solve``)
   for large systems, an explicit inverse for small ones where the
@@ -36,7 +40,7 @@ try:  # scipy is an optional accelerator; numpy covers every path.
 except ImportError:  # pragma: no cover - exercised only without scipy
     _HAVE_SCIPY = False
 
-__all__ = ["solve_dense", "damp_voltage_delta", "ReusableLU"]
+__all__ = ["solve_dense", "damp_voltage_delta", "NewtonPredictor", "ReusableLU"]
 
 #: Below this system size an explicit inverse plus ``dot`` beats the
 #: per-call overhead of LAPACK's triangular solves by a wide margin.
@@ -74,6 +78,64 @@ def damp_voltage_delta(
         delta = delta * (max_step / max_delta)
         max_delta = max_step
     return delta, max_delta
+
+
+class NewtonPredictor:
+    """Quadratic predictor of a Newton step's control voltage.
+
+    Holds the last three committed ``(t, v)`` points and returns their
+    Lagrange extrapolation at the next target time (the Newton
+    predictor of SPICE3; T. Quarles, PhD thesis, UC Berkeley, 1989).
+    ``v`` is a float in the per-sample engine and an ``(S,)`` array in
+    the lockstep engine: the weights depend only on the times and
+    every operation on ``v`` is elementwise, so each sample of a batch
+    gets exactly the arithmetic of its own per-sample run.
+
+    ``probe`` lends an adaptive candidate's full-step solution to its
+    two half steps as a provisional newest point: the first half step
+    then *interpolates* through it, and the second (at the probe's own
+    time) starts from the probe's value.  ``push`` (a commit) and
+    ``reset`` withdraw it.
+    """
+
+    __slots__ = ("_t", "_v", "_probe")
+
+    def __init__(self) -> None:
+        self.reset()
+
+    def reset(self) -> None:
+        """Forget every point: the integrator history restarted."""
+        self._t: tuple = ()
+        self._v: tuple = ()
+        self._probe: Optional[tuple] = None
+
+    def push(self, t: float, v) -> None:
+        """Record a committed point (keeps the newest three)."""
+        self._t = self._t[-2:] + (t,)
+        self._v = self._v[-2:] + (v,)
+        self._probe = None
+
+    def probe(self, t: Optional[float] = None, v=None) -> None:
+        """Set the provisional point; with no arguments, withdraw it."""
+        self._probe = None if t is None else (t, v)
+
+    def predict(self, t: float):
+        """Extrapolated control voltage at ``t``, or ``None`` with
+        fewer than three points (the step then starts from ``x_n``)."""
+        ts, vs = self._t, self._v
+        if self._probe is not None:
+            ts = ts[-2:] + (self._probe[0],)
+            vs = vs[-2:] + (self._probe[1],)
+        if len(ts) < 3:
+            return None
+        t0, t1, t2 = ts
+        v0, v1, v2 = vs
+        a, b, c = t - t0, t - t1, t - t2
+        return (
+            (b * c / ((t0 - t1) * (t0 - t2))) * v0
+            + (a * c / ((t1 - t0) * (t1 - t2))) * v1
+            + (a * b / ((t2 - t0) * (t2 - t1))) * v2
+        )
 
 
 class ReusableLU:

@@ -98,7 +98,7 @@ from .integration import (
     IntegrationMethod,
     resolve_method,
 )
-from .linsolve import damp_voltage_delta, solve_dense
+from .linsolve import NewtonPredictor, damp_voltage_delta, solve_dense
 from .netlist import GROUND_NAMES, Circuit
 from .preflight import PREFLIGHT_MODES, apply_preflight
 from .stepcontrol import (
@@ -840,6 +840,9 @@ class _StepSolver:
                 self._eye_k = np.eye(len(devices))
         else:
             self.strategy = "general"
+        #: Where each rank-1 Newton step starts (``None`` for every
+        #: other strategy); the time loops feed it their commits.
+        self.predictor = NewtonPredictor() if self.strategy == "rank1" else None
 
     def _ctrl_diff(self, vec: np.ndarray) -> float:
         cp, cn = self._cp, self._cn
@@ -847,6 +850,23 @@ class _StepSolver:
         if cn >= 0:
             value = value - vec[cn]
         return float(value)
+
+    def note_commit(self, time: float, x: np.ndarray, restart: bool = False) -> None:
+        """Feed an accepted point to the Newton predictor.  ``restart``
+        first drops its history, where the integrator history restarts
+        too: a crossed breakpoint (every phase switch lands on one) or
+        an envelope jump.  A run starts with an empty predictor."""
+        predictor = self.predictor
+        if predictor is not None:
+            if restart:
+                predictor.reset()
+            predictor.push(time, self._ctrl_diff(x))
+
+    def note_probe(self, time: Optional[float] = None, x=None) -> None:
+        """Lend an adaptive candidate's full-step probe to its half
+        steps; with no arguments, withdraw it."""
+        if self.predictor is not None:
+            self.predictor.probe(time, None if x is None else self._ctrl_diff(x))
 
     def _full_solve(
         self,
@@ -1004,10 +1024,22 @@ class _StepSolver:
         solve collapses to ``x_new = z_lin - q*w`` with cached vectors
         ``z_lin`` (once per step) and ``w`` (once per step size), and
         a scalar ``q`` from the device linearization.  Once an
-        undamped iterate lands exactly on that line, the remaining
-        iterations — update, damping, convergence test — reduce to
-        *scalar* arithmetic; the solution vector is materialized once
-        at convergence.
+        iterate lies exactly on that line, the remaining iterations —
+        update, damping, convergence test — reduce to *scalar*
+        arithmetic; the solution vector is materialized once at
+        convergence.
+
+        The step starts on the line, at the point whose control
+        voltage is the predictor's quadratic extrapolation
+        (``c = (zl_c - v_pred)/vw``), so Newton spends its first
+        iteration confirming instead of moving; an adaptive
+        candidate's half steps extrapolate through its full-step probe
+        too.  It starts from ``x_n`` instead while the predictor holds
+        fewer than three points — after the run start, a crossed
+        breakpoint, a phase switch or an envelope jump — and whenever
+        the predicted control voltage is a damped move (``max_step``
+        or more along the line) away from ``x_n``'s, or on no point of
+        the line at all (``vw = 0``).
         """
         options = self.options
         linearize = self._device.linearize
@@ -1023,6 +1055,11 @@ class _StepSolver:
         v_ctrl = self._ctrl_diff(x)
         on_line = False  # is x exactly z_lin - c*w?
         c = 0.0
+        v_pred = self.predictor.predict(time)
+        if v_pred is not None and abs(v_pred - v_ctrl) * w_vmax < max_step * abs(vw):
+            c = (zl_c - v_pred) / vw
+            v_ctrl = zl_c - c * vw
+            on_line = True
         last_delta = np.inf
         for _iteration in range(options.max_iterations):
             gm, i_eq = linearize(v_ctrl)
@@ -1213,6 +1250,7 @@ def _run_fixed(
     n_steps = int(round(options.t_stop / options.dt))
     stride = options.record_stride
     recorder.append(0.0, x)
+    solver.note_commit(0.0, x)
     method = assembly.method
     multistep = method.is_multistep
     target = method.max_order
@@ -1264,6 +1302,7 @@ def _run_fixed(
         if certifier is not None:
             certifier.check_step(x, rhs_lin, time, states)
         assembly.commit(x, time, states)
+        solver.note_commit(time, x)
         if certifier is not None:
             certifier.check_state(x, time)
         if step % stride == 0:
@@ -1361,6 +1400,7 @@ def _run_adaptive(
     n_nodes = circuit.n_nodes
     stride = options.record_stride
     recorder.append(0.0, x)
+    solver.note_commit(0.0, x)
     budget = _RunBudget.for_options(options)
     rescue = _StepRescue(assembly, options) if options.rescue else None
 
@@ -1377,15 +1417,21 @@ def _run_adaptive(
             stats["phases"] = list(phase_log)
         return _RunAbort(reason, error=error, stats=stats)
 
-    def maybe_switch_phase(t_now: float) -> None:
-        # Phase onsets are registered as breakpoints, so accepted
-        # steps land exactly on them; the crossed-breakpoint history
-        # reset above runs first, then the switch re-seeds (or
-        # bootstraps) history for the incoming method.
+    def accept_point(t_now: float, x_now: np.ndarray) -> None:
+        # Bookkeeping after an accepted step.  Phase onsets are
+        # registered as breakpoints, so accepted steps land exactly
+        # on them; the crossed-breakpoint history reset runs first
+        # (and restarts the Newton predictor, phase switch or not),
+        # then the switch re-seeds (or bootstraps) history for the
+        # incoming method.
         nonlocal multistep
-        if schedule is None:
-            return
-        phase = schedule.advance_to(t_now)
+        crossed = controller.crossed_breakpoint
+        if multistep and crossed:
+            # Interpolating across the discontinuity would poison
+            # the BDF history; restart from the committed point.
+            assembly.reset_history()
+        solver.note_commit(t_now, x_now, restart=crossed)
+        phase = None if schedule is None else schedule.advance_to(t_now)
         if phase is None:
             return
         _apply_phase(assembly, controller, phase)
@@ -1425,7 +1471,9 @@ def _run_adaptive(
             # Full-step probe (error reference only).
             assembly.set_dt(dt, ephemeral=ephemeral, order=order)
             rhs_lin = assembly.step_rhs(t_target, states, x)
+            solver.note_probe()
             x_full = solver.step(x, rhs_lin, t_target, states)
+            solver.note_probe(t_target, x_full)
             # Two half steps: the solution the engine keeps.
             half = 0.5 * dt
             t_mid = t + half
@@ -1468,9 +1516,7 @@ def _run_adaptive(
             assembly.commit(x_rescued, t_target, states)
             x = x_rescued
             controller.accept(t_target, dt, ratio=1.0)
-            if multistep and controller.crossed_breakpoint:
-                assembly.reset_history()
-            maybe_switch_phase(t_target)
+            accept_point(t_target, x)
             if controller.accepted % stride == 0:
                 recorder.append(t_target, x)
             continue
@@ -1483,11 +1529,7 @@ def _run_adaptive(
             if certifier is not None:
                 certifier.check_state(x, t_target)
             controller.accept(t_target, dt, ratio)
-            if multistep and controller.crossed_breakpoint:
-                # Interpolating across the discontinuity would poison
-                # the BDF history; restart from the committed point.
-                assembly.reset_history()
-            maybe_switch_phase(t_target)
+            accept_point(t_target, x)
             if controller.accepted % stride == 0:
                 recorder.append(t_target, x)
         else:

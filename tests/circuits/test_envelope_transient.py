@@ -110,7 +110,7 @@ class TestFig16SkipSchedule:
         assert e["resolved_cycles"] == 22
         assert len(e["skip_history"]) == 9
         assert e["final"]["skip"] == 256
-        assert env.stats["newton_iterations"] == 2196
+        assert env.stats["newton_iterations"] == 1703
 
 
 class TestSkipOffBitIdentity:
