@@ -17,8 +17,8 @@ the execution of that shape:
 * :func:`run_transient_campaign`, :func:`transient_worker`,
   :class:`TransientMetricSpec` — the transient-campaign front-end
   (:mod:`repro.campaigns.vectorized`): lockstep stacked-array
-  execution via the batched engine, and shared-memory waveform
-  streaming for the process-parallel fallback.
+  execution via the batched engine, sharded or per-sample across a
+  process pool, with waveforms streamed through shared memory.
 
 See :mod:`repro.campaigns.runner` for the execution semantics.  The
 core runner deliberately depends only on the standard library (plus

@@ -41,7 +41,9 @@ periodically so a killed campaign resumes with
 ``run_batch(..., resume_from=path)`` re-running only the missing
 tasks.  A :class:`~concurrent.futures.process.BrokenProcessPool`
 flushes the checkpoint before surfacing as a
-:class:`~repro.errors.BatchTaskError` naming the in-flight task.
+:class:`~repro.errors.BatchTaskError` naming the in-flight tasks.
+Every pool with a watchdog, here and in the transient campaigns, runs
+through one loop, :func:`drain`.
 
 Only the Python standard library is used here; the module sits below
 every simulation layer so any of them can import it without cycles
@@ -51,13 +53,20 @@ every simulation layer so any of them can import it without cycles
 
 from __future__ import annotations
 
-import concurrent.futures
+import contextlib
+import functools
 import os
 import pickle
 import signal
 import time
 import traceback
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import (
+    FIRST_COMPLETED,
+    Executor,
+    Future,
+    ProcessPoolExecutor,
+    wait,
+)
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import (
@@ -189,12 +198,20 @@ class BatchOptions:
 
         * ``"raise"`` (default) — abort with
           :class:`~repro.errors.BatchTaskError` (the historical
-          behaviour).
+          behaviour).  A pool is killed first, so the error never
+          waits on a hung peer.
         * ``"skip"`` — record a :class:`~repro.errors.TaskFailure` in
           that task's result slot; the batch finishes.
         * ``"retry"`` — re-attempt per ``retry`` (a default
           :class:`RetryPolicy` if unset), then record the
           :class:`~repro.errors.TaskFailure` if every attempt failed.
+
+        The transient campaign pools of
+        :func:`~repro.campaigns.vectorized.run_transient_campaign`
+        (``"process"`` and ``"sharded"``) judge a failed job once every
+        job has finished: ``"raise"`` names its first failing sample,
+        and otherwise its samples re-run solo in the parent, attempted
+        as here.
     retry:
         The :class:`RetryPolicy` used by ``on_error="retry"``.
     checkpoint_path:
@@ -218,13 +235,23 @@ class BatchOptions:
         adaptive shard's shared worst-sample grid answers to peers of
         similar stiffness.  1 (default) keeps task order.
     task_timeout:
-        Watchdog deadline in seconds for pool-executed tasks (process
-        and sharded modes).  A task observed *running* longer than
-        this is presumed hung (a worker spinning in native code, a
+        Watchdog deadline in seconds for pool-executed jobs (process
+        and sharded modes).  A job observed *running* longer than this
+        is presumed hung (a worker spinning in native code, a
         deadlocked import): its worker processes are killed, the pool
-        is rebuilt, the unfinished peers are resubmitted, and the hung
-        task records a :class:`~repro.errors.TaskFailure` with
-        ``kind="timeout"`` (or retries, under ``on_error="retry"``).
+        is rebuilt and the unfinished peers are resubmitted, uncharged.
+        Then, by pool:
+
+        * :func:`run_batch` (one task per job) — the hung task retries
+          under ``on_error="retry"`` while attempts remain, else
+          raises (``"raise"``) or records a
+          :class:`~repro.errors.TaskFailure` with ``kind="timeout"``.
+        * transient campaigns (a shard, or ``chunksize`` tasks, per
+          job) — every sample of the hung job becomes a
+          ``kind="timeout"`` :class:`~repro.errors.TaskFailure`, or
+          the campaign raises under ``"raise"``.  They are never
+          retried: a re-run in the parent would hang the parent.
+
         ``None`` (default) disables the watchdog.  Sequential
         in-process execution cannot be interrupted and ignores it.
     """
@@ -320,16 +347,18 @@ def wrap_task_error(
     along as ``cause_text``: a live ``__cause__`` chain does not
     survive pickling back through a process pool, the string does.
     """
-    cause_text = getattr(exc, "cause_text", None)
-    if cause_text is None:
-        cause_text = "".join(
-            traceback.format_exception(type(exc), exc, exc.__traceback__)
-        )
     return BatchTaskError(
         f"{action} on task {index} ({task!r}): {exc}",
         index=index,
         task=task,
-        cause_text=cause_text,
+        cause_text=_cause_text(exc),
+    )
+
+
+def _cause_text(exc: BaseException) -> str:
+    """The rendered traceback a failure carries across a process."""
+    return getattr(exc, "cause_text", None) or "".join(
+        traceback.format_exception(type(exc), exc, exc.__traceback__)
     )
 
 
@@ -389,51 +418,32 @@ def nearest_neighbor_chain(
     return order
 
 
-class _IndexedWorker:
-    """Picklable worker wrapper that attributes failures child-side.
+def _indexed_call(worker: Callable, job):
+    """Run one ``(index, task)`` job, attributing a failure child-side.
 
     A chunked ``executor.map`` surfaces a failed chunk's exception at
     the chunk's *first* drain position, so parent-side attribution is
     wrong whenever ``chunksize > 1``.  Wrapping inside the worker
     process — where the true ``(index, task)`` is in hand — makes the
     :class:`BatchTaskError` exact; it pickles back through the pool
-    intact and the drain loop passes it through unchanged.
+    intact and the drain passes it through unchanged.
     """
-
-    def __init__(self, worker: Callable):
-        self.worker = worker
-
-    def __call__(self, job):
-        index, task = job
-        try:
-            return self.worker(task)
-        except BatchTaskError:
-            raise
-        except Exception as exc:
-            raise wrap_task_error(exc, index, task) from exc
+    index, task = job
+    try:
+        return worker(task)
+    except BatchTaskError:
+        raise
+    except Exception as exc:
+        raise wrap_task_error(exc, index, task) from exc
 
 
-def drain_ordered(
-    iterator,
-    tasks: Sequence,
-    action: str = "batch worker failed",
-) -> List:
-    """Drain results in task order, wrapping failures with their index.
-
-    The one drain loop shared by every executor-backed campaign path.
-    Workers that can, wrap child-side (exact attribution even with
-    ``chunksize > 1``); this parent-side wrap is the backstop for
-    pool-level failures (pickling errors, a broken pool), where the
-    index is the drain position the failure surfaced at.
-    """
-    results = []
-    for index, task in enumerate(tasks):
-        try:
-            results.append(next(iterator))
-        except BatchTaskError:
-            raise
-        except Exception as exc:
-            raise wrap_task_error(exc, index, task, action) from exc
+def _aligned(results: List, tasks: Sequence) -> List:
+    """Check a ``run_many`` hook returned one result per task."""
+    if len(results) != len(tasks):
+        raise ConfigurationError(
+            f"run_many returned {len(results)} results for {len(tasks)} "
+            "tasks; one result per task is required to keep campaigns aligned"
+        )
     return results
 
 
@@ -589,7 +599,91 @@ def _kill_pool(executor: ProcessPoolExecutor) -> None:
     executor.shutdown(wait=False, cancel_futures=True)
 
 
-def _drain_resilient_pool(
+def drain(
+    make_pool: Callable[[], Executor],
+    fn: Callable,
+    jobs: Dict[int, object],
+    timeout: Optional[float],
+    on_done: Callable[[int, Future], Optional[object]],
+    on_timeout: Callable[[int], Optional[object]],
+    clock: Callable[[], float] = time.monotonic,
+) -> None:
+    """Run ``fn(arg)`` for every ``{key: arg}`` job through a pool.
+
+    The one pool drain of the campaign layer.  ``on_done(key, future)``
+    settles each finished job; it returns ``None``, or a new argument
+    to run again on the same pool (a retry).  Any exception it raises
+    ends the drain.
+
+    With a ``timeout``, a job's deadline starts when it is first
+    observed *running*, so queue time never counts.  An overdue job's
+    pool is killed, the only way to stop a hung worker.
+    ``on_timeout(key)`` then returns ``None`` to settle the job, or an
+    argument to requeue it.  The unfinished peers are resubmitted as
+    they were to a fresh pool from ``make_pool``, so they are never
+    charged an attempt.
+
+    The pool is killed on every abnormal exit, so an error never waits
+    on a hung peer.  A broken pool raises its ``BrokenProcessPool``
+    with ``in_flight``, the sorted keys of every unfinished job.
+    ``make_pool`` and ``clock`` let tests drive the loop with fakes.
+    """
+    queue = dict(jobs)
+    poll = None if timeout is None else min(1.0, timeout / 4.0)
+    while queue:
+        pool = make_pool()
+        args = queue
+        pending: Dict[Future, int] = {}
+        queue = {}
+        try:
+            for key, arg in args.items():
+                pending[pool.submit(fn, arg)] = key
+            running_since: Dict[Future, float] = {}
+            while pending:
+                wait(pending, timeout=poll, return_when=FIRST_COMPLETED)
+                now = clock()
+                # Settle every job finished by this reading of the clock,
+                # so none of them can be judged overdue below.
+                done = [future for future in pending if future.done()]
+                for future in sorted(done, key=pending.get):
+                    if isinstance(future.exception(), BrokenProcessPool):
+                        raise future.exception()
+                    key = pending.pop(future)
+                    retry = on_done(key, future)
+                    if retry is not None:
+                        args[key] = retry
+                        pending[pool.submit(fn, retry)] = key
+                if timeout is None:
+                    continue
+                for future in pending:
+                    if future.running():
+                        running_since.setdefault(future, now)
+                overdue = [
+                    future
+                    for future in pending
+                    if now - running_since.get(future, now) > timeout
+                ]
+                if not overdue:
+                    continue
+                for future in sorted(overdue, key=pending.get):
+                    key = pending.pop(future)
+                    retry = on_timeout(key)
+                    if retry is not None:
+                        queue[key] = retry
+                for key in pending.values():
+                    queue[key] = args[key]
+                _kill_pool(pool)
+                break
+            else:
+                pool.shutdown(wait=True)
+        except BaseException as exc:
+            if isinstance(exc, BrokenProcessPool):
+                exc.in_flight = sorted(pending.values())
+            _kill_pool(pool)
+            raise
+
+
+def _run_pool_resilient(
     worker: Callable,
     task_list: Sequence,
     missing: Sequence[int],
@@ -598,156 +692,89 @@ def _drain_resilient_pool(
     done: Dict[int, object],
     failures: Dict[int, TaskFailure],
     saver: _Checkpointer,
+    make_pool: Optional[Callable[[], Executor]] = None,
+    clock: Callable[[], float] = time.monotonic,
 ) -> None:
-    """Submit-based process drain that survives individual failures.
+    """The fault-tolerant process path of :func:`run_batch`.
 
-    ``executor.map`` ties the whole drain to the first failure;
-    per-task futures let completed results land (and checkpoint) no
-    matter which tasks die, and failed tasks resubmit for their
-    retries while the rest of the pool keeps working.  A broken pool
-    flushes the checkpoint and raises a :class:`BatchTaskError`
-    naming one in-flight task.
-
-    With ``options.task_timeout`` set, a watchdog polls the in-flight
-    futures: a task observed running past the deadline is presumed
-    hung, its worker processes are killed (the only way to interrupt
-    arbitrary native code), the pool is rebuilt, and the unfinished
-    peers resubmit on the fresh pool.  The hung task records a
-    ``kind="timeout"`` :class:`~repro.errors.TaskFailure` — or
-    retries, when attempts remain.
+    Per-task futures let completed results land (and checkpoint) no
+    matter which tasks die.  A failed task resubmits for its retries
+    while the rest of the pool keeps working; a hung one (see
+    :func:`drain`) retries on the fresh pool or records a
+    ``kind="timeout"`` :class:`~repro.errors.TaskFailure`.  A broken
+    pool flushes the checkpoint and raises a :class:`BatchTaskError`
+    naming the in-flight tasks.
     """
-    indexed = _IndexedWorker(worker)
     attempts = {index: 1 for index in missing}
-    timeout = options.task_timeout
-    wait_timeout = None if timeout is None else min(1.0, timeout / 4.0)
-    queue = list(missing)
-    while queue:
-        executor = ProcessPoolExecutor(
+    if make_pool is None:
+        make_pool = functools.partial(
+            ProcessPoolExecutor,
             max_workers=options.resolved_max_workers(),
             initializer=_pool_worker_init,
         )
-        rebuild = False
-        try:
-            pending = {
-                executor.submit(
-                    indexed,
-                    (
-                        index,
-                        policy.task_for_attempt(
-                            task_list[index], attempts[index]
-                        ),
-                    ),
-                ): index
-                for index in queue
-            }
-            queue = []
-            running_since: Dict[object, float] = {}
-            while pending:
-                ready, _ = concurrent.futures.wait(
-                    pending,
-                    timeout=wait_timeout,
-                    return_when=concurrent.futures.FIRST_COMPLETED,
-                )
-                for future in ready:
-                    index = pending.pop(future)
-                    running_since.pop(future, None)
-                    exc = future.exception()
-                    if exc is None:
-                        done[index] = future.result()
-                        saver.tick()
-                        continue
-                    if isinstance(exc, BrokenProcessPool):
-                        saver.flush()
-                        in_flight = sorted([index] + list(pending.values()))
-                        raise wrap_task_error(
-                            exc,
-                            index,
-                            task_list[index],
-                            action=(
-                                "worker process pool broke with task(s) "
-                                f"{in_flight} in flight"
-                            ),
-                        ) from exc
-                    if (
-                        options.on_error == "retry"
-                        and attempts[index] < policy.max_attempts
-                    ):
-                        attempts[index] += 1
-                        if policy.delay:
-                            time.sleep(policy.wait(attempts[index] - 1))
-                        retry_task = policy.task_for_attempt(
-                            task_list[index], attempts[index]
-                        )
-                        pending[
-                            executor.submit(indexed, (index, retry_task))
-                        ] = index
-                        continue
-                    failure = TaskFailure(
-                        index=index,
-                        task=task_list[index],
-                        error=exc,
-                        attempts=attempts[index],
-                        context=_failure_context(exc),
-                    )
-                    if options.on_error == "raise":
-                        saver.flush()
-                        raise exc
-                    failures[index] = failure
-                if timeout is None:
-                    continue
-                # -- watchdog: the deadline clock starts when a future
-                # is first *observed* running, so queued tasks waiting
-                # for a worker are never miscounted as hung.
-                now = time.monotonic()
-                overdue = []
-                for future in pending:
-                    if future in running_since:
-                        if now - running_since[future] > timeout:
-                            overdue.append(future)
-                    elif future.running():
-                        running_since[future] = now
-                if not overdue:
-                    continue
-                for future in overdue:
-                    index = pending.pop(future)
-                    if (
-                        options.on_error == "retry"
-                        and attempts[index] < policy.max_attempts
-                    ):
-                        attempts[index] += 1
-                        queue.append(index)
-                        continue
-                    error: BaseException = TimeoutError(
-                        f"task {index} exceeded task_timeout="
-                        f"{timeout}s; its worker was killed"
-                    )
-                    if options.on_error == "raise":
-                        saver.flush()
-                        rebuild = True
-                        raise wrap_task_error(
-                            error,
-                            index,
-                            task_list[index],
-                            action="task watchdog fired",
-                        ) from error
-                    failures[index] = TaskFailure(
-                        index=index,
-                        task=task_list[index],
-                        error=error,
-                        attempts=attempts[index],
-                        kind="timeout",
-                    )
-                # Unfinished peers die with the killed pool; resubmit
-                # them on the fresh one without charging an attempt.
-                queue.extend(pending.values())
-                pending.clear()
-                rebuild = True
-                break
-        finally:
-            if rebuild:
-                _kill_pool(executor)
-            else:
-                executor.shutdown(wait=True)
+
+    def job(index: int):
+        return index, policy.task_for_attempt(task_list[index], attempts[index])
+
+    def fail(index: int, error: BaseException, kind: str):
+        if options.on_error == "retry" and attempts[index] < policy.max_attempts:
+            attempts[index] += 1
+            if policy.delay:
+                time.sleep(policy.wait(attempts[index] - 1))
+            return job(index)
+        if options.on_error == "raise":
+            saver.flush()
+            if kind == "timeout":
+                raise wrap_task_error(
+                    error, index, task_list[index], action="task watchdog fired"
+                ) from error
+            raise error
+        failures[index] = TaskFailure(
+            index=index,
+            task=task_list[index],
+            error=error,
+            attempts=attempts[index],
+            context=_failure_context(error),
+            kind=kind,
+        )
+        return None
+
+    def on_done(index: int, future: Future):
+        if future.exception() is not None:
+            return fail(index, future.exception(), "error")
+        done[index] = future.result()
+        saver.tick()
+        return None
+
+    def on_timeout(index: int):
+        error = TimeoutError(
+            f"task {index} exceeded task_timeout={options.task_timeout}s; "
+            "its worker was killed"
+        )
+        return fail(index, error, "timeout")
+
+    try:
+        drain(
+            make_pool,
+            functools.partial(_indexed_call, worker),
+            {index: job(index) for index in missing},
+            options.task_timeout,
+            on_done,
+            on_timeout,
+            clock,
+        )
+    except BrokenProcessPool as exc:
+        saver.flush()
+        index = exc.in_flight[0]
+        raise wrap_task_error(
+            exc,
+            index,
+            task_list[index],
+            action=(
+                f"worker process pool broke with task(s) {exc.in_flight} "
+                "in flight"
+            ),
+        ) from exc
 
 
 def _sigterm_to_interrupt(signum, frame):  # pragma: no cover - signal path
@@ -821,19 +848,13 @@ def _run_batch_resilient_body(
             except Exception:  # noqa: BLE001 — fall back per task
                 collective_failed = True
             else:
-                if len(results) != len(subset):
-                    raise ConfigurationError(
-                        f"run_many returned {len(results)} results for "
-                        f"{len(subset)} tasks; one result per task is "
-                        "required to keep campaigns aligned"
-                    )
-                for index, result in zip(missing, results):
+                for index, result in zip(missing, _aligned(results, subset)):
                     done[index] = result
                     saver.tick()
                 missing = []
 
     if missing and options.parallel and not collective_failed:
-        _drain_resilient_pool(
+        _run_pool_resilient(
             worker, task_list, missing, options, policy, done, failures, saver
         )
     else:
@@ -925,35 +946,37 @@ def run_batch(
                 raise
             except Exception as exc:
                 raise _wrap_collective(exc, task_list) from exc
-            if len(results) != len(task_list):
-                raise ConfigurationError(
-                    f"run_many returned {len(results)} results for "
-                    f"{len(task_list)} tasks; one result per task is "
-                    "required to keep campaigns aligned"
-                )
-            return results
+            return _aligned(results, task_list)
     force_process = options is not None and options.batch_mode == "process"
-    if (
-        options is None
-        or not options.parallel
-        or (len(task_list) <= 1 and not force_process)
-    ):
+    with contextlib.ExitStack() as stack:
+        if (
+            options is None
+            or not options.parallel
+            or (len(task_list) <= 1 and not force_process)
+        ):
+            outputs = map(worker, task_list)
+        else:
+            executor = stack.enter_context(
+                ProcessPoolExecutor(max_workers=options.resolved_max_workers())
+            )
+            outputs = executor.map(
+                functools.partial(_indexed_call, worker),
+                list(enumerate(task_list)),
+                chunksize=options.chunksize,
+            )
+        # Pool workers wrap child-side (exact attribution even with
+        # chunksize > 1); this wrap covers in-process failures and is
+        # the backstop for pool-level ones, attributed to the position
+        # they surfaced at.
         results: List[R] = []
         for index, task in enumerate(task_list):
             try:
-                results.append(worker(task))
+                results.append(next(outputs))
             except BatchTaskError:
                 raise
             except Exception as exc:
                 raise wrap_task_error(exc, index, task) from exc
         return results
-    with ProcessPoolExecutor(max_workers=options.resolved_max_workers()) as executor:
-        iterator = executor.map(
-            _IndexedWorker(worker),
-            list(enumerate(task_list)),
-            chunksize=options.chunksize,
-        )
-        return drain_ordered(iterator, task_list)
 
 
 def run_chain(

@@ -1,9 +1,9 @@
-"""Vectorized and streaming execution of transient campaigns.
+"""Vectorized and process-parallel execution of transient campaigns.
 
 :mod:`repro.campaigns.runner` schedules *opaque* workers; this module
 is the campaign front-end for workers the library can see inside —
 "build a circuit per task, run one transient, evaluate the result".
-Knowing that shape unlocks two execution strategies a generic worker
+Knowing that shape unlocks execution strategies a generic worker
 cannot offer:
 
 * **Lockstep vectorization** (``BatchOptions(batch_mode="vectorized")``)
@@ -12,22 +12,26 @@ cannot offer:
   loop, batched linear algebra, per-sample Newton masks.  Netlists
   the lockstep engine cannot stack fall back to the per-sample
   reference path automatically.
-* **Shared-memory streaming** (process parallelism) — instead of
-  pickling per-task results back through the executor, workers write
-  their full waveform records into one preallocated
-  ``multiprocessing.shared_memory`` block, so a campaign streams
-  complete waveforms at the cost of scalars.
 * **Sharded lockstep** (``BatchOptions(batch_mode="sharded")``, and
   the ``"auto"`` choice for fixed-grid campaigns on multi-core
   machines) — the lockstep batch split into sub-batches dispatched
-  across a process pool, each shard streaming its fixed-grid records
-  into one shared block at global per-sample offsets.  Because every
-  per-sample solve in the lockstep engine (block-diagonal LU,
-  per-sample Newton masks, batched DC seed) is independent of batch
-  membership, fixed-grid shard merges are bit-identical to the
-  unsharded run; ``stiffness_bins`` additionally clusters samples of
-  similar stiffness into the same shard so adaptive sharded runs are
-  not dragged to one outlier's step size.
+  across a process pool.  Because every per-sample solve in the
+  lockstep engine (block-diagonal LU, per-sample Newton masks,
+  batched DC seed) is independent of batch membership, fixed-grid
+  shard merges are bit-identical to the unsharded run;
+  ``stiffness_bins`` additionally clusters samples of similar
+  stiffness into the same shard so adaptive sharded runs are not
+  dragged to one outlier's step size.
+* **Per-sample processes** (``batch_mode="process"``) — one transient
+  per task in a process pool, ``chunksize`` tasks per job.
+
+Both pool strategies share one job function (:func:`_run_job`), one
+pool drain with its watchdog (:func:`~repro.campaigns.runner.drain`)
+and one record channel: a ``multiprocessing.shared_memory`` block
+with one slot per sample, ``[n, n_cols, t, x.ravel()]``, that workers
+write at the sample's global offset.  Full waveforms stream at the
+cost of scalars; only a sample that outgrows its slot (a long
+adaptive run) comes back pickled.
 
 :func:`transient_worker` adapts the same build/run/evaluate triple to
 the generic :func:`~repro.campaigns.run_batch` protocol (it carries
@@ -42,9 +46,8 @@ from __future__ import annotations
 import atexit
 import math
 import os
-import time
-import traceback
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 from multiprocessing import shared_memory
 from typing import Callable, List, Optional, Sequence, Tuple
@@ -64,7 +67,6 @@ from ..circuits.transient import (
     TransientOptions,
     TransientResult,
     _fixed_record_count,
-    _resolve_recording,
     run_transient,
 )
 from ..errors import BatchTaskError, ConvergenceError, SimulationError, TaskFailure
@@ -72,9 +74,10 @@ from .runner import (
     BatchOptions,
     RetryPolicy,
     _attempt_task,
-    _kill_pool,
+    _cause_text,
+    _pool_worker_init,
     _wrap_collective,
-    drain_ordered,
+    drain,
     nearest_neighbor_chain,
     wrap_task_error,
 )
@@ -168,12 +171,21 @@ def run_transient_campaign(
       discretization* than each sample's own adaptive grid, so
       results legitimately differ at LTE-tolerance level — opting in
       must be explicit (``"vectorized"`` or ``"sharded"``).
-    * ``"process"`` (or ``"auto"`` + ``max_workers > 1``) — process
-      pool with the shared-memory record stream for fixed-grid runs
-      (adaptive runs fall back to pickled records).
+    * ``"process"`` (or ``"auto"`` + ``max_workers > 1``) — one
+      transient per task in a process pool, ``batch.chunksize`` tasks
+      per job.
     * ``"sequential"`` — plain loop, no stacking.
 
-    All per-sample paths wrap worker failures in
+    Both pool modes return every record through one shared-memory
+    channel with a slot per sample; a sample that outgrows its slot
+    (an adaptive run past 4x its initial-dt record count) comes back
+    pickled instead, with the same numbers.  They also share
+    ``batch.on_error`` and ``batch.task_timeout`` handling: a failed
+    job raises :class:`~repro.errors.BatchTaskError` naming its first
+    failing sample, or its samples re-run solo in the parent
+    (``"skip"`` / ``"retry"``); a hung job's samples become
+    ``kind="timeout"`` :class:`~repro.errors.TaskFailure` records.
+    In-process paths wrap worker failures in
     :class:`~repro.errors.BatchTaskError` carrying the task index.
 
     With ``options.quarantine`` the lockstep path tolerates diverging
@@ -188,39 +200,30 @@ def run_transient_campaign(
         return []
     mode = batch.batch_mode if batch is not None else "auto"
     want_process = batch is not None and batch.parallel
-    sharded = mode == "sharded" or (
-        mode == "auto"
-        and not want_process
-        and options.step_control == "fixed"
-        and len(tasks) > 1
-        and (os.cpu_count() or 1) > 1
+    auto_fixed = (
+        mode == "auto" and not want_process and options.step_control == "fixed"
     )
-    if sharded:
+    circuits = _build_all(tasks, build)
+    if mode == "sharded" or (
+        auto_fixed and len(tasks) > 1 and (os.cpu_count() or 1) > 1
+    ):
         policy = batch if batch is not None else BatchOptions()
         if policy.batch_mode != "sharded":
             # "auto" promotion: re-key the policy so worker resolution
             # ("use the box") and validation follow the sharded rules.
             policy = replace(policy, batch_mode="sharded")
-        return _run_sharded(tasks, build, options, policy)
-    lockstep = mode == "vectorized" or (
-        mode == "auto"
-        and not want_process
-        and options.step_control == "fixed"
-    )
-    if lockstep:
-        circuits = _build_all(tasks, build)
+        shards = _plan_shards(circuits, options, policy)
+        return _run_jobs(tasks, build, options, policy, circuits, shards, True)
+    if mode == "vectorized" or auto_fixed:
         try:
-            results = run_transient_batched(circuits, options)
-        except BatchIncompatible:
-            return _run_sequential(tasks, circuits, options)
+            return _run_one_shard(circuits, tasks, range(len(tasks)), options)
+        except BatchTaskError:
+            raise
         except Exception as exc:
             raise _wrap_collective(exc, tasks) from exc
-        if options.quarantine and options.rescue:
-            _rerun_quarantined(circuits, options, results)
-        return results
     if want_process:
-        return _run_process_streaming(tasks, build, options, batch)
-    circuits = _build_all(tasks, build)
+        chunks = _chunks(range(len(tasks)), batch.chunksize)
+        return _run_jobs(tasks, build, options, batch, circuits, chunks, False)
     return _run_sequential(tasks, circuits, options)
 
 
@@ -294,14 +297,17 @@ def _run_sequential(
     tasks: Sequence[object],
     circuits: Sequence[Circuit],
     options: TransientOptions,
+    indices: Optional[Sequence[int]] = None,
 ) -> List[TransientResult]:
+    """Per-sample loop; failures name ``indices[local]`` (default: local)."""
     results = []
-    for index, circuit in enumerate(circuits):
+    for local, circuit in enumerate(circuits):
         try:
             results.append(run_transient(circuit, options))
         except Exception as exc:
+            g = local if indices is None else indices[local]
             raise wrap_task_error(
-                exc, index, tasks[index], action="transient failed"
+                exc, g, tasks[local], action="transient failed"
             ) from exc
     return results
 
@@ -387,14 +393,54 @@ def _reap_shared_blocks() -> None:  # pragma: no cover - teardown path
             pass
 
 
-# -- sharded lockstep execution -----------------------------------------------
+# -- the record channel -------------------------------------------------------
+
+
+def _slot_capacity(options: TransientOptions) -> int:
+    """Records one sample's channel slot holds.
+
+    A fixed grid's record count is exact.  An adaptive run has none
+    known up front, so it gets 4x the fixed-grid count at the
+    *initial* dt.  The controller shrinks below dt only transiently
+    (near breakpoints or stiffness onsets), so a sample overflowing
+    4x is rare, and legal: that one sample comes back pickled.
+    """
+    if options.step_control == "fixed":
+        return _fixed_record_count(options)
+    return 4 * (_fixed_record_count(options) + 2)
+
+
+def _write_slot(slot: np.ndarray, capacity: int, t, x) -> bool:
+    """Write one record into its slot ``[n, n_cols, t[0:capacity], x.ravel()]``.
+
+    Returns False, leaving the slot alone, when the record does not
+    fit: more than ``capacity`` records, or more values than the
+    slot's ``x`` area holds.
+    """
+    n, n_cols = x.shape
+    if n > capacity or n * n_cols > slot.size - 2 - capacity:
+        return False
+    slot[:2] = n, n_cols
+    slot[2 : 2 + n] = t
+    slot[2 + capacity : 2 + capacity + n * n_cols] = x.reshape(-1)
+    return True
+
+
+def _read_slot(slot: np.ndarray, capacity: int):
+    """Copy ``(t, x)`` back out of a slot :func:`_write_slot` filled."""
+    n, n_cols = int(slot[0]), int(slot[1])
+    t = np.array(slot[2 : 2 + n])
+    x = np.array(slot[2 + capacity : 2 + capacity + n * n_cols])
+    return t, x.reshape(n, n_cols)
+
+
+# -- jobs: shards and per-sample chunks ----------------------------------------
 
 
 def _plan_shards(
     circuits: Sequence[Circuit],
     options: TransientOptions,
     batch: BatchOptions,
-    workers: int,
 ) -> List[List[int]]:
     """Cut the campaign into shards of global sample indices.
 
@@ -411,12 +457,17 @@ def _plan_shards(
         ratios = probe_stiffness_ratios(circuits, options)
         if ratios is not None:
             bins = stiffness_bins(ratios, batch.stiffness_bins)
-    shard_size = batch.shard_size or max(1, math.ceil(S / max(workers, 1)))
-    shards: List[List[int]] = []
-    for bin_indices in bins:
-        for k in range(0, len(bin_indices), shard_size):
-            shards.append([int(i) for i in bin_indices[k : k + shard_size]])
-    return shards
+    workers = max(batch.resolved_max_workers(), 1)
+    shard_size = batch.shard_size or max(1, math.ceil(S / workers))
+    return [shard for members in bins for shard in _chunks(members, shard_size)]
+
+
+def _chunks(indices: Sequence[int], size: int) -> List[List[int]]:
+    """Cut ``indices`` into consecutive jobs of at most ``size``."""
+    return [
+        [int(i) for i in indices[k : k + size]]
+        for k in range(0, len(indices), size)
+    ]
 
 
 def _run_one_shard(
@@ -425,25 +476,16 @@ def _run_one_shard(
     indices: Sequence[int],
     options: TransientOptions,
 ) -> List[TransientResult]:
-    """One shard through the lockstep engine — parent- or child-side.
+    """One lockstep batch: a shard, or the whole unsharded campaign.
 
-    Mirrors the unsharded lockstep path exactly: netlists the engine
-    cannot stack fall back to the per-sample loop (failures attributed
-    to *global* task indices), and quarantined samples get their solo
-    rescue rerun inside the shard.
+    Netlists the engine cannot stack fall back to the per-sample loop
+    (failures attributed to *global* task indices), and quarantined
+    samples get their solo rescue rerun inside the batch.
     """
     try:
         results = run_transient_batched(circuits, options)
     except BatchIncompatible:
-        results = []
-        for local, circuit in enumerate(circuits):
-            try:
-                results.append(run_transient(circuit, options))
-            except Exception as exc:
-                raise wrap_task_error(
-                    exc, indices[local], tasks[local], action="transient failed"
-                ) from exc
-        return results
+        return _run_sequential(tasks, circuits, options, indices)
     if options.quarantine and options.rescue:
         _rerun_quarantined(circuits, options, results)
     return results
@@ -475,26 +517,104 @@ def _globalize_quarantine(stats: dict, indices: Sequence[int]) -> None:
         ]
 
 
-def _stamp_shard(stats: dict, shard_no: int, n_shards: int, n_workers: int) -> None:
-    stats["shard"] = shard_no
-    stats["n_shards"] = n_shards
-    stats["shard_workers"] = n_workers
+#: Worker-process state installed by :func:`_job_init`.
+_WORKER_STATE: dict = {}
 
 
-def _shard_solo_fallback(
+def _job_init(channel, build, options, lockstep) -> None:
+    """Pool initializer: attach the record channel, keep the run inputs."""
+    _pool_worker_init()
+    shm_name, shape, capacity = channel
+    shm = shared_memory.SharedMemory(name=shm_name)
+    # Detach cleanly at worker exit; the parent owns the unlink.
+    atexit.register(shm.close)
+    _WORKER_STATE.update(
+        shm=shm,
+        records=np.ndarray(shape, dtype=np.float64, buffer=shm.buf),
+        capacity=capacity,
+        build=build,
+        options=options,
+        lockstep=lockstep,
+    )
+
+
+def _run_job(job, state: Optional[dict] = None):
+    """Run one job, child- or parent-side; never raises.
+
+    A job is ``(job_no, global_indices, tasks)``.  A lockstep job runs
+    its tasks as one shard through :func:`_run_one_shard`; a solo job
+    runs them one by one.  ``state`` defaults to the pool worker's;
+    the in-process shard loop passes its own, with the parent's
+    circuits and no channel.
+
+    Returns ``(job_no, items, None)`` with one ``(g, nodes, stats,
+    record)`` per sample, where ``record`` is ``None`` when the sample
+    went into its channel slot and ``(t, x)`` when it did not.  A
+    failure comes back as ``(job_no, None, failure)`` (see
+    :func:`_failure`), ``g`` being the first failing global sample
+    (``-1`` when a shard failure names none), so sibling jobs finish
+    and the parent applies its ``on_error`` policy.
+    """
+    job_no, indices, tasks = job
+    state = _WORKER_STATE if state is None else state
+    build, options = state["build"], state["options"]
+    lockstep = state["lockstep"]
+    g = -1
+    try:
+        if lockstep:
+            circuits = state.get("circuits")
+            if circuits is None:
+                sub = [build(task) for task in tasks]
+            else:
+                sub = [circuits[i] for i in indices]
+            results = _run_one_shard(sub, tasks, indices, options)
+        else:
+            results = []
+            for g, task in zip(indices, tasks):
+                results.append(run_transient(build(task), options))
+    except Exception as exc:  # noqa: BLE001 — becomes a failure payload
+        if lockstep:
+            if isinstance(exc, BatchTaskError):
+                g = int(getattr(exc, "index", -1))
+            else:
+                samples = getattr(exc, "failed_samples", None)
+                if samples is not None and len(samples):
+                    g = int(indices[int(samples[0])])
+        return job_no, None, _failure(exc, g)
+    records = state.get("records")
+    items = []
+    for g, result in zip(indices, results):
+        if lockstep:
+            _globalize_quarantine(result.stats, indices)
+        record = (result.t, result.x)
+        if records is not None and _write_slot(
+            records[g], state["capacity"], result.t, result.x
+        ):
+            record = None
+        items.append((g, result.recorded_nodes, dict(result.stats), record))
+    return job_no, items, None
+
+
+def _failure(exc: BaseException, g: int) -> tuple:
+    """A job failure record: ``(g, message, cause_text, kind)``."""
+    return g, f"{type(exc).__name__}: {exc}", _cause_text(exc), "error"
+
+
+def _solo_fallback(
     indices: Sequence[int],
     tasks: Sequence[object],
     build,
     options: TransientOptions,
     batch: BatchOptions,
     results: List[object],
+    lockstep: bool,
 ) -> None:
-    """Recover a failed shard sample-by-sample (``on_error != "raise"``).
+    """Recover a failed job sample-by-sample (``on_error != "raise"``).
 
     A collective shard failure rarely implicates every member; each
     sample re-runs solo through the per-sample engine under the batch
-    retry policy, so innocents recover (their slot gets a real result,
-    flagged ``shard_fallback``) and persistent failures land as
+    retry policy, so innocents recover (a shard's get flagged
+    ``shard_fallback``) and persistent failures land as
     :class:`~repro.errors.TaskFailure` records in their own slots.
     """
     policy = batch.retry or RetryPolicy()
@@ -504,165 +624,131 @@ def _shard_solo_fallback(
 
     for g in indices:
         result, failure = _attempt_task(worker, g, tasks[g], batch, policy)
-        if failure is None:
+        if failure is None and lockstep:
             result.stats["shard_fallback"] = True
-            results[g] = result
-        else:
-            results[g] = failure
+        results[g] = result if failure is None else failure
 
 
-def _run_sharded(
+def _run_jobs(
     tasks: Sequence[object],
     build,
     options: TransientOptions,
     batch: BatchOptions,
-) -> List[object]:
-    """Lockstep execution in sub-batches across a shard-level pool.
-
-    The campaign is cut into shards (stiffness-clustered when asked)
-    and each shard runs the existing vectorized lockstep engine.
-    Fixed-grid records stream through *one* shared-memory block —
-    every worker writes its samples' rows at their global offsets, so
-    the waveforms never cross the process boundary as pickles.  With
-    one worker (or one core) the shards run sequentially in-process:
-    same merges, no pool, no shared memory.  Results always come back
-    in task order; a failed shard either raises (``on_error="raise"``,
-    attributed to the first failing sample's global index) or falls
-    back to per-sample solo attempts whose failures become
-    :class:`~repro.errors.TaskFailure` slots.
-    """
-    circuits = _build_all(tasks, build)
-    S = len(tasks)
-    workers = batch.resolved_max_workers()
-    shards = _plan_shards(circuits, options, batch, workers)
-    n_shards = len(shards)
-    n_workers = max(1, min(workers, n_shards))
-    if n_workers <= 1:
-        results: List[object] = [None] * S
-        for shard_no, indices in enumerate(shards):
-            sub_circuits = [circuits[i] for i in indices]
-            sub_tasks = [tasks[i] for i in indices]
-            try:
-                shard_results = _run_one_shard(
-                    sub_circuits, sub_tasks, indices, options
-                )
-            except Exception as exc:
-                if batch.on_error == "raise":
-                    if isinstance(exc, BatchTaskError):
-                        raise
-                    samples = getattr(exc, "failed_samples", None)
-                    g = (
-                        int(indices[int(samples[0])])
-                        if samples is not None and len(samples)
-                        else -1
-                    )
-                    task = tasks[g] if 0 <= g < S else None
-                    raise wrap_task_error(
-                        exc, g, task, action="sharded batch failed"
-                    ) from exc
-                _shard_solo_fallback(
-                    indices, tasks, build, options, batch, results
-                )
-                continue
-            for local, g in enumerate(indices):
-                result = shard_results[local]
-                _globalize_quarantine(result.stats, indices)
-                _stamp_shard(result.stats, shard_no, n_shards, 1)
-                results[g] = result
-        return results
-    return _run_sharded_process(
-        tasks, circuits, build, options, batch, shards, n_workers
-    )
-
-
-def _run_sharded_process(
-    tasks: Sequence[object],
     circuits: Sequence[Circuit],
-    build,
-    options: TransientOptions,
-    batch: BatchOptions,
-    shards: List[List[int]],
-    n_workers: int,
+    job_indices: List[List[int]],
+    lockstep: bool,
 ) -> List[object]:
-    """The multi-worker sharded path: one pool, one shared block."""
-    for circuit in circuits:
-        # Workers rebuild their own circuits; the parent-side ones
-        # label the merged results, so they need branch numbering too.
-        circuit.prepare()
-    S = len(tasks)
-    n_shards = len(shards)
-    jobs = [
-        (shard_no, indices, [tasks[i] for i in indices])
-        for shard_no, indices in enumerate(shards)
-    ]
-    # One shared block needs one record shape: fixed grid and — when
-    # recording full state vectors — homogeneous unknown counts (the
-    # BatchIncompatible per-sample fallback may legally mix sizes).
-    streaming = options.step_control == "fixed" and (
-        options.record_nodes is not None
-        or all(c.size == circuits[0].size for c in circuits)
-    )
-    results: List[object] = [None] * S
-    failed: List[tuple] = []
+    """Run the jobs, merge their records in task order, apply ``on_error``.
 
-    def merge(payload, records) -> None:
-        if payload[0] == "failed":
-            failed.append(payload[1:])
+    Pool workers write each sample into its channel slot; lockstep
+    jobs with one worker run in-process, with no pool and no channel.
+    Failed jobs are judged in job order once every job has finished.
+    A hung job's samples never re-run: in the parent, whatever hung
+    the worker would hang the parent.
+    """
+    S = len(tasks)
+    n_jobs = len(job_indices)
+    n_workers = max(1, min(batch.resolved_max_workers(), n_jobs))
+    results: List[object] = [None] * S
+    failed: dict = {}
+    records = None
+    capacity = 0
+
+    def merge(payload) -> None:
+        job_no, items, failure = payload
+        if failure is not None:
+            failed[job_no] = failure
             return
-        _tag, shard_no, items = payload
-        for item in items:
-            if records is not None:
-                g, t, nodes, stats = item
-                x = np.array(records[g])
-            else:
-                g, t, x, nodes, stats = item
-            _stamp_shard(stats, shard_no, n_shards, n_workers)
+        t_job = None
+        for g, nodes, stats, record in items:
+            t, x = _read_slot(records[g], capacity) if record is None else record
+            if t_job is not None and t.tobytes() == t_job.tobytes():
+                t = t_job  # samples on one grid share one array, as lockstep
+            t_job = t
+            if lockstep:
+                stats["shard"] = job_no
+                stats["n_shards"] = n_jobs
+                stats["shard_workers"] = n_workers
             results[g] = TransientResult(
-                circuit=circuits[g],
-                t=t,
-                x=x,
-                recorded_nodes=nodes,
-                stats=stats,
+                circuit=circuits[g], t=t, x=x, recorded_nodes=nodes, stats=stats
             )
 
-    if streaming:
-        _indices, _nodes, n_columns = _resolve_recording(circuits[0], options)
-        shape = (S, _fixed_record_count(options), n_columns)
+    jobs = {
+        job_no: (job_no, indices, [tasks[g] for g in indices])
+        for job_no, indices in enumerate(job_indices)
+    }
+    if lockstep and n_workers <= 1:
+        state = dict(
+            build=build, options=options, lockstep=True, circuits=circuits
+        )
+        for job in jobs.values():
+            merge(_run_job(job, state))
+    else:
+        timeout = batch.task_timeout
+
+        def on_done(job_no: int, future) -> None:
+            exc = future.exception()  # _run_job never raises: a pickling error
+            if exc is None:
+                merge(future.result())
+            else:
+                failed[job_no] = _failure(exc, job_indices[job_no][0])
+
+        def on_timeout(job_no: int) -> None:
+            message = f"watchdog fired: job {job_no} exceeded {timeout!r}s"
+            g = job_indices[job_no][0]
+            failed[job_no] = (g, message, f"TimeoutError: {message}", "timeout")
+
+        for circuit in circuits:
+            # Workers rebuild their own circuits; the parent-side ones
+            # label the merged results, so they need branch numbering too.
+            circuit.prepare()
+        capacity = _slot_capacity(options)
+        if options.record_nodes is not None:
+            width = len(options.record_nodes)
+        else:
+            width = max(circuit.size for circuit in circuits)
+        shape = (S, 2 + capacity * (1 + width))
         shm = _create_shared_block(shape)
         try:
-            payloads = _drain_shard_pool(
-                jobs,
-                n_workers,
-                (shm.name, shape, build, options),
-                batch.task_timeout,
-            )
             records = np.ndarray(shape, dtype=np.float64, buffer=shm.buf)
-            for payload in payloads:
-                merge(payload, records)
+            channel = (shm.name, shape, capacity)
+
+            def make_pool() -> ProcessPoolExecutor:
+                return ProcessPoolExecutor(
+                    max_workers=n_workers,
+                    initializer=_job_init,
+                    initargs=(channel, build, options, lockstep),
+                )
+
+            try:
+                drain(make_pool, _run_job, jobs, timeout, on_done, on_timeout)
+            except BrokenProcessPool as exc:
+                g = job_indices[exc.in_flight[0]][0]
+                raise wrap_task_error(
+                    exc,
+                    g,
+                    tasks[g],
+                    action=(
+                        f"worker process pool broke with job(s) "
+                        f"{exc.in_flight} in flight"
+                    ),
+                ) from exc
         finally:
             _release_shared_block(shm)
-    else:
-        payloads = _drain_shard_pool(
-            jobs, n_workers, (None, None, build, options), batch.task_timeout
-        )
-        for payload in payloads:
-            merge(payload, None)
 
-    for shard_no, g, message, cause, *rest in failed:
-        kind = rest[0] if rest else "error"
-        indices = shards[shard_no]
+    action = "sharded batch failed" if lockstep else "transient worker failed"
+    for job_no in sorted(failed):
+        g, message, cause, kind = failed[job_no]
+        indices = job_indices[job_no]
         if batch.on_error == "raise":
             task = tasks[g] if 0 <= g < S else None
             raise BatchTaskError(
-                f"sharded batch failed on task {g} ({task!r}): {message}",
+                f"{action} on task {g} ({task!r}): {message}",
                 index=g,
                 task=task,
                 cause_text=cause,
             )
         if kind == "timeout":
-            # A hung shard's samples must NOT re-run solo in the
-            # parent — whatever hung the worker would hang us.  They
-            # land as structured timeout failures instead.
             for g_i in indices:
                 results[g_i] = TaskFailure(
                     index=g_i,
@@ -672,422 +758,8 @@ def _run_sharded_process(
                     kind="timeout",
                 )
             continue
-        _shard_solo_fallback(indices, tasks, build, options, batch, results)
+        _solo_fallback(indices, tasks, build, options, batch, results, lockstep)
     return results
-
-
-def _drain_shard_pool(
-    jobs: List[tuple],
-    n_workers: int,
-    initargs: tuple,
-    timeout: Optional[float],
-) -> List[tuple]:
-    """Run shard jobs through a pool, with an optional per-shard watchdog.
-
-    Without ``BatchOptions.task_timeout`` this is a plain pool map.
-    With it, every in-flight shard gets a deadline from the moment it
-    is first observed *running* (queue time never counts); an overdue
-    shard's pool is torn down — the only way to stop a hung child —
-    the shard comes back as a ``("failed", ..., kind="timeout")``
-    payload for the parent's ``on_error`` policy, and the surviving
-    shards are resubmitted to a fresh pool.
-    """
-
-    def make_pool() -> ProcessPoolExecutor:
-        return ProcessPoolExecutor(
-            max_workers=n_workers,
-            initializer=_shard_init,
-            initargs=initargs,
-        )
-
-    if timeout is None:
-        with make_pool() as executor:
-            return list(executor.map(_shard_worker, jobs))
-
-    payloads: List[tuple] = [None] * len(jobs)  # type: ignore[list-item]
-    queue = list(range(len(jobs)))
-    wait_timeout = min(1.0, timeout / 4.0)
-    while queue:
-        rebuild = False
-        executor = make_pool()
-        try:
-            pending = {executor.submit(_shard_worker, jobs[k]): k for k in queue}
-            queue = []
-            running_since: dict = {}
-            while pending:
-                done, _ = wait(
-                    set(pending), timeout=wait_timeout,
-                    return_when=FIRST_COMPLETED,
-                )
-                now = time.monotonic()
-                for future in done:
-                    k = pending.pop(future)
-                    running_since.pop(future, None)
-                    # _shard_worker never raises; result() only fails
-                    # on pool breakage, which should propagate exactly
-                    # as it would out of the map-based drain.
-                    payloads[k] = future.result()
-                for future in pending:
-                    if future not in running_since and future.running():
-                        running_since[future] = now
-                overdue = [
-                    (future, k)
-                    for future, k in pending.items()
-                    if future in running_since
-                    and now - running_since[future] > timeout
-                ]
-                if overdue:
-                    for future, k in overdue:
-                        pending.pop(future)
-                        shard_no = jobs[k][0]
-                        payloads[k] = (
-                            "failed",
-                            shard_no,
-                            -1,
-                            f"shard watchdog fired after {timeout:.1f}s",
-                            f"TimeoutError: shard {shard_no} exceeded "
-                            f"task_timeout={timeout!r}s",
-                            "timeout",
-                        )
-                    queue = list(pending.values())
-                    rebuild = True
-                    break
-        finally:
-            if rebuild:
-                _kill_pool(executor)
-            else:
-                executor.shutdown(wait=True)
-    return payloads
-
-
-def _shard_init(shm_name, shape, build, options) -> None:
-    if shm_name is not None:
-        shm = shared_memory.SharedMemory(name=shm_name)
-        _WORKER_STATE["shm"] = shm
-        _WORKER_STATE["records"] = np.ndarray(
-            shape, dtype=np.float64, buffer=shm.buf
-        )
-        # Detach cleanly at worker exit; the parent owns the unlink.
-        atexit.register(shm.close)
-    else:
-        _WORKER_STATE.pop("records", None)
-    _WORKER_STATE["build"] = build
-    _WORKER_STATE["options"] = options
-
-
-def _shard_worker(job):
-    """Run one shard child-side; stream records, return small payloads.
-
-    Never raises: a failed shard comes back as a ``("failed", ...)``
-    payload (shard number, first failing local sample, message,
-    rendered traceback) so sibling shards finish and the parent
-    applies its ``on_error`` policy — an exception through the pool's
-    map would abort the whole drain at the first failure.
-    """
-    shard_no, indices, tasks = job
-    build = _WORKER_STATE["build"]
-    options = _WORKER_STATE["options"]
-    try:
-        circuits = [build(task) for task in tasks]
-        shard_results = _run_one_shard(circuits, tasks, indices, options)
-    except Exception as exc:  # noqa: BLE001 — becomes a failure payload
-        # Attribute to a *global* sample index when the error names
-        # one: a per-sample fallback failure carries it directly, a
-        # collective lockstep failure names its shard-local samples.
-        g = -1
-        if isinstance(exc, BatchTaskError):
-            g = int(getattr(exc, "index", -1))
-        else:
-            samples = getattr(exc, "failed_samples", None)
-            if samples is not None and len(samples):
-                g = int(indices[int(samples[0])])
-        cause = getattr(exc, "cause_text", None) or "".join(
-            traceback.format_exception(type(exc), exc, exc.__traceback__)
-        )
-        return ("failed", shard_no, g, f"{type(exc).__name__}: {exc}", cause)
-    records = _WORKER_STATE.get("records")
-    payloads = []
-    for g, result in zip(indices, shard_results):
-        _globalize_quarantine(result.stats, indices)
-        if records is not None:
-            records[g] = result.x
-            payloads.append((g, result.t, result.recorded_nodes, dict(result.stats)))
-        else:
-            payloads.append(
-                (g, result.t, result.x, result.recorded_nodes, dict(result.stats))
-            )
-    return ("ok", shard_no, payloads)
-
-
-# -- shared-memory streaming process pool ------------------------------------
-
-#: Worker-process state installed by the pool initializer.
-_WORKER_STATE: dict = {}
-
-
-def _stream_init(shm_name, shape, build, options) -> None:
-    shm = shared_memory.SharedMemory(name=shm_name)
-    _WORKER_STATE["shm"] = shm
-    _WORKER_STATE["records"] = np.ndarray(shape, dtype=np.float64, buffer=shm.buf)
-    # Detach cleanly at worker exit; the parent owns the unlink.
-    atexit.register(shm.close)
-    _WORKER_STATE["build"] = build
-    _WORKER_STATE["options"] = options
-
-
-def _stream_worker(job: Tuple[int, object]):
-    """Run one task, stream its records into the shared block.
-
-    Returns only the small per-task payload (time grid, stats); the
-    waveform matrix never crosses the process boundary as a pickle.
-    Failures wrap child-side so the attribution stays exact even for
-    chunked maps.
-    """
-    index, task = job
-    try:
-        build = _WORKER_STATE["build"]
-        options = _WORKER_STATE["options"]
-        result = run_transient(build(task), options)
-        _WORKER_STATE["records"][index] = result.x
-        return index, result.t, result.recorded_nodes, dict(result.stats)
-    except BatchTaskError:
-        raise
-    except Exception as exc:
-        raise wrap_task_error(
-            exc, index, task, action="transient worker failed"
-        ) from exc
-
-
-def _ragged_record_capacity(options: TransientOptions) -> int:
-    """Per-sample record capacity for the ragged streaming block.
-
-    Adaptive runs have no record count known up front; reserve 4x the
-    fixed-grid count at the *initial* dt.  The adaptive controller
-    shrinks below dt only transiently (near breakpoints or stiffness
-    onsets), so a sample overflowing 4x is rare — and legal: its
-    worker just falls back to pickling that one sample's arrays.
-    """
-    return 4 * (_fixed_record_count(options) + 2)
-
-
-def _ragged_init(shm_name, shape, capacity, n_columns, build, options) -> None:
-    shm = shared_memory.SharedMemory(name=shm_name)
-    _WORKER_STATE["shm"] = shm
-    _WORKER_STATE["records"] = np.ndarray(shape, dtype=np.float64, buffer=shm.buf)
-    atexit.register(shm.close)
-    _WORKER_STATE["capacity"] = capacity
-    _WORKER_STATE["n_columns"] = n_columns
-    _WORKER_STATE["build"] = build
-    _WORKER_STATE["options"] = options
-
-
-def _ragged_worker(job: Tuple[int, object]):
-    """Run one task, stream its ragged records into the shared block.
-
-    Each sample owns one fixed-size slot laid out as
-    ``[n_records, t[0:capacity], x.ravel()[0:capacity * n_columns]]``
-    — a length header followed by the time grid and the row-major
-    record matrix at fixed offsets, so per-sample record counts may
-    differ (adaptive grids, envelope runs).  A result that outgrows
-    the slot is returned as a pickled 5-tuple for that sample only;
-    fits return the small 4-tuple payload like the fixed-grid path.
-    """
-    index, task = job
-    try:
-        build = _WORKER_STATE["build"]
-        options = _WORKER_STATE["options"]
-        result = run_transient(build(task), options)
-        capacity = _WORKER_STATE["capacity"]
-        n_columns = _WORKER_STATE["n_columns"]
-        n = len(result.t)
-        if n <= capacity and result.x.shape == (n, n_columns):
-            slot = _WORKER_STATE["records"][index]
-            slot[0] = float(n)
-            slot[1 : 1 + n] = result.t
-            flat = np.ascontiguousarray(result.x).ravel()
-            slot[1 + capacity : 1 + capacity + n * n_columns] = flat
-            return index, None, result.recorded_nodes, dict(result.stats)
-        return (
-            index,
-            result.t,
-            result.x,
-            result.recorded_nodes,
-            dict(result.stats),
-        )
-    except BatchTaskError:
-        raise
-    except Exception as exc:
-        raise wrap_task_error(
-            exc, index, task, action="transient worker failed"
-        ) from exc
-
-
-def _pickled_init(build, options) -> None:
-    _WORKER_STATE["build"] = build
-    _WORKER_STATE["options"] = options
-
-
-def _pickled_worker(job: Tuple[int, object]):
-    index, task = job
-    try:
-        result = run_transient(
-            _WORKER_STATE["build"](task), _WORKER_STATE["options"]
-        )
-        return (
-            index,
-            result.t,
-            result.x,
-            result.recorded_nodes,
-            dict(result.stats),
-        )
-    except BatchTaskError:
-        raise
-    except Exception as exc:
-        raise wrap_task_error(
-            exc, index, task, action="transient worker failed"
-        ) from exc
-
-
-def _run_process_streaming(
-    tasks: Sequence[object],
-    build,
-    options: TransientOptions,
-    batch: BatchOptions,
-) -> List[TransientResult]:
-    """Per-task transients in worker processes, records via shared memory.
-
-    Fixed-grid runs have a record count known up front, so one
-    ``multiprocessing.shared_memory`` block of shape
-    ``(n_tasks, n_records, n_columns)`` is preallocated and each
-    worker writes its rows in place — campaigns stream full waveforms
-    without pickling them.  Adaptive runs (record count unknown per
-    sample) stream through a *ragged* block instead: one fixed-size
-    slot per sample holding a length header, the time grid, and the
-    record matrix, sized by :func:`_ragged_record_capacity`; a sample
-    overflowing its slot falls back to pickling just its own arrays.
-    Only campaigns with no single record-column count (heterogeneous
-    full-state recording) use the fully pickled pool.
-
-    ``build``, ``options`` and the tasks must be picklable; circuits
-    are rebuilt in the parent only to label the returned results.
-    """
-    circuits = _build_all(tasks, build)
-    for circuit in circuits:
-        # Workers prepare their own pickled copies; the parent-side
-        # circuits label the returned results, so they need branch
-        # numbering too (waveform/branch_current access).
-        circuit.prepare()
-    n_workers = batch.resolved_max_workers()
-    # One shared block needs one record *width*: explicit record_nodes,
-    # or — when recording full state vectors — homogeneous unknown
-    # counts.  Heterogeneous-topology campaigns (legal here, unlike
-    # lockstep) use the pickled-record pool instead.
-    streaming = (
-        options.record_nodes is not None
-        or all(c.size == circuits[0].size for c in circuits)
-    )
-    jobs = list(enumerate(tasks))
-
-    if streaming and options.step_control == "fixed":
-        _indices, recorded_nodes, n_columns = _resolve_recording(
-            circuits[0], options
-        )
-        shape = (len(tasks), _fixed_record_count(options), n_columns)
-        shm = _create_shared_block(shape)
-        try:
-            with ProcessPoolExecutor(
-                max_workers=n_workers,
-                initializer=_stream_init,
-                initargs=(shm.name, shape, build, options),
-            ) as executor:
-                payloads = _gather(
-                    executor.map(_stream_worker, jobs, chunksize=batch.chunksize),
-                    tasks,
-                )
-            records = np.ndarray(shape, dtype=np.float64, buffer=shm.buf)
-            results = []
-            for index, t, nodes, stats in payloads:
-                results.append(
-                    TransientResult(
-                        circuit=circuits[index],
-                        t=t,
-                        x=np.array(records[index]),
-                        recorded_nodes=nodes,
-                        stats=stats,
-                    )
-                )
-        finally:
-            _release_shared_block(shm)
-        return results
-
-    if streaming:
-        _indices, recorded_nodes, n_columns = _resolve_recording(
-            circuits[0], options
-        )
-        capacity = _ragged_record_capacity(options)
-        # Slot layout: [n, t(capacity), x.ravel()(capacity * n_columns)].
-        shape = (len(tasks), 1 + capacity * (1 + n_columns))
-        shm = _create_shared_block(shape)
-        try:
-            with ProcessPoolExecutor(
-                max_workers=n_workers,
-                initializer=_ragged_init,
-                initargs=(shm.name, shape, capacity, n_columns, build, options),
-            ) as executor:
-                payloads = _gather(
-                    executor.map(_ragged_worker, jobs, chunksize=batch.chunksize),
-                    tasks,
-                )
-            records = np.ndarray(shape, dtype=np.float64, buffer=shm.buf)
-            results = []
-            for payload in payloads:
-                if len(payload) == 5:  # overflowed its slot: pickled
-                    index, t, x, nodes, stats = payload
-                else:
-                    index, _sentinel, nodes, stats = payload
-                    slot = records[index]
-                    n = int(slot[0])
-                    t = np.array(slot[1 : 1 + n])
-                    x = np.array(
-                        slot[1 + capacity : 1 + capacity + n * n_columns]
-                    ).reshape(n, n_columns)
-                results.append(
-                    TransientResult(
-                        circuit=circuits[index],
-                        t=t,
-                        x=x,
-                        recorded_nodes=nodes,
-                        stats=stats,
-                    )
-                )
-        finally:
-            _release_shared_block(shm)
-        return results
-
-    with ProcessPoolExecutor(
-        max_workers=n_workers,
-        initializer=_pickled_init,
-        initargs=(build, options),
-    ) as executor:
-        payloads = _gather(
-            executor.map(_pickled_worker, jobs, chunksize=batch.chunksize),
-            tasks,
-        )
-    return [
-        TransientResult(
-            circuit=circuits[index],
-            t=t,
-            x=x,
-            recorded_nodes=nodes,
-            stats=stats,
-        )
-        for index, t, x, nodes, stats in payloads
-    ]
-
-
-def _gather(iterator, tasks):
-    """Drain an executor map, wrapping failures with their task index."""
-    return drain_ordered(iterator, tasks, action="transient worker failed")
 
 
 # -- warm-started envelope campaigns ------------------------------------------

@@ -5,15 +5,15 @@ with one sample whose device data turns NaN mid-run must deliver 63
 certified, finite waveforms plus one structured quarantine/health
 record — no hang, no NaN in any survivor, no leaked shared-memory
 segment.  Around it: health reports crossing the shard/process
-boundary with globally remapped sample indices, the shard-pool
-watchdog turning a hung shard into structured timeout failures, and
-the Monte-Carlo front-end aggregating per-sample reports.
+boundary with globally remapped sample indices, the pool watchdog
+turning a hung shard (or a hung per-sample task) into structured
+timeout failures, and the Monte-Carlo front-end aggregating
+per-sample reports.
 
 Everything a pool worker touches (build functions, source callables)
 is module-level for pickling.
 """
 
-import glob
 import time
 
 import numpy as np
@@ -22,7 +22,6 @@ import pytest
 from repro.campaigns import BatchOptions, TaskFailure
 from repro.campaigns.vectorized import run_transient_campaign
 from repro.circuits import Circuit, TransientOptions
-from repro.errors import BatchTaskError
 
 T_STOP = 1e-6
 DT = 1e-9
@@ -41,13 +40,26 @@ def hang_after(t):  # pragma: no cover - runs (and dies) in pool workers
     return 1e-3
 
 
+_STALLED = []
+
+
+def stall_once(t):  # pragma: no cover - runs (and dies) in pool workers
+    """Stall 30 s once per process: a finite hang, so a campaign that
+    ignores its watchdog fails the test's time bound, not the suite."""
+    if t > T_NAN and not _STALLED:
+        _STALLED.append(t)
+        time.sleep(30.0)
+    return 1e-3
+
+
 def build(task):
-    """task = (r_scale, kind) with kind in (None, "nan", "hang")."""
+    """task = (r_scale, kind) with kind in (None, "nan", "hang", "stall")."""
     r_scale, kind = task
     circuit = Circuit("rc")
     circuit.resistor("R", "out", "0", 1e3 * r_scale)
     circuit.capacitor("C", "out", "0", 1e-9)
-    source = {"nan": nan_after, "hang": hang_after}.get(kind, 1e-3)
+    sources = {"nan": nan_after, "hang": hang_after, "stall": stall_once}
+    source = sources.get(kind, 1e-3)
     circuit.current_source("I", "0", "out", source)
     return circuit
 
@@ -72,13 +84,11 @@ def armed_options(**overrides):
     return TransientOptions(**base)
 
 
-def shm_segments():
-    return set(glob.glob("/dev/shm/psm_*"))
-
-
 class TestShardedNaNAcceptance:
     @pytest.mark.parametrize("max_workers", [1, 4])
-    def test_63_certified_plus_1_quarantine_no_leak(self, max_workers):
+    def test_63_certified_plus_1_quarantine_no_leak(
+        self, max_workers, shm_segments
+    ):
         before = shm_segments()
         results = run_transient_campaign(
             tasks_with("nan", POISONED_SAMPLE),
@@ -128,7 +138,7 @@ class TestShardedNaNAcceptance:
 
 
 class TestShardWatchdog:
-    def test_hung_shard_becomes_timeout_failures(self):
+    def test_hung_shard_becomes_timeout_failures(self, shm_segments):
         """A worker hung mid-solve is killed; its shard's samples land
         as ``TaskFailure(kind="timeout")`` and every other shard's
         results survive.  Must finish far faster than the hang."""
@@ -157,20 +167,38 @@ class TestShardWatchdog:
                 assert np.isfinite(result.x).all()
         assert shm_segments() - before == set()
 
-    def test_hung_shard_raises_when_asked(self):
-        with pytest.raises(BatchTaskError, match="watchdog"):
-            run_transient_campaign(
-                tasks_with("hang", 1, n=8),
-                build,
-                TransientOptions(t_stop=T_STOP, dt=DT, step_control="fixed"),
-                BatchOptions(
-                    batch_mode="sharded",
-                    max_workers=4,
-                    shard_size=2,
-                    on_error="raise",
-                    task_timeout=3.0,
-                ),
-            )
+
+class TestProcessWatchdog:
+    def test_hung_task_becomes_timeout_failure(self):
+        """Per-sample process campaigns honour ``task_timeout`` too: the
+        hung task is a timeout failure in its own slot, and every other
+        slot is bit-equal to the sequential run."""
+        options = TransientOptions(t_stop=T_STOP, dt=DT, step_control="fixed")
+        t0 = time.monotonic()
+        results = run_transient_campaign(
+            tasks_with("stall", 1, n=4),
+            build,
+            options,
+            BatchOptions(
+                batch_mode="process",
+                max_workers=2,
+                on_error="skip",
+                task_timeout=1.0,
+            ),
+        )
+        assert time.monotonic() - t0 < 10.0
+        failure = results[1]
+        assert isinstance(failure, TaskFailure)
+        assert failure.kind == "timeout" and failure.index == 1
+        reference = run_transient_campaign(
+            tasks_with(None, -1, n=4),
+            build,
+            options,
+            BatchOptions(batch_mode="sequential"),
+        )
+        for g in (0, 2, 3):
+            assert np.array_equal(results[g].t, reference[g].t)
+            assert np.array_equal(results[g].x, reference[g].x)
 
 
 class TestMonteCarloAggregation:

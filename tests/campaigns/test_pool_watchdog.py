@@ -1,4 +1,4 @@
-"""The pool watchdog and graceful-interrupt satellites of ISSUE 8.
+"""The pool watchdog and graceful interrupts, on real process pools.
 
 ``BatchOptions(task_timeout=...)`` gives every process-pool task a
 per-attempt deadline measured from when it is first observed
@@ -6,6 +6,8 @@ per-attempt deadline measured from when it is first observed
 pool rebuilt, surviving in-flight tasks resubmitted without charging
 an attempt, and the hung task either retried (under a
 :class:`RetryPolicy`) or recorded as ``TaskFailure(kind="timeout")``.
+The watchdog's state machine is tested against a fake pool and clock
+in ``test_drain.py``; this file keeps the real-pool smoke tests.
 
 SIGTERM/SIGINT handling: an interrupted ``run_batch`` flushes its
 atomic checkpoint before re-raising, and the re-raised interrupt names
@@ -18,7 +20,7 @@ import time
 
 import pytest
 
-from repro.campaigns import BatchOptions, RetryPolicy, TaskFailure, run_batch
+from repro.campaigns import BatchOptions, TaskFailure, run_batch
 from repro.errors import BatchTaskError, ConfigurationError
 
 
@@ -32,20 +34,11 @@ def _hang_on_seven(task):  # pragma: no cover - hangs in pool workers
     return task * 2
 
 
-class _HangFirstAttempt:
-    """Hang only while a marker file exists (first attempt deletes it),
-    so a retry succeeds.  Pickles by path, not state."""
-
-    def __init__(self, marker):
-        self.marker = str(marker)
-
-    def __call__(self, task):  # pragma: no cover - runs in pool workers
-        import os
-
-        if task == 3 and os.path.exists(self.marker):
-            os.unlink(self.marker)
-            time.sleep(300.0)
-        return task * 2
+def _fail_zero_stall_others(task):  # pragma: no cover - pool workers
+    if task == 0:
+        raise ValueError("task 0 fails")
+    time.sleep(30.0)
+    return task
 
 
 class TestTaskTimeout:
@@ -76,54 +69,23 @@ class TestTaskTimeout:
         assert failure.kind == "timeout"
         assert isinstance(failure.error, TimeoutError)
 
-    def test_timeout_raises_without_skip(self):
-        with pytest.raises(BatchTaskError, match="watchdog"):
+    def test_raise_does_not_wait_on_hung_peer(self):
+        """A failure under ``on_error="raise"`` kills the pool instead of
+        waiting for a peer that is still running."""
+        t0 = time.monotonic()
+        with pytest.raises(BatchTaskError) as excinfo:
             run_batch(
-                _hang_on_seven,
-                [1, 7],
+                _fail_zero_stall_others,
+                [0, 1],
                 BatchOptions(
                     batch_mode="process",
                     max_workers=2,
                     on_error="raise",
-                    task_timeout=2.0,
+                    task_timeout=5.0,
                 ),
             )
-
-    def test_timeout_then_retry_succeeds(self, tmp_path):
-        marker = tmp_path / "hang-once"
-        marker.write_text("armed")
-        results = run_batch(
-            _HangFirstAttempt(marker),
-            [1, 2, 3, 4],
-            BatchOptions(
-                batch_mode="process",
-                max_workers=2,
-                on_error="retry",
-                retry=RetryPolicy(max_attempts=2),
-                task_timeout=2.0,
-            ),
-        )
-        assert results == [2, 4, 6, 8]
-
-    def test_survivors_not_charged_an_attempt(self):
-        """Tasks in flight when the pool is rebuilt must complete
-        normally, not accumulate attempts toward their retry cap."""
-        results = run_batch(
-            _hang_on_seven,
-            list(range(12)) + [7],
-            BatchOptions(
-                batch_mode="process",
-                max_workers=4,
-                on_error="skip",
-                task_timeout=2.0,
-            ),
-        )
-        failures = [r for r in results if isinstance(r, TaskFailure)]
-        assert [f.kind for f in failures] == ["timeout", "timeout"]
-        assert sorted(f.task for f in failures) == [7, 7]
-        for task, result in zip(range(12), results):
-            if task != 7:
-                assert result == task * 2
+        assert excinfo.value.index == 0
+        assert time.monotonic() - t0 < 10.0
 
 
 class TestGracefulInterrupt:

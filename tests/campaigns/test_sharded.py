@@ -20,6 +20,9 @@ a circuit attribute (module-level, so the hook pickles into pool
 workers).
 """
 
+import multiprocessing
+import os
+
 import numpy as np
 import pytest
 
@@ -334,6 +337,31 @@ class TestShardedFaults:
                 ),
             )
         assert excinfo.value.index == _FAULTY[0]
+
+
+def build_crash_in_pool(task):
+    """Sample 1 kills its pool worker outright; the parent builds fine."""
+    if task == 1 and multiprocessing.parent_process() is not None:
+        os._exit(3)
+    return build_linear(100.0 + 10.0 * task)
+
+
+class TestShardCrash:
+    def test_crashed_worker_raises_batch_task_error(self, shm_segments):
+        """A dead shard worker surfaces as a BatchTaskError naming a
+        sample of the crashed shard, like a per-sample process crash,
+        not as a raw BrokenProcessPool; no shared memory leaks."""
+        before = shm_segments()
+        with pytest.raises(BatchTaskError) as excinfo:
+            run_transient_campaign(
+                list(range(4)),
+                build_crash_in_pool,
+                TransientOptions(t_stop=2e-6, dt=1e-8),
+                BatchOptions(batch_mode="sharded", shard_size=2, max_workers=2),
+            )
+        assert excinfo.value.index in (0, 1)
+        assert "in flight" in str(excinfo.value)
+        assert shm_segments() - before == set()
 
 
 # -- stiffness clustering ------------------------------------------------------

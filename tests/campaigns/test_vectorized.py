@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.campaigns import (
     BatchOptions,
@@ -78,9 +80,9 @@ class TestRunTransientCampaign:
             assert res.stats["strategy"] == ref.stats["strategy"]
 
     def test_process_adaptive_streams_ragged_records(self):
-        # Adaptive grids have per-sample record counts; the process
-        # path streams them through the ragged shared block (length
-        # header per sample) and the round-trip is bit-identical.
+        # Adaptive grids have per-sample record counts; the record
+        # channel's length header carries each one and the round-trip
+        # is bit-identical.
         options = TransientOptions(
             t_stop=2e-5,
             dt=1e-8,
@@ -99,12 +101,12 @@ class TestRunTransientCampaign:
             np.testing.assert_allclose(res.x, ref.x, rtol=0, atol=0)
 
     def test_process_adaptive_slot_overflow_falls_back_per_sample(self, monkeypatch):
-        # A sample outgrowing its ragged slot must come back pickled —
+        # A sample outgrowing its channel slot must come back pickled —
         # same numbers, just a slower lane.  Shrink the capacity so
         # every sample overflows.
         from repro.campaigns import vectorized
 
-        monkeypatch.setattr(vectorized, "_ragged_record_capacity", lambda _o: 2)
+        monkeypatch.setattr(vectorized, "_slot_capacity", lambda _o: 2)
         options = TransientOptions(
             t_stop=2e-5,
             dt=1e-8,
@@ -255,9 +257,9 @@ def build_sized(n):
 
 class TestHeterogeneousProcessCampaign:
     def test_full_state_recording_uses_pickled_records(self):
-        # Different unknown counts cannot share one shm record shape;
-        # the process path must fall back to pickled records and
-        # still return correct per-task results.
+        # Different unknown counts share the channel: slots are sized
+        # to the widest circuit and each carries its own column count,
+        # so every per-task result comes back correct.
         tasks = [1, 2, 3]
         results = run_transient_campaign(
             tasks,
@@ -270,3 +272,41 @@ class TestHeterogeneousProcessCampaign:
         )
         for ref, res in zip(reference, results):
             np.testing.assert_allclose(res.x, ref.x, rtol=0, atol=0)
+
+
+class TestRecordChannel:
+    @settings(max_examples=200, deadline=1000)
+    @given(
+        n=st.integers(0, 12),
+        n_cols=st.integers(1, 5),
+        capacity=st.integers(0, 12),
+        width=st.integers(1, 5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_round_trip_is_bitwise(self, n, n_cols, capacity, width, seed):
+        """Any record that fits its slot reads back bit for bit (NaN,
+        signed zeros and subnormals included); one that does not is
+        refused and leaves the slot untouched, for the pickled lane."""
+        from repro.campaigns.vectorized import _read_slot, _write_slot
+
+        rng = np.random.default_rng(seed)
+        bits = rng.integers(0, 2**64, size=n * (1 + n_cols), dtype=np.uint64)
+        values = bits.view(np.float64)
+        t, x = values[:n], values[n:].reshape(n, n_cols)
+        slot = np.full(2 + capacity * (1 + width), -7.0)
+        fits = _write_slot(slot, capacity, t, x)
+        assert fits == (n <= capacity and n * n_cols <= capacity * width)
+        if not fits:
+            assert (slot == -7.0).all()
+            return
+        t_back, x_back = _read_slot(slot, capacity)
+        assert x_back.shape == (n, n_cols)
+        assert t_back.view(np.uint64).tolist() == t.view(np.uint64).tolist()
+        assert x_back.view(np.uint64).tolist() == x.view(np.uint64).tolist()
+
+    def test_capacity_exact_on_fixed_grids(self):
+        from repro.campaigns.vectorized import _slot_capacity
+
+        assert _slot_capacity(OPTIONS) == len(
+            run_transient_campaign([100.0], build_rc, OPTIONS)[0].t
+        )
