@@ -19,6 +19,11 @@
 #                   every result's t, x and stats are identical;
 #                   RTOL=1e-9 compares t and x to that relative tolerance
 #                   instead and lists the stats that differ
+#   make loc BASE=HEAD
+#                   net lines (added - removed) per file under src/ and
+#                   tests/ of the working tree against BASE, from
+#                   git diff --numstat (stage new files first so they
+#                   count), and the totals for src/ and tests/
 #   make importtime WORKLOAD=supply_loss_q
 #                   one set-up-only run under python -X importtime: the 25
 #                   largest cumulative imports and the repro/scipy module
@@ -38,7 +43,7 @@ PAIRS ?= 10
 SEEDS ?= 1,2
 RTOL ?=
 
-.PHONY: verify test bench bench-check perf perf-pairs same-outputs importtime
+.PHONY: verify test bench bench-check perf perf-pairs same-outputs importtime loc
 
 verify: test bench-check
 
@@ -62,3 +67,6 @@ same-outputs:
 
 importtime:
 	$(PYTHON) benchmarks/importtime.py --workload $(WORKLOAD)
+
+loc:
+	@git diff --numstat $(BASE) -- src tests | awk '{ net = $$1 - $$2; split($$3, top, "/"); sum[top[1]] += net; printf "%+6d  %s\n", net, $$3 } END { for (d in sum) printf "%+6d  %s/ total\n", sum[d], d }'

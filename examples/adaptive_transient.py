@@ -21,7 +21,6 @@ Step-control knobs on :class:`repro.circuits.TransientOptions`:
 ``lte_abstol``        live signal amplitude, plus an absolute floor
                       (volts) that lets tiny startup seeds take large
                       steps.
-``lte_safety``        classic controller safety factor (default 0.9).
 ``max_step_growth``   growth clamp per accepted step (default 2.0).
 ``breakpoints``       extra forced step boundaries; pulse/pwl/delayed
                       sine stimuli contribute theirs automatically so

@@ -66,7 +66,7 @@ from .component import (
 from .controlled import NonlinearVCCS
 from .elements import Capacitor, Inductor
 from .integration import IntegrationMethod, resolve_method
-from .linsolve import ReusableLU, solve_dense
+from .linsolve import solve_dense
 from .netlist import Circuit
 
 __all__ = ["DtCache", "TransientAssembly"]
@@ -715,9 +715,7 @@ class _DtEntry:
     agnostic ``solve`` interface.
     """
 
-    __slots__ = (
-        "dt", "G_base", "coeffs", "lu", "rank1", "woodbury", "chord", "delta"
-    )
+    __slots__ = ("dt", "G_base", "coeffs", "lu", "rank1", "woodbury", "delta")
 
     def __init__(self, dt: float, G_base, coeffs: _ReactiveCoeffs):
         self.dt = dt
@@ -729,12 +727,6 @@ class _DtEntry:
         #: Sparse general-Newton data: (pattern_version, W = G_base^-1 U)
         #: for the nonlinear components' touched-row selector U (lazy).
         self.delta: Optional[tuple] = None
-        #: Frozen chord-Newton Jacobian for this step size (lazy).  A
-        #: per-entry slot keeps the chord strategy's whole point —
-        #: reusing one factorization across iterations *and* steps —
-        #: intact when the adaptive controller alternates between a
-        #: step size and its half.
-        self.chord: Optional[ReusableLU] = None
 
 
 class TransientAssembly:
@@ -778,6 +770,9 @@ class TransientAssembly:
         #: Names of components whose integrator state lives in the
         #: vectorized arrays rather than the generic ``states`` dict.
         self.vectorized_names = {c.name for c in caps + inds}
+        #: Generic integrator state of every other component, by name
+        #: (filled by :meth:`init_state`; one dict for the whole run).
+        self.states: Dict[str, object] = {}
         self.reactive = _ReactiveSet(caps, inds, self.size)
         if self.method.is_multistep:
             self.reactive.enable_history(
@@ -808,6 +803,7 @@ class TransientAssembly:
             method=self.method_name,
             gmin=gmin,
             coeffs=self.method.base_coeffs(self._order),
+            states=self.states,
         )
         # Padded iterate buffer: trailing slot stays 0.0 so ground
         # indices gather zero.
@@ -1022,11 +1018,9 @@ class TransientAssembly:
         """
         if entry is None:
             return
-        for attr in ("lu", "chord"):
-            lu = getattr(entry, attr)
-            if lu is not None:
-                self.retired_factorizations += lu.n_factorizations
-                setattr(entry, attr, None)
+        if entry.lu is not None:
+            self.retired_factorizations += entry.lu.n_factorizations
+            entry.lu = None
         entry.rank1 = None
         entry.woodbury = None
         entry.delta = None
@@ -1055,22 +1049,13 @@ class TransientAssembly:
             entry.lu = self.backend.factor(entry.G_base)
         return entry.lu
 
-    def chord_lu(self) -> ReusableLU:
-        """The active step size's frozen chord Jacobian slot (lazy,
-        unfactored until the solver captures a Jacobian in it)."""
-        entry = self._active
-        if entry.chord is None:
-            entry.chord = ReusableLU()
-        return entry.chord
-
     @property
     def lu_factorizations(self) -> int:
         """Total factorizations across all (live + evicted) entries."""
         live = sum(
-            lu.n_factorizations
+            e.lu.n_factorizations
             for e in self._cache.live_entries()
-            for lu in (e.lu, e.chord)
-            if lu is not None
+            if e.lu is not None
         )
         return live + self.retired_factorizations
 
@@ -1180,7 +1165,19 @@ class TransientAssembly:
 
     # -- adaptive-step state management --------------------------------------
 
-    def snapshot_state(self, states: Dict[str, object]) -> tuple:
+    def init_state(self, x: np.ndarray) -> None:
+        """Seed every integrator state from the initial solution ``x``
+        (honours per-element ``ic``)."""
+        self.reactive.init_state(x)
+        self.states.clear()
+        for component in self.circuit:
+            if component.name in self.vectorized_names:
+                continue
+            state = component.init_state(x)
+            if state is not None:
+                self.states[component.name] = state
+
+    def snapshot_state(self) -> tuple:
         """Capture all integrator state so a trial step can be undone.
 
         Includes the multistep history ring (values, derivatives,
@@ -1192,9 +1189,9 @@ class TransientAssembly:
         snapshot.
         """
         r = self.reactive
-        return (r.v.copy(), r.i.copy(), r.ring.snapshot(), dict(states))
+        return (r.v.copy(), r.i.copy(), r.ring.snapshot(), dict(self.states))
 
-    def restore_state(self, snapshot: tuple, states: Dict[str, object]) -> None:
+    def restore_state(self, snapshot: tuple) -> None:
         """Undo every state change since the matching snapshot."""
         v, i, ring_snap, generic = snapshot
         r = self.reactive
@@ -1203,14 +1200,12 @@ class TransientAssembly:
         r.ring.restore(ring_snap)
         if r.ring.depth:
             r.ring.set_current(r.v, r.i, r.n_caps)
-        states.clear()
-        states.update(generic)
+        self.states.clear()
+        self.states.update(generic)
 
     # -- once per step --------------------------------------------------------
 
-    def step_rhs(
-        self, time: float, states: Dict[str, object], x: np.ndarray
-    ) -> np.ndarray:
+    def step_rhs(self, time: float, x: np.ndarray) -> np.ndarray:
         """Linear right-hand side for one step (iterate-independent)."""
         rhs = self.reactive.companion_rhs(self._active.coeffs)
         if self.dynamic:
@@ -1223,7 +1218,6 @@ class TransientAssembly:
             self._scratch.rhs = rhs
             ctx.x = x
             ctx.time = time
-            ctx.states = states
             for component in self.dynamic:
                 component.stamp_dynamic(ctx)
         return rhs
@@ -1235,7 +1229,6 @@ class TransientAssembly:
         x: np.ndarray,
         rhs_lin: np.ndarray,
         time: float,
-        states: Dict[str, object],
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Full system at iterate ``x``: cached copies + full stamps."""
         G = self.G_base.copy()
@@ -1246,7 +1239,6 @@ class TransientAssembly:
             self._scratch.rhs = rhs
             ctx.x = x
             ctx.time = time
-            ctx.states = states
             for component in self.full:
                 component.stamp(ctx)
         return G, rhs
@@ -1256,7 +1248,6 @@ class TransientAssembly:
         x: np.ndarray,
         rhs_lin: np.ndarray,
         time: float,
-        states: Dict[str, object],
         extra_gmin: float = 0.0,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Fully-stamped *dense* ``(G, rhs)`` at iterate ``x``, on any
@@ -1270,7 +1261,7 @@ class TransientAssembly:
         is fine — this is never the healthy hot path.
         """
         if self.backend.is_dense:
-            G, rhs = self.assemble(x, rhs_lin, time, states)
+            G, rhs = self.assemble(x, rhs_lin, time)
         else:
             tri = self._delta_scratch
             tri.clear()
@@ -1278,7 +1269,6 @@ class TransientAssembly:
             ctx.system = tri
             ctx.x = x
             ctx.time = time
-            ctx.states = states
             for component in self.full:
                 component.stamp(ctx)
             ctx.system = self._scratch
@@ -1322,7 +1312,6 @@ class TransientAssembly:
         x: np.ndarray,
         rhs_lin: np.ndarray,
         time: float,
-        states: Dict[str, object],
     ) -> np.ndarray:
         """Solve the fully-stamped system against the sparse base LU.
 
@@ -1343,7 +1332,6 @@ class TransientAssembly:
         ctx.system = tri
         ctx.x = x
         ctx.time = time
-        ctx.states = states
         for component in self.full:
             component.stamp(ctx)
         ctx.system = self._scratch
@@ -1380,19 +1368,16 @@ class TransientAssembly:
 
     # -- after a converged step ----------------------------------------------
 
-    def commit(
-        self, x: np.ndarray, time: float, states: Dict[str, object]
-    ) -> np.ndarray:
+    def commit(self, x: np.ndarray, time: float) -> np.ndarray:
         """Advance all integrator states; returns the padded iterate
         (reused by callers that gather with ground indices)."""
         xp = self._xp
         xp[: self.size] = x
         self.reactive.commit(self._active.coeffs, xp, x, time)
-        if states:
+        if self.states:
             ctx = self._ctx
             ctx.x = x
             ctx.time = time
-            ctx.states = states
-            for name in list(states):
-                states[name] = self.circuit[name].update_state(ctx)
+            for name in list(self.states):
+                self.states[name] = self.circuit[name].update_state(ctx)
         return xp

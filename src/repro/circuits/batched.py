@@ -40,14 +40,19 @@ Lockstep requires a shared time grid: fixed mode uses the common
 :class:`~repro.circuits.stepcontrol.StepController` by the
 **worst-sample** LTE (every sample meets tolerance on every accepted
 step; the grid is simply as fine as the most demanding sample needs).
+Both grids run the per-sample engine's own time loops
+(:func:`~repro.circuits.transient._run_fixed`,
+:func:`~repro.circuits.transient._run_adaptive`) on the stacked
+assembly and solver.
 
 The per-sample engine (:func:`~repro.circuits.transient.run_transient`)
 stays the reference: :func:`run_transient_batched` mirrors its solve
 formulas elementwise, and the equivalence tests pin the two paths to
 each other at rtol 1e-9.  Netlists the lockstep engine cannot stack —
 differing topologies, nonlinear devices other than
-:class:`~repro.circuits.controlled.NonlinearVCCS`, chord/full Jacobian
-modes — raise :class:`BatchIncompatible`, which the campaign layer
+:class:`~repro.circuits.controlled.NonlinearVCCS`, the ``"full"``
+Jacobian mode, a ``PhaseSchedule`` — raise :class:`BatchIncompatible`,
+which the campaign layer
 (:mod:`repro.campaigns.vectorized`) catches to fall back to the
 per-sample path.
 """
@@ -72,18 +77,24 @@ from .health import (
     nonfinite_sample_rows,
 )
 from .integration import IntegrationMethod, resolve_method
-from .linsolve import NewtonPredictor, damp_voltage_delta, solve_dense
+from .linsolve import NewtonPredictor, solve_dense
 from .netlist import Circuit
 from .preflight import apply_preflight
 from .sources import CurrentSource, VoltageSource
-from .stepcontrol import StepController, collect_breakpoints
+from .stepcontrol import collect_breakpoints
 from .transient import (
+    CERTIFY_RTOL,
     TransientOptions,
     TransientResult,
-    _fixed_record_count,
+    _health_stats,
+    _record_capacity,
+    _RecordingBuffer,
     _resolve_recording,
+    _run_adaptive,
+    _run_fixed,
     _RunAbort,
     _RunBudget,
+    _step_controller,
 )
 
 __all__ = [
@@ -100,7 +111,7 @@ class BatchIncompatible(SimulationError):
     """The netlists cannot be executed as one lockstep batch.
 
     Structural problems (topology mismatch, unsupported devices,
-    non-``"auto"`` Jacobian) raise during batched-assembly
+    non-``"auto"`` Jacobian, a phase schedule) raise during batched-assembly
     construction, before any stepping; a singular stacked base matrix
     raises when its step size's entry is built — at construction for
     the initial step size, but an *adaptive* run that walks onto a new
@@ -681,6 +692,11 @@ class BatchedTransientAssembly:
 
         # Padded iterate buffer for ground-safe gathers on commit.
         self._xp = np.zeros((self.n_samples, self.size + 1))
+        #: Boolean ``(S,)`` mask of the samples sitting this step out
+        #: (quarantined or skipped), or ``None`` while none is; kept
+        #: current by the step solver.  Their companion state stays
+        #: frozen on commit.
+        self.freeze: Optional[np.ndarray] = None
 
         self.n_factorizations = 0
         #: Shared fill-reducing column ordering for the sparse blocks
@@ -1037,8 +1053,12 @@ class BatchedTransientAssembly:
 
     # -- once per step ---------------------------------------------------------
 
-    def step_rhs(self, time: float) -> np.ndarray:
-        """Stacked linear right-hand side for one step."""
+    def step_rhs(self, time: float, x: np.ndarray) -> np.ndarray:
+        """Stacked linear right-hand side for one step.
+
+        ``x`` (the per-sample assembly's iterate argument) is unused:
+        the stacked stamp vocabulary has no iterate-dependent RHS.
+        """
         co = self._active.coeffs
         if self.v.shape[1]:
             if isinstance(co, _StackedCoeffs):
@@ -1059,15 +1079,13 @@ class BatchedTransientAssembly:
 
     # -- after a converged step ------------------------------------------------
 
-    def commit(
-        self, x: np.ndarray, time: float, freeze: Optional[np.ndarray] = None
-    ) -> None:
+    def commit(self, x: np.ndarray, time: float) -> None:
         """Advance every sample's integrator state after one step.
 
-        ``freeze`` (boolean ``(S,)``) marks quarantined samples whose
-        companion state must stay exactly where their last converged
-        step left it: recomputing it from their frozen iterate rows
-        through the companion formulas would drift it instead.
+        Samples in ``freeze`` keep their companion state exactly where
+        their last converged step left it: recomputing it from their
+        frozen iterate rows through the companion formulas would drift
+        it instead.
         """
         if not self.v.shape[1]:
             self.ring.t_now = time
@@ -1086,6 +1104,7 @@ class BatchedTransientAssembly:
                 i_new -= self.i
         if topo.br_idx.size:
             i_new[:, self.n_caps :] = x[:, topo.br_idx]
+        freeze = self.freeze
         if freeze is not None:
             v_new[freeze] = self.v[freeze]
             i_new[freeze] = self.i[freeze]
@@ -1115,7 +1134,6 @@ class _BatchedStepSolver:
         options: NewtonOptions,
         quarantine: bool = False,
         guards: bool = False,
-        condition_limit: float = CONDITION_LIMIT,
         health: Optional[list] = None,
     ):
         self.assembly = assembly
@@ -1135,14 +1153,10 @@ class _BatchedStepSolver:
         #: neighbours and resumes when its mask clears.
         self.skipped = np.zeros(S, dtype=bool)
         self.skipped_steps = np.zeros(S, dtype=np.int64)
-        #: ``frozen``, or ``None`` while no sample is frozen (kept
-        #: current by ``set_skipped`` and ``quarantine``).
-        self.freeze: Optional[np.ndarray] = None
         #: One record per quarantined sample: sample index, the time
         #: the sample died, and why.
         self.quarantine_records: List[Dict[str, object]] = []
         self.guards = bool(guards)
-        self.condition_limit = condition_limit
         self.health = health if health is not None else []
         self._cond_checked: set = set()
         self._condest_skip_noted = False
@@ -1160,13 +1174,19 @@ class _BatchedStepSolver:
         )
 
     @property
+    def freeze(self) -> Optional[np.ndarray]:
+        """``frozen``, or ``None`` while no sample is frozen (kept
+        current on the assembly by ``set_skipped`` and ``quarantine``)."""
+        return self.assembly.freeze
+
+    @property
     def frozen(self) -> np.ndarray:
         """Samples sitting this step out (quarantined or skipped)."""
         return self.quarantined if self.freeze is None else self.freeze
 
     def _refreeze(self) -> None:
         frozen = self.quarantined | self.skipped
-        self.freeze = frozen if frozen.any() else None
+        self.assembly.freeze = frozen if frozen.any() else None
 
     def set_skipped(self, mask: Optional[np.ndarray]) -> None:
         """Install this step's skip mask (``None`` clears it)."""
@@ -1280,7 +1300,7 @@ class _BatchedStepSolver:
                     )
                 )
             return
-        bad = (~np.isfinite(cond) | (cond > self.condition_limit)) & (
+        bad = (~np.isfinite(cond) | (cond > CONDITION_LIMIT)) & (
             ~self.quarantined
         )
         rows = np.flatnonzero(bad)
@@ -1291,7 +1311,7 @@ class _BatchedStepSolver:
                 HealthReport(
                     "ill_conditioned",
                     f"sample {int(s)} condition estimate {cond[s]:.3e} "
-                    f"exceeds limit {self.condition_limit:.1e} at "
+                    f"exceeds limit {CONDITION_LIMIT:.1e} at "
                     f"t={time:.4e}",
                     severity="warning",
                     time=time,
@@ -1599,8 +1619,10 @@ class _BatchedCertifier:
     every accepted step's full nonlinear residual is recomputed at the
     committed iterate (base matrix product plus device currents) and
     checked per sample against the same Newton-tolerance-derived
-    threshold.  Quarantined samples are exempt — their rows are
-    frozen, not solved.  Pure recomputation; never mutates the run.
+    threshold, and the committed companion state is spot-checked
+    against the committed iterate.  Frozen (quarantined or skipped)
+    samples are exempt from both checks — their rows are frozen, not
+    solved.  Pure recomputation; never mutates the run.
     """
 
     def __init__(
@@ -1611,19 +1633,13 @@ class _BatchedCertifier:
     ):
         self.assembly = assembly
         self.newton = options.newton
-        self.rtol = options.certify_rtol
         self.health = health
         self.checked = 0
 
-    def check_step(
-        self,
-        x: np.ndarray,
-        rhs_lin: np.ndarray,
-        time: float,
-        eligible: Optional[np.ndarray] = None,
-    ) -> None:
+    def check_step(self, x: np.ndarray, rhs_lin: np.ndarray, time: float) -> None:
         self.checked += 1
         asm = self.assembly
+        eligible = None if asm.freeze is None else ~asm.freeze
         res, norm_g, scale = asm.residual_norms(x, rhs_lin)
         n = asm.n_nodes
         if n:
@@ -1631,7 +1647,7 @@ class _BatchedCertifier:
         else:
             v_max = np.zeros(len(x))
         tol_v = self.newton.abstol_v + self.newton.reltol * v_max
-        threshold = 10.0 * norm_g * tol_v + self.rtol * scale
+        threshold = 10.0 * norm_g * tol_v + CERTIFY_RTOL * scale
         bad = ~np.isfinite(res) | (res > threshold)
         if eligible is not None:
             bad &= eligible
@@ -1648,38 +1664,37 @@ class _BatchedCertifier:
                 )
             )
 
+    def check_state(self, x: np.ndarray, time: float) -> None:
+        """Per-sample charge/flux spot-check of the committed state."""
+        asm = self.assembly
+        topo = asm._topology
+        if not topo.n:
+            return
+        # ``commit`` left the committed iterate in the padded buffer.
+        xp = asm._xp
+        v_expected = xp[:, topo.a_idx] - xp[:, topo.b_idx]
+        tol = 1e-12 * (1.0 + np.abs(v_expected).max(axis=1))
+        bad = ~(np.isfinite(asm.v).all(axis=1) & np.isfinite(asm.i).all(axis=1))
+        bad |= np.abs(asm.v - v_expected).max(axis=1) > tol
+        if topo.br_idx.size:
+            i_br = x[:, topo.br_idx]
+            itol = 1e-12 * (1.0 + np.abs(i_br).max(axis=1))
+            bad |= np.abs(asm.i[:, asm.n_caps :] - i_br).max(axis=1) > itol
+        if asm.freeze is not None:
+            bad &= ~asm.freeze
+        for s in np.flatnonzero(bad):
+            self.health.append(
+                HealthReport(
+                    "state",
+                    f"sample {int(s)} reactive integrator state disagrees "
+                    f"with its committed solution at t={time:.4e}",
+                    time=time,
+                    sample=int(s),
+                )
+            )
+
     def check_grid(self, times: np.ndarray, options: TransientOptions) -> None:
         check_grid_invariants(times, options.t_stop, self.health)
-
-
-class _BatchedRecording:
-    """Growable stacked ``(t, x[S])`` recording buffer."""
-
-    def __init__(
-        self,
-        n_samples: int,
-        n_columns: int,
-        capacity: int,
-        record_indices: Optional[np.ndarray],
-    ):
-        capacity = max(int(capacity), 4)
-        self._t = np.empty(capacity)
-        self._x = np.empty((capacity, n_samples, n_columns))
-        self._indices = record_indices
-        self._n = 0
-
-    def append(self, time: float, x: np.ndarray) -> None:
-        if self._n == self._t.size:
-            self._t = np.concatenate([self._t, np.empty(self._t.size)])
-            grown = np.empty((self._t.size,) + self._x.shape[1:])
-            grown[: self._n] = self._x
-            self._x = grown
-        self._t[self._n] = time
-        self._x[self._n] = x if self._indices is None else x[:, self._indices]
-        self._n += 1
-
-    def arrays(self) -> Tuple[np.ndarray, np.ndarray]:
-        return self._t[: self._n].copy(), self._x[: self._n]
 
 
 def run_transient_batched(
@@ -1700,19 +1715,25 @@ def run_transient_batched(
     stacked: differing topology, nonlinear devices other than
     :class:`~repro.circuits.controlled.NonlinearVCCS`, a non-``"auto"``
     Jacobian mode, components outside the stamp split's vectorizable
-    vocabulary, or a singular stacked base matrix (see the exception's
-    docstring for when each case fires).
+    vocabulary, a singular stacked base matrix (see the exception's
+    docstring for when each case fires), or a ``phases`` schedule (the
+    stacked assembly has no live method switch).
 
-    Fault tolerance mirrors the per-sample engine's options:
-    ``options.quarantine`` masks a sample whose Newton fails (fixed
-    grid: on any step; adaptive: at the dt floor, or on LTE underflow)
-    out of the lockstep batch — its iterate and companion state freeze
-    at the last converged step, its stats gain ``quarantined=True``
-    and a ``quarantine`` record, and the survivors finish.
-    ``max_steps`` / ``max_wall_time`` budgets and ``on_abort``
-    ("raise" vs "partial") behave exactly as in
-    :func:`~repro.circuits.transient.run_transient`; an all-samples
-    quarantine aborts with reason ``"all_quarantined"``.
+    Both grids run the per-sample engine's time loops, so every run
+    option the lockstep engine supports behaves as in
+    :func:`~repro.circuits.transient.run_transient`: ``breakpoints``
+    and ``breakpoint_sources`` (adaptive), ``max_steps`` /
+    ``max_wall_time`` budgets and ``on_abort`` ("raise" vs
+    "partial"), ``preflight``, ``guards`` and ``certify``.  The one
+    per-sample option it leaves to the caller is ``rescue``: the
+    campaign layer reruns quarantined samples solo with the rescue
+    ladder.  ``options.quarantine`` masks a sample whose Newton fails
+    (fixed grid: on any step; adaptive: at the dt floor, or on LTE
+    underflow) out of the lockstep batch — its iterate and companion
+    state freeze at the last converged step, its stats gain
+    ``quarantined=True`` and a ``quarantine`` record, and the
+    survivors finish; an all-samples quarantine aborts with reason
+    ``"all_quarantined"``.
 
     ``skip_mask(time) -> (S,) bool array or None`` is the per-sample
     envelope skip hook: samples masked at a step keep their iterate
@@ -1726,6 +1747,11 @@ def run_transient_batched(
     if options.jacobian != "auto":
         raise BatchIncompatible(
             f"jacobian={options.jacobian!r} has no lockstep equivalent"
+        )
+    if options.phases is not None:
+        raise BatchIncompatible(
+            "phases switch the integration method live, which the "
+            "stacked assembly cannot; run the samples one by one"
         )
     # Lockstep batches share one topology; linting the first sample
     # covers the structural findings for all of them.  Empty batches
@@ -1761,7 +1787,6 @@ def run_transient_batched(
         options.newton,
         quarantine=options.quarantine,
         guards=options.guards,
-        condition_limit=options.condition_limit,
         health=health,
     )
     certifier = (
@@ -1773,41 +1798,25 @@ def run_transient_batched(
     record_indices, recorded_nodes, n_columns = _resolve_recording(
         circuits[0], options
     )
-    if options.step_control == "fixed":
-        capacity = _fixed_record_count(options)
-    else:
-        capacity = int(options.t_stop / options.dt) // options.record_stride + 2
-    recorder = _BatchedRecording(S, n_columns, capacity, record_indices)
-
+    recorder = _RecordingBuffer(
+        (S, n_columns), _record_capacity(options), record_indices
+    )
+    budget = _RunBudget.for_options(options)
+    recorder.append(0.0, x)
+    solver.note_commit(0.0, x)
     try:
         if options.step_control == "fixed":
-            run_stats = _run_fixed_lockstep(
-                options, assembly, solver, x, recorder, certifier, skip_mask
+            _, run_stats = _run_fixed(
+                options, assembly, solver, x, recorder, certifier, None,
+                budget, skip_mask=skip_mask,
             )
         else:
-            run_stats = _run_adaptive_lockstep(
-                circuits,
-                options,
-                assembly,
-                solver,
-                x,
-                recorder,
-                certifier,
-                skip_mask,
+            _, run_stats = _run_adaptive(
+                circuits, options, assembly, solver, x, recorder, certifier,
+                None, budget, skip_mask,
             )
     except _RunAbort as abort:
-        if options.on_abort == "raise":
-            if abort.error is not None:
-                raise abort.error
-            raise SimulationError(
-                f"batched transient aborted: {abort.reason} budget "
-                f"exhausted at t={abort.stats.get('t_abort', 0.0):.4e}"
-            )
-        run_stats = dict(abort.stats)
-        run_stats["abort_reason"] = abort.reason
-        run_stats["completed"] = False
-        if abort.error is not None:
-            run_stats["abort_error"] = str(abort.error)
+        run_stats = abort.translate(options.on_abort)
 
     quarantine_by_sample: Dict[int, Dict[str, object]] = {}
     if solver.quarantine_enabled:
@@ -1818,7 +1827,7 @@ def run_transient_batched(
             int(record["sample"]): record for record in solver.quarantine_records
         }
 
-    times, records = recorder.arrays()
+    times, records = recorder.arrays(copy_x=False)
     if certifier is not None:
         certifier.check_grid(times, options)
     results: List[TransientResult] = []
@@ -1838,14 +1847,14 @@ def run_transient_batched(
             stats["quarantined"] = bool(solver.quarantined[s])
             if s in quarantine_by_sample:
                 stats["quarantine"] = quarantine_by_sample[s]
-        if options.guards or options.certify:
-            stats["health"] = [
-                r for r in health if r.sample in (None, s)
-            ]
-            if certifier is not None:
-                stats["certified_steps"] = certifier.checked
-        if options.preflight != "off":
-            stats["preflight"] = preflight_diags
+        stats.update(
+            _health_stats(
+                options,
+                [r for r in health if r.sample in (None, s)],
+                certifier,
+                preflight_diags,
+            )
+        )
         results.append(
             TransientResult(
                 circuit=circuit,
@@ -1906,17 +1915,7 @@ def probe_stiffness_ratios(
         assembly.init_state(x)
         solver = _BatchedStepSolver(assembly, options.newton, quarantine=False)
         method = assembly.method
-        controller = StepController(
-            t_stop=options.t_stop,
-            dt_initial=options.dt,
-            dt_min=options.resolved_dt_min(),
-            dt_max=options.resolved_dt_max(),
-            method=method,
-            reltol=options.lte_reltol,
-            abstol=options.lte_abstol,
-            safety=options.lte_safety,
-            max_growth=options.max_step_growth,
-        )
+        controller = _step_controller(options, method, options.dt)
         dt = options.dt
         half = 0.5 * dt
         order = (
@@ -1934,12 +1933,12 @@ def probe_stiffness_ratios(
             snapshot = assembly.snapshot_state()
             try:
                 assembly.set_dt(dt, order=order)
-                x_full = solver.step(x, assembly.step_rhs(t0 + dt), t0 + dt)
+                x_full = solver.step(x, assembly.step_rhs(t0 + dt, x), t0 + dt)
                 assembly.set_dt(half, ephemeral=True, order=order)
-                x_mid = solver.step(x, assembly.step_rhs(t0 + half), t0 + half)
+                x_mid = solver.step(x, assembly.step_rhs(t0 + half, x), t0 + half)
                 assembly.commit(x_mid, t0 + half)
                 x_half = solver.step(
-                    x_mid, assembly.step_rhs(t0 + dt), t0 + dt
+                    x_mid, assembly.step_rhs(t0 + dt, x_mid), t0 + dt
                 )
             finally:
                 assembly.restore_state(snapshot)
@@ -1957,253 +1956,3 @@ def probe_stiffness_ratios(
     except (BatchIncompatible, ConvergenceError, SimulationError):
         return None
     return ratios
-
-
-def _run_fixed_lockstep(
-    options: TransientOptions,
-    assembly: BatchedTransientAssembly,
-    solver: _BatchedStepSolver,
-    x: np.ndarray,
-    recorder: _BatchedRecording,
-    certifier: Optional[_BatchedCertifier] = None,
-    skip_mask=None,
-) -> Dict[str, object]:
-    """The classic uniform grid, S samples wide.
-
-    With ``options.quarantine`` a sample whose Newton fails is masked
-    out of the batch (iterate and companion state frozen) and the step
-    is retried with the survivors; the loop only aborts when every
-    sample is dead.  Budgets charge once per grid step.
-
-    ``skip_mask(time) -> (S,) bool`` (or ``None``) marks samples that
-    sit this step out with frozen state — the per-sample envelope
-    skip: samples in skipped phases coexist with resolved neighbours.
-    """
-    n_steps = int(round(options.t_stop / options.dt))
-    stride = options.record_stride
-    recorder.append(0.0, x)
-    solver.note_commit(0.0, x)
-    method = assembly.method
-    multistep = method.is_multistep
-    order_histogram: Dict[int, int] = {}
-    budget = _RunBudget.for_options(options)
-
-    def partial_stats(step: int) -> Dict[str, object]:
-        stats: Dict[str, object] = {
-            "steps": step - 1,
-            "t_abort": (step - 1) * options.dt,
-        }
-        if multistep:
-            stats["order_histogram"] = order_histogram
-        return stats
-
-    for step in range(1, n_steps + 1):
-        time = step * options.dt
-        if budget is not None:
-            exhausted = budget.charge()
-            if exhausted is not None:
-                raise _RunAbort(exhausted, stats=partial_stats(step))
-        if skip_mask is not None:
-            solver.set_skipped(skip_mask(time))
-            solver.skipped_steps[solver.skipped] += 1
-        if multistep:
-            # Gear startup ramp: the whole batch shares one order
-            # schedule, clamped by the shared committed history.
-            order = method.usable_order(
-                method.max_order, assembly.history_points
-            )
-            if order != assembly.order:
-                assembly.set_dt(options.dt, order=order)
-            order_histogram[order] = order_histogram.get(order, 0) + 1
-        rhs_lin = assembly.step_rhs(time)
-        while True:
-            try:
-                x = solver.step(x, rhs_lin, time)
-                break
-            except ConvergenceError as exc:
-                failed = getattr(exc, "failed_samples", None)
-                health_failure = getattr(exc, "phase", None) == "health"
-                if not solver.quarantine_enabled or not failed:
-                    if health_failure:
-                        raise _RunAbort(
-                            "health", error=exc, stats=partial_stats(step)
-                        )
-                    raise
-                solver.quarantine(
-                    failed, time, "health" if health_failure else "newton"
-                )
-                if solver.quarantined.all():
-                    raise _RunAbort(
-                        "all_quarantined", error=exc, stats=partial_stats(step)
-                    )
-                # Retry the same step with the survivors only.
-        freeze = solver.freeze
-        if certifier is not None:
-            certifier.check_step(
-                x, rhs_lin, time, eligible=None if freeze is None else ~freeze
-            )
-        assembly.commit(x, time, freeze=freeze)
-        solver.note_commit(time, x)
-        if step % stride == 0:
-            recorder.append(time, x)
-    stats: Dict[str, object] = {"steps": n_steps}
-    if multistep:
-        stats["order_histogram"] = order_histogram
-    return stats
-
-
-def _run_adaptive_lockstep(
-    circuits: Sequence[Circuit],
-    options: TransientOptions,
-    assembly: BatchedTransientAssembly,
-    solver: _BatchedStepSolver,
-    x: np.ndarray,
-    recorder: _BatchedRecording,
-    certifier: Optional[_BatchedCertifier] = None,
-    skip_mask=None,
-) -> Dict[str, object]:
-    """Worst-sample LTE control on one shared adaptive grid.
-
-    The step-doubling structure matches the per-sample adaptive loop;
-    the acceptance test is :meth:`StepController.error_ratio_many` —
-    a candidate step commits only when *every* sample's Richardson
-    estimate meets tolerance, so the shared grid is as fine as the
-    most demanding sample requires.  Breakpoints are the union of all
-    samples' stimulus discontinuities.
-    """
-    breakpoints = sorted(
-        set(
-            t
-            for circuit in circuits
-            for t in collect_breakpoints(
-                circuit, options.t_stop, options.breakpoints or ()
-            )
-        )
-    )
-    method = assembly.method
-    controller = StepController(
-        t_stop=options.t_stop,
-        dt_initial=options.dt,
-        dt_min=options.resolved_dt_min(),
-        dt_max=options.resolved_dt_max(),
-        method=method,
-        reltol=options.lte_reltol,
-        abstol=options.lte_abstol,
-        safety=options.lte_safety,
-        max_growth=options.max_step_growth,
-        breakpoints=breakpoints,
-        order_control=options.resolved_order_control(method),
-    )
-    multistep = method.is_multistep
-    n_nodes = assembly.n_nodes
-    stride = options.record_stride
-    recorder.append(0.0, x)
-    solver.note_commit(0.0, x)
-    budget = _RunBudget.for_options(options)
-
-    def abort(reason: str, error: Optional[BaseException] = None) -> _RunAbort:
-        stats = controller.stats()
-        stats["steps"] = controller.accepted
-        stats["dt_cache_entries"] = assembly.n_dt_entries
-        stats["t_abort"] = controller.t
-        return _RunAbort(reason, error=error, stats=stats)
-
-    while not controller.finished:
-        t = controller.t
-        if budget is not None:
-            exhausted = budget.charge()
-            if exhausted is not None:
-                raise abort(exhausted)
-        t_target, dt = controller.propose()
-        if skip_mask is not None:
-            # One skip decision per candidate step (evaluated at the
-            # step's landing time), shared by the probe and halves so
-            # the Richardson pair sees one consistent working set.
-            solver.set_skipped(skip_mask(t_target))
-        # One order schedule for the whole batch: the controller's
-        # target clamped by the shared committed history.
-        order = (
-            controller.candidate_order(assembly.history_points)
-            if multistep
-            else None
-        )
-        ephemeral = dt != controller.dt
-        snapshot = assembly.snapshot_state()
-        freeze = solver.freeze
-        try:
-            assembly.set_dt(dt, ephemeral=ephemeral, order=order)
-            rhs_lin = assembly.step_rhs(t_target)
-            solver.note_probe()
-            x_full = solver.step(x, rhs_lin, t_target)
-            solver.note_probe(t_target, x_full)
-            half = 0.5 * dt
-            t_mid = t + half
-            assembly.set_dt(half, ephemeral=ephemeral, order=order)
-            rhs_lin = assembly.step_rhs(t_mid)
-            x_mid = solver.step(x, rhs_lin, t_mid)
-            assembly.commit(x_mid, t_mid, freeze=freeze)
-            rhs_lin = assembly.step_rhs(t_target)
-            x_half = solver.step(x_mid, rhs_lin, t_target)
-        except ConvergenceError as exc:
-            assembly.restore_state(snapshot)
-            health_failure = getattr(exc, "phase", None) == "health"
-            # A non-finite sample fails identically at any step size:
-            # skip the dt shrinking and quarantine it directly.
-            if not controller.at_dt_floor and not health_failure:
-                controller.reject_nonconvergence()
-                continue
-            # Newton is dead at the dt floor.  Quarantine the failed
-            # samples (when enabled) so the survivors keep going, or
-            # propagate — the seed behaviour.
-            failed = getattr(exc, "failed_samples", None)
-            if not solver.quarantine_enabled or not failed:
-                if health_failure:
-                    raise abort("health", error=exc)
-                raise
-            solver.quarantine(
-                failed, t, "health" if health_failure else "newton_dt_min"
-            )
-            controller.reset_floor_rejections()
-            if solver.quarantined.all():
-                raise abort("all_quarantined", error=exc)
-            continue
-        mask = None if freeze is None else ~freeze
-        ratio = controller.error_ratio_many(x_full, x_half, n_nodes, mask=mask)
-        if ratio <= 1.0:
-            if certifier is not None:
-                certifier.check_step(x_half, rhs_lin, t_target, eligible=mask)
-            assembly.commit(x_half, t_target, freeze=freeze)
-            x = x_half
-            if skip_mask is not None:
-                solver.skipped_steps[solver.skipped] += 1
-            controller.accept(t_target, dt, ratio)
-            if multistep and controller.crossed_breakpoint:
-                assembly.reset_history()
-            solver.note_commit(
-                t_target, x, restart=controller.crossed_breakpoint
-            )
-            if controller.accepted % stride == 0:
-                recorder.append(t_target, x)
-        else:
-            assembly.restore_state(snapshot)
-            try:
-                controller.reject(ratio)
-            except SimulationError as exc:
-                # LTE underflow: dt cannot shrink further.  Quarantine
-                # the samples whose Richardson estimate is still over
-                # tolerance; the shared grid then answers only to the
-                # survivors.
-                if not solver.quarantine_enabled:
-                    raise abort("step_underflow", error=exc)
-                ratios = controller.error_ratio_samples(x_full, x_half, n_nodes)
-                culprits = np.nonzero((ratios > 1.0) & ~solver.frozen)[0]
-                if culprits.size == 0:
-                    raise abort("step_underflow", error=exc)
-                solver.quarantine(culprits, t, "lte_underflow")
-                controller.reset_floor_rejections()
-                if solver.quarantined.all():
-                    raise abort("all_quarantined", error=exc)
-    stats = controller.stats()
-    stats["steps"] = controller.accepted
-    stats["dt_cache_entries"] = assembly.n_dt_entries
-    return stats

@@ -27,10 +27,16 @@ slow amplitude evolution to well under a percent.
 
 ``skip="off"`` delegates to :func:`~.transient.run_transient`
 unchanged, so the fallback path is bit-identical to the existing
-engine by construction.  All skipping happens on the canonical fixed
-grid (time is always ``k * dt`` for an integer ``k``), so resolved
-segments of an envelope run line up exactly with the plain engine's
-samples.
+engine by construction.  ``skip="on"`` shares that engine's set-up and
+runs every resolved burst through its fixed-grid loop, so it honours
+the same run options: ``preflight``, ``guards``, ``certify``,
+``rescue`` (``max_rescues`` counts across bursts), ``max_steps`` /
+``max_wall_time`` (charged per resolved step, across bursts) and
+``on_abort``.  ``step_control="adaptive"``, ``phases`` and components
+with generic integrator state are rejected.  All skipping happens on
+the canonical fixed grid (time is always ``k * dt`` for an integer
+``k``), so resolved segments of an envelope run line up exactly with
+the plain engine's samples.
 
 Warm starts
 -----------
@@ -45,25 +51,28 @@ beyond tolerance *rejects* the warm start and falls back to the cold
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..envelope.dynamics import EnvelopeModel
 from ..errors import SimulationError
-from .backend import resolve_backend
-from .dcop import solve_dc
 from .netlist import Circuit
 from .transient import (
     TransientOptions,
     TransientResult,
+    _engine_stats,
+    _record_capacity,
     _RecordingBuffer,
     _resolve_recording,
-    _StepSolver,
+    _run_fixed,
+    _RunAbort,
+    _RunBudget,
+    _setup,
+    _StepRescue,
     run_transient,
 )
-from .assembly import TransientAssembly
 
 __all__ = ["EnvelopeOptions", "run_transient_envelope"]
 
@@ -150,25 +159,27 @@ class EnvelopeOptions:
 class _CycleRing:
     """Rolling window of the last carrier cycle's committed states.
 
-    Keeps ``n`` per-step snapshots of the solution vector and the
-    reactive integrator state so the amplitude and the cycle means —
-    the two inputs of the skip jump — come from exactly one full
-    period of resolved samples.
+    Keeps ``n`` per-step snapshots of the solution vector and of the
+    ``reactive`` set's integrator state so the amplitude and the cycle
+    means — the two inputs of the skip jump — come from exactly one
+    full period of resolved samples.
     """
 
-    def __init__(self, n: int, size: int, n_reactive: int):
+    def __init__(self, n: int, size: int, reactive):
         self.n = int(n)
+        self.reactive = reactive
         self.x = np.empty((self.n, size))
-        self.v = np.empty((self.n, n_reactive))
-        self.i = np.empty((self.n, n_reactive))
+        self.v = np.empty((self.n, reactive.n))
+        self.i = np.empty((self.n, reactive.n))
         self.count = 0
         self._head = 0
 
-    def push(self, x: np.ndarray, v: np.ndarray, i: np.ndarray) -> None:
+    def push(self, x: np.ndarray) -> None:
+        """Store a committed step (the fixed-grid loop's commit hook)."""
         h = self._head
         self.x[h] = x
-        self.v[h] = v
-        self.i[h] = i
+        self.v[h] = self.reactive.v
+        self.i[h] = self.reactive.i
         self._head = (h + 1) % self.n
         self.count += 1
 
@@ -250,52 +261,25 @@ def run_transient_envelope(
     dt = options.dt
     period = spc * dt  # grid-exact period
 
-    # -- engine setup (the plain fixed-grid engine, inlined) ---------------
-    size = circuit.prepare()
-    backend = resolve_backend(options.backend, size)
-    if options.use_dc_operating_point:
-        op = solve_dc(circuit, options=options.newton, backend=backend)
-        x = op.x.copy()
-    else:
-        x = np.zeros(size)
-    method = options.resolved_method()
-    assembly = TransientAssembly(
-        circuit,
-        dt,
-        method,
-        options.newton.gmin,
-        max_dt_entries=options.dt_cache_size,
-        backend=backend,
+    x, assembly, solver, certifier, preflight_diags, krylov_base = _setup(
+        circuit, options
     )
-    reactive = assembly.reactive
-    reactive.init_state(x)
-    states: Dict[str, object] = {}
-    for component in circuit:
-        if component.name in assembly.vectorized_names:
-            continue
-        state = component.init_state(x)
-        if state is not None:
-            states[component.name] = state
-    if states:
+    if assembly.states:
         raise SimulationError(
             "cycle skipping requires stateless non-reactive components; "
-            f"components {sorted(states)} carry generic integrator state "
-            "the amplitude jump cannot rescale"
+            f"components {sorted(assembly.states)} carry generic integrator "
+            "state the amplitude jump cannot rescale"
         )
-    solver = _StepSolver(
-        assembly,
-        options.newton,
-        options.jacobian,
-        options.chord_refactor_ratio,
-        guards=options.guards,
-        condition_limit=options.condition_limit,
-    )
+    reactive = assembly.reactive
     record_indices, recorded_nodes, n_columns = _resolve_recording(
         circuit, options
     )
-    capacity = total_steps // options.record_stride + 2
-    recorder = _RecordingBuffer(n_columns, capacity, record_indices)
-    stride = options.record_stride
+    recorder = _RecordingBuffer(
+        (n_columns,), _record_capacity(options), record_indices
+    )
+    rescue = _StepRescue(assembly, options) if options.rescue else None
+    budget = _RunBudget.for_options(options)
+    size = circuit.size
 
     # Differential projection vector for the amplitude measurement.
     diff = np.zeros(size)
@@ -305,37 +289,31 @@ def run_transient_envelope(
             diff[idx] = sign
 
     model = envelope.model
-    cyc = _CycleRing(spc, size, reactive.n)
-    provenance: List[str] = []
+    cyc = _CycleRing(spc, size, reactive)
+    # Record rows that are skip landings (every other row is resolved).
+    skipped_rows: List[int] = []
     segments: List[Dict[str, object]] = []
     skip_history: List[Dict[str, object]] = []
     resolved_cycles = 0.0
     skipped_cycles = 0
-    multistep = method.is_multistep
-    target_order = method.max_order
 
     def burst(x: np.ndarray, k0: int, n_steps: int) -> np.ndarray:
-        """``n_steps`` carrier-resolved fixed steps from global step
-        ``k0``; mirrors the plain engine's fixed loop (order ramp,
-        commit, stride recording) and feeds the cycle ring."""
+        """``n_steps`` carrier-resolved grid steps from global step
+        ``k0`` through the plain engine's fixed-grid loop, feeding the
+        cycle ring."""
         nonlocal resolved_cycles
-        for s in range(1, n_steps + 1):
-            k = k0 + s
-            time = k * dt
-            if multistep:
-                order = method.usable_order(
-                    target_order, assembly.history_points
-                )
-                if order != assembly.order:
-                    assembly.set_dt(dt, order=order)
-            rhs_lin = assembly.step_rhs(time, states, x)
-            x = solver.step(x, rhs_lin, time, states)
-            assembly.commit(x, time, states)
-            solver.note_commit(time, x)
-            if k % stride == 0:
-                recorder.append(time, x)
-                provenance.append("resolved")
-            cyc.push(x, reactive.v, reactive.i)
+        x, _ = _run_fixed(
+            options,
+            assembly,
+            solver,
+            x,
+            recorder,
+            certifier,
+            rescue,
+            budget,
+            steps=range(k0 + 1, k0 + n_steps + 1),
+            on_commit=cyc.push,
+        )
         resolved_cycles += n_steps / spc
         if n_steps:
             segments.append(
@@ -369,7 +347,6 @@ def run_transient_envelope(
     # -- main loop ---------------------------------------------------------
     recorder.append(0.0, x)
     solver.note_commit(0.0, x)
-    provenance.append("resolved")
 
     warm = envelope.warm_start
     warm_status: Optional[str] = None
@@ -389,117 +366,129 @@ def run_transient_envelope(
         warm_status = "pending"
 
     k = 0
-    anchor = min(envelope.resolve_cycles * spc, total_steps)
-    x = burst(x, k, anchor)
-    k += anchor
-    amplitude = cyc.amplitude(diff) if cyc.full else 0.0
+    amplitude = 0.0
+    try:
+        anchor = min(envelope.resolve_cycles * spc, total_steps)
+        x = burst(x, k, anchor)
+        k += anchor
+        amplitude = cyc.amplitude(diff) if cyc.full else 0.0
 
-    while k < total_steps:
-        remaining_cycles = (total_steps - k) // spc
-        budget_cycles = remaining_cycles - envelope.correct_cycles
-        n_skip = min(skip_n, budget_cycles)
-        # The neighbour's converged skip length only applies once this
-        # run's envelope reaches the amplitude regime it converged in
-        # (a settled-regime length trusted during startup would jump
-        # straight through the transient); cap the trial at half the
-        # budget so a rejection still has cycles left to re-anchor.
-        warm_try = warm_status == "pending" and (
-            warm_amp is None
-            or abs(amplitude - warm_amp)
-            <= 0.5 * max(abs(warm_amp), _AMPLITUDE_FLOOR)
-        )
-        if warm_try:
-            n_skip = min(
-                max(n_skip, warm_skip),
-                budget_cycles,
-                max(envelope.skip_min, budget_cycles // 2),
+        while k < total_steps:
+            remaining_cycles = (total_steps - k) // spc
+            budget_cycles = remaining_cycles - envelope.correct_cycles
+            n_skip = min(skip_n, budget_cycles)
+            # The neighbour's converged skip length only applies once this
+            # run's envelope reaches the amplitude regime it converged in
+            # (a settled-regime length trusted during startup would jump
+            # straight through the transient); cap the trial at half the
+            # budget so a rejection still has cycles left to re-anchor.
+            warm_try = warm_status == "pending" and (
+                warm_amp is None
+                or abs(amplitude - warm_amp)
+                <= 0.5 * max(abs(warm_amp), _AMPLITUDE_FLOOR)
             )
-        if (
-            n_skip < envelope.skip_min
-            or not cyc.full
-            or amplitude <= _AMPLITUDE_FLOOR
-        ):
-            # No room (or no measurable oscillation yet): resolve one
-            # more cycle — or the ragged tail — and re-assess.
-            n = min(spc, total_steps - k)
+            if warm_try:
+                n_skip = min(
+                    max(n_skip, warm_skip),
+                    budget_cycles,
+                    max(envelope.skip_min, budget_cycles // 2),
+                )
+            if (
+                n_skip < envelope.skip_min
+                or not cyc.full
+                or amplitude <= _AMPLITUDE_FLOOR
+            ):
+                # No room (or no measurable oscillation yet): resolve one
+                # more cycle — or the ragged tail — and re-assess.
+                n = min(spc, total_steps - k)
+                x = burst(x, k, n)
+                k += n
+                amplitude = cyc.amplitude(diff) if cyc.full else 0.0
+                continue
+
+            # Predict, jump, land a provenance-tagged sample.
+            a_pred = model.advance(amplitude, n_skip * period)
+            t_new = (k + n_skip * spc) * dt
+            segments.append(
+                {
+                    "kind": "skipped",
+                    "t0": k * dt,
+                    "t1": t_new,
+                    "cycles": n_skip,
+                }
+            )
+            x = jump(x, a_pred / amplitude, t_new)
+            k += n_skip * spc
+            skipped_cycles += n_skip
+            skipped_rows.append(recorder.n)
+            recorder.append(t_new, x)
+
+            # Re-anchor: short resolved burst, then judge the predictor.
+            n = envelope.correct_cycles * spc
             x = burst(x, k, n)
             k += n
-            amplitude = cyc.amplitude(diff) if cyc.full else 0.0
-            continue
-
-        # Predict, jump, land a provenance-tagged sample.
-        a_pred = model.advance(amplitude, n_skip * period)
-        t_new = (k + n_skip * spc) * dt
-        segments.append(
-            {
-                "kind": "skipped",
-                "t0": k * dt,
-                "t1": t_new,
-                "cycles": n_skip,
-            }
-        )
-        x = jump(x, a_pred / amplitude, t_new)
-        k += n_skip * spc
-        skipped_cycles += n_skip
-        recorder.append(t_new, x)
-        provenance.append("skipped")
-
-        # Re-anchor: short resolved burst, then judge the predictor.
-        n = envelope.correct_cycles * spc
-        x = burst(x, k, n)
-        k += n
-        a_meas = cyc.amplitude(diff)
-        a_ref = model.advance(a_pred, envelope.correct_cycles * period)
-        mismatch = abs(a_meas - a_ref) / max(abs(a_ref), _AMPLITUDE_FLOOR)
-        skip_history.append(
-            {
-                "t": k * dt,
-                "skip": n_skip,
-                "mismatch": mismatch,
-                "amplitude": a_meas,
-            }
-        )
-        if mismatch > envelope.tolerance:
-            if warm_try:
-                # The neighbouring sample's skip length does not
-                # transfer: reject the warm start, back to cold.
-                warm_status = "rejected"
-                skip_n = envelope.skip_initial
-            skip_n = max(
-                envelope.skip_min, int(skip_n * envelope.shrink)
+            a_meas = cyc.amplitude(diff)
+            a_ref = model.advance(a_pred, envelope.correct_cycles * period)
+            mismatch = abs(a_meas - a_ref) / max(abs(a_ref), _AMPLITUDE_FLOOR)
+            skip_history.append(
+                {
+                    "t": k * dt,
+                    "skip": n_skip,
+                    "mismatch": mismatch,
+                    "amplitude": a_meas,
+                }
             )
-        else:
-            if warm_try:
-                warm_status = "accepted"
-                skip_n = max(skip_n, n_skip)
-            if mismatch < envelope.tolerance / 4.0:
-                skip_n = min(
-                    envelope.skip_max,
-                    max(skip_n + 1, int(skip_n * envelope.grow)),
+            if mismatch > envelope.tolerance:
+                if warm_try:
+                    # The neighbouring sample's skip length does not
+                    # transfer: reject the warm start, back to cold.
+                    warm_status = "rejected"
+                    skip_n = envelope.skip_initial
+                skip_n = max(
+                    envelope.skip_min, int(skip_n * envelope.shrink)
                 )
-        amplitude = a_meas
+            else:
+                if warm_try:
+                    warm_status = "accepted"
+                    skip_n = max(skip_n, n_skip)
+                if mismatch < envelope.tolerance / 4.0:
+                    skip_n = min(
+                        envelope.skip_max,
+                        max(skip_n + 1, int(skip_n * envelope.grow)),
+                    )
+            amplitude = a_meas
+        run_stats: Dict[str, object] = {
+            "steps": int(round(resolved_cycles * spc))
+        }
+    except _RunAbort as abort:
+        # The loop counted the aborted burst's steps only.
+        abort.stats["steps"] += int(round(resolved_cycles * spc))
+        run_stats = abort.translate(options.on_abort)
+    if rescue is not None:
+        run_stats.update(rescue.stats())
 
     times, records = recorder.arrays()
-    stats: Dict[str, object] = {
-        "strategy": solver.strategy,
-        "backend": assembly.backend.name,
-        "step_control": "fixed",
-        "newton_iterations": solver.newton_iterations,
-        "lu_refactorizations": solver.lu_refactorizations,
-        "steps": int(round(resolved_cycles * spc)),
-        "envelope": {
-            "skip": "on",
-            "period": period,
-            "steps_per_cycle": spc,
-            "total_cycles": total_steps / spc,
-            "resolved_cycles": resolved_cycles,
-            "skipped_cycles": skipped_cycles,
-            "segments": segments,
-            "provenance": provenance,
-            "skip_history": skip_history,
-            "warm_start": warm_status,
-            "final": {"skip": skip_n, "amplitude": amplitude},
-        },
+    if certifier is not None:
+        certifier.check_grid(times, options)
+    provenance = ["resolved"] * recorder.n
+    for row in skipped_rows:
+        provenance[row] = "skipped"
+    stats = _engine_stats(
+        options, assembly, solver, certifier, preflight_diags, krylov_base
+    )
+    stats.update(run_stats)
+    stats["envelope"] = {
+        "skip": "on",
+        "period": period,
+        "steps_per_cycle": spc,
+        "total_cycles": total_steps / spc,
+        "resolved_cycles": resolved_cycles,
+        "skipped_cycles": skipped_cycles,
+        "segments": segments,
+        "provenance": provenance,
+        "skip_history": skip_history,
+        "warm_start": warm_status,
+        "final": {"skip": skip_n, "amplitude": amplitude},
     }
     return TransientResult(
         circuit=circuit,

@@ -84,6 +84,11 @@ _ORDER_RAISE_RATIO = 0.25
 _ORDER_LOWER_REJECTS = 2
 
 
+#: Step controller safety factor: a step grows or shrinks towards
+#: ``LTE_SAFETY`` times the size its error estimate would allow.
+LTE_SAFETY = 0.9
+
+
 def collect_breakpoints(
     circuit,
     t_stop: float,
@@ -325,7 +330,7 @@ class StepController:
         method: Union[str, IntegrationMethod] = "trap",
         reltol: float = 1e-3,
         abstol: float = 1e-6,
-        safety: float = 0.9,
+        safety: float = LTE_SAFETY,
         max_growth: float = 2.0,
         breakpoints: Sequence[float] = (),
         order_control: bool = False,
@@ -508,15 +513,25 @@ class StepController:
         self._landing_on_bp = False
         return self.t + self.dt, self.dt
 
-    def error_ratio(self, x_full: np.ndarray, x_half: np.ndarray, n_nodes: int) -> float:
+    def error_ratio(
+        self,
+        x_full: np.ndarray,
+        x_half: np.ndarray,
+        n_nodes: int,
+        mask: Optional[np.ndarray] = None,
+    ) -> float:
         """Estimated LTE over tolerance for one candidate step.
 
         Compares node voltages only (branch currents are linear
         consequences of the voltages); the tolerance is
         ``abstol + reltol * |x|_inf`` so it tracks the live signal
         scale — tiny startup seeds are not held to the tolerance of
-        the settled amplitude.
+        the settled amplitude.  Stacked ``(S, size)`` iterates give
+        the worst ``mask``-selected sample's ratio
+        (:meth:`error_ratio_many`).
         """
+        if x_full.ndim == 2:
+            return self.error_ratio_many(x_full, x_half, n_nodes, mask)
         diff = x_full[:n_nodes] - x_half[:n_nodes]
         if diff.size == 0:
             return 0.0

@@ -58,12 +58,15 @@ the engine picks a solve strategy per run:
   rank-k generalization; each Newton iterate solves a k×k system via
   the Woodbury identity around the same cached factorization.
 * ``general`` — full Newton; each iteration copies the cached parts
-  and restamps only the nonlinear devices.
-* ``chord`` (opt-in via ``TransientOptions(jacobian="chord")``) —
-  quasi-Newton with a frozen, factored Jacobian reused across
-  iterations *and* steps; it refactors only when convergence slows
-  below ``chord_refactor_ratio`` per iteration or the step size
-  changes.
+  and restamps only the nonlinear devices (``jacobian="full"`` forces
+  it for any nonlinear netlist).
+
+One fixed-grid loop (:func:`_run_fixed`) and one adaptive loop
+(:func:`_run_adaptive`) drive this engine, the lockstep engine of
+:mod:`~repro.circuits.batched` and the bursts of the envelope engine
+of :mod:`~repro.circuits.envelope_transient`; they take the run's
+assembly, solver, recorder, certifier, rescue ladder and budget as
+parameters and branch only on what those offer, never on the caller.
 
 Results are recorded into a growable buffer that finalizes into a
 :class:`TransientResult` with a (possibly non-uniform) ``t``; pass
@@ -110,6 +113,10 @@ from .stepcontrol import (
 
 __all__ = ["TransientOptions", "TransientResult", "run_transient"]
 
+#: Relative residual margin of the ``certify`` check, on top of the
+#: Newton-tolerance floor an accepted iterate legitimately carries.
+CERTIFY_RTOL = 1e-6
+
 
 @dataclass
 class TransientOptions:
@@ -131,17 +138,13 @@ class TransientOptions:
     #: the full state vector.
     record_nodes: Optional[Sequence[str]] = None
     #: Jacobian strategy: "auto" picks the fastest exact-Newton path,
-    #: "full" forces per-iteration assembly + solve, "chord" reuses a
-    #: frozen LU factorization and refactors only when Newton slows.
+    #: "full" forces per-iteration assembly + solve.
     jacobian: str = "auto"
     #: Linear-algebra backend: "auto" picks dense below the unknown-
     #: count threshold of :mod:`~repro.circuits.backend` and sparse
     #: (CSR + splu) at or above it; "dense"/"sparse" (or a
     #: MatrixBackend instance) force the choice.
     backend: object = "auto"
-    #: Chord mode: refactor when an iteration shrinks the update by
-    #: less than this factor (1.0 would demand monotone convergence).
-    chord_refactor_ratio: float = 0.5
 
     # -- integration-method knobs -------------------------------------------
     #: Variable-order methods only (``method="gear"``): whether the
@@ -168,8 +171,8 @@ class TransientOptions:
     #: ``lte_abstol + lte_reltol * |x|_inf``.
     lte_reltol: float = 1e-3
     lte_abstol: float = 1e-6
-    #: Adaptive: controller safety factor and per-step growth clamp.
-    lte_safety: float = 0.9
+    #: Adaptive: per-step growth clamp (the controller's safety factor
+    #: is :data:`~repro.circuits.stepcontrol.LTE_SAFETY`).
     max_step_growth: float = 2.0
     #: Adaptive: extra forced step boundaries (source discontinuities
     #: are collected automatically from the netlist).
@@ -180,6 +183,7 @@ class TransientOptions:
     #: :class:`~repro.digital.watchdog.WatchdogTimer`, or a
     #: :class:`~repro.digital.por.PowerOnReset`; mixed-signal
     #: scenarios run adaptively without hand-listing event times.
+    #: A fixed grid cannot land on them and rejects them.
     breakpoint_sources: Optional[Sequence[object]] = None
     #: Adaptive: per-phase method switching.  A
     #: :class:`~repro.circuits.stepcontrol.PhaseSchedule` partitions
@@ -244,24 +248,19 @@ class TransientOptions:
     #: solution raises a ``phase="health"`` ConvergenceError — routed
     #: through the rescue ladder / quarantine machinery like any other
     #: Newton death — and each cached factorization gets a one-time
-    #: 1-norm condition estimate (violations become warning
-    #: HealthReports).  Guards only *read* solver state, so healthy
-    #: armed runs are bit-identical to unarmed runs.
+    #: 1-norm condition estimate against
+    #: :data:`~repro.circuits.health.CONDITION_LIMIT` (violations
+    #: become warning HealthReports).  Guards only *read* solver
+    #: state, so healthy armed runs are bit-identical to unarmed runs.
     guards: bool = False
     #: Post-step certification: recompute each accepted step's
-    #: residual ||F(x)||, spot-check reactive charge/flux consistency
-    #: after commit, and enforce time-grid invariants at the end of
-    #: the run.  Violations become HealthReport entries in
-    #: ``stats["health"]``.  Pure recomputation — never mutates the
-    #: accepted solution — so armed healthy runs stay bit-identical.
+    #: residual ||F(x)|| (relative margin :data:`CERTIFY_RTOL`),
+    #: spot-check reactive charge/flux consistency after commit, and
+    #: enforce time-grid invariants at the end of the run.  Violations
+    #: become HealthReport entries in ``stats["health"]``.  Pure
+    #: recomputation — never mutates the accepted solution — so armed
+    #: healthy runs stay bit-identical.
     certify: bool = False
-    #: Condition-estimate threshold for the ``guards`` conditioning
-    #: check (and per-sample quarantine in the batched engine).
-    condition_limit: float = CONDITION_LIMIT
-    #: Relative residual tolerance of the ``certify`` check (on top of
-    #: the Newton-tolerance floor the accepted iterate legitimately
-    #: carries).
-    certify_rtol: float = 1e-6
 
     def __post_init__(self) -> None:
         if self.t_stop <= 0 or self.dt <= 0:
@@ -282,7 +281,7 @@ class TransientOptions:
                 raise SimulationError("max_order must be 1..3")
         if self.record_stride < 1:
             raise SimulationError("record_stride must be >= 1")
-        if self.jacobian not in ("auto", "full", "chord"):
+        if self.jacobian not in ("auto", "full"):
             raise SimulationError(f"unknown jacobian mode {self.jacobian!r}")
         if not isinstance(self.backend, MatrixBackend) and self.backend not in (
             "auto",
@@ -291,8 +290,6 @@ class TransientOptions:
             "krylov",
         ):
             raise SimulationError(f"unknown backend {self.backend!r}")
-        if not 0.0 < self.chord_refactor_ratio <= 1.0:
-            raise SimulationError("chord_refactor_ratio must be in (0, 1]")
         if self.step_control not in ("fixed", "adaptive"):
             raise SimulationError(
                 f"unknown step_control mode {self.step_control!r}"
@@ -309,8 +306,6 @@ class TransientOptions:
             raise SimulationError("dt_min must not exceed dt_max")
         if self.lte_reltol <= 0 or self.lte_abstol <= 0:
             raise SimulationError("lte_reltol and lte_abstol must be positive")
-        if not 0.0 < self.lte_safety <= 1.0:
-            raise SimulationError("lte_safety must be in (0, 1]")
         if self.max_step_growth <= 1.0:
             raise SimulationError("max_step_growth must exceed 1")
         if self.dt_cache_size < 1:
@@ -325,6 +320,11 @@ class TransientOptions:
                     "phases requires step_control='adaptive' (phase "
                     "boundaries are forced adaptive step boundaries)"
                 )
+        if self.breakpoint_sources is not None and self.step_control != "adaptive":
+            raise SimulationError(
+                "breakpoint_sources requires step_control='adaptive' (their "
+                "event times are forced adaptive step boundaries)"
+            )
         if self.on_abort not in ("raise", "partial"):
             raise SimulationError(
                 f"on_abort must be 'raise' or 'partial', got {self.on_abort!r}"
@@ -344,10 +344,6 @@ class TransientOptions:
                 f"preflight must be one of {PREFLIGHT_MODES}, "
                 f"got {self.preflight!r}"
             )
-        if self.condition_limit <= 0:
-            raise SimulationError("condition_limit must be positive")
-        if self.certify_rtol <= 0:
-            raise SimulationError("certify_rtol must be positive")
 
     def resolved_dt_min(self) -> float:
         return self.dt_min if self.dt_min is not None else self.dt / 256.0
@@ -442,39 +438,60 @@ class TransientResult:
 class _RecordingBuffer:
     """Growable ``(t, x)`` recording that finalizes into result arrays.
 
-    Fixed-step runs preallocate their exact record count and never
-    grow; adaptive runs start from a capacity guess and double as
-    accepted steps accumulate, so recording stays amortized O(1) per
-    step with no per-step Python list overhead.
+    Every engine records through it: each row is one ``row_shape``
+    array — an ``(n_columns,)`` state per sample, or the lockstep
+    engine's ``(S, n_columns)`` stack — and ``record_indices`` gathers
+    the recorded columns along the last axis.  Fixed-step runs
+    preallocate their exact record count and never grow; adaptive runs
+    start from a capacity guess and double as accepted steps
+    accumulate, so recording stays amortized O(1) per step with no
+    per-step Python list overhead.
     """
 
     def __init__(
         self,
-        n_columns: int,
+        row_shape: Tuple[int, ...],
         capacity: int,
         record_indices: Optional[np.ndarray],
     ):
         capacity = max(int(capacity), 4)
         self._t = np.empty(capacity)
-        self._x = np.empty((capacity, n_columns))
+        self._x = np.empty((capacity,) + tuple(row_shape))
         self._indices = record_indices
-        self._n = 0
+        #: Rows recorded so far.
+        self.n = 0
 
     def append(self, time: float, x: np.ndarray) -> None:
-        if self._n == self._t.size:
-            new_capacity = self._t.size * 2
+        if self.n == self._t.size:
             self._t = np.concatenate([self._t, np.empty(self._t.size)])
-            grown = np.empty((new_capacity, self._x.shape[1]))
-            grown[: self._n] = self._x
+            grown = np.empty((self._t.size,) + self._x.shape[1:])
+            grown[: self.n] = self._x
             self._x = grown
-        self._t[self._n] = time
-        self._x[self._n] = x if self._indices is None else x[self._indices]
-        self._n += 1
+        if self._indices is not None:
+            # ``x[idx]`` is numpy's fastest gather for one row, ``take``
+            # for a stacked one.
+            x = x[self._indices] if x.ndim == 1 else x.take(self._indices, axis=-1)
+        self._t[self.n] = time
+        self._x[self.n] = x
+        self.n += 1
 
-    def arrays(self) -> Tuple[np.ndarray, np.ndarray]:
-        if self._n == self._t.size:
+    def arrays(self, copy_x: bool = True) -> Tuple[np.ndarray, np.ndarray]:
+        """The recorded ``(t, x)``: the buffers themselves when full,
+        trimmed copies otherwise — or, with ``copy_x=False``, a trimmed
+        view of ``x`` for a caller that copies its slices anyway."""
+        n = self.n
+        if n == self._t.size:
             return self._t, self._x
-        return self._t[: self._n].copy(), self._x[: self._n].copy()
+        return self._t[:n].copy(), self._x[:n].copy() if copy_x else self._x[:n]
+
+
+def _record_capacity(options: TransientOptions) -> int:
+    """Initial recording capacity of a run: exact on a fixed grid; on
+    an adaptive one the run at its initial step size (the buffer
+    doubles if the controller ends up taking smaller steps)."""
+    if options.step_control == "fixed":
+        return _fixed_record_count(options)
+    return int(options.t_stop / options.dt) // options.record_stride + 2
 
 
 def _voltage_tol(x: np.ndarray, n_nodes: int, options: NewtonOptions) -> float:
@@ -486,9 +503,9 @@ class _RunAbort(Exception):
 
     Carries the machine-readable reason, the underlying error (when
     the abort was a solver failure rather than a budget), and the
-    loop's partial stats.  :func:`run_transient` translates it per
-    ``options.on_abort``: re-raise the real error, or finalize the
-    recording made so far into a partial result.
+    loop's partial stats.  Every engine translates it per
+    ``options.on_abort`` with :meth:`translate`: re-raise the real
+    error, or finalize the recording made so far into a partial result.
     """
 
     def __init__(
@@ -501,6 +518,23 @@ class _RunAbort(Exception):
         self.reason = reason
         self.error = error
         self.stats = stats or {}
+
+    def translate(self, on_abort: str) -> Dict[str, object]:
+        """Re-raise (``on_abort="raise"``), or the partial run's stats
+        with ``abort_reason``, ``completed=False`` and ``abort_error``."""
+        if on_abort == "raise":
+            if self.error is not None:
+                raise self.error
+            raise SimulationError(
+                f"transient aborted: {self.reason} budget exhausted at "
+                f"t={self.stats.get('t_abort', 0.0):.4e}"
+            )
+        stats = dict(self.stats)
+        stats["abort_reason"] = self.reason
+        stats["completed"] = False
+        if self.error is not None:
+            stats["abort_error"] = str(self.error)
+        return stats
 
 
 class _RunBudget:
@@ -572,6 +606,9 @@ class _StepRescue:
         self.rescues = 0
         self.by_stage: Dict[str, int] = {}
 
+    def stats(self) -> Dict[str, object]:
+        return {"rescues": self.rescues, "rescue_stages": dict(self.by_stage)}
+
     # -- one damped dense Newton solve ------------------------------------
 
     def _solve(
@@ -579,7 +616,6 @@ class _StepRescue:
         x0: np.ndarray,
         rhs_lin: np.ndarray,
         time: float,
-        states: Dict[str, object],
         extra_gmin: float = 0.0,
         rhs_offset: Optional[np.ndarray] = None,
     ) -> Tuple[np.ndarray, int]:
@@ -589,9 +625,7 @@ class _StepRescue:
         x = x0.copy()
         last_delta = np.inf
         for iteration in range(options.max_iterations):
-            G, rhs = assembly.assemble_dense(
-                x, rhs_lin, time, states, extra_gmin=extra_gmin
-            )
+            G, rhs = assembly.assemble_dense(x, rhs_lin, time, extra_gmin=extra_gmin)
             if rhs_offset is not None:
                 rhs = rhs + rhs_offset
             x_new = solve_dense(G, rhs)
@@ -610,25 +644,13 @@ class _StepRescue:
             phase="rescue",
         )
 
-    def _residual(
-        self,
-        x: np.ndarray,
-        rhs_lin: np.ndarray,
-        time: float,
-        states: Dict[str, object],
-    ) -> np.ndarray:
-        G, rhs = self.assembly.assemble_dense(x, rhs_lin, time, states)
+    def _residual(self, x: np.ndarray, rhs_lin: np.ndarray, time: float) -> np.ndarray:
+        G, rhs = self.assembly.assemble_dense(x, rhs_lin, time)
         return G.dot(x) - rhs
 
     # -- the ladder -------------------------------------------------------
 
-    def rescue(
-        self,
-        x_prev: np.ndarray,
-        rhs_lin: np.ndarray,
-        time: float,
-        states: Dict[str, object],
-    ) -> np.ndarray:
+    def rescue(self, x_prev: np.ndarray, rhs_lin: np.ndarray, time: float) -> np.ndarray:
         """Solve one step's equations that plain Newton gave up on.
 
         Returns the converged solution of the *unmodified* step system
@@ -647,9 +669,7 @@ class _StepRescue:
         self.rescues += 1
         try:
             x, _ = continuation_ladder(
-                lambda gmin, xw: self._solve(
-                    xw, rhs_lin, time, states, extra_gmin=gmin
-                ),
+                lambda gmin, xw: self._solve(xw, rhs_lin, time, extra_gmin=gmin),
                 tuple(self.options.rescue_gmin_ladder) + (0.0,),
                 x_prev,
             )
@@ -657,11 +677,11 @@ class _StepRescue:
             return x
         except ConvergenceError:
             pass
-        f0 = self._residual(x_prev, rhs_lin, time, states)
+        f0 = self._residual(x_prev, rhs_lin, time)
         m = self.options.rescue_ramp_steps
         x, _ = continuation_ladder(
             lambda lam, xw: self._solve(
-                xw, rhs_lin, time, states, rhs_offset=(1.0 - lam) * f0
+                xw, rhs_lin, time, rhs_offset=(1.0 - lam) * f0
             ),
             [k / m for k in range(1, m + 1)],
             x_prev,
@@ -677,7 +697,7 @@ class _Certifier:
     the converged iterate and certifies ``||G x - rhs||_inf`` against
     a threshold that allows what an accepted Newton iterate
     legitimately carries (``~||G||_inf`` times the voltage tolerance)
-    plus a relative ``certify_rtol`` margin; ``check_state`` verifies
+    plus a relative :data:`CERTIFY_RTOL` margin; ``check_state`` verifies
     the committed reactive charge/flux state is finite and consistent
     with the committed node voltages / branch currents.  Violations
     become :class:`~repro.circuits.health.HealthReport` entries —
@@ -693,24 +713,17 @@ class _Certifier:
     ):
         self.assembly = assembly
         self.newton = options.newton
-        self.rtol = options.certify_rtol
         self.health = health
         self.checked = 0
         size = assembly.circuit.size
         self._size = size
         self._xp = np.zeros(size + 1)
 
-    def check_step(
-        self,
-        x: np.ndarray,
-        rhs_lin: np.ndarray,
-        time: float,
-        states: Dict[str, object],
-    ) -> None:
+    def check_step(self, x: np.ndarray, rhs_lin: np.ndarray, time: float) -> None:
         """Certify the residual of the (pre-commit) accepted step."""
         self.checked += 1
         assembly = self.assembly
-        G, rhs = assembly.assemble_dense(x, rhs_lin, time, states)
+        G, rhs = assembly.assemble_dense(x, rhs_lin, time)
         gx = G.dot(x)
         residual = float(np.abs(gx - rhs).max()) if gx.size else 0.0
         n = assembly.n_nodes
@@ -720,7 +733,7 @@ class _Certifier:
         )
         norm_g = float(np.abs(G).sum(axis=1).max()) if G.size else 0.0
         scale = max(float(np.abs(gx).max()), float(np.abs(rhs).max()), 1e-30)
-        threshold = 10.0 * norm_g * tol_v + self.rtol * scale
+        threshold = 10.0 * norm_g * tol_v + CERTIFY_RTOL * scale
         if not np.isfinite(residual) or residual > threshold:
             self.health.append(
                 HealthReport(
@@ -794,25 +807,28 @@ class _StepSolver:
     per-``dt`` cache entry, so a step-size change by the adaptive
     controller transparently switches every strategy to the right
     cached factorization.
+
+    A single sample is never quarantined or frozen; the shared time
+    loops read these two class attributes where the lockstep solver
+    keeps live masks.
     """
+
+    quarantine_enabled = False
+    freeze = None
 
     def __init__(
         self,
         assembly: TransientAssembly,
         options: NewtonOptions,
         jacobian: str,
-        chord_refactor_ratio: float,
         guards: bool = False,
-        condition_limit: float = CONDITION_LIMIT,
         health: Optional[list] = None,
     ):
         self.assembly = assembly
         self.options = options
         self.n_nodes = assembly.n_nodes
         self.newton_iterations = 0
-        self.chord_refactor_ratio = chord_refactor_ratio
         self.guards = guards
-        self.condition_limit = condition_limit
         self.health = health if health is not None else []
         self._cond_checked: set = set()
         self._condest_skip_noted = False
@@ -826,8 +842,6 @@ class _StepSolver:
             # one fresh assembly and one undamped solve per step, the
             # seed engine's exact linear behaviour.
             self.strategy = "linear-restamp"
-        elif jacobian == "chord":
-            self.strategy = "chord"
         elif devices is not None and jacobian == "auto":
             if len(devices) == 1:
                 self.strategy = "rank1"
@@ -868,13 +882,7 @@ class _StepSolver:
         if self.predictor is not None:
             self.predictor.probe(time, None if x is None else self._ctrl_diff(x))
 
-    def _full_solve(
-        self,
-        x: np.ndarray,
-        rhs_lin: np.ndarray,
-        time: float,
-        states: Dict[str, object],
-    ) -> np.ndarray:
+    def _full_solve(self, x: np.ndarray, rhs_lin: np.ndarray, time: float) -> np.ndarray:
         """One fully-stamped linearized solve at iterate ``x``.
 
         Dense backend: copy the cached parts, restamp the full-stamp
@@ -884,9 +892,9 @@ class _StepSolver:
         """
         assembly = self.assembly
         if assembly.backend.is_dense:
-            G, rhs = assembly.assemble(x, rhs_lin, time, states)
+            G, rhs = assembly.assemble(x, rhs_lin, time)
             return solve_dense(G, rhs)
-        return assembly.delta_solve(x, rhs_lin, time, states)
+        return assembly.delta_solve(x, rhs_lin, time)
 
     @property
     def lu_refactorizations(self) -> int:
@@ -894,13 +902,7 @@ class _StepSolver:
 
     # -- one time step ------------------------------------------------------
 
-    def step(
-        self,
-        x: np.ndarray,
-        rhs_lin: np.ndarray,
-        time: float,
-        states: Dict[str, object],
-    ) -> np.ndarray:
+    def step(self, x: np.ndarray, rhs_lin: np.ndarray, time: float) -> np.ndarray:
         hook = self.options.fail_hook
         if hook is not None and hook(time, "step", self.assembly.circuit):
             raise self._fail(time, float("inf"))
@@ -910,15 +912,13 @@ class _StepSolver:
             x_new = self.assembly.lu().solve(rhs_lin)
         elif self.strategy == "linear-restamp":
             self.newton_iterations += 1
-            x_new = self._full_solve(x, rhs_lin, time, states)
+            x_new = self._full_solve(x, rhs_lin, time)
         elif self.strategy == "rank1":
-            x_new = self._step_rank1(x, rhs_lin, time, states)
+            x_new = self._step_rank1(x, rhs_lin, time)
         elif self.strategy == "woodbury":
-            x_new = self._step_woodbury(x, rhs_lin, time, states)
-        elif self.strategy == "chord":
-            x_new = self._step_chord(x, rhs_lin, time, states)
+            x_new = self._step_woodbury(x, rhs_lin, time)
         else:
-            x_new = self._step_general(x, rhs_lin, time, states)
+            x_new = self._step_general(x, rhs_lin, time)
         if self.guards and not np.isfinite(x_new).all():
             raise ConvergenceError(
                 f"non-finite step solution at t={time:.4e}",
@@ -968,12 +968,12 @@ class _StepSolver:
                 )
             return
         value = condest()
-        if not np.isfinite(value) or value > self.condition_limit:
+        if not np.isfinite(value) or value > CONDITION_LIMIT:
             self.health.append(
                 HealthReport(
                     "ill_conditioned",
                     f"cached factorization condition estimate {value:.3e} "
-                    f"exceeds limit {self.condition_limit:.1e} "
+                    f"exceeds limit {CONDITION_LIMIT:.1e} "
                     f"(first used at t={time:.4e})",
                     severity="warning",
                     time=time,
@@ -991,17 +991,11 @@ class _StepSolver:
             phase="step",
         )
 
-    def _step_general(
-        self,
-        x: np.ndarray,
-        rhs_lin: np.ndarray,
-        time: float,
-        states: Dict[str, object],
-    ) -> np.ndarray:
+    def _step_general(self, x: np.ndarray, rhs_lin: np.ndarray, time: float) -> np.ndarray:
         options = self.options
         last_delta = np.inf
         for _iteration in range(options.max_iterations):
-            x_new = self._full_solve(x, rhs_lin, time, states)
+            x_new = self._full_solve(x, rhs_lin, time)
             self.newton_iterations += 1
             delta, last_delta = damp_voltage_delta(
                 x_new - x, self.n_nodes, options.max_step
@@ -1011,13 +1005,7 @@ class _StepSolver:
                 return x
         raise self._fail(time, last_delta)
 
-    def _step_rank1(
-        self,
-        x: np.ndarray,
-        rhs_lin: np.ndarray,
-        time: float,
-        states: Dict[str, object],
-    ) -> np.ndarray:
+    def _step_rank1(self, x: np.ndarray, rhs_lin: np.ndarray, time: float) -> np.ndarray:
         """Sherman–Morrison Newton around the cached base factorization.
 
         The Jacobian is always ``G_base + gm*u@v.T``, so every Newton
@@ -1071,7 +1059,7 @@ class _StepSolver:
                 if on_line:
                     x = z_lin - c * w
                     on_line = False
-                x_new = self._full_solve(x, rhs_lin, time, states)
+                x_new = self._full_solve(x, rhs_lin, time)
                 delta, last_delta = damp_voltage_delta(
                     x_new - x, n, options.max_step
                 )
@@ -1106,13 +1094,7 @@ class _StepSolver:
                     return x
         raise self._fail(time, last_delta)
 
-    def _step_woodbury(
-        self,
-        x: np.ndarray,
-        rhs_lin: np.ndarray,
-        time: float,
-        states: Dict[str, object],
-    ) -> np.ndarray:
+    def _step_woodbury(self, x: np.ndarray, rhs_lin: np.ndarray, time: float) -> np.ndarray:
         """Rank-k Newton via the Woodbury identity.
 
         With ``k`` NonlinearVCCS devices the Jacobian is
@@ -1147,7 +1129,7 @@ class _StepSolver:
             except np.linalg.LinAlgError:
                 # Small matrix momentarily singular along the rank-k
                 # directions; fall back to a fully-stamped solve.
-                x_new = self._full_solve(x, rhs_lin, time, states)
+                x_new = self._full_solve(x, rhs_lin, time)
             delta, last_delta = damp_voltage_delta(
                 x_new - x, n, options.max_step
             )
@@ -1155,46 +1137,6 @@ class _StepSolver:
             v_ctrl = assembly.ctrl_project(x)
             if last_delta < _voltage_tol(x, n, options):
                 return x
-        raise self._fail(time, last_delta)
-
-    def _step_chord(
-        self,
-        x: np.ndarray,
-        rhs_lin: np.ndarray,
-        time: float,
-        states: Dict[str, object],
-    ) -> np.ndarray:
-        """Frozen-Jacobian Newton with refactor-on-slow-convergence.
-
-        The frozen LU lives in the active per-``dt`` cache entry, so
-        an adaptive run alternating between a step size and its half
-        keeps one consistent Jacobian per size instead of thrashing a
-        single slot.
-        """
-        options = self.options
-        lu = self.assembly.chord_lu()
-        last_delta = np.inf
-        previous_delta = np.inf
-        for _iteration in range(options.max_iterations):
-            G, rhs = self.assembly.assemble(x, rhs_lin, time, states)
-            if not lu.is_factored:
-                lu.factor(G)
-            residual = G.dot(x) - rhs
-            dx = -lu.solve(residual)
-            self.newton_iterations += 1
-            delta, last_delta = damp_voltage_delta(
-                dx, self.n_nodes, options.max_step
-            )
-            x = x + delta
-            if last_delta < _voltage_tol(x, self.n_nodes, options):
-                return x
-            if last_delta > self.chord_refactor_ratio * previous_delta:
-                # Convergence stalled: the frozen Jacobian has drifted
-                # too far from the current linearization — refresh it.
-                lu.factor(G)
-                previous_delta = np.inf
-            else:
-                previous_delta = last_delta
         raise self._fail(time, last_delta)
 
 
@@ -1231,89 +1173,135 @@ def _resolve_recording(
     return record_indices, recorded_nodes, n_columns
 
 
+def _step_controller(
+    options: TransientOptions,
+    method: IntegrationMethod,
+    dt_initial: float,
+    breakpoints: Sequence[float] = (),
+    order_control: bool = False,
+) -> StepController:
+    """The LTE step controller ``options`` configure, for every engine
+    (and the lockstep stiffness probe)."""
+    return StepController(
+        t_stop=options.t_stop,
+        dt_initial=dt_initial,
+        dt_min=options.resolved_dt_min(),
+        dt_max=options.resolved_dt_max(),
+        method=method,
+        reltol=options.lte_reltol,
+        abstol=options.lte_abstol,
+        max_growth=options.max_step_growth,
+        breakpoints=breakpoints,
+        order_control=order_control,
+    )
+
+
 def _run_fixed(
     options: TransientOptions,
-    assembly: TransientAssembly,
-    solver: _StepSolver,
-    states: Dict[str, object],
+    assembly,
+    solver,
     x: np.ndarray,
     recorder: _RecordingBuffer,
-    certifier: Optional[_Certifier] = None,
-) -> Dict[str, object]:
+    certifier=None,
+    rescue: Optional[_StepRescue] = None,
+    budget: Optional[_RunBudget] = None,
+    steps: Optional[range] = None,
+    skip_mask=None,
+    on_commit=None,
+) -> Tuple[np.ndarray, Dict[str, object]]:
     """The classic uniform grid: t_k = k*dt, every step accepted.
+
+    Serves every engine: ``x`` is one state, or the lockstep engine's
+    ``(S, size)`` stack.  ``steps`` is the range of grid step numbers
+    to take (default: the whole run); the envelope engine runs each
+    burst as a sub-range with the same ``budget`` and ``rescue``, and
+    ``on_commit(x)`` sees every committed step.  A step whose Newton
+    fails quarantines the failed samples and is retried with the
+    survivors (a quarantining solver), climbs the ``rescue`` ladder,
+    or ends the run; ``skip_mask(time)`` names the samples that sit a
+    step out with frozen state.
 
     Multistep methods ramp their order with the committed history
     (the Gear startup policy: first step at order 1, and so on), so
     the same loop serves trap/BE and BDF/Gear; the one-step path
     stays free of any order bookkeeping.
+
+    The caller records the initial point (and feeds it to the solver's
+    predictor) first.  Returns the final iterate and the loop's stats.
     """
-    n_steps = int(round(options.t_stop / options.dt))
+    dt = options.dt
+    if steps is None:
+        steps = range(1, int(round(options.t_stop / dt)) + 1)
     stride = options.record_stride
-    recorder.append(0.0, x)
-    solver.note_commit(0.0, x)
     method = assembly.method
     multistep = method.is_multistep
     target = method.max_order
     order_histogram: Dict[int, int] = {}
-    budget = _RunBudget.for_options(options)
-    rescue = _StepRescue(assembly, options) if options.rescue else None
 
-    def partial_stats(step: int) -> Dict[str, object]:
-        stats: Dict[str, object] = {"steps": step - 1, "t_abort": (step - 1) * options.dt}
+    def loop_stats(step: int) -> Dict[str, object]:
+        stats: Dict[str, object] = {"steps": step - steps.start}
         if multistep:
             stats["order_histogram"] = order_histogram
-        if rescue is not None:
-            stats["rescues"] = rescue.rescues
-            stats["rescue_stages"] = dict(rescue.by_stage)
         return stats
 
-    for step in range(1, n_steps + 1):
-        time = step * options.dt
+    def abort(reason: str, step: int, error=None) -> _RunAbort:
+        stats = loop_stats(step)
+        stats["t_abort"] = (step - 1) * dt
+        return _RunAbort(reason, error=error, stats=stats)
+
+    for step in steps:
+        time = step * dt
         if budget is not None:
             exhausted = budget.charge()
             if exhausted is not None:
-                raise _RunAbort(exhausted, stats=partial_stats(step))
+                raise abort(exhausted, step)
+        if skip_mask is not None:
+            solver.set_skipped(skip_mask(time))
+            solver.skipped_steps[solver.skipped] += 1
         if multistep:
             order = method.usable_order(target, assembly.history_points)
             if order != assembly.order:
-                assembly.set_dt(options.dt, order=order)
+                assembly.set_dt(dt, order=order)
             order_histogram[order] = order_histogram.get(order, 0) + 1
-        rhs_lin = assembly.step_rhs(time, states, x)
-        try:
-            x = solver.step(x, rhs_lin, time, states)
-        except ConvergenceError as exc:
-            health_failure = getattr(exc, "phase", None) == "health"
-            if rescue is None:
-                if health_failure:
-                    raise _RunAbort(
-                        "health", error=exc, stats=partial_stats(step)
-                    )
-                raise
-            if rescue.rescues >= options.max_rescues:
-                raise _RunAbort("max_rescues", error=exc, stats=partial_stats(step))
+        rhs_lin = assembly.step_rhs(time, x)
+        while True:
             try:
-                x = rescue.rescue(x, rhs_lin, time, states)
-            except ConvergenceError as rescue_exc:
-                raise _RunAbort(
-                    "health" if health_failure else "newton",
-                    error=rescue_exc,
-                    stats=partial_stats(step),
-                )
+                x = solver.step(x, rhs_lin, time)
+                break
+            except ConvergenceError as exc:
+                health_failure = getattr(exc, "phase", None) == "health"
+                failed = getattr(exc, "failed_samples", None)
+                if solver.quarantine_enabled and failed:
+                    solver.quarantine(
+                        failed, time, "health" if health_failure else "newton"
+                    )
+                    if solver.quarantined.all():
+                        raise abort("all_quarantined", step, exc)
+                    continue  # retry the same step with the survivors only
+                if rescue is None:
+                    if health_failure:
+                        raise abort("health", step, exc)
+                    raise
+                if rescue.rescues >= options.max_rescues:
+                    raise abort("max_rescues", step, exc)
+                try:
+                    x = rescue.rescue(x, rhs_lin, time)
+                except ConvergenceError as rescue_exc:
+                    raise abort(
+                        "health" if health_failure else "newton", step, rescue_exc
+                    )
+                break
         if certifier is not None:
-            certifier.check_step(x, rhs_lin, time, states)
-        assembly.commit(x, time, states)
+            certifier.check_step(x, rhs_lin, time)
+        assembly.commit(x, time)
         solver.note_commit(time, x)
         if certifier is not None:
             certifier.check_state(x, time)
+        if on_commit is not None:
+            on_commit(x)
         if step % stride == 0:
             recorder.append(time, x)
-    stats: Dict[str, object] = {"steps": n_steps}
-    if multistep:
-        stats["order_histogram"] = order_histogram
-    if rescue is not None:
-        stats["rescues"] = rescue.rescues
-        stats["rescue_stages"] = dict(rescue.by_stage)
-    return stats
+    return x, loop_stats(steps.stop)
 
 
 def _apply_phase(
@@ -1347,26 +1335,42 @@ def _apply_phase(
 
 
 def _run_adaptive(
-    circuit: Circuit,
+    circuits: Sequence[Circuit],
     options: TransientOptions,
-    assembly: TransientAssembly,
-    solver: _StepSolver,
-    states: Dict[str, object],
+    assembly,
+    solver,
     x: np.ndarray,
     recorder: _RecordingBuffer,
-    certifier: Optional[_Certifier] = None,
-) -> Dict[str, object]:
+    certifier=None,
+    rescue: Optional[_StepRescue] = None,
+    budget: Optional[_RunBudget] = None,
+    skip_mask=None,
+) -> Tuple[np.ndarray, Dict[str, object]]:
     """LTE-controlled stepping with step-doubling error estimates.
 
     Each candidate step is solved once at ``dt`` (the probe) and twice
     at ``dt/2``; the Richardson difference decides acceptance and the
     half-step solution — the more accurate of the two — is committed.
     Both step sizes live in the assembly's dt cache, so a revisited
-    size performs no assembly or factorization work at all.
+    size performs no assembly or factorization work at all.  For a
+    lockstep ``(S, size)`` stack the test is the worst unfrozen
+    sample's (:meth:`StepController.error_ratio`), so the shared grid
+    is as fine as the most demanding sample requires.
 
-    With ``options.phases`` the schedule's onsets join the breakpoint
-    list (exact landings) and every accepted step that crosses one
-    triggers a live method switch (:func:`_apply_phase`).
+    Forced step boundaries are the union over ``circuits`` of their
+    stimulus discontinuities, ``options.breakpoints`` and the event
+    times of ``options.breakpoint_sources``.  With ``options.phases``
+    the schedule's onsets join them (exact landings) and every
+    accepted step that crosses one triggers a live method switch
+    (:func:`_apply_phase`).
+
+    Newton failure shrinks the step; at ``dt_min`` it quarantines the
+    failed samples (a quarantining solver), rescues the candidate as
+    one full step (``rescue``), or ends the run.  ``skip_mask(t)``
+    names the samples that sit a candidate out with frozen state.
+
+    The caller records the initial point (and feeds it to the solver's
+    predictor) first.  Returns the final iterate and the loop's stats.
     """
     method = assembly.method
     schedule = options.phases
@@ -1378,43 +1382,39 @@ def _run_adaptive(
         extra_breakpoints = extra_breakpoints + schedule.boundaries()
         if first.dt is not None:
             dt_initial = first.dt
-    controller = StepController(
-        t_stop=options.t_stop,
-        dt_initial=dt_initial,
-        dt_min=options.resolved_dt_min(),
-        dt_max=options.resolved_dt_max(),
-        method=method,
-        reltol=options.lte_reltol,
-        abstol=options.lte_abstol,
-        safety=options.lte_safety,
-        max_growth=options.max_step_growth,
-        breakpoints=collect_breakpoints(
-            circuit,
-            options.t_stop,
-            extra_breakpoints,
-            sources=options.breakpoint_sources or (),
-        ),
-        order_control=options.resolved_order_control(method),
+    breakpoints = set()
+    for circuit in circuits:
+        breakpoints.update(
+            collect_breakpoints(
+                circuit,
+                options.t_stop,
+                extra_breakpoints,
+                sources=options.breakpoint_sources or (),
+            )
+        )
+    controller = _step_controller(
+        options,
+        method,
+        dt_initial,
+        sorted(breakpoints),
+        options.resolved_order_control(method),
     )
     multistep = method.is_multistep
-    n_nodes = circuit.n_nodes
+    n_nodes = assembly.n_nodes
     stride = options.record_stride
-    recorder.append(0.0, x)
-    solver.note_commit(0.0, x)
-    budget = _RunBudget.for_options(options)
-    rescue = _StepRescue(assembly, options) if options.rescue else None
 
-    def abort(reason: str, error: Optional[BaseException] = None) -> _RunAbort:
+    def loop_stats() -> Dict[str, object]:
         stats = controller.stats()
         stats["steps"] = controller.accepted
         stats["dt_cache_entries"] = assembly.n_dt_entries
-        stats["t_abort"] = controller.t
-        if rescue is not None:
-            stats["rescues"] = rescue.rescues
-            stats["rescue_stages"] = dict(rescue.by_stage)
         if schedule is not None:
             stats["phase_switches"] = len(phase_log)
             stats["phases"] = list(phase_log)
+        return stats
+
+    def abort(reason: str, error: Optional[BaseException] = None) -> _RunAbort:
+        stats = loop_stats()
+        stats["t_abort"] = controller.t
         return _RunAbort(reason, error=error, stats=stats)
 
     def accept_point(t_now: float, x_now: np.ndarray) -> None:
@@ -1456,6 +1456,11 @@ def _run_adaptive(
             if exhausted is not None:
                 raise abort(exhausted)
         t_target, dt = controller.propose()
+        if skip_mask is not None:
+            # One skip decision per candidate step (evaluated at the
+            # step's landing time), shared by the probe and halves so
+            # the Richardson pair sees one consistent working set.
+            solver.set_skipped(skip_mask(t_target))
         # The whole candidate (probe + both halves) integrates at one
         # order: the controller's target clamped by committed history.
         order = (
@@ -1466,35 +1471,46 @@ def _run_adaptive(
         # A breakpoint-truncated step has an arbitrary event-driven
         # size: keep it out of the quantized-grid LRU.
         ephemeral = dt != controller.dt
-        snapshot = assembly.snapshot_state(states)
+        snapshot = assembly.snapshot_state()
+        freeze = solver.freeze
         try:
             # Full-step probe (error reference only).
             assembly.set_dt(dt, ephemeral=ephemeral, order=order)
-            rhs_lin = assembly.step_rhs(t_target, states, x)
+            rhs_lin = assembly.step_rhs(t_target, x)
             solver.note_probe()
-            x_full = solver.step(x, rhs_lin, t_target, states)
+            x_full = solver.step(x, rhs_lin, t_target)
             solver.note_probe(t_target, x_full)
             # Two half steps: the solution the engine keeps.
             half = 0.5 * dt
             t_mid = t + half
             assembly.set_dt(half, ephemeral=ephemeral, order=order)
-            rhs_lin = assembly.step_rhs(t_mid, states, x)
-            x_mid = solver.step(x, rhs_lin, t_mid, states)
-            assembly.commit(x_mid, t_mid, states)
-            rhs_lin = assembly.step_rhs(t_target, states, x_mid)
-            x_half = solver.step(x_mid, rhs_lin, t_target, states)
+            rhs_lin = assembly.step_rhs(t_mid, x)
+            x_mid = solver.step(x, rhs_lin, t_mid)
+            assembly.commit(x_mid, t_mid)
+            rhs_lin = assembly.step_rhs(t_target, x_mid)
+            x_half = solver.step(x_mid, rhs_lin, t_target)
         except ConvergenceError as exc:
-            assembly.restore_state(snapshot, states)
+            assembly.restore_state(snapshot)
             health_failure = getattr(exc, "phase", None) == "health"
             # A non-finite solution is not a step-size problem: the
             # same NaN/Inf reappears at any dt, so skip straight to
-            # the rescue ladder instead of grinding down to dt_min.
+            # escalation instead of grinding down to dt_min.
             if not controller.at_dt_floor and not health_failure:
                 controller.reject_nonconvergence()
                 continue
-            # Shrinking is exhausted.  Escalate: rescue the candidate
-            # as a single full step at the proposed size (no LTE test
-            # — the alternative is losing the run), then abort.
+            # Shrinking is exhausted.  Escalate: quarantine the failed
+            # samples so the survivors keep going, or rescue the
+            # candidate as a single full step at the proposed size (no
+            # LTE test — the alternative is losing the run), or abort.
+            failed = getattr(exc, "failed_samples", None)
+            if solver.quarantine_enabled and failed:
+                solver.quarantine(
+                    failed, t, "health" if health_failure else "newton_dt_min"
+                )
+                controller.reset_floor_rejections()
+                if solver.quarantined.all():
+                    raise abort("all_quarantined", error=exc)
+                continue
             if rescue is None:
                 if health_failure:
                     raise abort("health", error=exc)
@@ -1503,51 +1519,152 @@ def _run_adaptive(
                 raise abort("max_rescues", error=exc)
             try:
                 assembly.set_dt(dt, ephemeral=ephemeral, order=order)
-                rhs_lin = assembly.step_rhs(t_target, states, x)
-                x_rescued = rescue.rescue(x, rhs_lin, t_target, states)
+                rhs_lin = assembly.step_rhs(t_target, x)
+                x_half = rescue.rescue(x, rhs_lin, t_target)
             except ConvergenceError as rescue_exc:
-                assembly.restore_state(snapshot, states)
+                assembly.restore_state(snapshot)
                 raise abort(
                     "health" if health_failure else "newton_dt_min",
                     error=rescue_exc,
                 )
-            if certifier is not None:
-                certifier.check_step(x_rescued, rhs_lin, t_target, states)
-            assembly.commit(x_rescued, t_target, states)
-            x = x_rescued
-            controller.accept(t_target, dt, ratio=1.0)
-            accept_point(t_target, x)
-            if controller.accepted % stride == 0:
-                recorder.append(t_target, x)
-            continue
-        ratio = controller.error_ratio(x_full, x_half, n_nodes)
-        if ratio <= 1.0:
-            if certifier is not None:
-                certifier.check_step(x_half, rhs_lin, t_target, states)
-            assembly.commit(x_half, t_target, states)
-            x = x_half
-            if certifier is not None:
-                certifier.check_state(x, t_target)
-            controller.accept(t_target, dt, ratio)
-            accept_point(t_target, x)
-            if controller.accepted % stride == 0:
-                recorder.append(t_target, x)
+            ratio = 1.0
         else:
-            assembly.restore_state(snapshot, states)
-            try:
-                controller.reject(ratio)
-            except SimulationError as exc:
-                # Controller underflow: LTE still failing at dt_min.
-                raise abort("step_underflow", error=exc)
-    stats = controller.stats()
-    stats["steps"] = controller.accepted
-    stats["dt_cache_entries"] = assembly.n_dt_entries
-    if rescue is not None:
-        stats["rescues"] = rescue.rescues
-        stats["rescue_stages"] = dict(rescue.by_stage)
-    if schedule is not None:
-        stats["phase_switches"] = len(phase_log)
-        stats["phases"] = list(phase_log)
+            mask = None if freeze is None else ~freeze
+            ratio = controller.error_ratio(x_full, x_half, n_nodes, mask)
+            if ratio > 1.0:
+                assembly.restore_state(snapshot)
+                try:
+                    controller.reject(ratio)
+                except SimulationError as exc:
+                    # Controller underflow: LTE still failing at dt_min.
+                    # A quarantining solver masks out the samples whose
+                    # estimate is still over tolerance; the shared grid
+                    # then answers only to the survivors.
+                    if not solver.quarantine_enabled:
+                        raise abort("step_underflow", error=exc)
+                    ratios = controller.error_ratio_samples(x_full, x_half, n_nodes)
+                    culprits = np.nonzero((ratios > 1.0) & ~solver.frozen)[0]
+                    if culprits.size == 0:
+                        raise abort("step_underflow", error=exc)
+                    solver.quarantine(culprits, t, "lte_underflow")
+                    controller.reset_floor_rejections()
+                    if solver.quarantined.all():
+                        raise abort("all_quarantined", error=exc)
+                continue
+        if certifier is not None:
+            certifier.check_step(x_half, rhs_lin, t_target)
+        assembly.commit(x_half, t_target)
+        x = x_half
+        if certifier is not None:
+            certifier.check_state(x, t_target)
+        if skip_mask is not None:
+            solver.skipped_steps[solver.skipped] += 1
+        controller.accept(t_target, dt, ratio)
+        accept_point(t_target, x)
+        if controller.accepted % stride == 0:
+            recorder.append(t_target, x)
+    return x, loop_stats()
+
+
+def _setup(circuit: Circuit, options: TransientOptions):
+    """Everything a per-sample run needs before its first step.
+
+    Preflight, backend, initial state (DC operating point or zeros),
+    assembly with seeded integrator state, solver and certifier.
+    Returns ``(x, assembly, solver, certifier, preflight findings,
+    Krylov counter base)``; the solver's ``health`` list is the run's.
+    """
+    size = circuit.prepare()
+    preflight_diags = apply_preflight(
+        circuit, options.preflight, options, analysis="tran"
+    )
+    backend = resolve_backend(options.backend, size)
+    # Krylov iteration diagnostics cover this run only, even when the
+    # caller shares one stateful backend instance across runs.
+    krylov_base = (
+        backend.counters() if isinstance(backend, KrylovBackend) else None
+    )
+
+    if options.use_dc_operating_point:
+        op = solve_dc(circuit, options=options.newton, backend=backend)
+        x = op.x.copy()
+    else:
+        x = np.zeros(circuit.size)
+
+    method = options.resolved_method()
+    assembly = TransientAssembly(
+        circuit,
+        options.dt,
+        method,
+        options.newton.gmin,
+        max_dt_entries=options.dt_cache_size,
+        backend=backend,
+    )
+    assembly.init_state(x)
+    needs_history = method.is_multistep or (
+        options.phases is not None
+        and any(
+            p.resolved_method().is_multistep for p in options.phases.phases
+        )
+    )
+    if needs_history and assembly.states:
+        # Generic integrator states are scalar (one previous point);
+        # only the vectorized plain-capacitor/inductor path carries
+        # the committed history a multistep formula needs.
+        raise SimulationError(
+            f"method={method.name!r} requires plain Capacitor/Inductor "
+            "reactive elements; components "
+            f"{sorted(assembly.states)} keep generic one-step integrator state"
+        )
+
+    health: List[HealthReport] = []
+    solver = _StepSolver(
+        assembly,
+        options.newton,
+        options.jacobian,
+        guards=options.guards,
+        health=health,
+    )
+    certifier = (
+        _Certifier(assembly, options, health) if options.certify else None
+    )
+    return x, assembly, solver, certifier, preflight_diags, krylov_base
+
+
+def _health_stats(
+    options: TransientOptions, health: list, certifier, preflight_diags
+) -> Dict[str, object]:
+    """The stats keys of the opt-in health layers, for every engine."""
+    stats: Dict[str, object] = {}
+    if options.guards or options.certify:
+        stats["health"] = health
+        if certifier is not None:
+            stats["certified_steps"] = certifier.checked
+    if options.preflight != "off":
+        stats["preflight"] = preflight_diags
+    return stats
+
+
+def _engine_stats(
+    options: TransientOptions,
+    assembly: TransientAssembly,
+    solver: _StepSolver,
+    certifier: Optional[_Certifier],
+    preflight_diags: list,
+    krylov_base: Optional[dict],
+) -> Dict[str, object]:
+    """A per-sample run's engine stats (what :func:`_setup` built)."""
+    stats: Dict[str, object] = {
+        "strategy": solver.strategy,
+        "backend": assembly.backend.name,
+        "step_control": options.step_control,
+        "newton_iterations": solver.newton_iterations,
+        "lu_refactorizations": solver.lu_refactorizations,
+    }
+    if krylov_base is not None:
+        now = assembly.backend.counters()
+        stats["krylov"] = {k: now[k] - krylov_base[k] for k in now}
+    stats.update(_health_stats(options, solver.health, certifier, preflight_diags))
     return stats
 
 
@@ -1589,139 +1706,40 @@ def run_transient(circuit: Circuit, options: Optional[TransientOptions] = None) 
       ``stats["health"]``.
     """
     options = options or TransientOptions()
-    size = circuit.prepare()
-    preflight_diags = apply_preflight(
-        circuit, options.preflight, options, analysis="tran"
+    x, assembly, solver, certifier, preflight_diags, krylov_base = _setup(
+        circuit, options
     )
-
-    backend = resolve_backend(options.backend, size)
-    if options.jacobian == "chord" and not backend.is_dense:
-        # The chord strategy freezes a fully-stamped dense Jacobian;
-        # honour an explicit non-dense request — the "sparse" string
-        # or a caller-constructed MatrixBackend instance — with a
-        # clear error, and quietly keep "auto" on the always-correct
-        # dense path.
-        if options.backend in ("sparse", "krylov") or isinstance(
-            options.backend, MatrixBackend
-        ):
-            raise SimulationError(
-                "jacobian='chord' requires the dense backend; use "
-                "backend='dense' (or 'auto') with chord mode"
-            )
-        backend = resolve_backend("dense", size)
-
-    # Krylov iteration diagnostics cover this run only, even when the
-    # caller shares one stateful backend instance across runs.
-    krylov_base = (
-        backend.counters() if isinstance(backend, KrylovBackend) else None
-    )
-
-    if options.use_dc_operating_point:
-        op = solve_dc(circuit, options=options.newton, backend=backend)
-        x = op.x.copy()
-    else:
-        x = np.zeros(circuit.size)
-
-    method = options.resolved_method()
-    assembly = TransientAssembly(
-        circuit,
-        options.dt,
-        method,
-        options.newton.gmin,
-        max_dt_entries=options.dt_cache_size,
-        backend=backend,
-    )
-    assembly.reactive.init_state(x)
-    states: Dict[str, object] = {}
-    for component in circuit:
-        if component.name in assembly.vectorized_names:
-            continue
-        state = component.init_state(x)
-        if state is not None:
-            states[component.name] = state
-    needs_history = method.is_multistep or (
-        options.phases is not None
-        and any(
-            p.resolved_method().is_multistep for p in options.phases.phases
-        )
-    )
-    if needs_history and states:
-        # Generic integrator states are scalar (one previous point);
-        # only the vectorized plain-capacitor/inductor path carries
-        # the committed history a multistep formula needs.
-        raise SimulationError(
-            f"method={method.name!r} requires plain Capacitor/Inductor "
-            "reactive elements; components "
-            f"{sorted(states)} keep generic one-step integrator state"
-        )
-
-    health: List[HealthReport] = []
-    solver = _StepSolver(
-        assembly,
-        options.newton,
-        options.jacobian,
-        options.chord_refactor_ratio,
-        guards=options.guards,
-        condition_limit=options.condition_limit,
-        health=health,
-    )
-    certifier = (
-        _Certifier(assembly, options, health) if options.certify else None
-    )
-
     record_indices, recorded_nodes, n_columns = _resolve_recording(
         circuit, options
     )
-    if options.step_control == "fixed":
-        capacity = _fixed_record_count(options)
-    else:
-        # Capacity guess: the run at its initial step size; the buffer
-        # doubles if the controller ends up taking smaller steps.
-        capacity = int(options.t_stop / options.dt) // options.record_stride + 2
-    recorder = _RecordingBuffer(n_columns, capacity, record_indices)
-
+    recorder = _RecordingBuffer(
+        (n_columns,), _record_capacity(options), record_indices
+    )
+    rescue = _StepRescue(assembly, options) if options.rescue else None
+    budget = _RunBudget.for_options(options)
+    recorder.append(0.0, x)
+    solver.note_commit(0.0, x)
     try:
         if options.step_control == "fixed":
-            run_stats = _run_fixed(
-                options, assembly, solver, states, x, recorder, certifier
+            _, run_stats = _run_fixed(
+                options, assembly, solver, x, recorder, certifier, rescue, budget
             )
         else:
-            run_stats = _run_adaptive(
-                circuit, options, assembly, solver, states, x, recorder, certifier
+            _, run_stats = _run_adaptive(
+                [circuit], options, assembly, solver, x, recorder, certifier,
+                rescue, budget,
             )
     except _RunAbort as abort:
-        if options.on_abort == "raise":
-            if abort.error is not None:
-                raise abort.error
-            raise SimulationError(
-                f"transient aborted: {abort.reason} budget exhausted at "
-                f"t={abort.stats.get('t_abort', 0.0):.4e}"
-            )
-        run_stats = dict(abort.stats)
-        run_stats["abort_reason"] = abort.reason
-        run_stats["completed"] = False
-        if abort.error is not None:
-            run_stats["abort_error"] = str(abort.error)
+        run_stats = abort.translate(options.on_abort)
+    if rescue is not None:
+        run_stats.update(rescue.stats())
 
     times, records = recorder.arrays()
     if certifier is not None:
         certifier.check_grid(times, options)
-    stats: Dict[str, object] = {
-        "strategy": solver.strategy,
-        "backend": assembly.backend.name,
-        "step_control": options.step_control,
-        "newton_iterations": solver.newton_iterations,
-        "lu_refactorizations": solver.lu_refactorizations,
-    }
-    if krylov_base is not None:
-        now = backend.counters()
-        stats["krylov"] = {k: now[k] - krylov_base[k] for k in now}
-    if options.guards or options.certify:
-        stats["health"] = health
-        if certifier is not None:
-            stats["certified_steps"] = certifier.checked
-    if options.preflight != "off":
-        stats["preflight"] = preflight_diags
+    stats = _engine_stats(
+        options, assembly, solver, certifier, preflight_diags, krylov_base
+    )
     stats.update(run_stats)
     return TransientResult(
         circuit=circuit,

@@ -270,23 +270,6 @@ class TestSparseMatchesDense:
                 rs.x, rd.x, rtol=1e-9, atol=1e-9 * scale
             )
 
-    def test_chord_explicit_sparse_rejected_auto_falls_back(self):
-        pytest.importorskip("scipy")
-        options = _options("sparse", "fixed")
-        options.jacobian = "chord"
-        with pytest.raises(SimulationError, match="chord"):
-            run_transient(_general_circuit(), options)
-        # An explicitly constructed backend *instance* is just as
-        # explicit as the string: it must not be silently replaced.
-        options_inst = _options(SparseBackend(), "fixed")
-        options_inst.jacobian = "chord"
-        with pytest.raises(SimulationError, match="chord"):
-            run_transient(_general_circuit(), options_inst)
-        options_auto = _options("auto", "fixed")
-        options_auto.jacobian = "chord"
-        result = run_transient(_general_circuit(), options_auto)
-        assert result.stats["backend"] == "dense"
-
 
 class TestSparseSingularDegradation:
     def test_singular_system_falls_back_to_lstsq(self):

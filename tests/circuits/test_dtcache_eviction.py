@@ -153,9 +153,9 @@ class TestSetupKeying:
         for step, order in ((1, None), (2, 2), (3, 2)):
             if order is not None:
                 assembly.set_dt(1e-9, order=order)
-            rhs = assembly.step_rhs(step * 1e-9, {}, x)
+            rhs = assembly.step_rhs(step * 1e-9, x)
             x = assembly.lu().solve(rhs)
-            assembly.commit(x, step * 1e-9, {})
+            assembly.commit(x, step * 1e-9)
         r = assembly.reactive
         h_len = r.h_len
         assert h_len >= 2
@@ -173,7 +173,7 @@ class TestSetupKeying:
         new_weights = r.step_weights(assembly._active.coeffs)
         assert not np.array_equal(new_weights[0], old_weights[0])
         # ...and the upgraded assembly keeps integrating.
-        rhs = assembly.step_rhs(4e-9, {}, x)
+        rhs = assembly.step_rhs(4e-9, x)
         x = assembly.lu().solve(rhs)
-        assembly.commit(x, 4e-9, {})
+        assembly.commit(x, 4e-9)
         assert np.isfinite(x).all()

@@ -409,9 +409,9 @@ class TestHistoryRollback:
         )
 
     def _commit_step(self, assembly, time, x):
-        rhs = assembly.step_rhs(time, {}, x)
+        rhs = assembly.step_rhs(time, x)
         x_new = assembly.lu().solve(rhs)
-        assembly.commit(x_new, time, {})
+        assembly.commit(x_new, time)
         return x_new
 
     def test_snapshot_restore_round_trip_exact(self):
@@ -422,8 +422,7 @@ class TestHistoryRollback:
         assembly.set_dt(0.5e-8, order=2)
         x = self._commit_step(assembly, 1.5e-8, x)
         x = self._commit_step(assembly, 2.0e-8, x)
-        states = {}
-        snapshot = assembly.snapshot_state(states)
+        snapshot = assembly.snapshot_state()
         before = self._full_state(assembly)
         assert before[6] >= 2  # genuine multistep history in play
 
@@ -435,7 +434,7 @@ class TestHistoryRollback:
         assert after[2] != before[2]
 
         # ...and restore undoes every part of it bit-for-bit.
-        assembly.restore_state(snapshot, states)
+        assembly.restore_state(snapshot)
         restored = self._full_state(assembly)
         for a, b in zip(before, restored):
             if isinstance(a, np.ndarray):

@@ -190,7 +190,7 @@ def spy(monkeypatch) -> List[Event]:
         log.append(Event("push", t))
         push(self, t, v)
 
-    def spy_step(self, x, rhs_lin, time, states):
+    def spy_step(self, x, rhs_lin, time):
         device = self._device
         linearize = device.linearize
         first: List[float] = []
@@ -203,7 +203,7 @@ def spy(monkeypatch) -> List[Event]:
         predicted = self.predictor.predict(time)
         device.linearize = first_linearize
         try:
-            return step_rank1(self, x, rhs_lin, time, states)
+            return step_rank1(self, x, rhs_lin, time)
         finally:
             del device.linearize
             log.append(Event("step", time, predicted, self._ctrl_diff(x), first[0]))

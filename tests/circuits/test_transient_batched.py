@@ -289,7 +289,7 @@ class TestIncompatibility:
         with pytest.raises(BatchIncompatible):
             run_transient_batched(
                 [build_oscillator(1.0)],
-                TransientOptions(t_stop=1e-6, dt=1e-9, jacobian="chord"),
+                TransientOptions(t_stop=1e-6, dt=1e-9, jacobian="full"),
             )
 
     def test_empty_batch(self):
