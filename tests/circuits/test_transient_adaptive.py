@@ -10,7 +10,7 @@ frequency, point-wise error against the LTE tolerance).
 import numpy as np
 import pytest
 
-from repro.analysis import envelope_by_peaks, oscillation_frequency
+from repro.analysis import oscillation_frequency
 from repro.circuits import (
     Circuit,
     TransientOptions,
@@ -113,6 +113,18 @@ class TestLinearAdaptive:
         assert stats["lu_refactorizations"] >= 1
 
 
+def fitted_amplitude(wave, t_stop):
+    """Fundamental amplitude over the last two cycles: least squares on
+    sin, cos and offset columns at the frequency of the run's second
+    half."""
+    frequency = oscillation_frequency(wave.window(0.5 * t_stop, t_stop))
+    window = wave.window(t_stop - 2 / frequency, t_stop)
+    phase = 2 * np.pi * frequency * window.t
+    basis = np.column_stack([np.sin(phase), np.cos(phase), np.ones_like(phase)])
+    coef, *_ = np.linalg.lstsq(basis, window.y, rcond=None)
+    return float(np.hypot(coef[0], coef[1]))
+
+
 class TestFig16Adaptive:
     @pytest.fixture(scope="class")
     def runs(self):
@@ -127,10 +139,13 @@ class TestFig16Adaptive:
         return adaptive, fine, t_stop
 
     def test_envelope_amplitude_within_one_percent(self, runs):
-        adaptive, fine, _ = runs
-        env_a = envelope_by_peaks(adaptive.differential)
-        env_f = envelope_by_peaks(fine.differential)
-        assert env_a.y[-1] == pytest.approx(env_f.y[-1], rel=0.01)
+        # A least-squares fundamental, not raw sample peaks: at about
+        # ten points per cycle the adaptive grid's peaks read where its
+        # samples land, up to 2% low on a more accurate run.
+        adaptive, fine, t_stop = runs
+        amp_a = fitted_amplitude(adaptive.differential, t_stop)
+        amp_f = fitted_amplitude(fine.differential, t_stop)
+        assert amp_a == pytest.approx(amp_f, rel=0.01)
 
     def test_frequency_within_one_percent(self, runs):
         adaptive, fine, t_stop = runs
