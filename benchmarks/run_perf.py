@@ -328,6 +328,7 @@ def bench_supply_loss_adaptive(cycles: int = 400) -> dict:
         "steps_fixed": fixed.stats["steps"],
         "steps_adaptive": adaptive.stats["steps"],
         "step_ratio": fixed.stats["steps"] / adaptive.stats["steps"],
+        "optimized_solves": adaptive.stats["solves"],
         "amplitude_error": amp_error,
         "frequency_error": freq_error,
         "post_fault_amplitude_fixed": post_f,
@@ -424,6 +425,7 @@ def bench_supply_loss_gear(cycles: int = 400) -> dict:
         "steps_trap": trap.stats["accepted_steps"],
         "steps_gear": gear.stats["accepted_steps"],
         "optimized_steps": gear.stats["accepted_steps"],
+        "optimized_solves": gear.stats["solves"],
         "step_ratio": step_ratio,
         "rejected_trap": trap.stats["rejected_steps"],
         "rejected_gear": gear.stats["rejected_steps"],
@@ -609,6 +611,7 @@ def bench_supply_loss_envelope(cycles: int = 400) -> dict:
         "steps_trap": trap.stats["accepted_steps"],
         "steps_phased": phased.stats["accepted_steps"],
         "optimized_steps": phased.stats["accepted_steps"],
+        "optimized_solves": phased.stats["solves"],
         "step_ratio": step_ratio,
         "settle_steps_trap": settle_trap,
         "settle_steps_phased": settle_phased,
@@ -953,6 +956,7 @@ def bench_coil_mesh_krylov(nx: int = 50, periods: int = 8) -> dict:
         "optimized_lu_refactorizations": lu_krylov,
         "optimized_newton_iterations": krylov.stats["newton_iterations"],
         "optimized_steps": krylov.stats["steps"],
+        "optimized_solves": krylov.stats["solves"],
         "optimized_krylov_iterations": counters["iterations"],
         "krylov_solves": counters["solves"],
         "krylov_refreshes": counters["refreshes"],
@@ -1049,6 +1053,7 @@ _RATIO_METRICS = (
 _WORK_METRICS = (
     "optimized_newton_iterations",
     "optimized_steps",
+    "optimized_solves",
     "optimized_lu_refactorizations",
     "optimized_krylov_iterations",
 )

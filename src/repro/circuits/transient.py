@@ -828,6 +828,9 @@ class _StepSolver:
         self.options = options
         self.n_nodes = assembly.n_nodes
         self.newton_iterations = 0
+        #: Solves of the MNA system (cached-LU or fully stamped), for
+        #: every strategy; a linear run takes one per step.
+        self.solves = 0
         self.guards = guards
         self.health = health if health is not None else []
         self._cond_checked: set = set()
@@ -890,6 +893,7 @@ class _StepSolver:
         Sparse backend: the same equations via the assembly's low-rank
         delta update around the cached sparse LU — no refactorization.
         """
+        self.solves += 1
         assembly = self.assembly
         if assembly.backend.is_dense:
             G, rhs = assembly.assemble(x, rhs_lin, time)
@@ -909,6 +913,7 @@ class _StepSolver:
         if self.guards:
             self._guard_conditioning(time)
         if self.strategy == "linear":
+            self.solves += 1
             x_new = self.assembly.lu().solve(rhs_lin)
         elif self.strategy == "linear-restamp":
             self.newton_iterations += 1
@@ -1034,6 +1039,7 @@ class _StepSolver:
         w, vw, w_vmax = self.assembly.rank1_data()
         n = self.n_nodes
         max_step = options.max_step
+        self.solves += 1
         z_lin = self.assembly.lu().solve(rhs_lin)
         zl_c = self._ctrl_diff(z_lin)
         x_v = x[:n]
@@ -1111,6 +1117,7 @@ class _StepSolver:
         n = self.n_nodes
         lu = assembly.lu()
         WU, VWU = assembly.woodbury_data()
+        self.solves += 1
         z_lin = lu.solve(rhs_lin)
         gms = np.empty(k)
         ieqs = np.empty(k)
@@ -1659,6 +1666,7 @@ def _engine_stats(
         "backend": assembly.backend.name,
         "step_control": options.step_control,
         "newton_iterations": solver.newton_iterations,
+        "solves": solver.solves,
         "lu_refactorizations": solver.lu_refactorizations,
     }
     if krylov_base is not None:
