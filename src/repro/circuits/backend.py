@@ -960,13 +960,19 @@ class KrylovBackend(MatrixBackend):
       against its old anchor — entry churn costs no factorization.
 
     ``tol`` is the relative residual of the iterative solves, measured
-    in the *preconditioned* norm ``||M^-1 (b - A x)|| <= tol *
-    ||M^-1 b||`` — companion matrices mix nH inductor branches with nF
+    in the *preconditioned* norm against the largest entry of the
+    preconditioned right-hand side, ``||M^-1 (b - A x)||_2 <= tol *
+    max|M^-1 b|`` — companion matrices mix nH inductor branches with nF
     capacitor nodes, so the raw residual norm is dominated by rounding
-    long before the iterate stops improving.  The default 1e-8 sits
-    just above that rounding floor and keeps transient waveforms
-    equivalent to the direct sparse path well past the 1e-6 level the
-    mesh benches assert; tightening it mostly buys refresh churn, not
+    long before the iterate stops improving.  The max-norm reference
+    bounds every unknown's correction by ``tol`` times the largest
+    unknown whatever the system size; against ``||M^-1 b||_2`` the
+    bound per unknown would loosen as the square root of the unknown
+    count (about 100x on a 12k-unknown mesh), and an adaptive run
+    commits half steps on a fresh step size straight from these
+    iterations.  The default 1e-8 keeps transient waveforms equivalent
+    to the direct sparse path well past the 1e-6 level the mesh
+    benches assert; tightening it mostly buys refresh churn, not
     accuracy.
     """
 
@@ -1158,8 +1164,9 @@ class KrylovBackend(MatrixBackend):
         unit disk around 1.
 
         Convergence is measured on the *preconditioned* residual
-        ``||M^-1 (b - A x)|| <= tol * ||M^-1 b||`` — the same norm
-        scipy's solvers monitor.  MNA companion matrices mix nH
+        ``||M^-1 (b - A x)||_2 <= tol * max|M^-1 b|`` — the norm
+        scipy's solvers monitor, against the largest unknown (see the
+        class docstring).  MNA companion matrices mix nH
         inductor branches with nF capacitor nodes, so their raw
         condition numbers put ``tol * ||b||`` in the true-residual
         norm below what double precision can reach at all; the
@@ -1179,17 +1186,18 @@ class KrylovBackend(MatrixBackend):
         npb = float(np.linalg.norm(x))  # = ||M^-1 b||
         if npb == 0.0 or not np.isfinite(npb):
             return np.zeros(n, dtype=dtype), 1, npb == 0.0
+        limit = tol * float(np.abs(x).max())
         pr = np.asarray(precond(b - matvec(x)), dtype=dtype)
         applies = 2
         rn = float(np.linalg.norm(pr))
         prev = np.inf
-        while rn > tol * npb and rn < 0.5 * prev and applies <= self.max_refine:
+        while rn > limit and rn < 0.5 * prev and applies <= self.max_refine:
             x += pr
             prev = rn
             pr = np.asarray(precond(b - matvec(x)), dtype=dtype)
             applies += 1
             rn = float(np.linalg.norm(pr))
-        if rn <= tol * npb and np.isfinite(rn):
+        if rn <= limit and np.isfinite(rn):
             return x, applies, True
         op = _spla.LinearOperator((n, n), matvec=matvec, dtype=dtype)
         prec_op = _spla.LinearOperator((n, n), matvec=precond, dtype=dtype)
@@ -1202,7 +1210,7 @@ class KrylovBackend(MatrixBackend):
                 b,
                 x0=x,
                 M=prec_op,
-                rtol=tol,
+                rtol=limit / npb,
                 atol=0.0,
                 maxiter=self.max_iterations,
                 callback=lambda _xk: count.__setitem__(0, count[0] + 1),
@@ -1215,7 +1223,7 @@ class KrylovBackend(MatrixBackend):
                 b,
                 x0=x,
                 M=prec_op,
-                rtol=tol,
+                rtol=limit / npb,
                 atol=0.0,
                 restart=restart,
                 maxiter=max(1, self.max_iterations // restart),
@@ -1233,7 +1241,7 @@ class KrylovBackend(MatrixBackend):
             prk = precond(b - matvec(xk))
             applies += 1
             rnk = float(np.linalg.norm(prk))
-            if rnk <= tol * npb and np.isfinite(rnk):
+            if rnk <= limit and np.isfinite(rnk):
                 return np.asarray(xk, dtype=dtype), applies, True
             fallback = xk
         else:

@@ -24,8 +24,9 @@ time loop advances every sample together,
 * the per-sample engine's Newton predictor on ``(S,)`` arrays: every
   rank-1 step starts on the Sherman–Morrison line at the quadratic
   extrapolation of each sample's control voltage through the last
-  three committed points (the adaptive half steps also through the
-  candidate's full-step probe), and from ``x_n`` after the run start
+  three committed points (an adaptive candidate's half steps also
+  through its full-step probe, where it takes one), and from ``x_n``
+  after the run start
   or a crossed breakpoint, where the predictor restarts;
 * vectorized companion-state updates: capacitor/inductor integrator
   state lives in ``(S, m)`` arrays and one gather/scatter advances

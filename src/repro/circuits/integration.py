@@ -135,9 +135,10 @@ class IntegrationMethod:
         raise NotImplementedError
 
     def error_constant(self, order: int) -> float:
-        """Leading LTE constant ``C_{p+1}`` (diagnostic; the adaptive
-        controller's step-doubling Richardson estimate does not need
-        it, but order-control heuristics and tests do)."""
+        """Leading LTE constant ``C_{p+1}``: a step of size ``h`` leaves
+        ``C·h^{p+1}·x^{(p+1)}``.  The adaptive loop's history estimate
+        (:func:`~repro.circuits.stepcontrol.lte_weights`) scales its
+        divided differences by it."""
         raise NotImplementedError
 
     def history_depth(self, order: int) -> int:

@@ -94,8 +94,10 @@ class NewtonPredictor:
     ``probe`` lends an adaptive candidate's full-step solution to its
     two half steps as a provisional newest point: the first half step
     then *interpolates* through it, and the second (at the probe's own
-    time) starts from the probe's value.  ``push`` (a commit) and
-    ``reset`` withdraw it.
+    time) starts from the probe's value.  Only candidates that solve
+    the probe have one to lend: those after a restart or a rejection
+    (the others estimate their LTE from history).  ``push`` (a commit)
+    and ``reset`` withdraw it.
     """
 
     __slots__ = ("_t", "_v", "_probe")

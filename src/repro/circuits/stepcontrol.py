@@ -10,14 +10,20 @@ local truncation error (LTE) of every accepted step.
 
 Design
 ------
-* **LTE estimate by step doubling.**  Each candidate step of size
-  ``dt`` is solved twice: once as a full step and once as two half
-  steps.  For an integrator of order ``p`` (trapezoidal: 2, backward
-  Euler: 1, BDF at its active order) the difference between the two
-  results estimates the LTE of the half-step solution as
-  ``|x_full - x_half| / (2^p - 1)`` (Richardson).  The half-step
-  solution — the more accurate one — is what the engine keeps on
-  acceptance.
+* **LTE estimate by step doubling, from history.**  Each candidate
+  step of size ``dt`` is taken as two half steps, the solution the
+  engine keeps on acceptance.  For an integrator of order ``p``
+  (trapezoidal: 2, backward Euler: 1, BDF at its active order) their
+  error is ``|x_full - x_half| / (2^p - 1)`` to leading order, where
+  ``x_full`` is the same step solved whole (Richardson).  Instead of
+  that third solve, :class:`LteHistory` estimates each half step's LTE
+  as ``C·h^{p+1}·(p+1)!`` times the divided difference over its
+  corrector and the last ``p + 1`` committed states (Milne's estimate
+  in the SPICE2 form; :func:`lte_weights`), and hands the controller
+  the ``x_full`` that sum implies.  The engine solves the full step
+  only where history cannot stand in: fewer than ``p + 2`` points
+  since a restart (run start, breakpoint, phase switch), or the
+  retry after a rejection.
 * **Order control (variable-order Gear).**  When the integration
   method spans several orders and ``order_control`` is on, the
   controller also decides the *target order* of each candidate on the
@@ -62,10 +68,12 @@ from ..errors import SimulationError
 from .integration import IntegrationMethod, resolve_method
 
 __all__ = [
+    "LteHistory",
     "Phase",
     "PhaseSchedule",
     "StepController",
     "collect_breakpoints",
+    "lte_weights",
     "stiffness_bins",
 ]
 
@@ -263,6 +271,155 @@ class PhaseSchedule:
         return moved
 
 
+def lte_weights(nodes: Sequence[float], order: int, constant: float) -> List[float]:
+    """Milne's LTE estimate of one step, as weights on its states.
+
+    ``nodes`` are ``order + 2`` times, newest first: the step's landing
+    time ``t_new``, the time ``t_n`` it departs from, and ``order``
+    older committed times.  An order-``p`` step of size
+    ``h = t_new - t_n`` leaves the local truncation error
+    ``C·h^{p+1}·x^{(p+1)}`` (``C`` is :meth:`~repro.circuits.
+    integration.IntegrationMethod.error_constant`), and
+    ``(p+1)!·x[t_new, t_n, ..., t_{n-p}]`` is the divided-difference
+    estimate of the derivative (the SPICE2 form; L. W. Nagel, 1975).
+    The return value ``w`` gives that LTE as ``sum(w[i] * x(nodes[i]))``.
+
+    Scalar arithmetic on the shared step times: every sample of a
+    lockstep batch gets the same weights, so the estimate does not
+    depend on the batch it runs in.
+    """
+    t_new = nodes[0]
+    h = t_new - nodes[1]
+    scale = constant * math.factorial(order + 1)
+    weights = []
+    for i, t_i in enumerate(nodes):
+        w = scale
+        for j, t_j in enumerate(nodes):
+            if j != i:
+                w *= h / (t_i - t_j)
+        weights.append(w)
+    return weights
+
+
+#: Cached weight vectors per history: a run revisits a handful of step
+#: patterns; breakpoint-truncated steps add one-off ones.
+_WEIGHT_CACHE_SIZE = 256
+
+
+class LteHistory:
+    """Committed states of an adaptive run, for the history LTE estimate.
+
+    A ring of ``depth + 3`` state rows (one state, or a lockstep
+    ``(S, size)`` stack, per row): ``depth + 1`` committed points, the
+    most an order-``depth`` estimate reads, and two slots where a
+    candidate's half steps land, so accepting it (:meth:`advance`)
+    copies nothing.  Each slot also keeps the step that reached it;
+    the estimate's node spacings are those steps, exactly as the
+    integrator took them.
+
+    Rows keep only the ``columns`` that carry truncation error (a 0/1
+    mask over the state vector): a node a voltage source pins, or a
+    node no reactive element touches, follows the stimulus exactly,
+    and its divided differences would read the stimulus's derivatives
+    as integration error.
+    """
+
+    __slots__ = ("rows", "steps", "head", "points", "columns", "_views", "_weights")
+
+    def __init__(self, x: np.ndarray, depth: int, columns: np.ndarray):
+        n_rows = depth + 3
+        # Zeros, not garbage: a slot the estimate weights by zero must
+        # hold a finite value.
+        self.rows = np.zeros((n_rows,) + x.shape)
+        self._views = list(self.rows)
+        self.steps = [0.0] * n_rows
+        self.columns = columns
+        self._weights: Dict[tuple, np.ndarray] = {}
+        self.restart(x)
+
+    def restart(self, x: np.ndarray) -> None:
+        """Forget every point but ``x``: the solution may jump here
+        (run start, crossed breakpoint, phase switch)."""
+        self.head = 0
+        self.points = 0
+        self.push(x, 0.0)
+
+    def push(self, x: np.ndarray, step: float) -> None:
+        """Commit one point, reached by a step of size ``step``."""
+        self.head = head = (self.head + 1) % len(self.steps)
+        np.multiply(x, self.columns, out=self._views[head])
+        self.steps[head] = step
+        self.points += 1
+
+    def covers(self, order: int) -> bool:
+        """Whether the committed points since the last restart carry
+        an order-``order`` estimate: ``order + 2`` of them.  The
+        estimate reads ``order + 1``; the spare keeps the restart point
+        out, which may sit off the new segment's trajectory (a source
+        that steps there, or an initial state the sources contradict)."""
+        return self.points > order + 1
+
+    def full_step(
+        self,
+        x_mid: np.ndarray,
+        x_new: np.ndarray,
+        half: float,
+        order: int,
+        constant: float,
+    ) -> np.ndarray:
+        """The full-step solution that step doubling would compare the
+        half steps ``x_mid``, ``x_new`` (each of size ``half``) against,
+        from history.
+
+        Each half step's LTE is :func:`lte_weights` over its corrector
+        and the committed points before it.  Their sum estimates the
+        two-half-step error that Richardson reads off
+        ``(x_full - x_new) / (2^p - 1)``, so the return value is
+        ``x_new + (2^p - 1)·(LTE_1 + LTE_2)``: one weighted sum over
+        the ring, and :meth:`StepController.error_ratio` applies
+        unchanged.
+        """
+        steps = self.steps
+        n_rows = len(steps)
+        head = self.head
+        mid = (head + 1) % n_rows
+        new = (head + 2) % n_rows
+        views = self._views
+        np.multiply(x_mid, self.columns, out=views[mid])
+        np.multiply(x_new, self.columns, out=views[new])
+        steps[mid] = steps[new] = half
+        past = [(head - k) % n_rows for k in range(order + 1)]
+        key = (constant, order, head, half, *[steps[k] for k in past[:-1]])
+        weights = self._weights.get(key)
+        if weights is None:
+            weights = self._weigh(key, [new, mid] + past)
+        return x_new + np.add.reduce(weights * self.rows, axis=0)
+
+    def _weigh(self, key: tuple, slots: List[int]) -> np.ndarray:
+        """The ring-ordered weights of :meth:`full_step` for ``key``."""
+        constant, order = key[0], key[1]
+        # Node times relative to the new point, newest first, from the
+        # steps that reached each slot.
+        times = [0.0]
+        for k in slots[:-1]:
+            times.append(times[-1] - self.steps[k])
+        gain = float(2 ** order - 1)
+        weights = [0.0] * len(self.steps)
+        for nodes in (slice(1, None), slice(0, -1)):
+            for k, w in zip(slots[nodes], lte_weights(times[nodes], order, constant)):
+                weights[k] += gain * w
+        if len(self._weights) >= _WEIGHT_CACHE_SIZE:
+            self._weights.clear()
+        array = np.array(weights).reshape((-1,) + (1,) * (self.rows.ndim - 1))
+        self._weights[key] = array
+        return array
+
+    def advance(self) -> None:
+        """Commit the two half steps :meth:`full_step` last wrote."""
+        self.head = (self.head + 2) % len(self.steps)
+        self.points += 2
+
+
 def stiffness_bins(
     ratios: Sequence[float],
     n_bins: int,
@@ -308,7 +465,8 @@ class StepController:
 
         while not controller.finished:
             t_target, dt = controller.propose()
-            ...solve full step and two half steps to t_target...
+            ...solve two half steps to t_target, and the full step
+            (or its history equivalent, LteHistory.full_step)...
             ratio = controller.error_ratio(x_full, x_half, n_nodes)
             if ratio <= 1.0:
                 controller.accept(t_target, dt, ratio)
@@ -399,6 +557,10 @@ class StepController:
 
     def _set_lte_order(self, order: int) -> None:
         p = self.method.lte_order(order)
+        #: The candidate's LTE order ``p`` and leading error constant,
+        #: for the history estimate (:meth:`LteHistory.full_step`).
+        self.lte_order = p
+        self.error_constant = self.method.error_constant(order)
         self._err_div = float(2 ** p - 1)
         self._exponent = 1.0 / (p + 1)
 
@@ -522,7 +684,9 @@ class StepController:
     ) -> float:
         """Estimated LTE over tolerance for one candidate step.
 
-        Compares node voltages only (branch currents are linear
+        ``x_full`` is the full-step solution, solved or implied by
+        history (:meth:`LteHistory.full_step`).  Compares node voltages
+        only (branch currents are linear
         consequences of the voltages); the tolerance is
         ``abstol + reltol * |x|_inf`` so it tracks the live signal
         scale — tiny startup seeds are not held to the tolerance of

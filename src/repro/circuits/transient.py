@@ -11,8 +11,10 @@ step-control modes share every other part of the stack:
   by the golden tests.
 * ``step_control="adaptive"`` — an LTE-based
   :class:`~repro.circuits.stepcontrol.StepController` proposes each
-  step: the active method's local truncation error is estimated by
-  step doubling, steps are accepted/rejected against
+  step: each candidate is taken as two half steps whose local
+  truncation error is estimated from committed history (a full-step
+  probe solve only after a restart or a rejection), steps are
+  accepted/rejected against
   ``lte_reltol``/``lte_abstol``, the step size walks a quantized
   ``dt_max/2^k`` grid between ``dt_min`` and ``dt_max`` with bounded
   growth, and source discontinuities (pulse edges, PWL corners) force
@@ -94,6 +96,7 @@ from ..analysis.waveform import Waveform
 from ..errors import ConvergenceError, NetlistError, SimulationError
 from .assembly import TransientAssembly
 from .backend import KrylovBackend, MatrixBackend, resolve_backend
+from .component import Component
 from .dcop import NewtonOptions, continuation_ladder, solve_dc
 from .health import CONDITION_LIMIT, HealthReport, check_grid_invariants
 from .integration import (
@@ -104,7 +107,9 @@ from .integration import (
 from .linsolve import NewtonPredictor, damp_voltage_delta, solve_dense
 from .netlist import GROUND_NAMES, Circuit
 from .preflight import PREFLIGHT_MODES, apply_preflight
+from .sources import VoltageSource
 from .stepcontrol import (
+    LteHistory,
     Phase,
     PhaseSchedule,
     StepController,
@@ -880,8 +885,9 @@ class _StepSolver:
             predictor.push(time, self._ctrl_diff(x))
 
     def note_probe(self, time: Optional[float] = None, x=None) -> None:
-        """Lend an adaptive candidate's full-step probe to its half
-        steps; with no arguments, withdraw it."""
+        """Lend an adaptive candidate's full-step probe (after a restart
+        or a rejection) to its half steps; with no arguments, withdraw
+        it."""
         if self.predictor is not None:
             self.predictor.probe(time, None if x is None else self._ctrl_diff(x))
 
@@ -1025,9 +1031,9 @@ class _StepSolver:
         The step starts on the line, at the point whose control
         voltage is the predictor's quadratic extrapolation
         (``c = (zl_c - v_pred)/vw``), so Newton spends its first
-        iteration confirming instead of moving; an adaptive
-        candidate's half steps extrapolate through its full-step probe
-        too.  It starts from ``x_n`` instead while the predictor holds
+        iteration confirming instead of moving; where an adaptive
+        candidate takes a full-step probe, its half steps extrapolate
+        through the probe too.  It starts from ``x_n`` instead while the predictor holds
         fewer than three points — after the run start, a crossed
         breakpoint, a phase switch or an envelope jump — and whenever
         the predicted control voltage is a damped move (``max_step``
@@ -1341,6 +1347,35 @@ def _apply_phase(
     )
 
 
+def _state_columns(circuit: Circuit, size: int) -> np.ndarray:
+    """0/1 mask of the node voltages the history LTE estimate reads.
+
+    Those are the nodes of every component with integrator state
+    (capacitors, inductors, generic reactive components), less the
+    nodes an independent voltage source pins to ground: the engine
+    reproduces a pinned node's stimulus exactly, and its curvature is
+    no integration error.  Nonlinear device terminals count, pinned or
+    not: a device that switches inside a step (a rectifier's charging
+    pulse) leaves state error that the states' own history can miss,
+    so the estimate keeps the device's drive resolved.  Lockstep
+    batches share one topology, so one circuit's mask serves the batch.
+    """
+    columns = np.zeros(size)
+    pinned = []
+    for component in circuit:
+        if isinstance(component, VoltageSource):
+            p, n = component._n
+            if min(p, n) < 0:
+                pinned.append(max(p, n))
+        elif type(component).init_state is not Component.init_state:
+            columns[[k for k in component._n if k >= 0]] = 1.0
+    columns[pinned] = 0.0
+    for component in circuit:
+        if component.is_nonlinear():
+            columns[[k for k in component._n if k >= 0]] = 1.0
+    return columns
+
+
 def _run_adaptive(
     circuits: Sequence[Circuit],
     options: TransientOptions,
@@ -1353,16 +1388,28 @@ def _run_adaptive(
     budget: Optional[_RunBudget] = None,
     skip_mask=None,
 ) -> Tuple[np.ndarray, Dict[str, object]]:
-    """LTE-controlled stepping with step-doubling error estimates.
+    """LTE-controlled stepping with step-doubling candidates.
 
-    Each candidate step is solved once at ``dt`` (the probe) and twice
-    at ``dt/2``; the Richardson difference decides acceptance and the
-    half-step solution — the more accurate of the two — is committed.
-    Both step sizes live in the assembly's dt cache, so a revisited
-    size performs no assembly or factorization work at all.  For a
-    lockstep ``(S, size)`` stack the test is the worst unfrozen
-    sample's (:meth:`StepController.error_ratio`), so the shared grid
-    is as fine as the most demanding sample requires.
+    Each candidate step is taken as two half steps at ``dt/2``, and
+    that solution is what the loop commits.  Its error estimate is step
+    doubling's: the two half steps' summed LTE, which Richardson reads
+    off a third solve at the full ``dt`` (the probe) as
+    ``|x_full - x_half| / (2^p - 1)``.  The loop reads it from history
+    instead (:class:`~repro.circuits.stepcontrol.LteHistory`: each half
+    step's Milne estimate over its corrector and the last ``p + 1``
+    committed states) and solves the probe only where history cannot
+    stand in for it, counted in ``stats["lte_probes"]``:
+
+    * ``"restart"``: fewer than ``p + 2`` committed points since the
+      run start, a crossed breakpoint or a phase switch;
+    * ``"retry"``: the candidate after a rejection, since the history
+      behind a rejection may hold an undeclared jump.
+
+    Either way :meth:`StepController.error_ratio` decides acceptance;
+    for a lockstep ``(S, size)`` stack the test is the worst unfrozen
+    sample's, so the shared grid is as fine as the most demanding
+    sample requires.  Every step size lives in the assembly's dt cache,
+    so a revisited size performs no assembly or factorization work.
 
     Forced step boundaries are the union over ``circuits`` of their
     stimulus discontinuities, ``options.breakpoints`` and the event
@@ -1409,10 +1456,21 @@ def _run_adaptive(
     multistep = method.is_multistep
     n_nodes = assembly.n_nodes
     stride = options.record_stride
+    methods = [method]
+    if schedule is not None:
+        methods += [phase.resolved_method() for phase in schedule.phases]
+    history = LteHistory(
+        x,
+        max(m.lte_order(m.max_order) for m in methods),
+        _state_columns(circuits[0], assembly.size),
+    )
+    lte_probes = {"restart": 0, "retry": 0}
+    retry = False
 
     def loop_stats() -> Dict[str, object]:
         stats = controller.stats()
         stats["steps"] = controller.accepted
+        stats["lte_probes"] = dict(lte_probes)
         stats["dt_cache_entries"] = assembly.n_dt_entries
         if schedule is not None:
             stats["phase_switches"] = len(phase_log)
@@ -1428,15 +1486,17 @@ def _run_adaptive(
         # Bookkeeping after an accepted step.  Phase onsets are
         # registered as breakpoints, so accepted steps land exactly
         # on them; the crossed-breakpoint history reset runs first
-        # (and restarts the Newton predictor, phase switch or not),
-        # then the switch re-seeds (or bootstraps) history for the
-        # incoming method.
+        # (and restarts the Newton predictor and the LTE history,
+        # phase switch or not), then the switch re-seeds (or
+        # bootstraps) history for the incoming method.
         nonlocal multistep
         crossed = controller.crossed_breakpoint
         if multistep and crossed:
             # Interpolating across the discontinuity would poison
             # the BDF history; restart from the committed point.
             assembly.reset_history()
+        if crossed:
+            history.restart(x_now)
         solver.note_commit(t_now, x_now, restart=crossed)
         phase = None if schedule is None else schedule.advance_to(t_now)
         if phase is None:
@@ -1475,21 +1535,29 @@ def _run_adaptive(
             if multistep
             else None
         )
+        # The full-step probe solve is the error reference only where
+        # the committed history cannot stand in for it: too few points
+        # since the last restart, or a retry after a rejection (the
+        # history behind it may hold an undeclared jump).
+        probe = retry or not history.covers(controller.lte_order)
+        if probe:
+            lte_probes["retry" if retry else "restart"] += 1
+        retry = True  # until the candidate is accepted
         # A breakpoint-truncated step has an arbitrary event-driven
         # size: keep it out of the quantized-grid LRU.
         ephemeral = dt != controller.dt
         snapshot = assembly.snapshot_state()
         freeze = solver.freeze
+        half = 0.5 * dt
+        t_mid = t + half
         try:
-            # Full-step probe (error reference only).
-            assembly.set_dt(dt, ephemeral=ephemeral, order=order)
-            rhs_lin = assembly.step_rhs(t_target, x)
-            solver.note_probe()
-            x_full = solver.step(x, rhs_lin, t_target)
-            solver.note_probe(t_target, x_full)
+            if probe:
+                assembly.set_dt(dt, ephemeral=ephemeral, order=order)
+                rhs_lin = assembly.step_rhs(t_target, x)
+                solver.note_probe()
+                x_full = solver.step(x, rhs_lin, t_target)
+                solver.note_probe(t_target, x_full)
             # Two half steps: the solution the engine keeps.
-            half = 0.5 * dt
-            t_mid = t + half
             assembly.set_dt(half, ephemeral=ephemeral, order=order)
             rhs_lin = assembly.step_rhs(t_mid, x)
             x_mid = solver.step(x, rhs_lin, t_mid)
@@ -1534,8 +1602,14 @@ def _run_adaptive(
                     "health" if health_failure else "newton_dt_min",
                     error=rescue_exc,
                 )
+            x_mid = None
             ratio = 1.0
         else:
+            if not probe:
+                x_full = history.full_step(
+                    x_mid, x_half, half,
+                    controller.lte_order, controller.error_constant,
+                )
             mask = None if freeze is None else ~freeze
             ratio = controller.error_ratio(x_full, x_half, n_nodes, mask)
             if ratio > 1.0:
@@ -1558,6 +1632,7 @@ def _run_adaptive(
                     if solver.quarantined.all():
                         raise abort("all_quarantined", error=exc)
                 continue
+        retry = False
         if certifier is not None:
             certifier.check_step(x_half, rhs_lin, t_target)
         assembly.commit(x_half, t_target)
@@ -1566,6 +1641,13 @@ def _run_adaptive(
             certifier.check_state(x, t_target)
         if skip_mask is not None:
             solver.skipped_steps[solver.skipped] += 1
+        if x_mid is None:  # rescued as one full step
+            history.push(x, dt)
+        elif probe:
+            history.push(x_mid, half)
+            history.push(x, half)
+        else:
+            history.advance()  # full_step already holds both halves
         controller.accept(t_target, dt, ratio)
         accept_point(t_target, x)
         if controller.accepted % stride == 0:

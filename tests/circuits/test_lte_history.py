@@ -2,7 +2,11 @@
 estimate.
 
 Every engine reports ``stats["solves"]``, the MNA solves its step
-solver made, so a result alone gives solves per accepted step.
+solver made, so a result alone gives solves per accepted step.  The
+adaptive loop estimates each candidate's LTE from committed history
+(Milne's divided-difference form) and spends a full-step probe solve
+only after a restart or a rejection, counted in
+``stats["lte_probes"]``.
 """
 
 import numpy as np
@@ -11,11 +15,14 @@ import pytest
 from repro.circuits import (
     Circuit,
     TransientOptions,
+    dc,
     run_transient,
     run_transient_batched,
     sine,
 )
-from repro.core import OscillatorNetlist
+from repro.circuits.stepcontrol import LteHistory, lte_weights
+from repro.circuits.transient import _state_columns
+from repro.core import OscillatorNetlist, supply_loss_tank_circuit
 from repro.envelope import RLCTank, TanhLimiter
 from repro.envelope.describing import tanh_limiter_pair
 
@@ -93,3 +100,152 @@ class TestSolveCounter:
         (stacked,) = run_transient_batched([oscillator()], options("adaptive"))
         assert stacked.stats["solves"] == result.stats["solves"]
         assert result.stats["solves"] >= 2 * result.stats["accepted_steps"]
+
+
+# -- the history estimate ------------------------------------------------------
+
+ESTIMATES = [
+    ("trap", 2, -1.0 / 12.0),
+    ("bdf1", 1, 0.5),
+    ("bdf2", 2, -2.0 / 9.0),
+    ("bdf3", 3, -3.0 / 22.0),
+]
+
+
+@pytest.mark.parametrize("name, order, constant", ESTIMATES)
+def test_divided_difference_recovers_leading_lte(name, order, constant):
+    """Milne's estimate on exact samples of sin(wt) at uneven times is
+    C·h^{p+1}·x^{(p+1)}, the derivative read at the nodes' centroid."""
+    omega = 2 * np.pi * 1e6
+    h = 0.1 / omega
+    gaps = [h, 0.7 * h, 1.3 * h, 0.5 * h][: order + 1]
+    for phase in np.linspace(0.0, 2 * np.pi, 17):
+        nodes = [phase / omega]
+        for gap in gaps:
+            nodes.append(nodes[-1] - gap)
+        weights = lte_weights(nodes, order, constant)
+        estimate = sum(w * np.sin(omega * t) for w, t in zip(weights, nodes))
+        centroid = sum(nodes) / len(nodes)
+        derivative = omega ** (order + 1) * np.sin(
+            omega * centroid + (order + 1) * np.pi / 2
+        )
+        exact = constant * h ** (order + 1) * derivative
+        amplitude = abs(constant) * (omega * h) ** (order + 1)
+        if abs(exact) >= 0.5 * amplitude:
+            assert estimate == pytest.approx(exact, rel=0.05)
+        assert abs(estimate - exact) <= 0.05 * amplitude
+
+
+@pytest.mark.parametrize("name, order, constant", ESTIMATES)
+def test_history_full_step_matches_richardson(name, order, constant):
+    """On a smooth trajectory the history stands in for the probe:
+    (x_full - x_new)/(2^p - 1) is the two half steps' summed LTE."""
+    omega = 2 * np.pi * 1e6
+    half = 0.04 / omega
+
+    def x(t):
+        return np.array([np.sin(omega * t + 0.3), 2.0])
+
+    columns = np.array([1.0, 0.0])
+    history = LteHistory(x(0.0), order, columns)
+    steps = [0.6 * half, 1.4 * half, half, 0.8 * half, half]
+    t = 0.0
+    for step in steps:
+        t += step
+        history.push(x(t), step)
+    assert history.covers(order)
+    x_new = x(t + 2 * half)
+    x_full = history.full_step(x(t + half), x_new, half, order, constant)
+    lte = (x_full - x_new) / (2 ** order - 1)
+    derivative = omega ** (order + 1) * np.sin(
+        omega * (t + half) + 0.3 + (order + 1) * np.pi / 2
+    )
+    expected = 2 * constant * half ** (order + 1) * derivative
+    amplitude = 2 * abs(constant) * (omega * half) ** (order + 1)
+    assert abs(lte[0] - expected) <= 0.1 * amplitude
+    assert lte[1] == 0.0  # a masked column reads no error
+
+
+def test_state_columns_skip_pinned_nodes_but_keep_device_drives():
+    tank = supply_loss_tank_circuit(F0, 10 * T0)
+    tank.prepare()
+    columns = _state_columns(tank, tank.size)
+    assert columns[tank.node_index("drv")] == 0.0  # pinned by Vdrv
+    for node in ("lc1", "mid", "lc2"):
+        assert columns[tank.node_index(node)] == 1.0
+    rectifier = Circuit("rect")
+    rectifier.voltage_source("V1", "in", "0", sine(2.0, 1e5))
+    rectifier.diode("D1", "in", "out")
+    rectifier.resistor("RL", "out", "0", 10e3)
+    rectifier.capacitor("CL", "out", "0", 1e-6)
+    rectifier.prepare()
+    columns = _state_columns(rectifier, rectifier.size)
+    assert columns[rectifier.node_index("in")] == 1.0  # drives the diode
+    assert columns[rectifier.node_index("out")] == 1.0
+
+
+# -- where the probe solve is still spent --------------------------------------
+
+
+def undeclared_jump():
+    """A biased RC node fed by a current that steps at 1.3 µs, with no
+    breakpoint declared for the step."""
+    circuit = Circuit("jump")
+    circuit.voltage_source("V", "in", "0", dc(1.0))
+    circuit.resistor("R", "in", "a", 1e3)
+    circuit.capacitor("C", "a", "0", 1e-9)
+    circuit.current_source("I", "0", "a", lambda t: 1e-3 if t >= 1.3e-6 else 0.0)
+    return circuit
+
+
+def jump_options():
+    return TransientOptions(t_stop=4e-6, dt=5e-8, step_control="adaptive")
+
+
+class TestProbeRules:
+    def test_undeclared_jump_is_retried_with_the_probe(self):
+        result = run_transient(undeclared_jump(), jump_options())
+        assert result.t[-1] == pytest.approx(4e-6)
+        probes = result.stats["lte_probes"]
+        assert probes["retry"] >= 1
+        assert result.stats["breakpoints_hit"] == 0
+        # Only the run start restarts the history.
+        assert probes["restart"] == 2
+        v = result.waveform("a").y
+        assert v[-1] == pytest.approx(2.0 - np.exp(-2.7), rel=1e-3)
+
+    def test_undeclared_jump_in_lockstep(self):
+        solo = run_transient(undeclared_jump(), jump_options())
+        (stacked,) = run_transient_batched([undeclared_jump()], jump_options())
+        assert stacked.stats["lte_probes"] == solo.stats["lte_probes"]
+        assert stacked.stats["lte_probes"]["retry"] >= 1
+        np.testing.assert_array_equal(stacked.t, solo.t)
+        pair = run_transient_batched(
+            [undeclared_jump(), undeclared_jump()], jump_options()
+        )
+        assert pair[0].stats["lte_probes"]["retry"] >= 1
+
+    @pytest.mark.parametrize("method", ["trap", "be", "gear"])
+    def test_every_probe_is_a_restart_or_a_retry(self, method):
+        """A linear candidate costs two solves, plus one where the loop
+        probes: after a restart or a rejection, nowhere else."""
+        result = run_transient(
+            supply_loss_tank_circuit(F0, 10 * T0),
+            TransientOptions(
+                t_stop=30 * T0,
+                dt=T0 / 40,
+                method=method,
+                step_control="adaptive",
+                use_dc_operating_point=False,
+            ),
+        )
+        stats = result.stats
+        probes = stats["lte_probes"]
+        assert probes["retry"] == stats["rejected_steps"]
+        # A restart probes until p + 2 points follow it: twice for trap
+        # (p = 2) and BE (p = 1), up to four times for gear as its order
+        # climbs; one restart at t = 0 and one at the fault.
+        assert 2 <= probes["restart"] <= 8
+        candidates = stats["accepted_steps"] + stats["rejected_steps"]
+        assert stats["solves"] == 2 * candidates + sum(probes.values())
+        assert stats["solves"] < 2.5 * stats["accepted_steps"]  # 3 with a probe each
