@@ -24,9 +24,7 @@ time loop advances every sample together,
 * the per-sample engine's Newton predictor on ``(S,)`` arrays: every
   rank-1 step starts on the Sherman–Morrison line at the quadratic
   extrapolation of each sample's control voltage through the last
-  three committed points (an adaptive candidate's half steps also
-  through its full-step probe, where it takes one), and from ``x_n``
-  after the run start
+  three committed points, and from ``x_n`` after the run start
   or a crossed breakpoint, where the predictor restarts;
 * vectorized companion-state updates: capacitor/inductor integrator
   state lives in ``(S, m)`` arrays and one gather/scatter advances
@@ -1225,11 +1223,6 @@ class _BatchedStepSolver:
             if restart:
                 predictor.reset()
             predictor.push(time, self._ctrl1(x))
-
-    def note_probe(self, time: Optional[float] = None, x=None) -> None:
-        """``_StepSolver.note_probe`` for the whole batch."""
-        if self.predictor is not None:
-            self.predictor.probe(time, None if x is None else self._ctrl1(x))
 
     # -- shared helpers -------------------------------------------------------
 

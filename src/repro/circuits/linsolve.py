@@ -90,17 +90,9 @@ class NewtonPredictor:
     the lockstep engine: the weights depend only on the times and
     every operation on ``v`` is elementwise, so each sample of a batch
     gets exactly the arithmetic of its own per-sample run.
-
-    ``probe`` lends an adaptive candidate's full-step solution to its
-    two half steps as a provisional newest point: the first half step
-    then *interpolates* through it, and the second (at the probe's own
-    time) starts from the probe's value.  Only candidates that solve
-    the probe have one to lend: those after a restart or a rejection
-    (the others estimate their LTE from history).  ``push`` (a commit)
-    and ``reset`` withdraw it.
     """
 
-    __slots__ = ("_t", "_v", "_probe")
+    __slots__ = ("_t", "_v")
 
     def __init__(self) -> None:
         self.reset()
@@ -109,25 +101,16 @@ class NewtonPredictor:
         """Forget every point: the integrator history restarted."""
         self._t: tuple = ()
         self._v: tuple = ()
-        self._probe: Optional[tuple] = None
 
     def push(self, t: float, v) -> None:
         """Record a committed point (keeps the newest three)."""
         self._t = self._t[-2:] + (t,)
         self._v = self._v[-2:] + (v,)
-        self._probe = None
-
-    def probe(self, t: Optional[float] = None, v=None) -> None:
-        """Set the provisional point; with no arguments, withdraw it."""
-        self._probe = None if t is None else (t, v)
 
     def predict(self, t: float):
         """Extrapolated control voltage at ``t``, or ``None`` with
         fewer than three points (the step then starts from ``x_n``)."""
         ts, vs = self._t, self._v
-        if self._probe is not None:
-            ts = ts[-2:] + (self._probe[0],)
-            vs = vs[-2:] + (self._probe[1],)
         if len(ts) < 3:
             return None
         t0, t1, t2 = ts

@@ -884,13 +884,6 @@ class _StepSolver:
                 predictor.reset()
             predictor.push(time, self._ctrl_diff(x))
 
-    def note_probe(self, time: Optional[float] = None, x=None) -> None:
-        """Lend an adaptive candidate's full-step probe (after a restart
-        or a rejection) to its half steps; with no arguments, withdraw
-        it."""
-        if self.predictor is not None:
-            self.predictor.probe(time, None if x is None else self._ctrl_diff(x))
-
     def _full_solve(self, x: np.ndarray, rhs_lin: np.ndarray, time: float) -> np.ndarray:
         """One fully-stamped linearized solve at iterate ``x``.
 
@@ -1031,9 +1024,7 @@ class _StepSolver:
         The step starts on the line, at the point whose control
         voltage is the predictor's quadratic extrapolation
         (``c = (zl_c - v_pred)/vw``), so Newton spends its first
-        iteration confirming instead of moving; where an adaptive
-        candidate takes a full-step probe, its half steps extrapolate
-        through the probe too.  It starts from ``x_n`` instead while the predictor holds
+        iteration confirming instead of moving.  It starts from ``x_n`` instead while the predictor holds
         fewer than three points — after the run start, a crossed
         breakpoint, a phase switch or an envelope jump — and whenever
         the predicted control voltage is a damped move (``max_step``
@@ -1554,9 +1545,7 @@ def _run_adaptive(
             if probe:
                 assembly.set_dt(dt, ephemeral=ephemeral, order=order)
                 rhs_lin = assembly.step_rhs(t_target, x)
-                solver.note_probe()
                 x_full = solver.step(x, rhs_lin, t_target)
-                solver.note_probe(t_target, x_full)
             # Two half steps: the solution the engine keeps.
             assembly.set_dt(half, ephemeral=ephemeral, order=order)
             rhs_lin = assembly.step_rhs(t_mid, x)

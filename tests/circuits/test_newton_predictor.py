@@ -104,26 +104,6 @@ class TestPredictor:
         expected = [p.predict(t_next) for p in singles]
         assert batch.predict(t_next).tolist() == expected
 
-    def test_probe_interpolates_and_lands_on_itself(self):
-        def f(t):
-            return 1.0 + 0.5 * t - 0.25 * t * t
-
-        p = NewtonPredictor()
-        for t in (0.0, 1.0, 2.0):
-            p.push(t, f(t))
-        committed = p.predict(3.0)
-        p.probe(3.0, 7.25)
-        # The probe displaces the oldest point: (1, 2, 3) carry the
-        # quadratic through 7.25 at t = 3.
-        assert p.predict(3.0) == 7.25
-        mid = p.predict(2.5)
-        assert mid != pytest.approx(f(2.5))
-        p.probe()
-        assert p.predict(3.0) == committed
-        p.probe(3.0, 7.25)
-        p.push(3.0, f(3.0))  # a commit withdraws the probe
-        assert p.predict(3.5) == pytest.approx(f(3.5), rel=1e-12)
-
 
 # -- the Newton iterations it saves -------------------------------------------
 
