@@ -21,7 +21,7 @@ Design
   corrector and the last ``p + 1`` committed states (Milne's estimate
   in the SPICE2 form; :func:`lte_weights`), and hands the controller
   the ``x_full`` that sum implies.  The engine solves the full step
-  only where history cannot stand in: fewer than ``p + 2`` points
+  only where history cannot stand in: fewer than ``p + 1`` points
   since a restart (run start, breakpoint, phase switch), or the
   retry after a rejection.
 * **Order control (variable-order Gear).**  When the integration
@@ -315,13 +315,9 @@ class LteHistory:
     candidate's half steps land, so accepting it (:meth:`advance`)
     copies nothing.  Each slot also keeps the step that reached it;
     the estimate's node spacings are those steps, exactly as the
-    integrator took them.
-
-    Rows keep only the ``columns`` that carry truncation error (a 0/1
-    mask over the state vector): a node a voltage source pins, or a
-    node no reactive element touches, follows the stimulus exactly,
-    and its divided differences would read the stimulus's derivatives
-    as integration error.
+    integrator took them.  Rows keep only ``columns``, a 0/1 mask over
+    the state vector that selects the unknowns whose truncation error
+    the estimate reads.
     """
 
     __slots__ = ("rows", "steps", "head", "points", "columns", "_views", "_weights")
@@ -353,11 +349,8 @@ class LteHistory:
 
     def covers(self, order: int) -> bool:
         """Whether the committed points since the last restart carry
-        an order-``order`` estimate: ``order + 2`` of them.  The
-        estimate reads ``order + 1``; the spare keeps the restart point
-        out, which may sit off the new segment's trajectory (a source
-        that steps there, or an initial state the sources contradict)."""
-        return self.points > order + 1
+        an order-``order`` estimate: ``order + 1`` of them."""
+        return self.points > order
 
     def full_step(
         self,
@@ -377,7 +370,11 @@ class LteHistory:
         ``(x_full - x_new) / (2^p - 1)``, so the return value is
         ``x_new + (2^p - 1)·(LTE_1 + LTE_2)``: one weighted sum over
         the ring, and :meth:`StepController.error_ratio` applies
-        unchanged.
+        unchanged.  With only ``p + 1`` points since the last restart
+        the first half step's estimate would read the restart point,
+        which may sit off the new segment's trajectory (a source that
+        steps there, or an initial state the sources contradict); the
+        second half step's estimate then stands for both halves.
         """
         steps = self.steps
         n_rows = len(steps)
@@ -389,7 +386,8 @@ class LteHistory:
         np.multiply(x_new, self.columns, out=views[new])
         steps[mid] = steps[new] = half
         past = [(head - k) % n_rows for k in range(order + 1)]
-        key = (constant, order, head, half, *[steps[k] for k in past[:-1]])
+        whole = self.points > order + 1  # the restart point is not read
+        key = (constant, order, whole, head, half, *[steps[k] for k in past[:-1]])
         weights = self._weights.get(key)
         if weights is None:
             weights = self._weigh(key, [new, mid] + past)
@@ -397,15 +395,20 @@ class LteHistory:
 
     def _weigh(self, key: tuple, slots: List[int]) -> np.ndarray:
         """The ring-ordered weights of :meth:`full_step` for ``key``."""
-        constant, order = key[0], key[1]
+        constant, order, whole = key[:3]
         # Node times relative to the new point, newest first, from the
         # steps that reached each slot.
         times = [0.0]
         for k in slots[:-1]:
             times.append(times[-1] - self.steps[k])
         gain = float(2 ** order - 1)
+        if whole:
+            halves = (slice(1, None), slice(0, -1))
+        else:  # the second half step's estimate stands for both
+            halves = (slice(0, -1),)
+            gain *= 2.0
         weights = [0.0] * len(self.steps)
-        for nodes in (slice(1, None), slice(0, -1)):
+        for nodes in halves:
             for k, w in zip(slots[nodes], lte_weights(times[nodes], order, constant)):
                 weights[k] += gain * w
         if len(self._weights) >= _WEIGHT_CACHE_SIZE:
@@ -686,8 +689,8 @@ class StepController:
 
         ``x_full`` is the full-step solution, solved or implied by
         history (:meth:`LteHistory.full_step`).  Compares node voltages
-        only (branch currents are linear
-        consequences of the voltages); the tolerance is
+        only (branch currents are linear consequences of the
+        voltages); the tolerance is
         ``abstol + reltol * |x|_inf`` so it tracks the live signal
         scale — tiny startup seeds are not held to the tolerance of
         the settled amplitude.  Stacked ``(S, size)`` iterates give

@@ -1024,12 +1024,12 @@ class _StepSolver:
         The step starts on the line, at the point whose control
         voltage is the predictor's quadratic extrapolation
         (``c = (zl_c - v_pred)/vw``), so Newton spends its first
-        iteration confirming instead of moving.  It starts from ``x_n`` instead while the predictor holds
-        fewer than three points — after the run start, a crossed
-        breakpoint, a phase switch or an envelope jump — and whenever
-        the predicted control voltage is a damped move (``max_step``
-        or more along the line) away from ``x_n``'s, or on no point of
-        the line at all (``vw = 0``).
+        iteration confirming instead of moving.  It starts from ``x_n``
+        instead while the predictor holds fewer than three points —
+        after the run start, a crossed breakpoint, a phase switch or an
+        envelope jump — and whenever the predicted control voltage is a
+        damped move (``max_step`` or more along the line) away from
+        ``x_n``'s, or on no point of the line at all (``vw = 0``).
         """
         options = self.options
         linearize = self._device.linearize
@@ -1351,20 +1351,24 @@ def _state_columns(circuit: Circuit, size: int) -> np.ndarray:
     so the estimate keeps the device's drive resolved.  Lockstep
     batches share one topology, so one circuit's mask serves the batch.
     """
-    columns = np.zeros(size)
-    pinned = []
+    reactive: List[int] = []
+    pinned: List[int] = []
+    devices: List[int] = []
+    stateless = Component.init_state
     for component in circuit:
         if isinstance(component, VoltageSource):
             p, n = component._n
             if min(p, n) < 0:
                 pinned.append(max(p, n))
-        elif type(component).init_state is not Component.init_state:
-            columns[[k for k in component._n if k >= 0]] = 1.0
+        elif component.is_nonlinear():
+            devices += component._n
+        elif type(component).init_state is not stateless:
+            reactive += component._n
+    columns = np.zeros(size + 1)  # the extra slot absorbs ground (-1)
+    columns[reactive] = 1.0
     columns[pinned] = 0.0
-    for component in circuit:
-        if component.is_nonlinear():
-            columns[[k for k in component._n if k >= 0]] = 1.0
-    return columns
+    columns[devices] = 1.0
+    return columns[:size]
 
 
 def _run_adaptive(
@@ -1391,7 +1395,7 @@ def _run_adaptive(
     committed states) and solves the probe only where history cannot
     stand in for it, counted in ``stats["lte_probes"]``:
 
-    * ``"restart"``: fewer than ``p + 2`` committed points since the
+    * ``"restart"``: fewer than ``p + 1`` committed points since the
       run start, a crossed breakpoint or a phase switch;
     * ``"retry"``: the candidate after a rejection, since the history
       behind a rejection may hold an undeclared jump.

@@ -137,9 +137,12 @@ def test_divided_difference_recovers_leading_lte(name, order, constant):
 
 
 @pytest.mark.parametrize("name, order, constant", ESTIMATES)
-def test_history_full_step_matches_richardson(name, order, constant):
+@pytest.mark.parametrize("pushed", ["restart", "full"])
+def test_history_full_step_matches_richardson(name, order, constant, pushed):
     """On a smooth trajectory the history stands in for the probe:
-    (x_full - x_new)/(2^p - 1) is the two half steps' summed LTE."""
+    (x_full - x_new)/(2^p - 1) is the two half steps' summed LTE.
+    Right after a restart (p + 1 points) the second half step's
+    estimate, which leaves the restart point out, stands for both."""
     omega = 2 * np.pi * 1e6
     half = 0.04 / omega
 
@@ -149,6 +152,8 @@ def test_history_full_step_matches_richardson(name, order, constant):
     columns = np.array([1.0, 0.0])
     history = LteHistory(x(0.0), order, columns)
     steps = [0.6 * half, 1.4 * half, half, 0.8 * half, half]
+    if pushed == "restart":
+        steps = steps[:order]
     t = 0.0
     for step in steps:
         t += step
@@ -210,7 +215,7 @@ class TestProbeRules:
         assert probes["retry"] >= 1
         assert result.stats["breakpoints_hit"] == 0
         # Only the run start restarts the history.
-        assert probes["restart"] == 2
+        assert probes["restart"] == 1
         v = result.waveform("a").y
         assert v[-1] == pytest.approx(2.0 - np.exp(-2.7), rel=1e-3)
 
@@ -242,10 +247,10 @@ class TestProbeRules:
         stats = result.stats
         probes = stats["lte_probes"]
         assert probes["retry"] == stats["rejected_steps"]
-        # A restart probes until p + 2 points follow it: twice for trap
-        # (p = 2) and BE (p = 1), up to four times for gear as its order
-        # climbs; one restart at t = 0 and one at the fault.
-        assert 2 <= probes["restart"] <= 8
+        # A restart probes until p + 1 points follow it: once, as the
+        # two half steps bring two; one restart at t = 0 and one at
+        # the fault.
+        assert probes["restart"] == 2
         candidates = stats["accepted_steps"] + stats["rejected_steps"]
         assert stats["solves"] == 2 * candidates + sum(probes.values())
         assert stats["solves"] < 2.5 * stats["accepted_steps"]  # 3 with a probe each
