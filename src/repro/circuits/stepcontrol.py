@@ -301,9 +301,9 @@ def lte_weights(nodes: Sequence[float], order: int, constant: float) -> List[flo
     return weights
 
 
-#: Cached weight vectors per history: a run revisits a handful of step
-#: patterns; breakpoint-truncated steps add one-off ones.
-_WEIGHT_CACHE_SIZE = 256
+#: Bytes of cached weight tables per history: a run revisits a handful
+#: of step patterns, and breakpoint-truncated steps add one-off ones.
+_WEIGHT_CACHE_BYTES = 8 << 20
 
 
 class LteHistory:
@@ -315,22 +315,21 @@ class LteHistory:
     candidate's half steps land, so accepting it (:meth:`advance`)
     copies nothing.  Each slot also keeps the step that reached it;
     the estimate's node spacings are those steps, exactly as the
-    integrator took them.  Rows keep only ``columns``, a 0/1 mask over
-    the state vector that selects the unknowns whose truncation error
-    the estimate reads.
+    integrator took them.  ``columns`` is a 0/1 mask over the state
+    vector that selects the unknowns whose truncation error the
+    estimate reads.
     """
 
-    __slots__ = ("rows", "steps", "head", "points", "columns", "_views", "_weights")
+    __slots__ = ("rows", "steps", "head", "points", "columns", "_tables")
 
     def __init__(self, x: np.ndarray, depth: int, columns: np.ndarray):
         n_rows = depth + 3
         # Zeros, not garbage: a slot the estimate weights by zero must
         # hold a finite value.
         self.rows = np.zeros((n_rows,) + x.shape)
-        self._views = list(self.rows)
         self.steps = [0.0] * n_rows
         self.columns = columns
-        self._weights: Dict[tuple, np.ndarray] = {}
+        self._tables: Dict[tuple, np.ndarray] = {}
         self.restart(x)
 
     def restart(self, x: np.ndarray) -> None:
@@ -343,7 +342,7 @@ class LteHistory:
     def push(self, x: np.ndarray, step: float) -> None:
         """Commit one point, reached by a step of size ``step``."""
         self.head = head = (self.head + 1) % len(self.steps)
-        np.multiply(x, self.columns, out=self._views[head])
+        self.rows[head] = x
         self.steps[head] = step
         self.points += 1
 
@@ -368,34 +367,38 @@ class LteHistory:
         and the committed points before it.  Their sum estimates the
         two-half-step error that Richardson reads off
         ``(x_full - x_new) / (2^p - 1)``, so the return value is
-        ``x_new + (2^p - 1)·(LTE_1 + LTE_2)``: one weighted sum over
-        the ring, and :meth:`StepController.error_ratio` applies
-        unchanged.  With only ``p + 1`` points since the last restart
-        the first half step's estimate would read the restart point,
-        which may sit off the new segment's trajectory (a source that
-        steps there, or an initial state the sources contradict); the
-        second half step's estimate then stands for both halves.
+        ``x_new + (2^p - 1)·(LTE_1 + LTE_2)`` in the ``columns`` and
+        ``x_new`` elsewhere: one weighted sum over the ring, and
+        :meth:`StepController.error_ratio` applies unchanged.  With
+        only ``p + 1`` points since the last restart the first half
+        step's estimate would read the restart point, which may sit
+        off the new segment's trajectory (a source that steps there, or
+        an initial state the sources contradict); the second half
+        step's estimate then stands for both halves.
         """
         steps = self.steps
         n_rows = len(steps)
         head = self.head
         mid = (head + 1) % n_rows
         new = (head + 2) % n_rows
-        views = self._views
-        np.multiply(x_mid, self.columns, out=views[mid])
-        np.multiply(x_new, self.columns, out=views[new])
+        rows = self.rows
+        rows[mid] = x_mid
+        rows[new] = x_new
         steps[mid] = steps[new] = half
-        past = [(head - k) % n_rows for k in range(order + 1)]
         whole = self.points > order + 1  # the restart point is not read
-        key = (constant, order, whole, head, half, *[steps[k] for k in past[:-1]])
-        weights = self._weights.get(key)
-        if weights is None:
-            weights = self._weigh(key, [new, mid] + past)
-        return x_new + np.add.reduce(weights * self.rows, axis=0)
+        key = (constant, order, whole, head, *steps)
+        table = self._tables.get(key)
+        if table is None:
+            table = self._table(key)
+        return np.add.reduce(table * rows, axis=0)
 
-    def _weigh(self, key: tuple, slots: List[int]) -> np.ndarray:
-        """The ring-ordered weights of :meth:`full_step` for ``key``."""
-        constant, order, whole = key[:3]
+    def _table(self, key: tuple) -> np.ndarray:
+        """The weights of :meth:`full_step` for ``key``, per ring slot
+        and state column, with the mask and ``x_new`` folded in."""
+        constant, order, whole, head = key[:4]
+        n_rows = len(self.steps)
+        new = (head + 2) % n_rows
+        slots = [new] + [(head + 1 - k) % n_rows for k in range(order + 2)]
         # Node times relative to the new point, newest first, from the
         # steps that reached each slot.
         times = [0.0]
@@ -407,15 +410,17 @@ class LteHistory:
         else:  # the second half step's estimate stands for both
             halves = (slice(0, -1),)
             gain *= 2.0
-        weights = [0.0] * len(self.steps)
+        weights = [0.0] * n_rows
         for nodes in halves:
             for k, w in zip(slots[nodes], lte_weights(times[nodes], order, constant)):
                 weights[k] += gain * w
-        if len(self._weights) >= _WEIGHT_CACHE_SIZE:
-            self._weights.clear()
-        array = np.array(weights).reshape((-1,) + (1,) * (self.rows.ndim - 1))
-        self._weights[key] = array
-        return array
+        shape = (n_rows,) + (1,) * (self.rows.ndim - 1)
+        table = np.reshape(weights, shape) * self.columns
+        table[new] += 1.0
+        if (len(self._tables) + 1) * table.nbytes > _WEIGHT_CACHE_BYTES:
+            self._tables.clear()
+        self._tables[key] = table
+        return table
 
     def advance(self) -> None:
         """Commit the two half steps :meth:`full_step` last wrote."""
