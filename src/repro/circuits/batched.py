@@ -1142,9 +1142,10 @@ class _BatchedStepSolver:
         #: Per-sample Newton-solve counters (ragged convergence shows
         #: up here: converged samples stop accumulating).
         self.newton_per_sample = np.zeros(S, dtype=np.int64)
-        #: Per-sample MNA solves: every stacked solve counts once for
-        #: each sample, a dense fallback for its own sample only.
-        self.solves_per_sample = np.zeros(S, dtype=np.int64)
+        #: MNA solves: stacked ones count for every sample, dense
+        #: fallbacks for their own sample only.
+        self.stacked_solves = 0
+        self.fallback_solves = np.zeros(S, dtype=np.int64)
         self.quarantine_enabled = bool(quarantine)
         self.quarantined = np.zeros(S, dtype=bool)
         #: Per-step *skip* mask (envelope campaigns): samples masked
@@ -1360,7 +1361,7 @@ class _BatchedStepSolver:
         linearization and take one damped dense-solve step.
         """
         asm = self.assembly
-        self.solves_per_sample[s] += 1
+        self.fallback_solves[s] += 1
         G = asm.base_dense(s) + asm.U @ (gms[:, None] * asm.V.T)
         rhs = rhs_lin[s] - asm.U @ ieqs
         x_new = solve_dense(G, rhs)
@@ -1387,7 +1388,7 @@ class _BatchedStepSolver:
                 self._record_nonfinite(rows, time, "non-finite step RHS")
                 raise self._fail_health(time, rows, "non-finite step RHS")
         if self.strategy == "batched-linear":
-            self.solves_per_sample += 1
+            self.stacked_solves += 1
             x_new = self.assembly.solve(rhs_lin)
             if self.freeze is not None:
                 x_new[self.freeze] = x[self.freeze]
@@ -1443,7 +1444,7 @@ class _BatchedStepSolver:
         n = self.n_nodes
         max_step = options.max_step
         S = asm.n_samples
-        self.solves_per_sample += 1
+        self.stacked_solves += 1
         z_lin = asm.solve(rhs_lin)
         zl_c = self._ctrl1(z_lin)
         x = x.copy()
@@ -1560,7 +1561,7 @@ class _BatchedStepSolver:
         n = self.n_nodes
         eye_k = np.eye(k)
         WU, VWU = asm.woodbury_data()
-        self.solves_per_sample += 1
+        self.stacked_solves += 1
         z_lin = asm.solve(rhs_lin)
         x = x.copy()
         v_ctrl = asm.ctrl_project(x)
@@ -1595,7 +1596,7 @@ class _BatchedStepSolver:
                         sj = np.linalg.solve(M[j], VWb[j])
                         x_new[j] = Wb[j] - WU[s] @ (gms[j] * sj)
                     except np.linalg.LinAlgError:
-                        self.solves_per_sample[s] += 1
+                        self.fallback_solves[s] += 1
                         G = asm.base_dense(s) + asm.U @ (
                             gms[j][:, None] * asm.V.T
                         )
@@ -1839,7 +1840,7 @@ def run_transient_batched(
             "backend": assembly.backend.name,
             "step_control": options.step_control,
             "newton_iterations": int(solver.newton_per_sample[s]),
-            "solves": int(solver.solves_per_sample[s]),
+            "solves": solver.stacked_solves + int(solver.fallback_solves[s]),
             "lu_refactorizations": assembly.n_factorizations,
             "batch_samples": S,
         }

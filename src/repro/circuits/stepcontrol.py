@@ -301,9 +301,11 @@ def lte_weights(nodes: Sequence[float], order: int, constant: float) -> List[flo
     return weights
 
 
-#: Bytes of cached weight tables per history: a run revisits a handful
-#: of step patterns, and breakpoint-truncated steps add one-off ones.
-_WEIGHT_CACHE_BYTES = 8 << 20
+#: Bytes of cached weight tables per history.  A small system revisits
+#: a handful of step patterns, where a cache hit saves most of the
+#: estimate's cost; a large one keeps only a couple of tables, whose
+#: rebuild costs little next to its solves.
+_WEIGHT_CACHE_BYTES = 1 << 20
 
 
 class LteHistory:

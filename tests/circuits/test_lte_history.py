@@ -20,6 +20,7 @@ from repro.circuits import (
     run_transient_batched,
     sine,
 )
+from repro.circuits.integration import Gear, Trapezoidal
 from repro.circuits.stepcontrol import LteHistory, lte_weights
 from repro.circuits.transient import _state_columns
 from repro.core import OscillatorNetlist, supply_loss_tank_circuit
@@ -104,11 +105,15 @@ class TestSolveCounter:
 
 # -- the history estimate ------------------------------------------------------
 
+#: (name, LTE order p, leading error constant C) per method and order.
 ESTIMATES = [
-    ("trap", 2, -1.0 / 12.0),
-    ("bdf1", 1, 0.5),
-    ("bdf2", 2, -2.0 / 9.0),
-    ("bdf3", 3, -3.0 / 22.0),
+    (name, method.lte_order(order), method.error_constant(order))
+    for name, method, order in [
+        ("trap", Trapezoidal(), 2),
+        ("bdf1", Gear(3), 1),
+        ("bdf2", Gear(3), 2),
+        ("bdf3", Gear(3), 3),
+    ]
 ]
 
 
