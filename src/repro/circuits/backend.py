@@ -923,9 +923,10 @@ class KrylovBackend(MatrixBackend):
     dt-cache entry, which is exactly the reuse that pays for itself.
 
     The preconditioner is a pool of up to ``pool_size`` stale LUs:
-    an adaptive run's working set is the quantized dt ladder's hot
-    matrices plus their Richardson half-step partners — roughly the
-    dt-cache size — and any pool narrower than that set thrashes,
+    an adaptive run's working set is the half-step matrices of the
+    quantized dt ladder's hot levels plus the full-step matrices its
+    restart and retry probes solve — roughly the dt-cache size — and
+    any pool narrower than that set thrashes,
     evicting a hot anchor to admit the next one in rotation.  Each
     solve picks the anchor whose matrix it is (direct-solve fast
     path) or, failing that, the nearest by a sketch fingerprint of

@@ -52,8 +52,9 @@ Design
   corners, delayed sines — see :func:`~repro.circuits.sources.
   source_breakpoints`) and ``t_stop`` are hard step boundaries: a
   step is truncated so it *lands exactly on* the next breakpoint
-  rather than integrating across it, and the step size restarts small
-  on the far side where the LTE history is meaningless.
+  rather than integrating across it.  The working step carries over
+  to the far side; only the history restarts there, so the first
+  candidate solves its full step and is rejected if too large.
 """
 
 from __future__ import annotations
@@ -769,15 +770,12 @@ class StepController:
                 self._bp_index += 1
                 self.breakpoints_hit += 1
                 self.crossed_breakpoint = True
-                # The LTE history is meaningless across a
-                # discontinuity: restart a couple of grid levels down.
-                # Deliberately relative to the *grid* step, not the
-                # (possibly sliver-sized) truncated dt actually taken —
-                # plunging to dt_min after every event would re-climb
-                # the whole ladder and thrash the per-dt caches;
-                # rejection walks the step down further if the far
-                # side really needs it.
-                self.dt = self._quantize(max(self.dt_min, self.dt / 4.0))
+                # The working step carries over: the truncated
+                # (possibly sliver-sized) landing step never replaces
+                # it.  The far side's first candidate solves its full
+                # step (no usable history), so its estimate is a true
+                # Richardson one and rejection shrinks the step if the
+                # far side needs it.
                 if self.order_control:
                     # Multistep history restarts on the far side.
                     self.order = self.method.min_order

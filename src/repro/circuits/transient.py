@@ -202,8 +202,8 @@ class TransientOptions:
     #: Adaptive: how many per-dt assembly/factorization cache entries
     #: to keep alive.  The grid between dt_min and dt_max has
     #: log2(dt_max/dt_min) levels; keep the cache at least as deep as
-    #: the levels a run actually visits or ladder re-climbs after
-    #: breakpoints will rebuild entries.
+    #: the levels a run actually visits or a level revisited after a
+    #: rejection will rebuild its entry.
     dt_cache_size: int = 16
 
     # -- fault tolerance ----------------------------------------------------

@@ -16,16 +16,23 @@ from repro.circuits import (
     Circuit,
     TransientOptions,
     dc,
+    pulse,
     run_transient,
     run_transient_batched,
     sine,
 )
 from repro.circuits.integration import Gear, Trapezoidal
-from repro.circuits.stepcontrol import LteHistory, lte_weights
+from repro.circuits.stepcontrol import (
+    LteHistory,
+    StepController,
+    collect_breakpoints,
+    lte_weights,
+)
 from repro.circuits.transient import _state_columns
 from repro.core import OscillatorNetlist, supply_loss_tank_circuit
 from repro.envelope import RLCTank, TanhLimiter
 from repro.envelope.describing import tanh_limiter_pair
+from repro.sensor import CoilMesh
 
 F0 = 4e6
 T0 = 1.0 / F0
@@ -259,3 +266,106 @@ class TestProbeRules:
         candidates = stats["accepted_steps"] + stats["rejected_steps"]
         assert stats["solves"] == 2 * candidates + sum(probes.values())
         assert stats["solves"] < 2.5 * stats["accepted_steps"]  # 3 with a probe each
+
+
+# -- the restart after a breakpoint ----------------------------------------------
+
+ENGINES = {
+    "scalar": run_transient,
+    "lockstep": lambda circuit, opts: run_transient_batched([circuit], opts)[0],
+}
+
+
+def relative_error(result, reference, times):
+    """max |x - x_ref| at ``times`` (points both grids land on), over
+    max |x_ref|."""
+    rows = []
+    for r in (result, reference):
+        index = np.searchsorted(r.t, times)
+        np.testing.assert_allclose(r.t[index], times, rtol=1e-12)
+        rows.append(r.x[index])
+    return np.abs(rows[0] - rows[1]).max() / np.abs(reference.x).max()
+
+
+class TestBreakpointRestart:
+    """The working step carries over a breakpoint; the restart
+    candidate's probe makes its estimate a Richardson one, so a step
+    too large for the far side is rejected and retried."""
+
+    MESH = CoilMesh(tank=RLCTank(10e-6, 1e-9, 2.0), nx=10, ny=10)
+    T_MESH = 16 / MESH.tank.frequency  # 16 tank periods, two scan pulses
+
+    def mesh_options(self, **kw):
+        return TransientOptions(
+            t_stop=self.T_MESH,
+            dt=self.T_MESH / 320,
+            step_control="adaptive",
+            backend="sparse",
+            **kw,
+        )
+
+    @pytest.fixture(scope="class")
+    def mesh_reference(self):
+        return run_transient(
+            self.MESH.build_circuit(drive="pulse"),
+            self.mesh_options(
+                lte_reltol=1e-6, lte_abstol=1e-10, dt_min=self.T_MESH / 16e6
+            ),
+        )
+
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    def test_pulsed_coil_mesh(self, engine, mesh_reference):
+        circuit = self.MESH.build_circuit(drive="pulse")
+        result = ENGINES[engine](circuit, self.mesh_options())
+        stats = result.stats
+        assert stats["breakpoints_hit"] == 8
+        assert stats["lte_probes"]["restart"] == stats["breakpoints_hit"] + 1
+        times = np.append(collect_breakpoints(circuit, self.T_MESH), self.T_MESH)
+        assert relative_error(result, mesh_reference, times) <= 2e-5
+
+    @staticmethod
+    def edge_load():
+        """A 1 ns-edge pulse into an RC and an RL branch (1 µs time
+        constants)."""
+        circuit = Circuit("edge")
+        circuit.voltage_source(
+            "V", "in", "0",
+            pulse(0.0, 1.0, delay=1e-6, rise=1e-9, fall=1e-9, width=4e-6,
+                  period=10e-6),
+        )
+        circuit.resistor("R1", "in", "a", 1e3)
+        circuit.capacitor("C1", "a", "0", 1e-9)
+        circuit.resistor("R2", "in", "b", 1e3)
+        circuit.inductor("L2", "b", "0", 1e-3)
+        return circuit
+
+    @staticmethod
+    def edge_options(reltol):
+        return TransientOptions(
+            t_stop=20e-6,
+            dt=1e-7,
+            step_control="adaptive",
+            backend="dense",
+            lte_reltol=reltol,
+        )
+
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    def test_sharp_edge_rejects_the_restart_step(self, engine, monkeypatch):
+        breakpoints = set(collect_breakpoints(self.edge_load(), 20e-6))
+        rejected_at = []
+        reject = StepController.reject
+
+        def recording_reject(controller, ratio):
+            rejected_at.append(controller.t)
+            reject(controller, ratio)
+
+        monkeypatch.setattr(StepController, "reject", recording_reject)
+        result = ENGINES[engine](self.edge_load(), self.edge_options(1e-3))
+        monkeypatch.undo()
+        # Some candidate starting on a breakpoint was too large and
+        # was retried with the probe.
+        assert breakpoints.intersection(rejected_at)
+        assert result.stats["lte_probes"]["retry"] >= 1
+        reference = run_transient(self.edge_load(), self.edge_options(1e-7))
+        times = np.intersect1d(result.t, reference.t)
+        assert relative_error(result, reference, times) <= 1.5e-3

@@ -77,16 +77,28 @@ class TestBreakpoints:
             assert t_target < 2.5e-6
         assert dt <= c.dt
 
-    def test_step_restarts_small_after_breakpoint(self):
-        c = make_controller(breakpoints=(2.5e-6,))
-        while True:
-            t_target, dt = c.propose()
-            accepted_dt_before = c.dt
-            c.accept(t_target, dt, ratio=0.5)
-            if t_target == 2.5e-6:
-                break
-        assert c.breakpoints_hit == 1
-        assert c.dt < accepted_dt_before
+    def test_working_step_carries_over_breakpoint(self):
+        # Landing on a breakpoint keeps the working step, also when the
+        # truncated landing step is a sliver of it.  Order control
+        # still drops to first order: the multistep history restarts.
+        for bp, landing, kw in (
+            (2.5e-6, 5e-7, {}),
+            (2e-6 + 1e-9, 1e-9, {}),
+            (2.5e-6, 5e-7, dict(method="gear", order_control=True)),
+        ):
+            c = make_controller(breakpoints=(bp,), **kw)
+            c.order = c.method.max_order
+            while True:
+                c.candidate_order(10)
+                held = c.dt
+                t_target, dt = c.propose()
+                c.accept(t_target, dt, ratio=0.5)
+                if t_target == bp:
+                    break
+            assert dt == pytest.approx(landing)
+            assert c.breakpoints_hit == 1 and c.crossed_breakpoint
+            assert c.dt == held == 1e-6
+            assert c.order == (1 if c.order_control else 2)
 
     def test_t_stop_is_exact(self):
         c = make_controller(t_stop=1e-5, dt_initial=3e-6, dt_max=4e-6)
