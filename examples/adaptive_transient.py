@@ -13,7 +13,8 @@ Step-control knobs on :class:`repro.circuits.TransientOptions`:
 ``step_control``      "fixed" (default) or "adaptive".
 ``dt``                initial step (adaptive) / the grid (fixed).
 ``dt_min, dt_max``    hard step bounds; the controller moves on the
-                      quantized grid dt_max/2^k between them, so the
+                      quantized grid dt_max/2^k between them, at most
+                      one level up per accepted step, so the
                       per-step-size assembly caches are never
                       thrashed.  Keep dt_max at ~T_carrier/10 when an
                       envelope will be extracted from the result.
@@ -21,7 +22,6 @@ Step-control knobs on :class:`repro.circuits.TransientOptions`:
 ``lte_abstol``        live signal amplitude, plus an absolute floor
                       (volts) that lets tiny startup seeds take large
                       steps.
-``max_step_growth``   growth clamp per accepted step (default 2.0).
 ``breakpoints``       extra forced step boundaries; pulse/pwl/delayed
                       sine stimuli contribute theirs automatically so
                       the integrator never steps across an edge.

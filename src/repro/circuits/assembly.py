@@ -19,7 +19,7 @@ the system exactly as often as it can change:
   (``splu``), with the stream's sparsity pattern computed once per
   netlist and shared by every step size.  Every setup-dependent
   product — the base matrix, its cached factorization, the vectorized
-  companion coefficients, the rank-k solve data — lives in a cache
+  companion coefficients, the rank-1 solve data — lives in a cache
   entry keyed by the full ``(dt, method, order)`` integration setup;
   a small LRU of those entries lets the adaptive step/order
   controller revisit its few quantized setups without refactorizing
@@ -38,14 +38,13 @@ the system exactly as often as it can change:
 * **once per Newton iteration** — only the nonlinear (or split-
   incapable) components, restamped onto copies of the cached parts.
 
-The assembly also recognizes **low-rank Jacobian** special cases: when
-the only full-stamp components are ``k`` :class:`~repro.circuits.
-controlled.NonlinearVCCS` devices, the Jacobian is the cached base
-matrix plus a rank-``k`` update ``U diag(gm) V^T`` with constant
-``U, V``.  For ``k = 1`` each Newton solve collapses to a
-Sherman–Morrison update; for small ``k`` (2–4, the mirror-cascade
-netlists) to a Woodbury identity around one cached factorization — no
-matrix assembly or LAPACK factorization at all in the inner loop.
+The assembly also recognizes the **rank-1 Jacobian** special case:
+when the only full-stamp component is one :class:`~repro.circuits.
+controlled.NonlinearVCCS`, the Jacobian is the cached base matrix plus
+a rank-1 update ``gm * u v^T`` with constant ``u, v``, so each Newton
+solve collapses to a Sherman–Morrison update around one cached
+factorization — no matrix assembly or LAPACK factorization at all in
+the inner loop.
 """
 
 from __future__ import annotations
@@ -71,10 +70,12 @@ from .netlist import Circuit
 
 __all__ = ["DtCache", "TransientAssembly"]
 
-#: Maximum number of *additional* NonlinearVCCS devices the Woodbury
-#: fast path covers (k in 2..4); beyond that the dense general Newton
-#: path wins because the small-matrix bookkeeping stops being small.
-MAX_WOODBURY_RANK = 4
+#: Per-dt assembly/factorization cache entries an assembly keeps
+#: alive.  The adaptive grid between dt_min and dt_max has
+#: log2(dt_max/dt_min) levels (12 at the defaults); the cache is deeper
+#: than the levels a run visits, so a level revisited after a
+#: rejection finds its entry instead of rebuilding it.
+DT_CACHE_SIZE = 16
 
 #: System size from which the companion-RHS scatter switches from a
 #: dense mat-vec to a CSR product.  The dense product is O(size * m)
@@ -715,7 +716,7 @@ class _DtEntry:
     agnostic ``solve`` interface.
     """
 
-    __slots__ = ("dt", "G_base", "coeffs", "lu", "rank1", "woodbury", "delta")
+    __slots__ = ("dt", "G_base", "coeffs", "lu", "rank1", "delta")
 
     def __init__(self, dt: float, G_base, coeffs: _ReactiveCoeffs):
         self.dt = dt
@@ -723,7 +724,6 @@ class _DtEntry:
         self.coeffs = coeffs
         self.lu = None  # lazy backend factorization
         self.rank1: Optional[tuple] = None  # lazy (w, vw, w_vmax)
-        self.woodbury: Optional[tuple] = None  # lazy (WU, VWU)
         #: Sparse general-Newton data: (pattern_version, W = G_base^-1 U)
         #: for the nonlinear components' touched-row selector U (lazy).
         self.delta: Optional[tuple] = None
@@ -746,7 +746,7 @@ class TransientAssembly:
         dt: float,
         method: Union[str, IntegrationMethod],
         gmin: float,
-        max_dt_entries: int = 8,
+        max_dt_entries: int = DT_CACHE_SIZE,
         backend: Union[str, MatrixBackend, None] = "auto",
     ):
         circuit.prepare()
@@ -808,10 +808,6 @@ class TransientAssembly:
         # Padded iterate buffer: trailing slot stays 0.0 so ground
         # indices gather zero.
         self._xp = np.zeros(self.size + 1)
-
-        # Constant low-rank structure (dt independent), built lazily.
-        self._rankk_U: Optional[np.ndarray] = None
-        self._rankk_ctrl: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
         #: Structure of the static stamp stream, captured on the first
         #: entry build and reused by every later one (structure/value
@@ -1022,7 +1018,6 @@ class TransientAssembly:
             self.retired_factorizations += entry.lu.n_factorizations
             entry.lu = None
         entry.rank1 = None
-        entry.woodbury = None
         entry.delta = None
 
     @property
@@ -1073,15 +1068,6 @@ class TransientAssembly:
             return self.full[0]
         return None
 
-    def rankk_devices(self) -> Optional[List[NonlinearVCCS]]:
-        """The nonlinear VCCS devices, if they are the only full-stamp
-        components and few enough for the Woodbury fast path."""
-        if not 1 <= len(self.full) <= MAX_WOODBURY_RANK:
-            return None
-        if all(type(c) is NonlinearVCCS for c in self.full):
-            return list(self.full)
-        return None
-
     def rank1_vectors(self) -> Tuple[np.ndarray, np.ndarray]:
         """``(u, v)`` with the device stamp ``G = G_base + gm*u@v.T``
         and RHS contribution ``-i_eq*u``."""
@@ -1114,54 +1100,6 @@ class TransientAssembly:
             w_vmax = float(np.abs(w_v).max()) if w_v.size else 0.0
             entry.rank1 = (w, float(vw), w_vmax)
         return entry.rank1
-
-    def rankk_structure(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Constant ``(U, cp_idx, cn_idx)`` of the rank-k update.
-
-        ``U`` is ``(size, k)`` with one output-injection column per
-        device; ``cp_idx``/``cn_idx`` are the control-node gather
-        indices (``-1`` marks ground, gathered as 0).
-        """
-        if self._rankk_U is None:
-            devices = self.rankk_devices()
-            k = len(devices)
-            U = np.zeros((self.size, k))
-            cp_idx = np.empty(k, dtype=np.intp)
-            cn_idx = np.empty(k, dtype=np.intp)
-            for j, device in enumerate(devices):
-                op, on, cp, cn = device._n
-                if op >= 0:
-                    U[op, j] += 1.0
-                if on >= 0:
-                    U[on, j] -= 1.0
-                cp_idx[j] = cp
-                cn_idx[j] = cn
-            self._rankk_U = U
-            self._rankk_ctrl = (cp_idx, cn_idx)
-        return self._rankk_U, self._rankk_ctrl[0], self._rankk_ctrl[1]
-
-    def ctrl_project(self, vec: np.ndarray) -> np.ndarray:
-        """``V^T vec``: differential control voltages of every rank-k
-        device read off a solution-space vector."""
-        _U, cp_idx, cn_idx = self.rankk_structure()
-        vp = np.where(cp_idx >= 0, vec[np.maximum(cp_idx, 0)], 0.0)
-        vn = np.where(cn_idx >= 0, vec[np.maximum(cn_idx, 0)], 0.0)
-        return vp - vn
-
-    def woodbury_data(self) -> Tuple[np.ndarray, np.ndarray]:
-        """``(WU, VWU)`` of the Woodbury fast path for the active step
-        size: ``WU = G_base^-1 U`` and ``VWU = V^T WU``."""
-        entry = self._active
-        if entry.woodbury is None:
-            U, _cp, _cn = self.rankk_structure()
-            WU = self.lu().solve(U)
-            # VWU[j, l] = v_j^T W u_l: column l is the control-space
-            # projection of W u_l.
-            VWU = np.column_stack(
-                [self.ctrl_project(WU[:, l]) for l in range(U.shape[1])]
-            )
-            entry.woodbury = (WU, VWU)
-        return entry.woodbury
 
     # -- adaptive-step state management --------------------------------------
 

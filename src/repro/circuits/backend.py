@@ -20,7 +20,8 @@ the paper's hand-built netlists:
   and factored once per step size by ``scipy.sparse.linalg.splu`` in
   SuperLU's symmetric mode (see :class:`SparseLU`);
   the factorization is reused for every solve at that step size, and
-  the engines' Sherman–Morrison / Woodbury rank-k Newton updates are
+  the engines' Newton updates (Sherman–Morrison for one nonlinear
+  device, the low-rank Woodbury update of general Newton otherwise) are
   applied *against* the sparse LU, so nonlinear steps never
   re-factorize.  Right for distributed netlists (coil ladders,
   segmented rails) with hundreds-to-thousands of unknowns, where the

@@ -15,12 +15,13 @@ time loop advances every sample together,
 * batched linear algebra — ``numpy.linalg.inv`` on the ``(S, n, n)``
   stack once per step size, then every step's solve is one batched
   mat-vec (the ``linear`` strategy's cached-LU path, S-wide);
-* the rank-1 Sherman–Morrison and rank-k Woodbury Newton fast paths
-  of the per-sample engine, vectorized across the sample axis, over a
-  **per-sample working set**: a full view of the batch while every
-  sample iterates in step (no gathers at all), index arrays only once
-  samples converge, freeze or split — ragged convergence costs only
-  the stragglers;
+* the per-sample engine's rank-1 Sherman–Morrison Newton fast path
+  and, for k >= 2 nonlinear devices, a rank-k Woodbury Newton (where
+  the per-sample engine runs general Newton), vectorized across the
+  sample axis, over a **per-sample working set**: a full view of the
+  batch while every sample iterates in step (no gathers at all), index
+  arrays only once samples converge, freeze or split — ragged
+  convergence costs only the stragglers;
 * the per-sample engine's Newton predictor on ``(S,)`` arrays: every
   rank-1 step starts on the Sherman–Morrison line at the quadratic
   extrapolation of each sample's control voltage through the last
@@ -63,7 +64,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..errors import ConvergenceError, SimulationError
-from .assembly import DtCache, _HistoryRing, _ReactiveSet
+from .assembly import DT_CACHE_SIZE, DtCache, _HistoryRing, _ReactiveSet
 from .backend import BlockDiagLU, KrylovBackend, resolve_backend
 from .component import MNASystem, Component, StampContext, StampPattern, TripletSystem
 from .controlled import NonlinearVCCS
@@ -575,7 +576,7 @@ class BatchedTransientAssembly:
         dt: float,
         method: object,
         gmin: float,
-        max_dt_entries: int = 8,
+        max_dt_entries: int = DT_CACHE_SIZE,
         backend: object = "auto",
     ):
         circuits = list(circuits)
@@ -1553,7 +1554,8 @@ class _BatchedStepSolver:
     def _step_woodbury(
         self, x: np.ndarray, rhs_lin: np.ndarray, time: float
     ) -> np.ndarray:
-        """Vectorized mirror of the per-sample Woodbury Newton step,
+        """Rank-k Newton via the Woodbury identity around the step's
+        one stacked solve (a ``k×k`` system per sample and iterate),
         with the rank-1 kernel's working-set selection."""
         asm = self.assembly
         options = self.options
@@ -1586,10 +1588,9 @@ class _BatchedStepSolver:
                 x_new = Wb - np.matmul(WU[rows], (gms * s_sol)[..., None])[..., 0]
             except np.linalg.LinAlgError:
                 # A sample's small matrix is singular along the rank-k
-                # directions: dense fallback per affected sample, the
-                # rest proceed through the same dense path this
-                # iteration (matches the per-sample engine, which also
-                # falls back for the whole iterate).
+                # directions: the batch re-solves sample by sample, and
+                # only the singular samples take a fully assembled
+                # dense solve.
                 x_new = np.empty_like(Wb)
                 for j, s in enumerate(np.arange(len(x))[rows]):
                     try:
@@ -1769,7 +1770,6 @@ def run_transient_batched(
         options.dt,
         options.resolved_method(),
         options.newton.gmin,
-        max_dt_entries=options.dt_cache_size,
         backend=options.backend,
     )
     circuits = assembly.circuits
@@ -1906,7 +1906,6 @@ def probe_stiffness_ratios(
             options.dt,
             options.resolved_method(),
             options.newton.gmin,
-            max_dt_entries=options.dt_cache_size,
             backend=options.backend,
         )
         S = assembly.n_samples

@@ -56,12 +56,9 @@ the engine picks a solve strategy per run:
   base matrix plus a rank-1 update, so each Newton iterate is a
   Sherman–Morrison formula around one cached factorization — the
   inner loop performs no matrix assembly and no LAPACK call.
-* ``woodbury`` — 2–4 NonlinearVCCS devices (mirror cascades): the
-  rank-k generalization; each Newton iterate solves a k×k system via
-  the Woodbury identity around the same cached factorization.
-* ``general`` — full Newton; each iteration copies the cached parts
-  and restamps only the nonlinear devices (``jacobian="full"`` forces
-  it for any nonlinear netlist).
+* ``general`` — every other nonlinear netlist: full Newton; each
+  iteration copies the cached parts and restamps only the nonlinear
+  devices (``jacobian="full"`` forces it for any nonlinear netlist).
 
 One fixed-grid loop (:func:`_run_fixed`) and one adaptive loop
 (:func:`_run_adaptive`) drive this engine, the lockstep engine of
@@ -142,8 +139,9 @@ class TransientOptions:
     #: currents).  Campaigns that consume two traces stop paying for
     #: the full state vector.
     record_nodes: Optional[Sequence[str]] = None
-    #: Jacobian strategy: "auto" picks the fastest exact-Newton path,
-    #: "full" forces per-iteration assembly + solve.
+    #: Jacobian strategy: "auto" takes the rank-1 Sherman–Morrison
+    #: path for a netlist whose only full-stamp component is one
+    #: NonlinearVCCS; "full" forces per-iteration assembly + solve.
     jacobian: str = "auto"
     #: Linear-algebra backend: "auto" picks dense below the unknown-
     #: count threshold of :mod:`~repro.circuits.backend` and sparse
@@ -176,9 +174,6 @@ class TransientOptions:
     #: ``lte_abstol + lte_reltol * |x|_inf``.
     lte_reltol: float = 1e-3
     lte_abstol: float = 1e-6
-    #: Adaptive: per-step growth clamp (the controller's safety factor
-    #: is :data:`~repro.circuits.stepcontrol.LTE_SAFETY`).
-    max_step_growth: float = 2.0
     #: Adaptive: extra forced step boundaries (source discontinuities
     #: are collected automatically from the netlist).
     breakpoints: Optional[Sequence[float]] = None
@@ -199,12 +194,6 @@ class TransientOptions:
     #: and history reset/bootstrap.  The first phase's method
     #: overrides ``method`` for the whole run's assembly.
     phases: Optional[PhaseSchedule] = None
-    #: Adaptive: how many per-dt assembly/factorization cache entries
-    #: to keep alive.  The grid between dt_min and dt_max has
-    #: log2(dt_max/dt_min) levels; keep the cache at least as deep as
-    #: the levels a run actually visits or a level revisited after a
-    #: rejection will rebuild its entry.
-    dt_cache_size: int = 16
 
     # -- fault tolerance ----------------------------------------------------
     #: Per-step Newton rescue ladder.  When a step's Newton fails (on
@@ -219,14 +208,6 @@ class TransientOptions:
     rescue: bool = False
     #: Budget: rescued steps allowed per run before aborting.
     max_rescues: int = 8
-    #: Rescue stage 1: descending extra node-to-ground conductances;
-    #: each rung's solution warm-starts the next, and a final rung at
-    #: the nominal gmin recovers the true step equations.
-    rescue_gmin_ladder: Sequence[float] = (1e-3, 1e-4, 1e-5, 1e-6, 1e-8, 1e-10)
-    #: Rescue stage 2: number of residual-continuation waypoints on
-    #: the way from "previous state satisfies the step equations" to
-    #: the true step system.
-    rescue_ramp_steps: int = 8
     #: Budgets: cap on attempted steps (fixed: grid steps; adaptive:
     #: proposed candidates) and wall-clock seconds.  None = unlimited.
     max_steps: Optional[int] = None
@@ -311,10 +292,6 @@ class TransientOptions:
             raise SimulationError("dt_min must not exceed dt_max")
         if self.lte_reltol <= 0 or self.lte_abstol <= 0:
             raise SimulationError("lte_reltol and lte_abstol must be positive")
-        if self.max_step_growth <= 1.0:
-            raise SimulationError("max_step_growth must exceed 1")
-        if self.dt_cache_size < 1:
-            raise SimulationError("dt_cache_size must be >= 1")
         if self.phases is not None:
             if not isinstance(self.phases, PhaseSchedule):
                 raise SimulationError(
@@ -336,10 +313,6 @@ class TransientOptions:
             )
         if self.max_rescues < 0:
             raise SimulationError("max_rescues must be >= 0")
-        if self.rescue_ramp_steps < 1:
-            raise SimulationError("rescue_ramp_steps must be >= 1")
-        if any(g <= 0 for g in self.rescue_gmin_ladder):
-            raise SimulationError("rescue_gmin_ladder entries must be positive")
         if self.max_steps is not None and self.max_steps < 1:
             raise SimulationError("max_steps must be >= 1 (or None)")
         if self.max_wall_time is not None and self.max_wall_time <= 0:
@@ -576,6 +549,12 @@ class _RunBudget:
         return None
 
 
+#: Rescue stage 1's extra node-to-ground conductances, descending.
+RESCUE_GMIN_LADDER = (1e-3, 1e-4, 1e-5, 1e-6, 1e-8, 1e-10)
+#: Rescue stage 2's residual-continuation waypoints.
+RESCUE_RAMP_STEPS = 8
+
+
 class _StepRescue:
     """Per-step Newton rescue ladder: gmin ramp, then residual ramp.
 
@@ -585,7 +564,7 @@ class _StepRescue:
 
     1. **Gmin ramp** — damped Newton with a large extra conductance
        from every node to ground, tightened rung by rung down
-       ``rescue_gmin_ladder`` (each rung warm-starting the next) and
+       :data:`RESCUE_GMIN_LADDER` (each rung warm-starting the next) and
        finishing at the nominal gmin, which *is* the true step system.
     2. **Residual ("source-ramp") continuation** — solve
        ``F(x) - (1 - lam) * F(x_prev) = 0`` along a ``lam`` ladder
@@ -606,7 +585,6 @@ class _StepRescue:
 
     def __init__(self, assembly: TransientAssembly, options: TransientOptions):
         self.assembly = assembly
-        self.options = options
         self.newton = options.newton
         self.rescues = 0
         self.by_stage: Dict[str, int] = {}
@@ -675,7 +653,7 @@ class _StepRescue:
         try:
             x, _ = continuation_ladder(
                 lambda gmin, xw: self._solve(xw, rhs_lin, time, extra_gmin=gmin),
-                tuple(self.options.rescue_gmin_ladder) + (0.0,),
+                RESCUE_GMIN_LADDER + (0.0,),
                 x_prev,
             )
             self.by_stage["gmin_ramp"] = self.by_stage.get("gmin_ramp", 0) + 1
@@ -683,7 +661,7 @@ class _StepRescue:
         except ConvergenceError:
             pass
         f0 = self._residual(x_prev, rhs_lin, time)
-        m = self.options.rescue_ramp_steps
+        m = RESCUE_RAMP_STEPS
         x, _ = continuation_ladder(
             lambda lam, xw: self._solve(
                 xw, rhs_lin, time, rhs_offset=(1.0 - lam) * f0
@@ -808,7 +786,7 @@ class _StepSolver:
     """Per-run solver state shared across steps (caches, statistics).
 
     All ``(dt, method)``-dependent solve data (base matrix, cached
-    factorization, rank-k vectors) lives in the assembly's active
+    factorization, rank-1 vectors) lives in the assembly's active
     per-``dt`` cache entry, so a step-size change by the adaptive
     controller transparently switches every strategy to the right
     cached factorization.
@@ -841,7 +819,7 @@ class _StepSolver:
         self._cond_checked: set = set()
         self._condest_skip_noted = False
 
-        devices = assembly.rankk_devices()
+        device = assembly.rank1_device()
         if assembly.is_linear:
             self.strategy = "linear"
         elif not assembly.circuit.has_nonlinear():
@@ -850,16 +828,10 @@ class _StepSolver:
             # one fresh assembly and one undamped solve per step, the
             # seed engine's exact linear behaviour.
             self.strategy = "linear-restamp"
-        elif devices is not None and jacobian == "auto":
-            if len(devices) == 1:
-                self.strategy = "rank1"
-                self._device = devices[0]
-                op, on, cp, cn = self._device._n
-                self._cp, self._cn = cp, cn
-            else:
-                self.strategy = "woodbury"
-                self._devices = devices
-                self._eye_k = np.eye(len(devices))
+        elif device is not None and jacobian == "auto":
+            self.strategy = "rank1"
+            self._device = device
+            _op, _on, self._cp, self._cn = device._n
         else:
             self.strategy = "general"
         #: Where each rank-1 Newton step starts (``None`` for every
@@ -919,8 +891,6 @@ class _StepSolver:
             x_new = self._full_solve(x, rhs_lin, time)
         elif self.strategy == "rank1":
             x_new = self._step_rank1(x, rhs_lin, time)
-        elif self.strategy == "woodbury":
-            x_new = self._step_woodbury(x, rhs_lin, time)
         else:
             x_new = self._step_general(x, rhs_lin, time)
         if self.guards and not np.isfinite(x_new).all():
@@ -948,7 +918,7 @@ class _StepSolver:
         degrades gracefully (NaN/Inf screening of every step stays
         armed) and records the skip once in ``stats["health"]``.
         """
-        if self.strategy not in ("linear", "rank1", "woodbury"):
+        if self.strategy not in ("linear", "rank1"):
             return
         lu = self.assembly.lu()
         key = id(lu)
@@ -1097,52 +1067,6 @@ class _StepSolver:
                     return x
         raise self._fail(time, last_delta)
 
-    def _step_woodbury(self, x: np.ndarray, rhs_lin: np.ndarray, time: float) -> np.ndarray:
-        """Rank-k Newton via the Woodbury identity.
-
-        With ``k`` NonlinearVCCS devices the Jacobian is
-        ``G_base + U diag(gm) V^T`` with constant ``U, V``; each
-        iterate costs one cached triangular solve reuse
-        (``z_lin``, once per step), a few ``(size, k)`` mat-vecs and
-        one ``k×k`` dense solve — no LAPACK factorization and no
-        matrix assembly in the loop.
-        """
-        options = self.options
-        assembly = self.assembly
-        devices = self._devices
-        k = len(devices)
-        n = self.n_nodes
-        lu = assembly.lu()
-        WU, VWU = assembly.woodbury_data()
-        self.solves += 1
-        z_lin = lu.solve(rhs_lin)
-        gms = np.empty(k)
-        ieqs = np.empty(k)
-        v_ctrl = assembly.ctrl_project(x)
-        last_delta = np.inf
-        for _iteration in range(options.max_iterations):
-            for j, device in enumerate(devices):
-                gms[j], ieqs[j] = device.linearize(v_ctrl[j])
-            self.newton_iterations += 1
-            Wb = z_lin - WU.dot(ieqs)
-            VWb = assembly.ctrl_project(Wb)
-            M = self._eye_k + VWU * gms[np.newaxis, :]
-            try:
-                s = np.linalg.solve(M, VWb)
-                x_new = Wb - WU.dot(gms * s)
-            except np.linalg.LinAlgError:
-                # Small matrix momentarily singular along the rank-k
-                # directions; fall back to a fully-stamped solve.
-                x_new = self._full_solve(x, rhs_lin, time)
-            delta, last_delta = damp_voltage_delta(
-                x_new - x, n, options.max_step
-            )
-            x = x + delta
-            v_ctrl = assembly.ctrl_project(x)
-            if last_delta < _voltage_tol(x, n, options):
-                return x
-        raise self._fail(time, last_delta)
-
 
 def _fixed_record_count(options: TransientOptions) -> int:
     """Records a fixed-grid run produces (initial sample included).
@@ -1194,7 +1118,6 @@ def _step_controller(
         method=method,
         reltol=options.lte_reltol,
         abstol=options.lte_abstol,
-        max_growth=options.max_step_growth,
         breakpoints=breakpoints,
         order_control=order_control,
     )
@@ -1679,7 +1602,6 @@ def _setup(circuit: Circuit, options: TransientOptions):
         options.dt,
         method,
         options.newton.gmin,
-        max_dt_entries=options.dt_cache_size,
         backend=backend,
     )
     assembly.init_state(x)

@@ -3,8 +3,9 @@
 The contract under test: splitting a fixed-grid lockstep campaign
 into shards — sequentially in-process or across a process pool with
 the shared-memory record stream — merges back **bit-identical** to
-the unsharded vectorized run, for every per-sample solve strategy
-(``linear``/``rank1``/``woodbury``/``general``).  Bit-identity is
+the unsharded vectorized run, for every lockstep solve strategy
+(``batched-linear``/``batched-rank1``/``batched-woodbury``, the last
+at k = 3 and k = 6 devices).  Bit-identity is
 possible because every per-sample solve in the lockstep engine
 (block-diagonal LU, per-sample Newton masks, the batched DC seed) is
 independent of batch membership.
@@ -90,12 +91,13 @@ def _build_k_vccs(task, k):
 
 
 def build_woodbury(task):
-    """3 NonlinearVCCS devices: the woodbury strategy (k <= 4)."""
+    """3 NonlinearVCCS devices: the lockstep rank-k Woodbury kernel."""
     return _build_k_vccs(task, 3)
 
 
 def build_general(task):
-    """6 NonlinearVCCS devices: the general batched strategy (k > 4)."""
+    """6 NonlinearVCCS devices: the same lockstep kernel at a larger k
+    (the per-sample engine runs general Newton for both)."""
     return _build_k_vccs(task, 6)
 
 

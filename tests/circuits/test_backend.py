@@ -6,8 +6,10 @@ Three claims are pinned here:
   dense stamping (dense backend = pre-refactor results), and the CSR
   finalization agrees cell for cell;
 * ``backend="sparse"`` reproduces ``backend="dense"`` at rtol 1e-9 on
-  every solve-strategy family — linear, rank-1 Sherman–Morrison,
-  small-k Woodbury, and general Newton — on fixed and adaptive grids,
+  every solve-strategy family — linear, rank-1 Sherman–Morrison, and
+  general Newton over several NonlinearVCCS devices (the ``woodbury``
+  family, which the sparse backend solves as a low-rank update around
+  its cached LU) or a diode — on fixed and adaptive grids,
   plus the DC and AC analyses and the batched lockstep engine;
 * scipy-less environments degrade gracefully: "auto" falls back to
   dense silently, an explicit "sparse" raises a clear error.

@@ -85,7 +85,7 @@ class TestAssemblyEviction:
         assert assembly.lu_factorizations == 10
         for entry in factored[:2]:
             assert entry.lu is None and entry.rank1 is None
-            assert entry.woodbury is None and entry.delta is None
+            assert entry.delta is None
         for entry in factored[2:]:
             assert entry.lu is not None
         live = assembly._cache.live_entries()

@@ -127,13 +127,9 @@ class TestOptionsValidation:
         with pytest.raises(SimulationError):
             _options(max_rescues=-1)
         with pytest.raises(SimulationError):
-            _options(rescue_ramp_steps=0)
-        with pytest.raises(SimulationError):
             _options(max_steps=0)
         with pytest.raises(SimulationError):
             _options(max_wall_time=0.0)
-        with pytest.raises(SimulationError):
-            _options(rescue_gmin_ladder=(1e-3, -1.0))
 
 
 class TestConvergenceErrorContext:

@@ -51,12 +51,6 @@ class TestOptionsValidation:
         with pytest.raises(SimulationError):
             TransientOptions(t_stop=1e-3, dt=1e-6, lte_abstol=-1e-9)
 
-    def test_bad_growth_and_cache(self):
-        with pytest.raises(SimulationError):
-            TransientOptions(t_stop=1e-3, dt=1e-6, max_step_growth=1.0)
-        with pytest.raises(SimulationError):
-            TransientOptions(t_stop=1e-3, dt=1e-6, dt_cache_size=0)
-
 
 class TestLinearAdaptive:
     def _run(self):
