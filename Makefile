@@ -24,6 +24,10 @@
 #                   tests/ of the working tree against BASE, from
 #                   git diff --numstat (stage new files first so they
 #                   count), and the totals for src/ and tests/
+#   make solver-accuracy SEED=1
+#                   backward and forward errors of plain splu and of the
+#                   condensed sparse LU on the coil_mesh workload's linear
+#                   systems (benchmarks/solver_accuracy.py)
 #   make importtime WORKLOAD=supply_loss_q
 #                   one set-up-only run under python -X importtime: the 25
 #                   largest cumulative imports and the repro/scipy module
@@ -43,7 +47,7 @@ PAIRS ?= 10
 SEEDS ?= 1,2
 RTOL ?=
 
-.PHONY: verify test bench bench-check perf perf-pairs same-outputs importtime loc
+.PHONY: verify test bench bench-check perf perf-pairs same-outputs solver-accuracy importtime loc
 
 verify: test bench-check
 
@@ -64,6 +68,9 @@ perf-pairs:
 
 same-outputs:
 	$(PYTHON) benchmarks/same_outputs.py --base $(BASE) --workload $(WORKLOAD) --seeds $(SEEDS) $(if $(RTOL),--rtol $(RTOL))
+
+solver-accuracy:
+	$(PYTHON) benchmarks/solver_accuracy.py --seed $(SEED)
 
 importtime:
 	$(PYTHON) benchmarks/importtime.py --workload $(WORKLOAD)
