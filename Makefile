@@ -24,10 +24,12 @@
 #                   tests/ of the working tree against BASE, from
 #                   git diff --numstat (stage new files first so they
 #                   count), and the totals for src/ and tests/
-#   make solver-accuracy SEED=1
+#   make solver-accuracy SEEDS=1,2,3
 #                   backward and forward errors of plain splu and of the
-#                   condensed sparse LU on the coil_mesh workload's linear
-#                   systems (benchmarks/solver_accuracy.py)
+#                   condensed sparse LU, and the Schur complement's
+#                   ordering and fill, on the coil_mesh workload's linear
+#                   systems per seed, the DC system labelled
+#                   (benchmarks/solver_accuracy.py)
 #   make importtime WORKLOAD=supply_loss_q
 #                   one set-up-only run under python -X importtime: the 25
 #                   largest cumulative imports and the repro/scipy module
@@ -70,7 +72,7 @@ same-outputs:
 	$(PYTHON) benchmarks/same_outputs.py --base $(BASE) --workload $(WORKLOAD) --seeds $(SEEDS) $(if $(RTOL),--rtol $(RTOL))
 
 solver-accuracy:
-	$(PYTHON) benchmarks/solver_accuracy.py --seed $(SEED)
+	$(PYTHON) benchmarks/solver_accuracy.py --seeds $(SEEDS)
 
 importtime:
 	$(PYTHON) benchmarks/importtime.py --workload $(WORKLOAD)

@@ -79,8 +79,9 @@ default) so future PRs have a perf trajectory to regress against:
   drive, adaptive stepping: the Krylov backend's stale-LU
   preconditioner pool vs the sparse backend's per-dt-entry ``splu``
   refactorization.  The gated asset is the **factorization economy**:
-  the anchor pool plus affine dt-entry reconstruction holds the LU
-  count roughly constant while the sparse run refactors on every
+  the anchor pool, which adopts a dt-cache entry rebuilt after an
+  eviction (bit-identical to the matrix it already factored), holds
+  the LU count roughly constant while the sparse run refactors on every
   dt-cache build and rebuild, so at 10k+ unknowns (where ``splu``
   dominates wall time) the deterministic refactorization counter must
   show >= 2x fewer factorizations and the wall clock must not fall

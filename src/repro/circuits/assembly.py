@@ -12,8 +12,11 @@ the system exactly as often as it can change:
 
 * **once per step size** — the base matrix ``G_base``: all linear
   matrix stamps (R, switches, L/C companion conductances, source
-  branch rows, VCVS/VCCS) plus the global ``gmin`` diagonal,
-  recorded as a COO triplet stream and finalized by the run's
+  branch rows, VCVS/VCCS) plus the global ``gmin`` diagonal, as a COO
+  triplet stream — the type-exact R, C and L stamps built from arrays
+  read once per run (:class:`~repro.circuits.elements.PlainElements`),
+  bit-identical to stamping each component, every other component
+  stamped by its own ``stamp_static`` — and finalized by the run's
   :class:`~repro.circuits.backend.MatrixBackend` — dense (frozen
   ndarray + :class:`~repro.circuits.linsolve.ReusableLU`) or CSR
   (``splu``), with the stream's sparsity pattern computed once per
@@ -63,7 +66,7 @@ from .component import (
     TripletSystem,
 )
 from .controlled import NonlinearVCCS
-from .elements import Capacitor, Inductor
+from .elements import PlainElements
 from .integration import IntegrationMethod, resolve_method
 from .linsolve import solve_dense
 from .netlist import Circuit
@@ -353,55 +356,39 @@ class _ReactiveSet:
     by the per-``dt`` cache entries of :class:`TransientAssembly`.
     """
 
-    def __init__(self, caps: List[Capacitor], inds: List[Inductor], size: int):
+    def __init__(self, plain: PlainElements, size: int):
+        caps, inds = plain.caps, plain.inds
         self.caps = caps
         self.inds = inds
         self.size = size
         n = len(caps) + len(inds)
         self.n = n
+        self.n_caps = nc = len(caps)
         # Gather indices; ground (-1) redirects to a padded zero slot.
-        pad = size
-        self.a_idx = np.array(
-            [c._n[0] if c._n[0] >= 0 else pad for c in caps]
-            + [l._n[0] if l._n[0] >= 0 else pad for l in inds],
-            dtype=np.intp,
-        )
-        self.b_idx = np.array(
-            [c._n[1] if c._n[1] >= 0 else pad for c in caps]
-            + [l._n[1] if l._n[1] >= 0 else pad for l in inds],
-            dtype=np.intp,
-        )
-        self.br_idx = np.array([l._b[0] for l in inds], dtype=np.intp)
-        self.n_caps = len(caps)
+        nodes = np.concatenate((plain.c_nodes, plain.l_nodes))
+        self.a_idx = np.where(nodes[:, 0] >= 0, nodes[:, 0], size)
+        self.b_idx = np.where(nodes[:, 1] >= 0, nodes[:, 1], size)
+        self.br_idx = plain.l_branch
         #: Element values (C per cap, then L per inductor), read from
-        #: the components here only: :meth:`coeffs` scales them into
-        #: companion conductances and :meth:`bootstrap_history` turns
-        #: the conjugate-derivative row into state derivatives.
-        self.values = np.array(
-            [c.capacitance for c in caps] + [l.inductance for l in inds],
-            dtype=float,
-        )
+        #: the components by ``plain`` only: :meth:`coeffs` scales them
+        #: into companion conductances and :meth:`bootstrap_history`
+        #: turns the conjugate-derivative row into state derivatives.
+        self.values = plain.lc_values
+        #: Per element: whether it has an ``ic``, and its value.
+        self.has_ic = plain.has_ic
+        self.ic = plain.ic
 
         # Scatter matrix: rhs += S @ term.  A cap's ieq flows a->b
         # (rhs[a] -= ieq, rhs[b] += ieq); an inductor's term lands on
         # its own branch row.
-        rows: List[int] = []
-        s_cols: List[int] = []
-        s_vals: List[float] = []
-        for j, c in enumerate(caps):
-            a, b = c._n
-            if a >= 0:
-                rows.append(a)
-                s_cols.append(j)
-                s_vals.append(-1.0)
-            if b >= 0:
-                rows.append(b)
-                s_cols.append(j)
-                s_vals.append(1.0)
-        for j, l in enumerate(inds):
-            rows.append(l._b[0])
-            s_cols.append(len(caps) + j)
-            s_vals.append(1.0)
+        ca, cb = plain.c_nodes.T
+        j = np.arange(nc)
+        rows = np.concatenate((ca[ca >= 0], cb[cb >= 0], self.br_idx))
+        s_cols = np.concatenate((j[ca >= 0], j[cb >= 0], np.arange(nc, n)))
+        s_vals = np.concatenate((
+            np.full(int((ca >= 0).sum()), -1.0),
+            np.ones(int((cb >= 0).sum()) + len(inds)),
+        ))
         #: CSR scatter for large (distributed) systems, where the
         #: dense mat-vec is O(size * m) of mostly zeros — built
         #: straight from the triplets, because the dense operator
@@ -552,15 +539,20 @@ class _ReactiveSet:
     def init_state(self, x: np.ndarray) -> None:
         """Seed integrator state from a converged starting point.
 
-        Delegates to each component's ``init_state`` so the ``ic``
-        handling stays in exactly one place.
+        The array form of :meth:`Capacitor.init_state` and
+        :meth:`Inductor.init_state`: a cap starts at its ``ic`` or its
+        terminal voltage with zero current, an inductor at its ``ic``
+        or its branch current with zero voltage.
         """
-        for j, c in enumerate(self.caps):
-            st = c.init_state(x)
-            self.v[j], self.i[j] = st.v, st.i
-        for j, l in enumerate(self.inds):
-            st = l.init_state(x)
-            self.v[self.n_caps + j], self.i[self.n_caps + j] = st.v, st.i
+        nc = self.n_caps
+        xp = np.zeros(self.size + 1)
+        xp[: self.size] = x
+        self.v[:nc] = np.where(
+            self.has_ic[:nc], self.ic[:nc], xp[self.a_idx[:nc]] - xp[self.b_idx[:nc]]
+        )
+        self.v[nc:] = 0.0
+        self.i[:nc] = 0.0
+        self.i[nc:] = np.where(self.has_ic[nc:], self.ic[nc:], xp[self.br_idx])
         self.ring.restart()
         if self.ring.depth:
             self.ring.set_current(self.v, self.i, self.n_caps)
@@ -737,7 +729,9 @@ class TransientAssembly:
     described in the module docstring.  The ``dt``-dependent products
     live in a small LRU of per-step-size cache entries; switch the
     active entry with :meth:`set_dt` (a fixed-step run stays on its
-    initial entry forever).
+    initial entry forever).  Every entry is stamped exactly, on every
+    backend: an entry rebuilt after an eviction is bit-identical to
+    the one it replaces.
     """
 
     def __init__(
@@ -759,21 +753,20 @@ class TransientAssembly:
         self.backend = resolve_backend(backend, self.size)
 
         split, full = circuit.partition_components()
-        self._split: List[Component] = split
         self.full: List[Component] = full
 
-        # Plain reactive elements get the vectorized state path;
-        # subclasses fall back to the generic split methods.
-        caps = [c for c in split if type(c) is Capacitor]
-        inds = [c for c in split if type(c) is Inductor]
-        vectorized = set(id(c) for c in caps + inds)
+        # Type-exact R, C and L are read once into arrays: they stamp
+        # the static stream from them, and plain reactive elements get
+        # the vectorized state path.  Every other split component (and
+        # any subclass) stamps through its own methods.
+        self.plain = PlainElements(split)
         #: Names of components whose integrator state lives in the
         #: vectorized arrays rather than the generic ``states`` dict.
-        self.vectorized_names = {c.name for c in caps + inds}
+        self.vectorized_names = {c.name for c in self.plain.caps + self.plain.inds}
         #: Generic integrator state of every other component, by name
         #: (filled by :meth:`init_state`; one dict for the whole run).
         self.states: Dict[str, object] = {}
-        self.reactive = _ReactiveSet(caps, inds, self.size)
+        self.reactive = _ReactiveSet(self.plain, self.size)
         if self.method.is_multistep:
             self.reactive.enable_history(
                 self.method.history_depth(self.method.max_order)
@@ -786,9 +779,8 @@ class TransientAssembly:
         # no-op so large resistive networks pay nothing per step.
         self.dynamic: List[Component] = [
             c
-            for c in split
-            if id(c) not in vectorized
-            and type(c).stamp_dynamic is not Component.stamp_dynamic
+            for c in self.plain.generic
+            if type(c).stamp_dynamic is not Component.stamp_dynamic
         ]
 
         # Scratch system and context reused by per-step/per-iteration
@@ -810,22 +802,10 @@ class TransientAssembly:
         self._xp = np.zeros(self.size + 1)
 
         #: Structure of the static stamp stream, captured on the first
-        #: entry build and reused by every later one (structure/value
-        #: split: only the values depend on dt).
+        #: entry build and reused while the stream's layout holds
+        #: (structure/value split: only the values depend on dt).
         self._pattern: Optional[StampPattern] = None
-        #: Per-``(method, order)`` affine models of the static value
-        #: stream, ``values(dt) = c + s / dt`` — for plain R/L/C
-        #: netlists the only dt-dependent stamps are the companion
-        #: terms ``lead*C/dt`` and ``-lead*L/dt``, so the whole stream
-        #: is affine in ``1/dt`` once the method's leading coefficient
-        #: is fixed.  Fitted from two probe stamps and verified
-        #: against a third by :meth:`_fit_affine`; a family maps to
-        #: ``None`` when verification failed (some component stamps a
-        #: non-affine value) and every entry re-stamps the slow way.
-        #: Only consulted for iterative backends: the reconstruction
-        #: is exact up to rounding, which a tolerance-based solve
-        #: absorbs but a bit-pinned direct factorization must not see.
-        self._affine: Dict[tuple, Optional[tuple]] = {}
+        self._layout = None
         self._static_ctx = StampContext(
             system=None,  # a TripletSystem per build
             x=np.zeros(self.size),
@@ -860,68 +840,20 @@ class TransientAssembly:
 
     # -- (dt, method, order)-keyed cache --------------------------------------
 
-    def _stamp_values(self, dt: float, order: int) -> TripletSystem:
-        """One full static stamp pass at ``(dt, order)``."""
-        tri = TripletSystem(self.size)
+    def _build_entry(self, key: Tuple[float, IntegrationMethod, int]) -> _DtEntry:
+        """Stamp and finalize the base matrix of one integration setup
+        (the :class:`DtCache` build callback).  The stamp pattern is
+        recomputed only when the stream's layout changes, i.e. when a
+        generic component stamps a different structure."""
+        dt, _method, order = key
         ctx = self._static_ctx
-        ctx.system = tri
+        ctx.system = TripletSystem(self.size)
         ctx.dt = dt
         ctx.coeffs = self.method.base_coeffs(order)
-        for component in self._split:
-            component.stamp_static(ctx)
-        for i in range(self.n_nodes):
-            tri.add_G(i, i, self.gmin)
-        return tri
-
-    def _fit_affine(
-        self, dt: float, order: int, v1: np.ndarray
-    ) -> Optional[tuple]:
-        """Fit ``values(dt) = c + s / dt`` for the active method/order.
-
-        ``v1`` is the stream just stamped at ``dt``; two more probe
-        stamps (at ``2*dt`` and ``dt/2``) identify the affine model
-        and verify it, so a component whose static stamp is *not*
-        affine in ``1/dt`` (or that changes the stamp structure with
-        the step size) falls back to per-entry stamping instead of
-        being served a wrong matrix.  Returns ``(c, s)`` or ``None``.
-        """
-        tri2 = self._stamp_values(2.0 * dt, order)
-        tri3 = self._stamp_values(0.5 * dt, order)
-        if not (self._pattern.matches(tri2) and self._pattern.matches(tri3)):
-            return None
-        t1 = 1.0 / dt
-        v2 = tri2.values()  # at t1 / 2
-        v3 = tri3.values()  # at t1 * 2
-        s = (v1 - v2) / (t1 - 0.5 * t1)
-        c = v1 - s * t1
-        predicted = c + s * (2.0 * t1)
-        scale = float(np.max(np.abs(v3))) if v3.size else 0.0
-        if not np.allclose(predicted, v3, rtol=1e-9, atol=1e-12 * scale):
-            return None
-        return c, s
-
-    def _build_entry(self, key: Tuple[float, IntegrationMethod, int]) -> _DtEntry:
-        dt, _method, order = key
-        family = (self.method, order)
-        # False = family not probed yet; None = probed, not affine.
-        model = (
-            self._affine.get(family, False)
-            if self.backend.is_iterative
-            else None
-        )
-        if model:
-            c, s = model
-            G = self.backend.finalize(self._pattern, c + s * (1.0 / dt))
-            return _DtEntry(dt, G, self.reactive.coeffs(dt, self.method, order))
-        tri = self._stamp_values(dt, order)
-        if self._pattern is None or not self._pattern.matches(tri):
-            self._pattern = tri.pattern()
-            # Fitted value models are pinned to the old structure.
-            self._affine.clear()
-            model = False if self.backend.is_iterative else None
-        values = tri.values()
-        if model is False:
-            self._affine[family] = self._fit_affine(dt, order, values)
+        layout, values = self.plain.stream(ctx, self.n_nodes)
+        if layout is not self._layout:
+            self._layout = layout
+            self._pattern = StampPattern(self.size, layout.rows, layout.cols)
         G = self.backend.finalize(self._pattern, values)
         return _DtEntry(dt, G, self.reactive.coeffs(dt, self.method, order))
 

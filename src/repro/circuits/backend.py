@@ -192,12 +192,6 @@ class MatrixBackend:
     #: (the engines use this to gate dense-only strategies like the
     #: chord Jacobian and per-iteration full restamping).
     is_dense: bool = False
-    #: Whether the backend solves to a tolerance rather than by direct
-    #: factorization.  Iterative backends tolerate matrix values that
-    #: are reconstructed to within rounding (the assembly's affine
-    #: dt-entry fast path) — direct backends must keep the bit-exact
-    #: stamped stream, because their answers are pinned by goldens.
-    is_iterative: bool = False
 
     def finalize(self, pattern: StampPattern, values: np.ndarray):
         """Materialize one assembly's matrix from its value stream."""
@@ -235,6 +229,11 @@ CONDENSE_MIN_FRACTION = 0.5
 #: A pivot block fails when ``|det| <= tol * (|a11 a22| + |a12 a21|)``;
 #: one failed block sends its matrix to plain ``splu``.
 _BLOCK_PIVOT_TOL = 1e-8
+
+#: SuperLU column ordering of the Schur complement.  On the coil
+#: mesh's grid system minimum degree on ``A^T + A`` leaves about 72k
+#: entries in L and U against 117k under the default ``COLAMD``.
+_SCHUR_ORDERING = "MMD_AT_PLUS_A"
 
 #: Condensation plans kept, most recently used last.  One run sees a
 #: handful of patterns (its DC and companion matrices); the 12.3k-
@@ -415,7 +414,7 @@ class _CondensePlan:
         schur = _sparse.csc_matrix(
             (s_data, self.s_indices, self.s_indptr), shape=(self.r, self.r)
         )
-        lu = _splu(schur, options=dict(SymmetricMode=True))
+        lu = _splu(schur, permc_spec=_SCHUR_ORDERING, options=dict(SymmetricMode=True))
         unit = np.ones(self.r, dtype=g_vals.dtype)
         return _CondensedLU(
             matrix,
@@ -536,23 +535,25 @@ class SparseLU:
     Condensation.  When the pattern's plan (:class:`_CondensePlan`)
     eliminates at least :data:`CONDENSE_MIN_FRACTION` of the unknowns,
     the isolated one- and two-unknown blocks are eliminated exactly
-    (closed-form 2x2 inverses) and SuperLU, with the same options,
-    factors only the Schur complement of the rest; each solve is then
-    refined once against the full matrix (Higham, *Accuracy and
-    Stability of Numerical Algorithms*, ch. 12).  A block whose
-    determinant fails :data:`_BLOCK_PIVOT_TOL` sends the matrix to
-    plain ``splu``, and a pattern below the threshold (the
-    ``DistributedCoil`` ladder, small netlists) is factored by the
-    plain ``splu`` call, bit for bit.  On the 12,301-unknown coil mesh
-    the plan eliminates 9,789 unknowns (4,894 edge pairs and the drive
-    pin); the 2,512-unknown grid system's LU holds about 116.6k
-    entries against 460k for the full matrix.  A factorization takes
-    about 11 ms instead of 41 ms and a refined solve about 1.1 ms
-    instead of 1.3 ms (2-vCPU shared host).  On the seed-1 workload's
-    systems (``benchmarks/solver_accuracy.py``) the forward error
-    against a long-double-refined solution is 6.8e-11 to 6.8e-9,
-    against 1.5e-9 to 9.3e-9 for plain ``splu``; unrefined it reaches
-    1.1e-7.
+    (closed-form 2x2 inverses) and SuperLU, with the same options and
+    the :data:`_SCHUR_ORDERING` column ordering, factors only the Schur
+    complement of the rest; each solve is then refined once against
+    the full matrix (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, ch. 12).  A block whose determinant fails
+    :data:`_BLOCK_PIVOT_TOL` sends the matrix to plain ``splu``, and a
+    pattern below the threshold (the ``DistributedCoil`` ladder, small
+    netlists) is factored by the plain ``splu`` call, bit for bit.  On
+    the 12,301-unknown coil mesh the plan eliminates 9,789 unknowns
+    (4,894 edge pairs and the drive pin); the 2,512-unknown grid
+    system's LU holds about 72k entries (116.6k under ``COLAMD``)
+    against 460k for the full matrix, and the DC system's 78.3k
+    (117.2k).  A factorization takes about 8.4 ms (10.2 ms under
+    ``COLAMD``, 38 ms for the full matrix) and a refined solve about
+    0.86 ms (1.03 ms, 1.31 ms) on a 2-vCPU shared host.  On the
+    workload's transient systems for seeds 1-3
+    (``benchmarks/solver_accuracy.py``) the forward error against a
+    long-double-refined solution is 5.3e-11 to 3.4e-9, against 9.3e-10
+    to 4.9e-8 for plain ``splu``; unrefined it reaches 1.7e-7.
     """
 
     def __init__(self, matrix):
@@ -1248,8 +1249,8 @@ class KrylovBackend(MatrixBackend):
     evicting a hot anchor to admit the next one in rotation.  Each
     solve picks the anchor whose matrix it is (direct-solve fast
     path) or, failing that, the nearest by a sketch fingerprint of
-    the value stream (linear in ``1/dt`` for one assembly's affine
-    entry family, so nearest-fingerprint is nearest-``dt``);
+    the value stream (linear in ``1/dt`` across one assembly's
+    entries, so nearest-fingerprint is nearest-``dt``);
     refreshes evict the least-recently-used slot.
 
     Refresh policy (the stale-preconditioner knobs):
@@ -1274,9 +1275,10 @@ class KrylovBackend(MatrixBackend):
       refinement first (1 apply when the matrix equals an anchor's,
       a few when it is near), escalating to restarted GMRES (or
       BiCGStab with ``method="bicgstab"``) when refinement stalls.
-      A rebuilt dt-cache entry whose values the assembly's affine
-      fast path reconstructed identically converges in 2 applies
-      against its old anchor — entry churn costs no factorization.
+      A dt-cache entry rebuilt after an eviction is bit-identical to
+      the matrix its old anchor factored, so it is adopted by that
+      anchor and answered directly — entry churn costs no
+      factorization.
 
     ``tol`` is the relative residual of the iterative solves, measured
     in the *preconditioned* norm against the largest entry of the
@@ -1297,7 +1299,6 @@ class KrylovBackend(MatrixBackend):
 
     name = "krylov"
     is_dense = False
-    is_iterative = True
 
     def __init__(
         self,
@@ -1411,14 +1412,13 @@ class KrylovBackend(MatrixBackend):
             nnz = matrix.data.shape[0]
             same = [a for a in anchors if a.matrix.data.shape[0] == nnz]
             best = min(same or anchors, key=lambda a: abs(a.scale - scale))
-            # A rebuilt dt-cache entry (affine reconstruction after an
-            # eviction) carries the matrix an anchor already factored,
-            # up to reconstruction rounding (~1e-16 relative; a
-            # genuinely different dt sits >=1e-6 away).  Adopt the new
-            # object so this solve — and every later one — answers
-            # directly from the anchor's LU instead of paying a
-            # two-apply iteration; the O(nnz) comparisons are gated by
-            # the near-equal fingerprint.
+            # A dt-cache entry rebuilt after an eviction is a new
+            # object holding the matrix an anchor already factored, bit
+            # for bit (a genuinely different dt sits >=1e-6 away).
+            # Adopt the new object so this solve — and every later one
+            # — answers directly from the anchor's LU instead of paying
+            # a two-apply iteration; the O(nnz) comparisons are gated
+            # by the near-equal fingerprint.
             bm = best.matrix
             if (
                 bm.data.shape[0] == nnz

@@ -69,7 +69,7 @@ from .backend import BlockDiagLU, KrylovBackend, resolve_backend
 from .component import MNASystem, Component, StampContext, StampPattern, TripletSystem
 from .controlled import NonlinearVCCS
 from .dcop import NewtonOptions, OperatingPoint, solve_dc
-from .elements import Capacitor, Inductor
+from .elements import Capacitor, Inductor, PlainElements
 from .health import (
     CONDITION_LIMIT,
     HealthReport,
@@ -624,8 +624,7 @@ class BatchedTransientAssembly:
         self._reactive_names = [c.name for c in caps0 + inds0]
         self._sample_reactives = [
             _ReactiveSet(
-                [circuit[c.name] for c in caps0],
-                [circuit[c.name] for c in inds0],
+                PlainElements([circuit[c.name] for c in caps0 + inds0]),
                 self.size,
             )
             for circuit in circuits

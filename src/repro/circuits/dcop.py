@@ -17,6 +17,7 @@ from ..campaigns.runner import run_chain
 from ..errors import ConvergenceError
 from .backend import MatrixBackend, SparseBackend, resolve_backend
 from .component import MNASystem, StampContext, TripletSystem
+from .elements import PlainElements
 from .linsolve import damp_voltage_delta, solve_dense
 from .netlist import Circuit
 from .sources import CurrentSource, VoltageSource
@@ -84,14 +85,10 @@ class OperatingPoint:
         return {node: self.voltage(node) for node in self.circuit.node_names}
 
 
-def _stamp_system(circuit: Circuit, system, x: np.ndarray, gmin: float, source_scale: float):
-    """Stamp the whole netlist into any system (dense or triplet).
-
-    The single home of the DC stamping sequence, so the dense and
-    sparse Newton paths cannot drift apart: every component's full
-    stamp, then the global gmin from every node to ground that keeps
-    floating nets solvable.
-    """
+def _assemble(circuit: Circuit, x: np.ndarray, gmin: float, source_scale: float) -> MNASystem:
+    """The dense system: every component's full stamp, then the global
+    gmin from every node to ground that keeps floating nets solvable."""
+    system = MNASystem(circuit.size)
     ctx = StampContext(system=system, x=x, gmin=gmin, source_scale=source_scale)
     for component in circuit:
         component.stamp(ctx)
@@ -100,12 +97,33 @@ def _stamp_system(circuit: Circuit, system, x: np.ndarray, gmin: float, source_s
     return system
 
 
-def _assemble(circuit: Circuit, x: np.ndarray, gmin: float, source_scale: float) -> MNASystem:
-    return _stamp_system(circuit, MNASystem(circuit.size), x, gmin, source_scale)
+def _stamp_system(
+    circuit: Circuit,
+    plain: PlainElements,
+    x: np.ndarray,
+    gmin: float,
+    source_scale: float,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The sparse DC stamp as ``(rows, cols, values, rhs)``.
+
+    The same triplet stream as stamping every component of ``circuit``
+    in order into a :class:`TripletSystem` and then adding ``gmin`` on
+    every node's diagonal (the dense :func:`_assemble` sequence), with
+    the type-exact R, C and L of ``plain`` (a
+    :class:`~repro.circuits.elements.PlainElements` over the whole
+    netlist) stamped from arrays by the DC rules: a resistor's
+    conductance, a capacitor's ``gmin`` conductance, an inductor's
+    short.  Every other component stamps itself.
+    """
+    tri = TripletSystem(circuit.size)
+    ctx = StampContext(system=tri, x=x, gmin=gmin, source_scale=source_scale)
+    layout, values = plain.stream(ctx, circuit.n_nodes, dc=True)
+    return layout.rows, layout.cols, values, tri.rhs
 
 
 def _solve_sparse(
     circuit: Circuit,
+    plain: PlainElements,
     x: np.ndarray,
     gmin: float,
     source_scale: float,
@@ -124,16 +142,9 @@ def _solve_sparse(
     triggered refreshes) pays a factorization — the Jacobians of a
     converging Newton sequence are ideal stale-preconditioner fodder.
     """
-    tri = _stamp_system(
-        circuit, TripletSystem(circuit.size), x, gmin, source_scale
-    )
-    matrix = SparseBackend.csr_from_coo(
-        np.asarray(tri.rows, dtype=np.intp),
-        np.asarray(tri.cols, dtype=np.intp),
-        tri.values(),
-        circuit.size,
-    )
-    return backend.factor(matrix).solve(tri.rhs)
+    rows, cols, values, rhs = _stamp_system(circuit, plain, x, gmin, source_scale)
+    matrix = SparseBackend.csr_from_coo(rows, cols, values, circuit.size)
+    return backend.factor(matrix).solve(rhs)
 
 
 def _newton(
@@ -146,12 +157,13 @@ def _newton(
 ) -> Tuple[np.ndarray, int]:
     """One Newton solve; returns ``(solution, iterations_taken)``."""
     x = x0.copy()
+    plain = None if backend.is_dense else PlainElements(list(circuit))
 
     def linearized_solve(x_at: np.ndarray) -> np.ndarray:
-        if backend.is_dense:
+        if plain is None:
             system = _assemble(circuit, x_at, gmin, source_scale)
             return solve_dense(system.G, system.rhs)
-        return _solve_sparse(circuit, x_at, gmin, source_scale, backend)
+        return _solve_sparse(circuit, plain, x_at, gmin, source_scale, backend)
 
     if not circuit.has_nonlinear():
         return linearized_solve(x), 1

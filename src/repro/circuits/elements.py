@@ -1,8 +1,10 @@
-"""Passive elements: resistor, capacitor, inductor, ideal switch."""
+"""Passive elements: resistor, capacitor, inductor, ideal switch, and
+the array-built stamp stream of the first three (:class:`PlainElements`)."""
 
 from __future__ import annotations
 
-from typing import Optional
+from itertools import chain
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -257,3 +259,204 @@ class Switch(Component):
 
     def stamp_ac(self, ctx: ACStampContext) -> None:
         ctx.stamp_admittance(self._n[0], self._n[1], 1.0 / self.resistance)
+
+
+def _terminals(elements) -> np.ndarray:
+    """``(k, 2)`` terminal indices of two-terminal elements (ground -1)."""
+    flat = np.fromiter(
+        chain.from_iterable(e._n for e in elements), np.intp, 2 * len(elements)
+    )
+    return flat.reshape(-1, 2)
+
+
+def _floats(values, count: int) -> np.ndarray:
+    return np.fromiter(values, float, count)
+
+
+class _StreamLayout:
+    """Where each entry of a :class:`PlainElements` stamp stream comes
+    from: ``rows``/``cols`` of the whole stream, ``src`` into the
+    per-build source vector for the array-built entries, and
+    ``gen_dest`` for the triplets the other components stamped
+    (``gen_rows``/``gen_cols``/``counts`` are what a later build must
+    repeat to reuse the layout)."""
+
+    __slots__ = ("rows", "cols", "src", "gen_dest", "gen_rows", "gen_cols", "counts")
+
+    def __init__(self, rows, cols, src, gen_dest, gen_rows, gen_cols, counts):
+        self.rows = rows
+        self.cols = cols
+        self.src = src
+        self.gen_dest = gen_dest
+        self.gen_rows = gen_rows
+        self.gen_cols = gen_cols
+        self.counts = counts
+
+    def repeats(self, counts, rows, cols) -> bool:
+        """Whether the other components stamped the same structure."""
+        return (
+            np.array_equal(self.counts, counts)
+            and np.array_equal(self.gen_rows, rows)
+            and np.array_equal(self.gen_cols, cols)
+        )
+
+
+class PlainElements:
+    """A component list with its type-exact :class:`Resistor`,
+    :class:`Capacitor` and :class:`Inductor` read once into arrays.
+
+    Large netlists are almost entirely these three types, and stamping
+    them one Python call at a time dominates setting up a run.
+    :meth:`stream` builds the stamp stream of the whole list from the
+    arrays instead, bit-identical to stamping every component in list
+    order into a :class:`~repro.circuits.component.TripletSystem` and
+    then adding ``gmin`` on every node's diagonal:
+
+    * the same ``(row, col, value)`` triplets in the same order, with
+      ground dropped;
+    * the same values, evaluated in the same operation order
+      (``1.0 / R``, ``lead * C / dt``, ``-(lead * L / dt)``);
+    * every other component (sources, :class:`Switch`, subclasses of
+      the three types) stamped by its own method, its triplets placed
+      where the per-component loop would put them.
+
+    Subclasses take the generic path because they may override the
+    stamps this class reproduces.  Values are read here only: build a
+    new instance per run, never cache one across runs, since callers
+    change element values between runs.
+    """
+
+    def __init__(self, components: Sequence[Component]):
+        groups: tuple = ([], [], [], [])
+        kinds = [_PLAIN_KIND.get(type(c), 3) for c in components]
+        for component, kind in zip(components, kinds):
+            groups[kind].append(component)
+        self.resistors, self.caps, self.inds, self.generic = groups
+        self.kind = np.array(kinds, dtype=np.intp)
+        self.r_nodes = _terminals(self.resistors)
+        self.c_nodes = _terminals(self.caps)
+        self.l_nodes = _terminals(self.inds)
+        self.l_branch = np.fromiter((l._b[0] for l in self.inds), np.intp, len(self.inds))
+        self.conductance = 1.0 / _floats((r.resistance for r in self.resistors), len(self.resistors))
+        reactive = self.caps + self.inds
+        #: C per capacitor, then L per inductor.
+        self.lc_values = _floats(
+            chain((c.capacitance for c in self.caps), (l.inductance for l in self.inds)),
+            len(reactive),
+        )
+        ics = [e.ic for e in reactive]
+        #: Per capacitor, then inductor: whether it has an ``ic``, and
+        #: its value.
+        self.has_ic = np.array([ic is not None for ic in ics], dtype=bool)
+        self.ic = _floats((0.0 if ic is None else ic for ic in ics), len(ics))
+        self._layouts: dict = {}
+
+    def _width(self, dc: bool) -> int:
+        """Length of ``w``, the per-element values of :meth:`stream`'s
+        source vector ``[w, -w, 1, -1, gmin, -gmin]``."""
+        if dc:
+            return len(self.resistors)
+        return len(self.resistors) + len(self.caps) + len(self.inds)
+
+    def _entries(self, dc: bool):
+        """Every plain element's stamp entries in stamp order, as
+        ``(rows, cols, src)`` arrays of shape ``(elements, 5)`` (R, then
+        C, then L; a missing entry has row -1).  ``src`` indexes the
+        source vector."""
+        nr, nc, nl = len(self.resistors), len(self.caps), len(self.inds)
+        width = self._width(dc)
+        one, gmin = 2 * width, 2 * width + 2
+        # R and C: a conductance, (a,a,+) (b,b,+) (a,b,-) (b,a,-).  In
+        # DC a capacitor's is gmin.
+        a, b = np.concatenate((self.r_nodes, self.c_nodes)).T
+        plus = np.arange(nr + nc)
+        minus = width + plus
+        if dc:
+            plus[nr:], minus[nr:] = gmin, gmin + 1
+        absent = np.full(nr + nc, -1)
+        rc = (
+            np.stack((a, b, a, b, absent), axis=1),
+            np.stack((a, b, b, a, absent), axis=1),
+            np.stack((plus, plus, minus, minus, absent), axis=1),
+        )
+        # L: the branch's KCL and KVL entries (a,br,1) (b,br,-1)
+        # (br,a,1) (br,b,-1), then (br,br,-req) in a transient.
+        la, lb = self.l_nodes.T
+        br = self.l_branch
+        ones, minus_ones = np.full(nl, one), np.full(nl, one + 1)
+        l = (
+            np.stack((la, lb, br, br, np.full(nl, -1) if dc else br), axis=1),
+            np.stack((br, br, la, lb, br), axis=1),
+            np.stack((ones, minus_ones, ones, minus_ones,
+                      width + nr + nc + np.arange(nl)), axis=1),
+        )
+        return tuple(np.concatenate(pair).astype(np.intp) for pair in zip(rc, l))
+
+    def _layout(self, dc: bool, n_nodes: int, counts, gen_rows, gen_cols) -> _StreamLayout:
+        """Place the plain entries, the generic triplets (``counts`` per
+        generic component) and the gmin diagonal in stream order."""
+        rows, cols, src = self._entries(dc)
+        valid = (rows >= 0) & (cols >= 0)
+        plain_at = np.concatenate([np.flatnonzero(self.kind == k) for k in range(3)])
+        generic_at = np.flatnonzero(self.kind == 3)
+        per = np.zeros(len(self.kind), dtype=np.intp)
+        per[plain_at] = valid.sum(axis=1)
+        per[generic_at] = counts
+        start = np.cumsum(per) - per
+        total = int(per.sum())
+        out_rows = np.empty(total + n_nodes, dtype=np.intp)
+        out_cols = np.empty(total + n_nodes, dtype=np.intp)
+        out_src = np.zeros(total + n_nodes, dtype=np.intp)
+        at = (start[plain_at, None] + np.cumsum(valid, axis=1) - 1)[valid]
+        out_rows[at], out_cols[at], out_src[at] = rows[valid], cols[valid], src[valid]
+        # Generic component k's triplets fill start[k], start[k] + 1, ...
+        first = np.cumsum(counts) - counts
+        gen_dest = np.repeat(start[generic_at] - first, counts) + np.arange(int(counts.sum()))
+        out_rows[gen_dest], out_cols[gen_dest] = gen_rows, gen_cols
+        out_rows[total:] = out_cols[total:] = np.arange(n_nodes)
+        out_src[total:] = 2 * self._width(dc) + 2
+        return _StreamLayout(out_rows, out_cols, out_src, gen_dest, gen_rows, gen_cols, counts)
+
+    def stream(self, ctx: StampContext, n_nodes: int, dc: bool = False):
+        """The stamp stream of the whole list: ``(layout, values)``.
+
+        ``ctx.system`` must be an empty :class:`~repro.circuits.
+        component.TripletSystem`; the generic components stamp into it
+        (``stamp`` when ``dc``, ``stamp_static`` otherwise), so their
+        right-hand side is left in ``ctx.system.rhs``.  The plain
+        elements follow the matching rules: in DC a capacitor is a
+        ``ctx.gmin`` conductance and an inductor a short (its four
+        ``±1`` entries); in a transient build they stamp their
+        companion terms at ``(ctx.dt, ctx.coeffs)``.  The layout is
+        reused while the generic components repeat their structure.
+        """
+        tri = ctx.system
+        counts = np.empty(len(self.generic), dtype=np.intp)
+        for k, component in enumerate(self.generic):
+            before = len(tri.rows)
+            if dc:
+                component.stamp(ctx)
+            else:
+                component.stamp_static(ctx)
+            counts[k] = len(tri.rows) - before
+        gen_rows = np.asarray(tri.rows, dtype=np.intp)
+        gen_cols = np.asarray(tri.cols, dtype=np.intp)
+        layout = self._layouts.get(dc)
+        if layout is None or not layout.repeats(counts, gen_rows, gen_cols):
+            layout = self._layout(dc, n_nodes, counts, gen_rows, gen_cols)
+            self._layouts[dc] = layout
+        if dc:
+            w = self.conductance
+        else:
+            # Capacitor.companion_conductance and
+            # Inductor.companion_resistance, in their operation order.
+            w = np.concatenate((self.conductance, ctx.coeffs.lead * self.lc_values / ctx.dt))
+        gmin = ctx.gmin
+        source = np.concatenate((w, -w, np.array([1.0, -1.0, gmin, -gmin])))
+        values = source[layout.src]
+        if len(tri.vals):
+            values[layout.gen_dest] = tri.vals
+        return layout, values
+
+
+_PLAIN_KIND = {Resistor: 0, Capacitor: 1, Inductor: 2}

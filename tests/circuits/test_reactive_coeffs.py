@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.circuits import Circuit, sine
 from repro.circuits.assembly import TransientAssembly, _ReactiveSet
-from repro.circuits.elements import Capacitor, Inductor
+from repro.circuits.elements import Capacitor, Inductor, PlainElements
 from repro.circuits.integration import Gear, resolve_method
 
 METHOD_ORDERS = [("trap", 2), ("be", 1), ("bdf2", 1), ("bdf2", 2)] + [
@@ -44,7 +44,7 @@ def _reactive_circuit(caps, inds):
 def _reactive_set(circuit):
     caps = [e for e in circuit if type(e) is Capacitor]
     inds = [e for e in circuit if type(e) is Inductor]
-    return _ReactiveSet(caps, inds, circuit.size), caps, inds
+    return _ReactiveSet(PlainElements(caps + inds), circuit.size), caps, inds
 
 
 positive = st.floats(min_value=1e-15, max_value=1e-1, allow_nan=False)
