@@ -23,7 +23,10 @@
 #                   net lines (added - removed) per file under src/ and
 #                   tests/ of the working tree against BASE, from
 #                   git diff --numstat (stage new files first so they
-#                   count), and the totals for src/ and tests/
+#                   count), and the totals for src/ and tests/; then the
+#                   line counts of the two engines' modules and the
+#                   assembly in the working tree, and transient.py plus
+#                   batched.py (the one-stepping-core gate is 2.5k)
 #   make solver-accuracy SEEDS=1,2,3
 #                   backward and forward errors of plain splu and of the
 #                   condensed sparse LU, and the Schur complement's
@@ -77,5 +80,8 @@ solver-accuracy:
 importtime:
 	$(PYTHON) benchmarks/importtime.py --workload $(WORKLOAD)
 
+ENGINE_FILES = $(addprefix src/repro/circuits/,transient.py batched.py assembly.py)
+
 loc:
 	@git diff --numstat $(BASE) -- src tests | awk '{ net = $$1 - $$2; split($$3, top, "/"); sum[top[1]] += net; printf "%+6d  %s\n", net, $$3 } END { for (d in sum) printf "%+6d  %s/ total\n", sum[d], d }'
+	@wc -l $(ENGINE_FILES) | awk '$$2 != "total" { printf "%6d  %s\n", $$1, $$2 } NR <= 2 { engines += $$1 } END { printf "%6d  transient.py + batched.py\n", engines }'

@@ -36,8 +36,10 @@ the system exactly as often as it can change:
   step time plus the reactive companion currents, evaluated from the
   integrator state with vectorized numpy instead of per-component
   Python (plain :class:`~repro.circuits.elements.Capacitor` and
-  :class:`~repro.circuits.elements.Inductor` states live in flat
-  arrays);
+  :class:`~repro.circuits.elements.Inductor` states live in the arrays
+  of one ``_ReactiveSet``, the companion-state implementation the
+  lockstep :class:`~repro.circuits.batched.BatchedTransientAssembly`
+  uses too, with one row per sample);
 * **once per Newton iteration** — only the nonlinear (or split-
   incapable) components, restamped onto copies of the cached parts.
 
@@ -53,7 +55,8 @@ the inner loop.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, List, Optional, Tuple, Union
+from itertools import chain
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -136,14 +139,14 @@ class _ReactiveCoeffs:
 class _HistoryRing:
     """Committed-state ring + weight memo for one multistep integrator.
 
-    Both transient assemblies share this helper: the per-sample
-    :class:`_ReactiveSet` stores ``(m,)`` state rows, the batched
-    lockstep assembly ``(S, m)`` stacks — every operation indexes the
-    element axis with ``...``, so the two layouts run the exact same
-    code.  History is stored newest-first in *formula* form (``val``
-    holds each element's natural state — cap voltage, inductor
-    current — and ``der`` its conjugate derivative), so the per-step
-    companion term is one weighted accumulation.
+    Owned by a :class:`_ReactiveSet`, whose state rows it mirrors:
+    ``(m,)`` for one netlist, ``(S, m)`` for a lockstep stack that
+    shares one time grid.  Every operation indexes the element axis
+    with ``...``, so both layouts run the exact same code.  History is
+    stored newest-first in *formula* form (``val`` holds each element's
+    natural state — cap voltage, inductor current — and ``der`` its
+    conjugate derivative), so the per-step companion term is one
+    weighted accumulation.
 
     The ring also owns the spacing-dependent weight memo.  Weights
     depend only on ``(dt, order)`` and the history spacing *relative*
@@ -232,13 +235,6 @@ class _HistoryRing:
     def clear_weights(self) -> None:
         """Invalidate memoized weights (method switch on a live run)."""
         self._w_cache.clear()
-
-    def val_now(self, v: np.ndarray, i: np.ndarray, nc: int) -> np.ndarray:
-        """Current state in formula form (cap v, inductor i)."""
-        val = np.empty_like(v)
-        val[..., :nc] = v[..., :nc]
-        val[..., nc:] = i[..., nc:]
-        return val
 
     def set_current(self, v: np.ndarray, i: np.ndarray, nc: int) -> None:
         """Refresh row 0 from the live state arrays (after a commit,
@@ -348,15 +344,32 @@ class _ReactiveSet:
     """Vectorized companion-model state for plain capacitors/inductors.
 
     Stores the (previous voltage, previous current) integrator state of
-    every plain :class:`Capacitor` and :class:`Inductor` in flat numpy
+    every plain :class:`Capacitor` and :class:`Inductor` in numpy
     arrays, with a scatter matrix so that the per-step companion RHS
     and the post-step state update are a handful of vector operations
     instead of a Python loop over components.  The ``(dt, method)``-
     dependent coefficient vectors are built by :meth:`coeffs` and owned
-    by the per-``dt`` cache entries of :class:`TransientAssembly`.
+    by the per-``dt`` cache entries of the assembly.
+
+    One implementation serves both engines.  Built from one
+    :class:`PlainElements`, the state rows have shape ``(m,)``
+    (:class:`TransientAssembly`); built from a list of them, one per
+    lockstep sample, they are ``(S, m)`` stacks
+    (:class:`~repro.circuits.batched.BatchedTransientAssembly`).  The
+    topology comes from the first sample — the lockstep check requires
+    identical types and wiring — and the element values and initial
+    conditions are stacked per sample.  Every formula is elementwise,
+    so a stacked row gets its own netlist's arithmetic bit for bit;
+    only the scatter into the right-hand side differs by shape (see
+    :meth:`companion_rhs`).
     """
 
-    def __init__(self, plain: PlainElements, size: int):
+    def __init__(
+        self, plain: Union[PlainElements, Sequence[PlainElements]], size: int
+    ):
+        stacked = not isinstance(plain, PlainElements)
+        samples = list(plain) if stacked else [plain]
+        plain = samples[0]
         caps, inds = plain.caps, plain.inds
         self.caps = caps
         self.inds = inds
@@ -369,14 +382,34 @@ class _ReactiveSet:
         self.a_idx = np.where(nodes[:, 0] >= 0, nodes[:, 0], size)
         self.b_idx = np.where(nodes[:, 1] >= 0, nodes[:, 1], size)
         self.br_idx = plain.l_branch
+
+        def rows(name):
+            if stacked:
+                return np.stack([getattr(p, name) for p in samples])
+            return getattr(plain, name)
+
         #: Element values (C per cap, then L per inductor), read from
         #: the components by ``plain`` only: :meth:`coeffs` scales them
         #: into companion conductances and :meth:`bootstrap_history`
         #: turns the conjugate-derivative row into state derivatives.
-        self.values = plain.lc_values
+        self.values = rows("lc_values")
         #: Per element: whether it has an ``ic``, and its value.
-        self.has_ic = plain.has_ic
-        self.ic = plain.ic
+        self.has_ic = rows("has_ic")
+        self.ic = rows("ic")
+        lead = self.values.shape[:-1]
+        # Element-axis indexers: ``[idx]`` on a row, ``[:, idx]`` on a
+        # stack (an ``[..., idx]`` gather costs several times ``[idx]``
+        # on the scalar engine's small rows).
+        axis = (slice(None),) * len(lead)
+        self._at_a = axis + (self.a_idx,)
+        self._at_b = axis + (self.b_idx,)
+        self._at_br = axis + (self.br_idx,)
+        self._at_caps = axis + (slice(None, nc),)
+        self._at_inds = axis + (slice(nc, None),)
+        self._at_x = axis + (slice(None, size),)
+        #: Padded iterate: the trailing slot stays 0.0 so ground
+        #: indices gather zero.
+        self._xp = np.zeros(lead + (size + 1,))
 
         # Scatter matrix: rhs += S @ term.  A cap's ieq flows a->b
         # (rhs[a] -= ieq, rhs[b] += ieq); an inductor's term lands on
@@ -407,21 +440,20 @@ class _ReactiveSet:
             self.scatter = None
 
         # State arrays, filled by init_state().
-        self.v = np.zeros(n)
-        self.i = np.zeros(n)
+        self.v = np.zeros(self.values.shape)
+        self.i = np.zeros(self.values.shape)
 
         # Multistep history ring (older committed states, newest
         # first), allocated by enable_history() only when the run's
         # integration method needs depth > 1; the one-step hot path
-        # never touches it.  The ring logic (and the spacing-dependent
-        # weight memo) is shared with the batched lockstep assembly
-        # through :class:`_HistoryRing` — only the state shape
-        # differs.  The shipped BDF members weight values only
-        # (wd == 0); the derivative ring is the extension point for
+        # never touches it.  A stack shares one ring of ``(S, m)``
+        # rows: the lockstep grid is one time grid for every sample.
+        # The shipped BDF members weight values only (wd == 0); the
+        # derivative ring is the extension point for
         # derivative-feedback multistep members (Adams-Moulton, a
         # trapezoidal history bootstrap) and costs one small copy per
         # commit.
-        self.ring = _HistoryRing((n,))
+        self.ring = _HistoryRing(self.values.shape)
         #: Single-slot companion-term memo: within one candidate step
         #: the identical term is needed by the step RHS *and* the
         #: commit.  ``(dt, order, t_now, fill)`` pins the state —
@@ -499,9 +531,11 @@ class _ReactiveSet:
         self._cterm = None
         return filled
 
-    def _val_now(self) -> np.ndarray:
-        """Current state in formula form (cap v, inductor i)."""
-        return self.ring.val_now(self.v, self.i, self.n_caps)
+    def clear_weights(self) -> None:
+        """Drop the memoized step weights and companion term (a method
+        switch on a live run)."""
+        self.ring.clear_weights()
+        self._cterm = None
 
     # -- coefficients -------------------------------------------------------
 
@@ -515,8 +549,8 @@ class _ReactiveSet:
         # Inductor.companion_resistance use, so the vectorized and
         # stamped values agree bit for bit.
         gcol = base.lead * self.values / dt
-        geq, req = gcol[: self.n_caps], gcol[self.n_caps :]
-        n_inds = len(self.inds)
+        caps, inds = self._at_caps, self._at_inds
+        geq, req = gcol[caps], gcol[inds]
         if method.is_multistep:
             # Spacing-dependent weights are per-step products; only
             # the companion conductances belong to the cache entry.
@@ -528,13 +562,19 @@ class _ReactiveSet:
         # Companion RHS term per element: alpha*v_state + beta*i_state.
         #   cap:  ieq = wv0*geq*v + wd0*i
         #   ind:  rhs = wv0*req*i + wd0*v
-        alpha = np.concatenate([wv0 * geq, np.full(n_inds, wd0)])
-        beta = np.concatenate([np.full(len(self.caps), wd0), wv0 * req])
+        alpha = np.concatenate([wv0 * geq, np.full(req.shape, wd0)], axis=-1)
+        beta = np.concatenate([np.full(geq.shape, wd0), wv0 * req], axis=-1)
         # State-update coefficients: i' = upd_g*(v'-v) - upd_m*i for
         # caps (upd_g is lead*C/dt); inductor slots are placeholders,
         # overwritten by their branch currents.
-        upd_g = np.concatenate([geq, np.zeros(n_inds)])
+        upd_g = np.concatenate([geq, np.zeros(req.shape)], axis=-1)
         return _ReactiveCoeffs(alpha, beta, upd_g, float(-wd0))
+
+    def _terminal_v(self, x: np.ndarray) -> np.ndarray:
+        """Every element's terminal voltage at the iterate ``x``."""
+        xp = self._xp
+        xp[self._at_x] = x
+        return xp[self._at_a] - xp[self._at_b]
 
     def init_state(self, x: np.ndarray) -> None:
         """Seed integrator state from a converged starting point.
@@ -544,18 +584,15 @@ class _ReactiveSet:
         terminal voltage with zero current, an inductor at its ``ic``
         or its branch current with zero voltage.
         """
-        nc = self.n_caps
-        xp = np.zeros(self.size + 1)
-        xp[: self.size] = x
-        self.v[:nc] = np.where(
-            self.has_ic[:nc], self.ic[:nc], xp[self.a_idx[:nc]] - xp[self.b_idx[:nc]]
-        )
-        self.v[nc:] = 0.0
-        self.i[:nc] = 0.0
-        self.i[nc:] = np.where(self.has_ic[nc:], self.ic[nc:], xp[self.br_idx])
+        caps, inds = self._at_caps, self._at_inds
+        v = np.zeros(self.values.shape)
+        i = np.zeros(self.values.shape)
+        v[caps] = np.where(self.has_ic[caps], self.ic[caps], self._terminal_v(x)[caps])
+        i[inds] = np.where(self.has_ic[inds], self.ic[inds], x[self._at_br])
+        self.v, self.i = v, i
         self.ring.restart()
         if self.ring.depth:
-            self.ring.set_current(self.v, self.i, self.n_caps)
+            self.ring.set_current(v, i, self.n_caps)
         self._cterm = None
 
     def step_weights(self, co: _ReactiveCoeffs) -> tuple:
@@ -588,33 +625,43 @@ class _ReactiveSet:
         return term
 
     def companion_rhs(self, co: _ReactiveCoeffs) -> np.ndarray:
-        """The companion RHS of the current state (fresh vector)."""
+        """The companion RHS of the current state: a fresh ``(size,)``
+        vector, or ``(S, size)`` on a stack."""
         if not self.n:
-            return np.zeros(self.size)
+            return np.zeros(self.v.shape[:-1] + (self.size,))
         if co.gcol is None:
             term = co.alpha * self.v + co.beta * self.i
         else:
             term = self._companion_term(co)
+        # Each shape keeps its own product: a row-by-row ``S.dot(row)``
+        # and the stacked ``term @ S.T`` differ in the last bit.
+        if term.ndim == 1:
+            if self.scatter_csr is not None:
+                return self.scatter_csr.dot(term)
+            return self.scatter.dot(term)
         if self.scatter_csr is not None:
-            return self.scatter_csr.dot(term)
-        return self.scatter.dot(term)
+            return np.ascontiguousarray(self.scatter_csr.dot(term.T).T)
+        return term @ self.scatter.T
 
     def commit(
         self,
         co: _ReactiveCoeffs,
-        x_padded: np.ndarray,
         x: np.ndarray,
         time: float,
+        freeze: Optional[np.ndarray],
     ) -> None:
         """Advance the integrator state after a converged step.
 
-        ``x_padded`` is ``x`` with one trailing zero so ground indices
-        gather 0.0.
+        ``freeze`` is a stack's boolean ``(S,)`` mask of the samples
+        sitting this step out, or ``None``: their ``v`` and ``i`` stay
+        exactly where their last converged step left them, since
+        recomputing them from their frozen iterate rows through the
+        companion formulas would drift them.
         """
         if not self.n:
             self.ring.t_now = time
             return
-        v_new = x_padded[self.a_idx] - x_padded[self.b_idx]
+        v_new = self._terminal_v(x)
         if co.gcol is None:
             i_new = co.upd_g * (v_new - self.v)
             if co.upd_m:
@@ -625,13 +672,62 @@ class _ReactiveSet:
             # are overwritten from the branch currents below).
             i_new = co.gcol * v_new + self._companion_term(co)
         if len(self.inds):
-            i_new[self.n_caps:] = x[self.br_idx]
+            i_new[self._at_inds] = x[self._at_br]
+        if freeze is not None:
+            v_new[freeze] = self.v[freeze]
+            i_new[freeze] = self.i[freeze]
         self.ring.push()
         self.v = v_new
         self.i = i_new
         if self.ring.depth:
             self.ring.set_current(v_new, i_new, self.n_caps)
         self.ring.t_now = time
+
+    # -- whole-state access ---------------------------------------------------
+
+    def snapshot(self) -> tuple:
+        """Capture the state and history so a trial step can be undone."""
+        return (self.v.copy(), self.i.copy(), self.ring.snapshot())
+
+    def restore(self, snap: tuple) -> None:
+        """Undo every state change since the matching :meth:`snapshot`."""
+        v, i, ring_snap = snap
+        self.v = v.copy()
+        self.i = i.copy()
+        self.ring.restore(ring_snap)
+        if self.ring.depth:
+            self.ring.set_current(self.v, self.i, self.n_caps)
+
+    def reseat(self, v: np.ndarray, i: np.ndarray, time: float) -> None:
+        """Replace the state by ``(v, i)`` committed at ``time``; the
+        multistep history restarts there."""
+        self.v = v
+        self.i = i
+        ring = self.ring
+        ring.reset()
+        ring.t_now = time
+        if ring.depth:
+            ring.set_current(v, i, self.n_caps)
+        self._cterm = None
+
+    def state_faults(self, x: np.ndarray) -> tuple:
+        """Where the committed state disagrees with the committed
+        solution ``x``: ``(nonfinite, charge, flux)`` boolean masks,
+        one entry per row (0-d for a single netlist).
+
+        ``nonfinite`` flags a non-finite ``v`` or ``i``; ``charge`` a
+        ``v`` off its terminal voltage and ``flux`` an inductor ``i``
+        off its branch current, each by more than ``1e-12 * (1 +`` the
+        row's largest expected value ``)``.
+        """
+        v_expected = self._terminal_v(x)
+        tol = 1e-12 * (1.0 + np.abs(v_expected).max(axis=-1, initial=0.0))
+        nonfinite = ~(np.isfinite(self.v).all(axis=-1) & np.isfinite(self.i).all(axis=-1))
+        charge = np.abs(self.v - v_expected).max(axis=-1, initial=0.0) > tol
+        i_br = x[self._at_br]
+        itol = 1e-12 * (1.0 + np.abs(i_br).max(axis=-1, initial=0.0))
+        flux = np.abs(self.i[self._at_inds] - i_br).max(axis=-1, initial=0.0) > itol
+        return nonfinite, charge, flux
 
 
 class DtCache:
@@ -760,9 +856,6 @@ class TransientAssembly:
         # the vectorized state path.  Every other split component (and
         # any subclass) stamps through its own methods.
         self.plain = PlainElements(split)
-        #: Names of components whose integrator state lives in the
-        #: vectorized arrays rather than the generic ``states`` dict.
-        self.vectorized_names = {c.name for c in self.plain.caps + self.plain.inds}
         #: Generic integrator state of every other component, by name
         #: (filled by :meth:`init_state`; one dict for the whole run).
         self.states: Dict[str, object] = {}
@@ -797,10 +890,6 @@ class TransientAssembly:
             coeffs=self.method.base_coeffs(self._order),
             states=self.states,
         )
-        # Padded iterate buffer: trailing slot stays 0.0 so ground
-        # indices gather zero.
-        self._xp = np.zeros(self.size + 1)
-
         #: Structure of the static stamp stream, captured on the first
         #: entry build and reused while the stream's layout holds
         #: (structure/value split: only the values depend on dt).
@@ -907,8 +996,7 @@ class TransientAssembly:
         # The step-weights memo is keyed by (dt, order, history) only;
         # weights (and companion terms) computed by the previous
         # method must not survive.
-        self.reactive.ring.clear_weights()
-        self.reactive._cterm = None
+        self.reactive.clear_weights()
         if bootstrap_dt is not None and self.method.is_multistep:
             self.reactive.reset_history()
             self.reactive.bootstrap_history(float(bootstrap_dt))
@@ -1040,9 +1128,8 @@ class TransientAssembly:
         (honours per-element ``ic``)."""
         self.reactive.init_state(x)
         self.states.clear()
-        for component in self.circuit:
-            if component.name in self.vectorized_names:
-                continue
+        # Only these can hold generic state: plain R, C and L never do.
+        for component in chain(self.plain.generic, self.full):
             state = component.init_state(x)
             if state is not None:
                 self.states[component.name] = state
@@ -1058,18 +1145,12 @@ class TransientAssembly:
         rather than mutating, so a shallow dict copy is a true
         snapshot.
         """
-        r = self.reactive
-        return (r.v.copy(), r.i.copy(), r.ring.snapshot(), dict(self.states))
+        return (self.reactive.snapshot(), dict(self.states))
 
     def restore_state(self, snapshot: tuple) -> None:
         """Undo every state change since the matching snapshot."""
-        v, i, ring_snap, generic = snapshot
-        r = self.reactive
-        r.v = v.copy()
-        r.i = i.copy()
-        r.ring.restore(ring_snap)
-        if r.ring.depth:
-            r.ring.set_current(r.v, r.i, r.n_caps)
+        reactive, generic = snapshot
+        self.reactive.restore(reactive)
         self.states.clear()
         self.states.update(generic)
 
@@ -1238,16 +1319,12 @@ class TransientAssembly:
 
     # -- after a converged step ----------------------------------------------
 
-    def commit(self, x: np.ndarray, time: float) -> np.ndarray:
-        """Advance all integrator states; returns the padded iterate
-        (reused by callers that gather with ground indices)."""
-        xp = self._xp
-        xp[: self.size] = x
-        self.reactive.commit(self._active.coeffs, xp, x, time)
+    def commit(self, x: np.ndarray, time: float) -> None:
+        """Advance all integrator states after a converged step."""
+        self.reactive.commit(self._active.coeffs, x, time, None)
         if self.states:
             ctx = self._ctx
             ctx.x = x
             ctx.time = time
             for name in list(self.states):
                 self.states[name] = self.circuit[name].update_state(ctx)
-        return xp

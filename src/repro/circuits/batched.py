@@ -28,8 +28,9 @@ time loop advances every sample together,
   three committed points, and from ``x_n`` after the run start
   or a crossed breakpoint, where the predictor restarts;
 * vectorized companion-state updates: capacitor/inductor integrator
-  state lives in ``(S, m)`` arrays and one gather/scatter advances
-  all samples;
+  state lives in the per-sample engine's own companion-state class,
+  stacked to ``(S, m)`` rows, and one gather/scatter advances all
+  samples;
 * device linearization across samples in one call when the nonlinear
   devices declare a *batchable characteristic family*
   (``NonlinearVCCS.vector_pair`` — e.g. every Monte-Carlo instance of
@@ -64,12 +65,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..errors import ConvergenceError, SimulationError
-from .assembly import DT_CACHE_SIZE, DtCache, _HistoryRing, _ReactiveSet
+from .assembly import DT_CACHE_SIZE, DtCache, _ReactiveCoeffs, _ReactiveSet
 from .backend import BlockDiagLU, KrylovBackend, resolve_backend
 from .component import MNASystem, Component, StampContext, StampPattern, TripletSystem
 from .controlled import NonlinearVCCS
 from .dcop import NewtonOptions, OperatingPoint, solve_dc
-from .elements import Capacitor, Inductor, PlainElements
+from .elements import PlainElements
 from .health import (
     CONDITION_LIMIT,
     HealthReport,
@@ -504,26 +505,6 @@ class _DeviceColumn:
         return gm, ieq
 
 
-class _StackedCoeffs:
-    """Stacked multistep companion data for one ``(dt, method, order)``.
-
-    ``gcol`` is the ``(S, m)`` stack of per-sample companion
-    conductances/resistances; the spacing-dependent history weights
-    are scalars shared by the whole lockstep batch (one shared time
-    grid) and recomputed per step from the method.
-    """
-
-    __slots__ = ("gcol", "method", "dt", "order")
-
-    def __init__(
-        self, gcol: np.ndarray, method: IntegrationMethod, dt: float, order: int
-    ):
-        self.gcol = gcol
-        self.method = method
-        self.dt = dt
-        self.order = order
-
-
 class _BatchedDtEntry:
     """Everything cached for one quantized step size, stacked.
 
@@ -547,9 +528,9 @@ class _BatchedDtEntry:
         "cond",
     )
 
-    def __init__(self, dt: float, coeffs: tuple):
+    def __init__(self, dt: float, coeffs: _ReactiveCoeffs):
         self.dt = dt
-        self.coeffs = coeffs  # (alpha[S,m], beta[S,m], upd_g[S,m], upd_m)
+        self.coeffs = coeffs  # the stacked _ReactiveSet's, (S, m) rows
         self.G_base: Optional[np.ndarray] = None  # dense: (S, n, n), frozen
         self.inv: Optional[np.ndarray] = None  # dense: (S, n, n)
         self.blocks: Optional[list] = None  # sparse: S CSR matrices
@@ -567,7 +548,14 @@ class BatchedTransientAssembly:
     size, RHS once per step, nonlinear devices once per Newton
     iteration), with every product carrying a leading sample axis and
     the ``dt``-keyed products living in a small LRU of per-step-size
-    entries.
+    entries.  Each sample's static stamps come from its own
+    :class:`~repro.circuits.elements.PlainElements` stream, and the
+    companion state of every sample lives in one stacked
+    ``_ReactiveSet`` with ``(S, m)`` rows — the per-sample engine's
+    own implementation, so a sample's companion arithmetic is its
+    per-sample run's.  What is left here is the stacked solve (batched
+    inverse or block-diagonal LU), the source and device columns, and
+    the ``freeze`` mask the step solver keeps current.
     """
 
     def __init__(
@@ -601,6 +589,7 @@ class BatchedTransientAssembly:
         #: Shared static-stamp structure (identical across samples by
         #: the lockstep topology check), captured on first build.
         self._pattern: Optional[StampPattern] = None
+        self._layout = None
 
         split0, full0 = circuits[0].partition_components()
         full_names = [c.name for c in full0]
@@ -610,50 +599,21 @@ class BatchedTransientAssembly:
                     f"component {name!r} ({type(circuits[0][name]).__name__}) "
                     "is outside the lockstep engine's stamp vocabulary"
                 )
-        self._split_names = [c.name for c in split0]
-
-        # Vectorized reactive state: plain caps/inductors only (the
-        # same restriction as the per-sample engine's fast path).
-        caps0 = [c for c in split0 if type(c) is Capacitor]
-        inds0 = [c for c in split0 if type(c) is Inductor]
-        vectorized = set(c.name for c in caps0 + inds0)
-        # Topology (gather indices, scatter matrix) is shared; only
-        # the per-sample element values differ.  One _ReactiveSet per
-        # sample keeps the companion-coefficient formulas in exactly
-        # one place (_ReactiveSet.coeffs); _coeffs just stacks rows.
-        self._reactive_names = [c.name for c in caps0 + inds0]
-        self._sample_reactives = [
-            _ReactiveSet(
-                PlainElements([circuit[c.name] for c in caps0 + inds0]),
-                self.size,
-            )
-            for circuit in circuits
+        # One PlainElements per sample: each stamps its own static
+        # stream, and together they stack the reactive state.
+        self.plains = [PlainElements(split0)] + [
+            PlainElements(c.partition_components()[0]) for c in circuits[1:]
         ]
-        self._topology = self._sample_reactives[0]
-        self.n_caps = len(caps0)
-        m = len(self._reactive_names)
-        self.v = np.zeros((self.n_samples, m))
-        self.i = np.zeros((self.n_samples, m))
-        # Stacked multistep history ring (newest first), shared times:
-        # the lockstep grid is one grid for every sample.  The ring
-        # logic and weight memo are the per-sample engine's
-        # :class:`~repro.circuits.assembly._HistoryRing`, just with
-        # ``(S, m)`` state rows.
-        self.ring = _HistoryRing((self.n_samples, m))
+        self.reactive = _ReactiveSet(self.plains, self.size)
         if self.method.is_multistep:
-            self.ring.enable(self.method.history_depth(self.method.max_order))
-            self.ring.set_current(self.v, self.i, self.n_caps)
-        # Single-slot companion-term memo (same policy as the
-        # per-sample _ReactiveSet._cterm): step RHS and commit of one
-        # candidate share the identical term.
-        self._cterm: Optional[tuple] = None
+            self.reactive.enable_history(
+                self.method.history_depth(self.method.max_order)
+            )
 
         # Per-step RHS work: stacked source columns.  Anything else
         # with a dynamic stamp is outside the lockstep vocabulary.
         self.sources: List[_SourceColumn] = []
-        for comp in split0:
-            if comp.name in vectorized:
-                continue
+        for comp in self.plains[0].generic:
             if type(comp).stamp_dynamic is Component.stamp_dynamic:
                 continue
             if not isinstance(comp, (VoltageSource, CurrentSource)):
@@ -689,8 +649,6 @@ class BatchedTransientAssembly:
             self.U, self.V = U, V
             self._cp_idx, self._cn_idx = cp_idx, cn_idx
 
-        # Padded iterate buffer for ground-safe gathers on commit.
-        self._xp = np.zeros((self.n_samples, self.size + 1))
         #: Boolean ``(S,)`` mask of the samples sitting this step out
         #: (quarantined or skipped), or ``None`` while none is; kept
         #: current by the step solver.  Their companion state stays
@@ -713,28 +671,26 @@ class BatchedTransientAssembly:
     ) -> _BatchedDtEntry:
         dt, _method, order = key
         S, n = self.n_samples, self.size
-        base_coeffs = self.method.base_coeffs(order)
+        ctx = StampContext(
+            system=None,  # a TripletSystem per sample
+            x=np.zeros(n),
+            time=0.0,
+            dt=dt,
+            method=self.method_name,
+            gmin=self.gmin,
+            coeffs=self.method.base_coeffs(order),
+        )
         streams = []
-        for circuit in self.circuits:
-            tri = TripletSystem(n)
-            ctx = StampContext(
-                system=tri,
-                x=np.zeros(n),
-                time=0.0,
-                dt=dt,
-                method=self.method_name,
-                gmin=self.gmin,
-                coeffs=base_coeffs,
-            )
-            for name in self._split_names:
-                circuit[name].stamp_static(ctx)
-            for i in range(self.n_nodes):
-                tri.add_G(i, i, self.gmin)
-            streams.append(tri)
-        if self._pattern is None or not self._pattern.matches(streams[0]):
-            self._pattern = streams[0].pattern()
+        for plain in self.plains:
+            ctx.system = TripletSystem(n)
+            layout, values = plain.stream(ctx, self.n_nodes)
+            if not streams and layout is not self._layout:
+                # Sample 0's layout is every sample's (lockstep check).
+                self._layout = layout
+                self._pattern = StampPattern(n, layout.rows, layout.cols)
+            streams.append(values)
         pattern = self._pattern
-        entry = _BatchedDtEntry(dt, self._coeffs(dt, order))
+        entry = _BatchedDtEntry(dt, self.reactive.coeffs(dt, self.method, order))
         # Factor eagerly (dense: batched inverse, sparse: one splu of
         # the block-diagonal): every strategy solves against this
         # entry on its first step anyway, and a singular sample then
@@ -743,8 +699,8 @@ class BatchedTransientAssembly:
         # loop.
         if self.backend.is_dense:
             G = np.empty((S, n, n))
-            for s, tri in enumerate(streams):
-                G[s] = pattern.dense(tri.values())
+            for s, values in enumerate(streams):
+                G[s] = pattern.dense(values)
             G.setflags(write=False)
             entry.G_base = G
             try:
@@ -756,7 +712,7 @@ class BatchedTransientAssembly:
                 ) from exc
         elif isinstance(self.backend, KrylovBackend):
             entry.blocks = [
-                self.backend.finalize(pattern, tri.values()) for tri in streams
+                self.backend.finalize(pattern, values) for values in streams
             ]
             # Per-sample *stale* preconditioners, BlockDiagLU style:
             # the first entry factors every sample (symbolic-once
@@ -772,7 +728,7 @@ class BatchedTransientAssembly:
             entry.lu = lu
         else:
             entry.blocks = [
-                self.backend.finalize(pattern, tri.values()) for tri in streams
+                self.backend.finalize(pattern, values) for values in streams
             ]
             # Symbolic-once: the fill-reducing ordering is structural,
             # so one probe covers every sample and every later dt
@@ -790,33 +746,6 @@ class BatchedTransientAssembly:
             entry.lu = lu
         self.n_factorizations += 1
         return entry
-
-    def _coeffs(self, dt: float, order: int):
-        """Stacked companion coefficients for one ``(dt, method, order)``.
-
-        Each row is the per-sample :meth:`_ReactiveSet.coeffs` result
-        — the companion formulas live only there.
-        """
-        rows = [
-            reactive.coeffs(dt, self.method, order)
-            for reactive in self._sample_reactives
-        ]
-        m = len(self._reactive_names)
-        if self.method.is_multistep:
-            gcol = np.stack([r.gcol for r in rows]) if m else np.zeros(
-                (self.n_samples, 0)
-            )
-            return _StackedCoeffs(gcol, self.method, dt, order)
-        alpha = np.stack([r.alpha for r in rows]) if m else np.zeros(
-            (self.n_samples, 0)
-        )
-        beta = np.stack([r.beta for r in rows]) if m else np.zeros(
-            (self.n_samples, 0)
-        )
-        upd_g = np.stack([r.upd_g for r in rows]) if m else np.zeros(
-            (self.n_samples, 0)
-        )
-        return alpha, beta, upd_g, rows[0].upd_m
 
     def set_dt(
         self, dt: float, ephemeral: bool = False, order: Optional[int] = None
@@ -838,14 +767,11 @@ class BatchedTransientAssembly:
     @property
     def history_points(self) -> int:
         """Committed states available, including the current one."""
-        return self.ring.points
-
-    def history_times(self) -> tuple:
-        return self.ring.times()
+        return self.reactive.history_points
 
     def reset_history(self) -> None:
         """Invalidate multistep history (used across breakpoints)."""
-        self.ring.reset()
+        self.reactive.reset_history()
 
     @property
     def dt(self) -> float:
@@ -1003,52 +929,13 @@ class BatchedTransientAssembly:
 
     def init_state(self, x: np.ndarray) -> None:
         """Seed integrator state per sample (honours per-element ic)."""
-        for s, circuit in enumerate(self.circuits):
-            for j, name in enumerate(self._reactive_names):
-                st = circuit[name].init_state(x[s])
-                self.v[s, j], self.i[s, j] = st.v, st.i
-        self.ring.restart()
-        if self.ring.depth:
-            self.ring.set_current(self.v, self.i, self.n_caps)
-        self._cterm = None
+        self.reactive.init_state(x)
 
     def snapshot_state(self) -> tuple:
-        return self.v.copy(), self.i.copy(), self.ring.snapshot()
+        return self.reactive.snapshot()
 
     def restore_state(self, snapshot: tuple) -> None:
-        v, i, ring_snap = snapshot
-        self.v = v.copy()
-        self.i = i.copy()
-        self.ring.restore(ring_snap)
-        if self.ring.depth:
-            self.ring.set_current(self.v, self.i, self.n_caps)
-
-    def _val_now(self) -> np.ndarray:
-        return self.ring.val_now(self.v, self.i, self.n_caps)
-
-    def step_weights(self, co: _StackedCoeffs) -> tuple:
-        """Memoized ``(wv, wd)`` — the shared :class:`_HistoryRing`
-        relative-offset memo; weights are scalars shared by the whole
-        lockstep batch (one shared time grid)."""
-        return self.ring.step_weights(co)
-
-    def _companion_term(self, co: _StackedCoeffs) -> np.ndarray:
-        """Stacked ``(S, m)`` multistep companion term (cap ``ieq`` /
-        inductor branch RHS); weights shared across the batch."""
-        ring = self.ring
-        memo = self._cterm
-        if (
-            memo is not None
-            and memo[0] == co.dt
-            and memo[1] == co.order
-            and memo[2] == ring.t_now
-            and memo[3] == ring.fill
-        ):
-            return memo[4]
-        wv, wd = self.step_weights(co)
-        term = ring.companion_term(wv, wd, co.gcol)
-        self._cterm = (co.dt, co.order, ring.t_now, ring.fill, term)
-        return term
+        self.reactive.restore(snapshot)
 
     # -- once per step ---------------------------------------------------------
 
@@ -1058,20 +945,7 @@ class BatchedTransientAssembly:
         ``x`` (the per-sample assembly's iterate argument) is unused:
         the stacked stamp vocabulary has no iterate-dependent RHS.
         """
-        co = self._active.coeffs
-        if self.v.shape[1]:
-            if isinstance(co, _StackedCoeffs):
-                term = self._companion_term(co)  # (S, m)
-            else:
-                alpha, beta, _upd_g, _upd_m = co
-                term = alpha * self.v + beta * self.i  # (S, m)
-            topo = self._topology
-            if topo.scatter_csr is not None:
-                rhs = np.ascontiguousarray(topo.scatter_csr.dot(term.T).T)
-            else:
-                rhs = term @ topo.scatter.T  # (S, n)
-        else:
-            rhs = np.zeros((self.n_samples, self.size))
+        rhs = self.reactive.companion_rhs(self._active.coeffs)
         for source in self.sources:
             source.add_rhs(rhs, time)
         return rhs
@@ -1079,40 +953,9 @@ class BatchedTransientAssembly:
     # -- after a converged step ------------------------------------------------
 
     def commit(self, x: np.ndarray, time: float) -> None:
-        """Advance every sample's integrator state after one step.
-
-        Samples in ``freeze`` keep their companion state exactly where
-        their last converged step left it: recomputing it from their
-        frozen iterate rows through the companion formulas would drift
-        it instead.
-        """
-        if not self.v.shape[1]:
-            self.ring.t_now = time
-            return
-        co = self._active.coeffs
-        topo = self._topology
-        xp = self._xp
-        xp[:, : self.size] = x
-        v_new = xp[:, topo.a_idx] - xp[:, topo.b_idx]
-        if isinstance(co, _StackedCoeffs):
-            i_new = co.gcol * v_new + self._companion_term(co)
-        else:
-            _alpha, _beta, upd_g, upd_m = co
-            i_new = upd_g * (v_new - self.v)
-            if upd_m:
-                i_new -= self.i
-        if topo.br_idx.size:
-            i_new[:, self.n_caps :] = x[:, topo.br_idx]
-        freeze = self.freeze
-        if freeze is not None:
-            v_new[freeze] = self.v[freeze]
-            i_new[freeze] = self.i[freeze]
-        self.ring.push()
-        self.v = v_new
-        self.i = i_new
-        if self.ring.depth:
-            self.ring.set_current(v_new, i_new, self.n_caps)
-        self.ring.t_now = time
+        """Advance every sample's integrator state after one step;
+        samples in ``freeze`` keep theirs exactly."""
+        self.reactive.commit(self._active.coeffs, x, time, self.freeze)
 
 
 class _BatchedStepSolver:
@@ -1670,19 +1513,8 @@ class _BatchedCertifier:
     def check_state(self, x: np.ndarray, time: float) -> None:
         """Per-sample charge/flux spot-check of the committed state."""
         asm = self.assembly
-        topo = asm._topology
-        if not topo.n:
-            return
-        # ``commit`` left the committed iterate in the padded buffer.
-        xp = asm._xp
-        v_expected = xp[:, topo.a_idx] - xp[:, topo.b_idx]
-        tol = 1e-12 * (1.0 + np.abs(v_expected).max(axis=1))
-        bad = ~(np.isfinite(asm.v).all(axis=1) & np.isfinite(asm.i).all(axis=1))
-        bad |= np.abs(asm.v - v_expected).max(axis=1) > tol
-        if topo.br_idx.size:
-            i_br = x[:, topo.br_idx]
-            itol = 1e-12 * (1.0 + np.abs(i_br).max(axis=1))
-            bad |= np.abs(asm.i[:, asm.n_caps :] - i_br).max(axis=1) > itol
+        nonfinite, charge, flux = asm.reactive.state_faults(x)
+        bad = nonfinite | charge | flux
         if asm.freeze is not None:
             bad &= ~asm.freeze
         for s in np.flatnonzero(bad):

@@ -332,14 +332,11 @@ def run_transient_envelope(
         integrator history and the Newton predictor restart there."""
         x_mean, v_mean, i_mean = cyc.means()
         x_new = x_mean + scale * (x - x_mean)
-        reactive.v = v_mean + scale * (reactive.v - v_mean)
-        reactive.i = i_mean + scale * (reactive.i - i_mean)
-        ring = reactive.ring
-        ring.reset()
-        ring.t_now = t_new
-        if ring.depth:
-            ring.set_current(reactive.v, reactive.i, reactive.n_caps)
-        reactive._cterm = None
+        reactive.reseat(
+            v_mean + scale * (reactive.v - v_mean),
+            i_mean + scale * (reactive.i - i_mean),
+            t_new,
+        )
         cyc.reset()
         solver.note_commit(t_new, x_new, restart=True)
         return x_new

@@ -8,7 +8,9 @@ the same values, compared as int64 — in a transient build (every
 method and order, several step sizes) and in the DC stamp, on
 generated netlists with grounded terminals, initial conditions,
 subclasses of the three types, switches, sources and controlled
-sources.
+sources.  The same netlists pin the companion state built from those
+arrays: one ``_ReactiveSet`` stacked over same-topology variants must
+equal one set per variant.
 """
 
 import numpy as np
@@ -16,7 +18,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from repro.circuits import Circuit, dc, sine
-from repro.circuits.assembly import TransientAssembly
+from repro.circuits.assembly import TransientAssembly, _ReactiveSet
 from repro.circuits.component import Component, StampContext, StampPattern, TripletSystem
 from repro.circuits.controlled import VCCS, VCVS, NonlinearVCCS
 from repro.circuits.dcop import _stamp_system
@@ -106,13 +108,46 @@ def _build(specs):
     return circuit
 
 
-netlists = st.lists(element, min_size=1, max_size=12).map(_build)
+spec_lists = st.lists(element, min_size=1, max_size=12)
+netlists = spec_lists.map(_build)
 
 
 def _prepared(circuit):
     circuit.prepare()
     assume(circuit.size > 0)
     return circuit
+
+
+def _variants(specs, count, seed):
+    """``count`` prepared netlists with the topology of ``specs``: the
+    first is ``specs`` itself, every later one scales each plain R, C
+    and L value and gives each plain C and L an ``ic`` half the time."""
+    rng = np.random.default_rng(seed)
+    variants = [specs]
+    for _ in range(count - 1):
+        variant = []
+        for spec in specs:
+            if spec[0] in ("R", "C", "L"):
+                spec = spec[:3] + (spec[3] * rng.uniform(0.5, 2.0),)
+                if spec[0] != "R":
+                    spec += (None if rng.random() < 0.5 else rng.uniform(-2.0, 2.0),)
+            variant.append(spec)
+        variants.append(variant)
+    return [_prepared(_build(v)) for v in variants]
+
+
+def _stacked(circuits):
+    """One stacked ``_ReactiveSet`` over ``circuits`` and one
+    single-row set per circuit."""
+    plains = [PlainElements(c.partition_components()[0]) for c in circuits]
+    size = circuits[0].size
+    return _ReactiveSet(plains, size), [_ReactiveSet(p, size) for p in plains]
+
+
+def _close(a, b):
+    """``max|a - b| <= 1e-12 * max|b|``."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and np.abs(a - b).max(initial=0.0) <= 1e-12 * np.abs(b).max(initial=0.0)
 
 
 def _same_bits(a, b):
@@ -211,16 +246,23 @@ class TestDCStream:
 
 class TestInitState:
     @settings(max_examples=40, deadline=None)
-    @given(circuit=netlists, seed=st.integers(0, 2**16))
-    def test_mixed_ic_matches_per_element_loop(self, circuit, seed):
-        circuit = _prepared(circuit)
-        x = np.random.default_rng(seed).standard_normal(circuit.size)
-        assembly = TransientAssembly(circuit, 1e-9, "trap", GMIN, backend="dense")
-        assembly.init_state(x)
+    @given(specs=spec_lists, samples=st.integers(1, 4), seed=st.integers(0, 2**16))
+    def test_mixed_ic_matches_per_element_loop(self, specs, samples, seed):
+        circuits = _variants(specs, samples, seed)
+        x = np.random.default_rng(seed).standard_normal((samples, circuits[0].size))
+        assembly = TransientAssembly(circuits[0], 1e-9, "trap", GMIN, backend="dense")
+        assembly.init_state(x[0])
         reactive = assembly.reactive
-        states = [e.init_state(x) for e in reactive.caps + reactive.inds]
+        states = [e.init_state(x[0]) for e in reactive.caps + reactive.inds]
         assert _same_bits(reactive.v, [s.v for s in states])
         assert _same_bits(reactive.i, [s.i for s in states])
+        # Lockstep: each row of one stacked set is its own netlist's loop.
+        stack, _rows = _stacked(circuits)
+        stack.init_state(x)
+        for s, circuit in enumerate(circuits):
+            states = [circuit[e.name].init_state(x[s]) for e in stack.caps + stack.inds]
+            assert _same_bits(stack.v[s], [state.v for state in states])
+            assert _same_bits(stack.i[s], [state.i for state in states])
 
     def test_ic_grounded_and_floating_terminals(self):
         c = Circuit("ic")
@@ -239,6 +281,76 @@ class TestInitState:
         br = c["l_free"].branch_indices[0]
         assert list(assembly.reactive.v) == [0.3, 0.0 - x[b], x[a] - x[b], 0.0, 0.0]
         assert list(assembly.reactive.i) == [0.0, 0.0, 0.0, -2e-3, x[br]]
+
+
+class TestStackedReactiveSet:
+    """A stacked ``_ReactiveSet`` of S same-topology netlists equals S
+    single-row sets: bit for bit wherever both shapes run the same
+    elementwise formulas (coefficients, ``init_state``, the one-step
+    ``commit``), to 1e-12 where the stack contracts its rows in one
+    product (``companion_rhs``, the multistep ``commit``)."""
+
+    @staticmethod
+    def _sets(specs, samples, seed, method):
+        circuits = _variants(specs, samples, seed)
+        stack, rows = _stacked(circuits)
+        if method.is_multistep:
+            for reactive in [stack] + rows:
+                reactive.enable_history(method.history_depth(method.max_order))
+        return stack, rows
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        specs=spec_lists,
+        samples=st.integers(1, 4),
+        seed=st.integers(0, 2**16),
+        dt=st.floats(min_value=1e-12, max_value=1e-4),
+        setup=st.sampled_from(SETUPS),
+    )
+    def test_stack_equals_single_rows(self, specs, samples, seed, dt, setup):
+        method, order = _method(setup[0]), setup[1]
+        stack, rows = self._sets(specs, samples, seed, method)
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((samples, stack.size))
+        stack.init_state(x)
+        for s, row in enumerate(rows):
+            row.init_state(x[s])
+            assert _same_bits(stack.v[s], row.v) and _same_bits(stack.i[s], row.i)
+        same = _close if method.is_multistep else _same_bits
+        for step in range(1, 5):
+            k = method.usable_order(order, stack.history_points)
+            co = stack.coeffs(dt, method, k)
+            rhs = stack.companion_rhs(co)
+            x = rng.standard_normal(x.shape)
+            stack.commit(co, x, step * dt, None)
+            for s, row in enumerate(rows):
+                co_row = row.coeffs(dt, method, k)
+                for name in ("alpha", "beta", "upd_g", "gcol"):
+                    a, b = getattr(co, name), getattr(co_row, name)
+                    assert a is None and b is None or _same_bits(a[s], b)
+                assert _close(rhs[s], row.companion_rhs(co_row))
+                row.commit(co_row, x[s], step * dt, None)
+                assert same(stack.v[s], row.v) and same(stack.i[s], row.i)
+
+    @settings(max_examples=20, deadline=None)
+    @given(specs=spec_lists, seed=st.integers(0, 2**16), setup=st.sampled_from(SETUPS))
+    def test_frozen_rows_keep_their_state(self, specs, seed, setup):
+        method, order = _method(setup[0]), setup[1]
+        stack, _rows = self._sets(specs, 3, seed, method)
+        rng = np.random.default_rng(seed)
+        stack.init_state(rng.standard_normal((3, stack.size)))
+        freeze = np.array([False, True, False])
+        ring = stack.ring
+        for step in range(1, 5):
+            co = stack.coeffs(1e-9, method, method.usable_order(order, stack.history_points))
+            before = [stack.v[1].copy(), stack.i[1].copy()]
+            if ring.depth:
+                before += [ring.fv[0][1].copy(), ring.fd[0][1].copy()]
+            stack.commit(co, rng.standard_normal((3, stack.size)), step * 1e-9, freeze)
+            after = [stack.v[1], stack.i[1]]
+            if ring.depth:
+                after += [ring.fv[0][1], ring.fd[0][1]]
+            assert all(_same_bits(a, b) for a, b in zip(after, before))
 
 
 class StepDependent(Component):

@@ -87,8 +87,11 @@ class TestBootstrapHistory:
         circuit = _reactive_circuit([1e-9, 2.2e-9, 4.7e-10], [1e-6, 3.3e-5])
         assembly = TransientAssembly(circuit, 1e-8, Gear(max_order=3), 1e-12)
         reactive = assembly.reactive
-        reactive.v[:] = [0.5, -0.25, 1.0, 0.125, -2.0]
-        reactive.i[:] = [1e-3, -2e-3, 4e-4, 3e-2, -5e-3]
+        reactive.reseat(
+            np.array([0.5, -0.25, 1.0, 0.125, -2.0]),
+            np.array([1e-3, -2e-3, 4e-4, 3e-2, -5e-3]),
+            0.0,
+        )
         dt = 2.5e-9
 
         filled = reactive.bootstrap_history(dt)
