@@ -37,6 +37,11 @@
 #                   one set-up-only run under python -X importtime: the 25
 #                   largest cumulative imports and the repro/scipy module
 #                   counts (benchmarks/importtime.py)
+#   make reach      which src/ functions the drivers reach (one pass of
+#                   each perfbench workload, every example and bench, and
+#                   run_perf.py --check, forked pool workers included);
+#                   prints the unreached functions and lines per module
+#                   (benchmarks/reach.py)
 #
 # The bench gate compares hardware-independent *speedups* (seed engine
 # and golden runs are timed live on the same machine), so it is
@@ -52,7 +57,7 @@ PAIRS ?= 10
 SEEDS ?= 1,2
 RTOL ?=
 
-.PHONY: verify test bench bench-check perf perf-pairs same-outputs solver-accuracy importtime loc
+.PHONY: verify test bench bench-check perf perf-pairs same-outputs solver-accuracy importtime reach loc
 
 verify: test bench-check
 
@@ -79,6 +84,9 @@ solver-accuracy:
 
 importtime:
 	$(PYTHON) benchmarks/importtime.py --workload $(WORKLOAD)
+
+reach:
+	$(PYTHON) benchmarks/reach.py
 
 ENGINE_FILES = $(addprefix src/repro/circuits/,transient.py batched.py assembly.py)
 

@@ -16,7 +16,7 @@ cannot offer:
   the ``"auto"`` choice for fixed-grid campaigns on multi-core
   machines) — the lockstep batch split into sub-batches dispatched
   across a process pool.  Because every per-sample solve in the
-  lockstep engine (block-diagonal LU, per-sample Newton masks,
+  lockstep engine (batched inverse, per-sample Newton masks,
   batched DC seed) is independent of batch membership, fixed-grid
   shard merges are bit-identical to the unsharded run;
   ``stiffness_bins`` additionally clusters samples of similar
@@ -151,7 +151,7 @@ def run_transient_campaign(
       (or one core) degrades gracefully to running the shards
       sequentially in-process.  Fixed-grid shard merges are
       **bit-identical** to the unsharded lockstep run — every
-      per-sample solve (block-diagonal LU, per-sample Newton masks,
+      per-sample solve (batched inverse, per-sample Newton masks,
       batched DC seed) is independent of batch membership.  With
       ``batch.stiffness_bins > 1`` a probe step ranks samples by
       first-step LTE ratio and shards are cut within stiffness

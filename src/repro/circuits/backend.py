@@ -38,8 +38,7 @@ the paper's hand-built netlists:
   (breakpoint-truncated one-shot step sizes, LRU evictions, DC Newton
   re-factorization); the Krylov backend pays one factorization and
   amortizes every other matrix in the run against it.  The 2-D
-  ``coil_mesh`` / multi-coil-array workloads (10k–100k unknowns) are
-  its territory.
+  ``coil_mesh`` workloads (10k–100k unknowns) are its territory.
 
 Selection
 ---------
@@ -107,41 +106,25 @@ __all__ = [
     "KrylovBackend",
     "SparseLU",
     "KrylovSolver",
-    "BlockDiagLU",
-    "KrylovBlockDiag",
     "resolve_backend",
-    "csr_scatter",
     "triplet_scatter",
     "SPARSE_AUTO_THRESHOLD",
     "KRYLOV_AUTO_THRESHOLD",
 ]
 
 
-def csr_scatter(matrix: np.ndarray):
-    """CSR view of a dense scatter/gather operator, or None sans scipy.
-
-    The vectorized companion-state machinery multiplies by a
-    ``(size, m)`` scatter operator with at most two entries per
-    column; on distributed netlists the dense product is the single
-    biggest per-step cost, so large assemblies swap in this CSR view
-    when scipy allows.
-    """
-    if not _HAVE_SCIPY:
-        return None
-    return _sparse.csr_matrix(matrix)
-
-
 def triplet_scatter(rows, cols, vals, shape):
     """CSR scatter operator built directly from triplets, or None
     sans scipy.
 
-    Equivalent to ``csr_scatter`` of the dense operator those triplets
-    describe, without ever materializing it — a ``(size, m)`` scatter
-    at mesh scale (1e5 unknowns, several 1e4 reactive elements) is a
-    multi-gigabyte dense intermediate for a few-entries-per-column
-    operator.  The CSR is canonicalized (sorted indices, summed
-    duplicates), matching what ``csr_scatter`` produces, so products
-    are bit-identical to the dense-then-convert path.
+    The vectorized companion-state machinery multiplies by a
+    ``(size, m)`` scatter operator with at most two entries per
+    column; on distributed netlists the dense product is the biggest
+    per-step cost, so large assemblies use this CSR form instead.  It
+    is built from the triplets without materializing the dense
+    operator — at mesh scale (1e5 unknowns, several 1e4 reactive
+    elements) that is a multi-gigabyte intermediate — and
+    canonicalized (sorted indices, summed duplicates).
     """
     if not _HAVE_SCIPY:
         return None
@@ -623,168 +606,6 @@ class SparseLU:
         return self._condest
 
 
-class BlockDiagLU:
-    """Symbolic-once LU of ``S`` same-structure diagonal blocks.
-
-    The batched lockstep engine factors ``S`` per-sample MNA matrices
-    that share one CSR structure (the lockstep topology check
-    guarantees it).  Factoring the assembled ``(S*n, S*n)``
-    block-diagonal matrix with a single ``splu`` redoes the
-    fill-reducing column analysis over the full structure on every
-    ``dt`` entry; this class runs that *symbolic* phase once — the
-    COLAMD ordering depends only on the sparsity pattern, which every
-    block shares — and then performs only the *numeric* factorization
-    per block, by pre-permuting each block's columns and handing
-    ``splu`` ``permc_spec="NATURAL"``.
-
-    Because each sample's block is factored independently of its
-    batch-mates (same ordering, same pivot path for the same values),
-    a sample's solution does not depend on which batch — or campaign
-    *shard* — it rides in.  The sharded campaign merge relies on
-    exactly this for bit-identical results.
-
-    scipy's API has no pure-symbolic entry point, so the ordering is
-    harvested from a throwaway ``splu`` of the first block; when even
-    that fails (singular probe block) the per-block factorizations
-    fall back to letting each ``splu`` analyse itself.
-    """
-
-    def __init__(self, blocks, perm_c: Optional[np.ndarray] = None):
-        if not _HAVE_SCIPY:  # pragma: no cover - callers gate on scipy
-            raise SimulationError(
-                "BlockDiagLU requires scipy (scipy.sparse.linalg.splu)"
-            )
-        self.n = int(blocks[0].shape[0])
-        if perm_c is None:
-            perm_c = self.column_ordering(blocks[0])
-        self.perm_c = perm_c
-        self.n_factorizations = len(blocks)
-        self._blocks = list(blocks)
-        self._condest: Optional[np.ndarray] = None
-        self._lus = []
-        self._dense = []
-        for block in blocks:
-            csc = block.tocsc()
-            try:
-                if perm_c is not None:
-                    lu = _splu(csc[:, perm_c], permc_spec="NATURAL")
-                else:
-                    lu = _splu(csc)
-                self._lus.append(lu)
-                self._dense.append(None)
-            except (RuntimeError, ValueError):
-                # Exactly singular block: remember it densified for the
-                # minimum-norm fallback (mirrors SparseLU; the batched
-                # engine raises BatchIncompatible before solving).
-                self._lus.append(None)
-                self._dense.append(block.toarray())
-
-    @staticmethod
-    def column_ordering(block) -> Optional[np.ndarray]:
-        """Fill-reducing column permutation of one block's structure.
-
-        Purely structural, so one call covers every same-pattern block
-        (and every later ``dt`` entry).  Returns ``None`` when the
-        probe factorization fails — callers then let each block's
-        ``splu`` run its own analysis.
-        """
-        try:
-            return _splu(block.tocsc()).perm_c
-        except (RuntimeError, ValueError):
-            return None
-
-    @property
-    def is_singular(self) -> bool:
-        return any(lu is None for lu in self._lus)
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve the block-diagonal system for a stacked RHS.
-
-        ``rhs`` is ``(S*n,)`` or ``(S*n, k)`` — the same contract as
-        the single big-matrix :class:`SparseLU` this replaces.
-        """
-        n = self.n
-        out = np.empty(rhs.shape, dtype=float)
-        perm = self.perm_c
-        for s, lu in enumerate(self._lus):
-            seg = np.ascontiguousarray(rhs[s * n : (s + 1) * n])
-            if lu is None:
-                sol, *_ = np.linalg.lstsq(self._dense[s], seg, rcond=None)
-                out[s * n : (s + 1) * n] = sol
-                continue
-            if perm is None:
-                sol = lu.solve(seg)
-            else:
-                # Factored A[:, perm], so A x = b  =>  x[perm] = y.
-                sol = np.empty(seg.shape, dtype=float)
-                sol[perm] = lu.solve(seg)
-            if not np.isfinite(sol).all() and np.isfinite(seg).all():
-                # Zero pivot survived factorization of this block:
-                # degrade it (and only it) to minimum-norm, permanently.
-                self._lus[s] = None
-                self._dense[s] = self._blocks[s].toarray()
-                self._condest = None
-                sol, *_ = np.linalg.lstsq(self._dense[s], seg, rcond=None)
-            out[s * n : (s + 1) * n] = sol
-        return out
-
-    def solve_block_transposed(self, s: int, rhs: np.ndarray) -> np.ndarray:
-        """Solve ``A_s.T @ x = rhs`` for one block (condest support)."""
-        lu = self._lus[s]
-        if lu is None:
-            dense = self._dense[s]
-            if dense is None:  # pragma: no cover - defensive
-                dense = self._blocks[s].toarray()
-            sol, *_ = np.linalg.lstsq(dense.T, rhs, rcond=None)
-            return sol
-        perm = self.perm_c
-        if perm is None:
-            return lu.solve(np.ascontiguousarray(rhs), trans="T")
-        # Factored M = A[:, perm] = A P, so A.T x = c  <=>  M.T x = c[perm].
-        return lu.solve(np.ascontiguousarray(rhs[perm]), trans="T")
-
-    def solve_block(self, s: int, rhs: np.ndarray) -> np.ndarray:
-        """Solve one block's system (condest support)."""
-        lu = self._lus[s]
-        if lu is None:
-            dense = self._dense[s]
-            if dense is None:  # pragma: no cover - defensive
-                dense = self._blocks[s].toarray()
-            sol, *_ = np.linalg.lstsq(dense, rhs, rcond=None)
-            return sol
-        perm = self.perm_c
-        if perm is None:
-            return lu.solve(np.ascontiguousarray(rhs))
-        sol = np.empty(rhs.shape, dtype=float)
-        sol[perm] = lu.solve(np.ascontiguousarray(rhs))
-        return sol
-
-    def condest_blocks(self) -> np.ndarray:
-        """Per-block estimated 1-norm condition numbers, ``(S,)``.
-
-        Hager estimate per block against the cached numeric LU;
-        ``inf`` for singular/degraded blocks.  Cached; read-only.
-        """
-        if self._condest is not None:
-            return self._condest
-        from .health import condest_from_solves
-
-        out = np.empty(len(self._lus))
-        for s, lu in enumerate(self._lus):
-            if lu is None:
-                out[s] = np.inf
-                continue
-            norm_a = float(np.max(np.abs(self._blocks[s]).sum(axis=0)))
-            out[s] = condest_from_solves(
-                norm_a,
-                lambda b, s=s: self.solve_block(s, b),
-                lambda b, s=s: self.solve_block_transposed(s, b),
-                self.n,
-            )
-        self._condest = out
-        return out
-
-
 class SparseBackend(MatrixBackend):
     """CSR storage with splu factorization reuse.
 
@@ -827,11 +648,6 @@ class SparseBackend(MatrixBackend):
         return _sparse.coo_matrix(
             (vals, (rows, cols)), shape=(size, size)
         ).tocsr()
-
-    @staticmethod
-    def block_diag(blocks):
-        """Block-diagonal CSC of per-sample matrices (batched engine)."""
-        return _sparse.block_diag(blocks, format="csc")
 
 
 class KrylovSolver:
@@ -1001,222 +817,6 @@ class KrylovSolver:
         return SparseLU(updated).solve(b)
 
 
-class _BlockAnchor:
-    """One pooled per-sample preconditioner: the block it factored
-    (strong ref, so identity checks never alias a recycled object),
-    its LU — or the dense least-squares fallback when the
-    factorization hit a zero pivot — and the sketch fingerprint used
-    for nearest-anchor selection."""
-
-    __slots__ = ("mat", "lu", "dense", "scale")
-
-    def __init__(self, mat, lu, dense, scale: float):
-        self.mat = mat
-        self.lu = lu
-        self.dense = dense
-        self.scale = scale
-
-
-class _BlockStaleState:
-    """Per-sample stale preconditioners of one :class:`KrylovBackend`.
-
-    Lives on the backend instance (not on a dt entry) so the batched
-    assembly's cache entries all share it — the ``BlockDiagLU``-style
-    symbolic-once column ordering plus one small LRU *pool* of stale
-    anchors per sample.  A dt ladder that alternates entries (adaptive
-    probe/half steps, envelope correction bursts re-entering a hot
-    dt) keeps an anchor per rung instead of thrashing a single slot.
-    """
-
-    __slots__ = ("n", "n_samples", "perm", "pools", "last_applies")
-
-    def __init__(self, n: int, n_samples: int, perm: Optional[np.ndarray]):
-        self.n = n
-        self.n_samples = n_samples
-        self.perm = perm
-        #: Per-sample anchor pools, least-recently-used first.
-        self.pools: List[List[_BlockAnchor]] = [[] for _ in range(n_samples)]
-        self.last_applies = [0] * n_samples
-
-
-class KrylovBlockDiag:
-    """Per-sample stale-LU-preconditioned solves of ``S`` blocks.
-
-    The Krylov counterpart of :class:`BlockDiagLU` for the batched
-    lockstep engine: same stacked-RHS ``solve`` contract, same
-    per-sample isolation (a sample that degrades to least-squares
-    poisons no shard-mate).  Numeric factorizations are lazy —
-    first-touch per sample — and land in per-sample LRU *anchor
-    pools* keyed by a sketch fingerprint of the block's value stream:
-    a solve whose block an anchor already factored direct-solves it,
-    any other block rides its sample's nearest-fingerprint anchor
-    iteratively, refreshing (pooling a new anchor) only when the
-    iteration counts degrade.  Envelope correction bursts and
-    adaptive probe/half ladders therefore re-enter hot dt rungs
-    without refactoring.  ``n_factorizations`` counts the
-    factorizations this object triggered.
-    """
-
-    def __init__(self, blocks, backend: "KrylovBackend"):
-        self.n = int(blocks[0].shape[0])
-        self._blocks = list(blocks)
-        self._backend = backend
-        self.n_factorizations = 0
-        state = backend._block_state
-        if (
-            state is None
-            or state.n != self.n
-            or state.n_samples != len(blocks)
-        ):
-            perm = BlockDiagLU.column_ordering(blocks[0])
-            backend._block_state = _BlockStaleState(self.n, len(blocks), perm)
-            # No eager per-sample factorization: each sample anchors
-            # on first touch (first solve, or the constructor-time
-            # ``is_singular`` gate probing empty pools).
-
-    @property
-    def _state(self) -> _BlockStaleState:
-        return self._backend._block_state
-
-    def _fingerprint(self, block) -> float:
-        data = block.data
-        return float(np.dot(data, self._backend._sketch_for(data.shape[0])))
-
-    def _anchor_sample(self, s: int) -> _BlockAnchor:
-        """Factor sample ``s``'s current block into its anchor pool,
-        evicting the least-recently-used anchor past the pool cap."""
-        state = self._state
-        block = self._blocks[s]
-        csc = block.tocsc()
-        try:
-            if state.perm is not None:
-                lu = _splu(csc[:, state.perm], permc_spec="NATURAL")
-            else:
-                lu = _splu(csc)
-            anchor = _BlockAnchor(block, lu, None, self._fingerprint(block))
-        except (RuntimeError, ValueError):
-            # Singular for this sample's values: least-squares for it,
-            # untouched direct path for its shard-mates.
-            anchor = _BlockAnchor(
-                block, None, block.toarray(), self._fingerprint(block)
-            )
-        pool = state.pools[s]
-        pool.append(anchor)
-        if len(pool) > self._backend.pool_size:
-            pool.pop(0)
-        state.last_applies[s] = 0
-        self.n_factorizations += 1
-        self._backend.n_refreshes += 1
-        return anchor
-
-    def _anchor_for_sample(self, s: int) -> Optional[_BlockAnchor]:
-        """The pool anchor serving sample ``s``'s current block: its
-        own slot when one exists, else the nearest by sketch
-        fingerprint (same-pattern anchors preferred); ``None`` when
-        the pool is empty (first touch).  The chosen slot moves to the
-        most-recently-used end, which eviction keys on."""
-        state = self._state
-        block = self._blocks[s]
-        pool = state.pools[s]
-        best = None
-        for a in pool:
-            if a.mat is block:
-                best = a
-                break
-        if best is None:
-            if not pool:
-                return None
-            nnz = block.data.shape[0]
-            same = [a for a in pool if a.mat.data.shape[0] == nnz]
-            scale = self._fingerprint(block)
-            best = min(same or pool, key=lambda a: abs(a.scale - scale))
-        if pool[-1] is not best:
-            pool.remove(best)
-            pool.append(best)
-        return best
-
-    def _apply_anchor(self, anchor: _BlockAnchor, rhs: np.ndarray) -> np.ndarray:
-        if anchor.lu is None:
-            sol, *_ = np.linalg.lstsq(anchor.dense, rhs, rcond=None)
-            return sol
-        perm = self._state.perm
-        if perm is None:
-            return anchor.lu.solve(np.ascontiguousarray(rhs))
-        sol = np.empty(rhs.shape, dtype=float)
-        sol[perm] = anchor.lu.solve(np.ascontiguousarray(rhs))
-        return sol
-
-    @property
-    def is_singular(self) -> bool:
-        """True when some sample's *current* block factored singular.
-
-        Samples whose pools are empty are probed here (their
-        first-touch factorization, not an extra one) so the batched
-        engine's first-entry gate stays meaningful; samples already
-        holding anchors are left alone — a later dt entry answers
-        from pooled evidence without refactoring anything.
-        """
-        bad = False
-        for s, block in enumerate(self._blocks):
-            pool = self._state.pools[s]
-            anchor = next((a for a in pool if a.mat is block), None)
-            if anchor is None and not pool:
-                anchor = self._anchor_sample(s)
-            if anchor is not None and anchor.lu is None:
-                bad = True
-        return bad
-
-    def _solve_sample(self, s: int, seg: np.ndarray) -> np.ndarray:
-        backend = self._backend
-        state = self._state
-        block = self._blocks[s]
-        anchor = self._anchor_for_sample(s)
-        if anchor is None:
-            anchor = self._anchor_sample(s)
-        if anchor.mat is block:
-            backend.n_solves += 1
-            sol = self._apply_anchor(anchor, seg)
-            if np.isfinite(sol).all() or not np.isfinite(seg).all():
-                return sol
-            # Zero pivot survived this sample's factorization: degrade
-            # its slot (and only it) to minimum-norm, permanently.
-            anchor.lu = None
-            anchor.dense = block.toarray()
-            backend.n_fallback_solves += 1
-            return self._apply_anchor(anchor, seg)
-        if state.last_applies[s] > backend.refresh_iterations:
-            anchor = self._anchor_sample(s)
-            backend.n_solves += 1
-            return self._apply_anchor(anchor, seg)
-        x, applies, converged = backend._iterate(
-            block.dot, seg, float, precond=lambda r: self._apply_anchor(anchor, r)
-        )
-        backend.n_solves += 1
-        backend.n_iterations += applies
-        state.last_applies[s] = applies
-        if converged:
-            return x
-        anchor = self._anchor_sample(s)
-        return self._apply_anchor(anchor, seg)
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve the block-diagonal system for a stacked RHS
-        (``(S*n,)`` or ``(S*n, k)`` — the :class:`BlockDiagLU`
-        contract)."""
-        n = self.n
-        out = np.empty(rhs.shape, dtype=float)
-        for s in range(len(self._blocks)):
-            seg = rhs[s * n : (s + 1) * n]
-            if seg.ndim == 1:
-                out[s * n : (s + 1) * n] = self._solve_sample(s, seg)
-            else:
-                for k in range(seg.shape[1]):
-                    out[s * n : (s + 1) * n, k] = self._solve_sample(
-                        s, np.ascontiguousarray(seg[:, k])
-                    )
-        return out
-
-
 class _Anchor:
     """One slot of a :class:`KrylovBackend` stale-preconditioner pool:
     a factored matrix plus the sketch fingerprint nearest-anchor
@@ -1234,11 +834,10 @@ class _Anchor:
 class KrylovBackend(MatrixBackend):
     """Iterative solves preconditioned by a shared stale LU.
 
-    Stateful: the instance owns a pool of stale LUs (plus, for the
-    batched engine, one per sample) that every solver it hands out
-    shares.  :func:`resolve_backend` therefore constructs a fresh
-    instance per resolution — an engine run resolves once and reuses
-    the instance through its DC seed, transient loop, and every
+    Stateful: the instance owns a pool of stale LUs that every solver
+    it hands out shares.  :func:`resolve_backend` therefore constructs
+    a fresh instance per resolution — an engine run resolves once and
+    reuses the instance through its DC seed, transient loop, and every
     dt-cache entry, which is exactly the reuse that pays for itself.
 
     The preconditioner is a pool of up to ``pool_size`` stale LUs:
@@ -1342,8 +941,6 @@ class KrylovBackend(MatrixBackend):
         #: matrix it hit (diagnostic trail; the proactive trigger
         #: reads per-matrix evidence only).
         self._last_solve_applies = 0
-        # Per-sample stale preconditioners (batched lockstep engine).
-        self._block_state: Optional[_BlockStaleState] = None
         # Run diagnostics, stamped into transient stats.
         self.n_solves = 0
         self.n_iterations = 0
@@ -1358,11 +955,6 @@ class KrylovBackend(MatrixBackend):
 
     def factor(self, matrix) -> KrylovSolver:
         return KrylovSolver(matrix, self)
-
-    def factor_blocks(self, blocks) -> KrylovBlockDiag:
-        """Per-sample stale-preconditioned solver for the batched
-        engine (the :class:`BlockDiagLU` slot)."""
-        return KrylovBlockDiag(blocks, self)
 
     def counters(self) -> dict:
         """Snapshot of the iteration/refresh diagnostics."""

@@ -52,7 +52,8 @@ formulas elementwise, and the equivalence tests pin the two paths to
 each other at rtol 1e-9.  Netlists the lockstep engine cannot stack —
 differing topologies, nonlinear devices other than
 :class:`~repro.circuits.controlled.NonlinearVCCS`, the ``"full"``
-Jacobian mode, a ``PhaseSchedule`` — raise :class:`BatchIncompatible`,
+Jacobian mode, a ``PhaseSchedule``, a backend that does not resolve to
+dense — raise :class:`BatchIncompatible`,
 which the campaign layer
 (:mod:`repro.campaigns.vectorized`) catches to fall back to the
 per-sample path.
@@ -66,7 +67,7 @@ import numpy as np
 
 from ..errors import ConvergenceError, SimulationError
 from .assembly import DT_CACHE_SIZE, DtCache, _ReactiveCoeffs, _ReactiveSet
-from .backend import BlockDiagLU, KrylovBackend, resolve_backend
+from .backend import resolve_backend
 from .component import MNASystem, Component, StampContext, StampPattern, TripletSystem
 from .controlled import NonlinearVCCS
 from .dcop import NewtonOptions, OperatingPoint, solve_dc
@@ -112,9 +113,10 @@ class BatchIncompatible(SimulationError):
     """The netlists cannot be executed as one lockstep batch.
 
     Structural problems (topology mismatch, unsupported devices,
-    non-``"auto"`` Jacobian, a phase schedule) raise during batched-assembly
-    construction, before any stepping; a singular stacked base matrix
-    raises when its step size's entry is built — at construction for
+    non-``"auto"`` Jacobian, a phase schedule, a sparse or Krylov
+    backend) raise during batched-assembly construction, before any
+    stepping; a singular stacked base matrix raises when its step
+    size's entry is built — at construction for
     the initial step size, but an *adaptive* run that walks onto a new
     step size whose system is singular raises mid-run.  The campaign
     layer catches either case and falls back to the per-sample engine
@@ -506,42 +508,30 @@ class _DeviceColumn:
 
 
 class _BatchedDtEntry:
-    """Everything cached for one quantized step size, stacked.
+    """Everything cached for one quantized step size, stacked:
+    ``G_base`` is the frozen ``(S, n, n)`` stack and ``inv`` its
+    batched inverse."""
 
-    Dense backend: ``G_base`` is the frozen ``(S, n, n)`` stack and
-    ``inv`` its batched inverse.  Sparse backend: ``blocks`` holds the
-    per-sample CSR matrices and ``lu`` one splu factorization of
-    their block-diagonal — a single sparse solve advances the whole
-    campaign, and its cost grows with ``S * nnz`` instead of
-    ``S * n^2``.
-    """
+    __slots__ = ("dt", "G_base", "coeffs", "inv", "rank1", "woodbury", "cond")
 
-    __slots__ = (
-        "dt",
-        "G_base",
-        "coeffs",
-        "inv",
-        "blocks",
-        "lu",
-        "rank1",
-        "woodbury",
-        "cond",
-    )
-
-    def __init__(self, dt: float, coeffs: _ReactiveCoeffs):
+    def __init__(
+        self,
+        dt: float,
+        coeffs: _ReactiveCoeffs,
+        G_base: np.ndarray,
+        inv: np.ndarray,
+    ):
         self.dt = dt
         self.coeffs = coeffs  # the stacked _ReactiveSet's, (S, m) rows
-        self.G_base: Optional[np.ndarray] = None  # dense: (S, n, n), frozen
-        self.inv: Optional[np.ndarray] = None  # dense: (S, n, n)
-        self.blocks: Optional[list] = None  # sparse: S CSR matrices
-        self.lu: Optional[BlockDiagLU] = None  # sparse: per-block splu
+        self.G_base = G_base  # (S, n, n), frozen
+        self.inv = inv  # (S, n, n)
         self.rank1: Optional[tuple] = None  # lazy (w[S,n], vw[S], w_vmax[S])
         self.woodbury: Optional[tuple] = None  # lazy (WU[S,n,k], VWU[S,k,k])
         self.cond: Optional[np.ndarray] = None  # lazy (S,) condition estimates
 
 
 class BatchedTransientAssembly:
-    """Stacked linear system(s) for one lockstep transient run.
+    """Stacked dense linear systems for one lockstep transient run.
 
     The batched counterpart of :class:`~repro.circuits.assembly.
     TransientAssembly`: the same assembly tiers (static once per step
@@ -553,9 +543,18 @@ class BatchedTransientAssembly:
     companion state of every sample lives in one stacked
     ``_ReactiveSet`` with ``(S, m)`` rows — the per-sample engine's
     own implementation, so a sample's companion arithmetic is its
-    per-sample run's.  What is left here is the stacked solve (batched
-    inverse or block-diagonal LU), the source and device columns, and
+    per-sample run's.  What is left here is the stacked solve (one
+    batched inverse per step size), the source and device columns, and
     the ``freeze`` mask the step solver keeps current.
+
+    The stack is dense only: a backend that does not resolve to dense
+    for the per-sample unknown count (``"auto"`` at or above
+    :data:`~repro.circuits.backend.SPARSE_AUTO_THRESHOLD`, or an
+    explicit ``"sparse"``/``"krylov"``) raises
+    :class:`BatchIncompatible`.  Lockstep pays off by sharing per-step
+    Python work across samples, which at sparse sizes is small next to
+    the factorizations; the campaign layer runs such netlists one by
+    one instead.
     """
 
     def __init__(
@@ -582,10 +581,13 @@ class BatchedTransientAssembly:
         self.size = circuits[0].size
         self.n_nodes = circuits[0].n_nodes
         # Auto selection keys on the *per-sample* unknown count, like
-        # the per-sample engine: the dense stack costs O(S n^3) to
-        # invert and O(S n^2) per solve, the block-diagonal CSR path
-        # O(S nnz)-ish for both.
+        # the per-sample engine.
         self.backend = resolve_backend(backend, self.size)
+        if not self.backend.is_dense:
+            raise BatchIncompatible(
+                f"backend {self.backend.name!r}: the lockstep engine "
+                "stacks dense systems only; run the samples one by one"
+            )
         #: Shared static-stamp structure (identical across samples by
         #: the lockstep topology check), captured on first build.
         self._pattern: Optional[StampPattern] = None
@@ -656,10 +658,6 @@ class BatchedTransientAssembly:
         self.freeze: Optional[np.ndarray] = None
 
         self.n_factorizations = 0
-        #: Shared fill-reducing column ordering for the sparse blocks
-        #: (False = not yet probed; None = probe failed, let each
-        #: block's splu analyse itself).
-        self._sparse_perm: object = False
         self._cache = DtCache(self._build_entry, max_entries=max_dt_entries)
         self._active: _BatchedDtEntry
         self.set_dt(dt)
@@ -689,61 +687,23 @@ class BatchedTransientAssembly:
                 self._layout = layout
                 self._pattern = StampPattern(n, layout.rows, layout.cols)
             streams.append(values)
-        pattern = self._pattern
-        entry = _BatchedDtEntry(dt, self.reactive.coeffs(dt, self.method, order))
-        # Factor eagerly (dense: batched inverse, sparse: one splu of
-        # the block-diagonal): every strategy solves against this
-        # entry on its first step anyway, and a singular sample then
-        # surfaces as BatchIncompatible *here* — at construction for
-        # the initial step size — rather than from inside the time
-        # loop.
-        if self.backend.is_dense:
-            G = np.empty((S, n, n))
-            for s, values in enumerate(streams):
-                G[s] = pattern.dense(values)
-            G.setflags(write=False)
-            entry.G_base = G
-            try:
-                entry.inv = np.linalg.inv(G)
-            except np.linalg.LinAlgError as exc:
-                raise BatchIncompatible(
-                    "singular base matrix in batch; the per-sample "
-                    "engine's least-squares fallback is required"
-                ) from exc
-        elif isinstance(self.backend, KrylovBackend):
-            entry.blocks = [
-                self.backend.finalize(pattern, values) for values in streams
-            ]
-            # Per-sample *stale* preconditioners, BlockDiagLU style:
-            # the first entry factors every sample (symbolic-once
-            # ordering shared); later entries ride each sample's stale
-            # LU iteratively and refresh per sample only when its
-            # iteration counts degrade.
-            lu = self.backend.factor_blocks(entry.blocks)
-            if lu.is_singular:
-                raise BatchIncompatible(
-                    "singular base matrix in batch; the per-sample "
-                    "engine's least-squares fallback is required"
-                )
-            entry.lu = lu
-        else:
-            entry.blocks = [
-                self.backend.finalize(pattern, values) for values in streams
-            ]
-            # Symbolic-once: the fill-reducing ordering is structural,
-            # so one probe covers every sample and every later dt
-            # entry; only the numeric phase runs per block.
-            if self._sparse_perm is False:
-                self._sparse_perm = BlockDiagLU.column_ordering(
-                    entry.blocks[0]
-                )
-            lu = BlockDiagLU(entry.blocks, perm_c=self._sparse_perm)
-            if lu.is_singular:
-                raise BatchIncompatible(
-                    "singular base matrix in batch; the per-sample "
-                    "engine's least-squares fallback is required"
-                )
-            entry.lu = lu
+        coeffs = self.reactive.coeffs(dt, self.method, order)
+        G = np.empty((S, n, n))
+        for s, values in enumerate(streams):
+            G[s] = self._pattern.dense(values)
+        G.setflags(write=False)
+        # Invert eagerly: every strategy solves against this entry on
+        # its first step anyway, and a singular sample then surfaces as
+        # BatchIncompatible *here* — at construction for the initial
+        # step size — rather than from inside the time loop.
+        try:
+            inv = np.linalg.inv(G)
+        except np.linalg.LinAlgError as exc:
+            raise BatchIncompatible(
+                "singular base matrix in batch; the per-sample "
+                "engine's least-squares fallback is required"
+            ) from exc
+        entry = _BatchedDtEntry(dt, coeffs, G, inv)
         self.n_factorizations += 1
         return entry
 
@@ -781,78 +741,37 @@ class BatchedTransientAssembly:
     def n_dt_entries(self) -> int:
         return len(self._cache)
 
-    def inv(self) -> np.ndarray:
-        """Batched inverse of the active base matrices (dense only).
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """Base solve of a stacked ``(S, n)`` RHS: one batched mat-vec
+        against the cached inverses.
 
         Mirrors the per-sample :class:`~repro.circuits.linsolve.
         ReusableLU` small-system strategy (explicit inverse, one
-        LAPACK call for the whole stack); built eagerly with the
-        entry, where a singular sample raises
-        :class:`BatchIncompatible` — the per-sample path has the
-        least-squares fallback such a netlist needs.
+        LAPACK call for the whole stack), built eagerly with the entry.
         """
-        return self._active.inv
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Backend-agnostic base solve of a stacked ``(S, n)`` RHS.
-
-        Dense: one batched mat-vec against the cached inverses.
-        Sparse: one triangular solve against the block-diagonal splu —
-        the stacked RHS *is* the block-diagonal system's RHS.
-        """
-        entry = self._active
-        if entry.inv is not None:
-            return _bsolve(entry.inv, rhs)
-        return entry.lu.solve(rhs.reshape(-1)).reshape(rhs.shape)
+        return _bsolve(self._active.inv, rhs)
 
     def solve_columns(self, U: np.ndarray) -> np.ndarray:
-        """Base solve of shared ``(n, k)`` columns -> ``(S, n, k)``.
-
-        Every sample shares the same rank-k injection columns ``U``
-        (the lockstep topology check guarantees it), so the sparse
-        path tiles them down the block diagonal and solves all
-        samples' columns in one call.
-        """
-        entry = self._active
-        if entry.inv is not None:
-            return np.matmul(entry.inv, U)
-        stacked = np.tile(U, (self.n_samples, 1))
-        return entry.lu.solve(stacked).reshape(
-            self.n_samples, self.size, U.shape[1]
-        )
+        """Base solve of shared ``(n, k)`` columns -> ``(S, n, k)``
+        (the lockstep topology check makes ``U`` every sample's)."""
+        return np.matmul(self._active.inv, U)
 
     def base_dense(self, s: int) -> np.ndarray:
-        """Sample ``s``'s base matrix as a dense array (fallbacks only)."""
-        entry = self._active
-        if entry.G_base is not None:
-            return entry.G_base[s]
-        return entry.blocks[s].toarray()
+        """Sample ``s``'s base matrix (fallbacks only)."""
+        return self._active.G_base[s]
 
-    def condest_samples(self) -> Optional[np.ndarray]:
-        """Per-sample 1-norm condition estimates of the active entry.
+    def condest_samples(self) -> np.ndarray:
+        """Per-sample 1-norm condition numbers of the active entry.
 
-        Dense: exact ``||G||_1 * ||G^-1||_1`` from the cached batched
-        inverse (one vectorized reduction, no new factorizations).
-        Sparse: Hager estimation against the block-diagonal splu, one
-        block per sample.  Cached on the entry; read-only.  Returns
-        ``None`` when the active solver keeps no direct factorization
-        to estimate against (the Krylov block solver's stale
-        preconditioner may belong to a *different* matrix, so Hager
-        estimation through it would certify the wrong operator).
+        Exact ``||G||_1 * ||G^-1||_1`` from the cached batched inverse
+        (one vectorized reduction, no new factorizations).  Cached on
+        the entry; read-only.
         """
         entry = self._active
-        if entry.cond is not None:
-            return entry.cond
-        if entry.inv is not None:
+        if entry.cond is None:
             norm_g = np.abs(entry.G_base).sum(axis=-2).max(axis=-1)
             norm_inv = np.abs(entry.inv).sum(axis=-2).max(axis=-1)
-            cond = norm_g * norm_inv
-        else:
-            condest_blocks = getattr(entry.lu, "condest_blocks", None)
-            if condest_blocks is None:
-                return None
-            cond = condest_blocks()
-        entry.cond = np.asarray(cond, dtype=float)
+            entry.cond = norm_g * norm_inv
         return entry.cond
 
     def residual_norms(
@@ -866,17 +785,9 @@ class BatchedTransientAssembly:
         magnitude scale ``max(|G x|, |rhs|)`` the relative margin
         applies to.  Pure recomputation at the committed iterate.
         """
-        entry = self._active
-        if entry.G_base is not None:
-            gx = np.matmul(entry.G_base, x[..., None])[..., 0]
-            norm_g = np.abs(entry.G_base).sum(axis=-1).max(axis=-1)
-        else:
-            gx = np.stack(
-                [entry.blocks[s].dot(x[s]) for s in range(self.n_samples)]
-            )
-            norm_g = np.array(
-                [np.abs(b).sum(axis=1).max() for b in entry.blocks]
-            )
+        G = self._active.G_base
+        gx = np.matmul(G, x[..., None])[..., 0]
+        norm_g = np.abs(G).sum(axis=-1).max(axis=-1)
         r = gx - rhs_lin
         if self.k:
             rows = np.arange(self.n_samples)
@@ -1005,7 +916,6 @@ class _BatchedStepSolver:
         self.guards = bool(guards)
         self.health = health if health is not None else []
         self._cond_checked: set = set()
-        self._condest_skip_noted = False
         if assembly.k == 0:
             self.strategy = "batched-linear"
         elif assembly.k == 1:
@@ -1126,21 +1036,6 @@ class _BatchedStepSolver:
             return
         self._cond_checked.add(key)
         cond = self.assembly.condest_samples()
-        if cond is None:
-            if not self._condest_skip_noted:
-                self._condest_skip_noted = True
-                self.health.append(
-                    HealthReport(
-                        "condest_skipped",
-                        "condition estimation skipped: the active "
-                        "solver keeps no direct factorization of the "
-                        "stepping matrices; NaN/Inf screening stays "
-                        "armed",
-                        severity="info",
-                        time=time,
-                    )
-                )
-            return
         bad = (~np.isfinite(cond) | (cond > CONDITION_LIMIT)) & (
             ~self.quarantined
         )
@@ -1550,9 +1445,12 @@ def run_transient_batched(
     stacked: differing topology, nonlinear devices other than
     :class:`~repro.circuits.controlled.NonlinearVCCS`, a non-``"auto"``
     Jacobian mode, components outside the stamp split's vectorizable
-    vocabulary, a singular stacked base matrix (see the exception's
-    docstring for when each case fires), or a ``phases`` schedule (the
-    stacked assembly has no live method switch).
+    vocabulary, a backend that does not resolve to dense
+    (``options.backend`` ``"sparse"`` or ``"krylov"``, or ``"auto"``
+    at :data:`~repro.circuits.backend.SPARSE_AUTO_THRESHOLD` unknowns
+    per sample or more), a singular stacked base matrix (see the
+    exception's docstring for when each case fires), or a ``phases``
+    schedule (the stacked assembly has no live method switch).
 
     Both grids run the per-sample engine's time loops, so every run
     option the lockstep engine supports behaves as in

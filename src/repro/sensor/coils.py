@@ -312,10 +312,11 @@ def coil_mesh_array(
     Manufacturing spread moves each coil's element values a
     deterministic few percent from nominal (coil ``k`` scales L, Rs,
     and C by ``1 + spread * sin``-spaced offsets), so the list feeds
-    the batched/sharded campaign engines directly: identical
-    structure, per-sample values — the regime the per-sample
-    stale-preconditioner block solver
-    (:class:`~repro.circuits.backend.KrylovBlockDiag`) amortizes.
+    the campaign engines directly: identical structure, per-sample
+    values.  A mesh of :data:`~repro.circuits.backend.
+    SPARSE_AUTO_THRESHOLD` unknowns or more is too large for the dense
+    lockstep stack, so a campaign over it runs per sample (in a
+    process pool with ``batch_mode="process"``).
     """
     if n_coils < 1:
         raise ConfigurationError("n_coils must be >= 1")

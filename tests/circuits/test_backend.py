@@ -10,7 +10,7 @@ Three claims are pinned here:
   general Newton over several NonlinearVCCS devices (the ``woodbury``
   family, which the sparse backend solves as a low-rank update around
   its cached LU) or a diode — on fixed and adaptive grids,
-  plus the DC and AC analyses and the batched lockstep engine;
+  plus the DC and AC analyses;
 * scipy-less environments degrade gracefully: "auto" falls back to
   dense silently, an explicit "sparse" raises a clear error;
 * the condensed ``SparseLU`` (series branches eliminated before
@@ -35,7 +35,6 @@ from repro.circuits import (
     resolve_backend,
     run_ac,
     run_transient,
-    run_transient_batched,
     sine,
     solve_dc,
 )
@@ -253,29 +252,6 @@ class TestSparseMatchesDense:
         np.testing.assert_allclose(
             sparse.x, dense.x, rtol=1e-9, atol=1e-9 * np.abs(dense.x).max()
         )
-
-    @pytest.mark.parametrize("step_control", ["fixed", "adaptive"])
-    def test_batched_block_diagonal_equivalence(self, step_control):
-        pytest.importorskip("scipy")
-        def build(scale):
-            tank = RLCTank.from_frequency_and_q(4e6, 15.0 * scale, 1e-6)
-            limiter = TanhLimiter(gm=6e-3 * scale, i_max=2e-3)
-            return OscillatorNetlist(tank, vref=2.5).build(limiter)
-
-        scales = [1.0, 1.02, 0.97, 1.05]
-        options = _options("dense", step_control)
-        options.use_dc_operating_point = False
-        dense = run_transient_batched([build(s) for s in scales], options)
-        options_s = _options("sparse", step_control)
-        options_s.use_dc_operating_point = False
-        sparse = run_transient_batched([build(s) for s in scales], options_s)
-        for rd, rs in zip(dense, sparse):
-            assert rs.stats["backend"] == "sparse"
-            assert rd.stats["newton_iterations"] == rs.stats["newton_iterations"]
-            scale = max(float(np.abs(rd.x).max()), 1e-12)
-            np.testing.assert_allclose(
-                rs.x, rd.x, rtol=1e-9, atol=1e-9 * scale
-            )
 
 
 class TestSparseSingularDegradation:

@@ -194,10 +194,8 @@ class TestScalarEngine:
 
 
 class TestBatchedEngine:
-    @pytest.mark.parametrize("backend", ["dense", "sparse"])
+    @pytest.mark.parametrize("backend", ["dense"])
     def test_armed_healthy_batch_bit_identical(self, backend):
-        if backend == "sparse":
-            pytest.importorskip("scipy")
         circuits = [build_rc(r=1e3 * (1 + 0.01 * s)) for s in range(6)]
         plain = run_transient_batched(circuits, options(backend=backend))
         circuits = [build_rc(r=1e3 * (1 + 0.01 * s)) for s in range(6)]
@@ -208,10 +206,8 @@ class TestBatchedEngine:
             assert np.array_equal(a.x, b.x)
             assert b.stats["health"] == []
 
-    @pytest.mark.parametrize("backend", ["dense", "sparse"])
+    @pytest.mark.parametrize("backend", ["dense"])
     def test_nan_sample_quarantined_alone(self, backend):
-        if backend == "sparse":
-            pytest.importorskip("scipy")
         circuits = [
             build_rc(poison=(s == 3), r=1e3 * (1 + 0.01 * s))
             for s in range(8)

@@ -5,8 +5,7 @@ Pinned claims:
 * waveform equivalence: ``backend="krylov"`` reproduces the direct
   sparse path well under the rtol 1e-6 the mesh benches assert, on
   fixed and adaptive grids, linear and nonlinear (matrix-free
-  ``solve_updated``) circuits, DC, AC, and the batched lockstep
-  engine;
+  ``solve_updated``) circuits, DC and AC;
 * refresh policy: the stale preconditioner re-anchors proactively
   when the previous solve of a matrix crossed the iteration
   threshold, and unconditionally when the iteration fails to
@@ -14,10 +13,7 @@ Pinned claims:
 * degradation: scipy-less environments fail fast for an explicit
   ``"krylov"`` and fall back to dense for ``"auto"``; health guards
   skip condition estimation (with an info-severity note) instead of
-  crashing on the factorization-less solver;
-* per-sample isolation: one singular sample in a batch degrades to
-  least-squares without touching its shard-mates, for both the direct
-  :class:`BlockDiagLU` and the Krylov block solver.
+  crashing on the factorization-less solver.
 """
 
 import numpy as np
@@ -30,14 +26,12 @@ from repro.circuits import (
     resolve_backend,
     run_ac,
     run_transient,
-    run_transient_batched,
     sine,
     solve_dc,
 )
 from repro.circuits.backend import (
     KRYLOV_AUTO_THRESHOLD,
     SPARSE_AUTO_THRESHOLD,
-    BlockDiagLU,
     KrylovBackend,
     SparseBackend,
 )
@@ -343,44 +337,6 @@ class TestWaveformEquivalence:
             krylov.x, dense.x, rtol=1e-6, atol=1e-6 * np.abs(dense.x).max()
         )
 
-    @pytest.mark.parametrize("step_control", ["fixed", "adaptive"])
-    def test_batched_matches_sparse(self, step_control):
-        options = dict(
-            t_stop=2.0 / F0, dt=0.05 / F0, step_control=step_control
-        )
-        sparse = run_transient_batched(
-            coil_mesh_array(MESH, 4, spread=0.1),
-            TransientOptions(backend="sparse", **options),
-        )
-        krylov = run_transient_batched(
-            coil_mesh_array(MESH, 4, spread=0.1),
-            TransientOptions(backend="krylov", **options),
-        )
-        for rs, rk in zip(sparse, krylov):
-            scale = max(float(np.abs(rs.x).max()), 1e-12)
-            # Iterative solves can flip an adaptive accept decision,
-            # so the step sequences need not be identical; compare on
-            # the shared time points (the quantized dt ladder makes
-            # accepted times exactly representable, so shared points
-            # match bit-for-bit).
-            _, is_, ik = np.intersect1d(
-                np.round(rs.t * F0, 9),
-                np.round(rk.t * F0, 9),
-                return_indices=True,
-            )
-            # A single flip desynchronizes the cumulative grid until
-            # the controllers re-converge, so require broad (not
-            # near-total) overlap.
-            assert is_.size >= 0.5 * rs.t.size
-            # Divergent step sequences accumulate differences bounded
-            # by the controller's LTE budget (lte_reltol=1e-3), not by
-            # the linear-solver tolerance; 1e-4 is an order tighter
-            # than that budget.  Identical sequences stay at 1e-6.
-            rtol = 1e-6 if np.array_equal(rs.t, rk.t) else 1e-4
-            np.testing.assert_allclose(
-                rk.x[ik], rs.x[is_], rtol=rtol, atol=rtol * scale
-            )
-
 
 class TestHealthGuardDegradation:
     """Satellite: guards skip condest gracefully without a direct LU."""
@@ -405,84 +361,6 @@ class TestHealthGuardDegradation:
         result = run_transient(MESH.build_circuit(), options)
         kinds = [r.kind for r in result.stats["health"]]
         assert "condest_skipped" not in kinds
-
-    def test_batched_guards_note_condest_skip(self):
-        options = TransientOptions(
-            t_stop=2.0 / F0, dt=0.05 / F0, backend="krylov", guards=True
-        )
-        results = run_transient_batched(
-            coil_mesh_array(MESH, 3, spread=0.1), options
-        )
-        kinds = [r.kind for r in results[0].stats["health"]]
-        assert "condest_skipped" in kinds
-        assert kinds.count("condest_skipped") == 1
-
-
-class TestBlockIsolation:
-    """Satellite: a singular sample never poisons its shard-mates."""
-
-    def _blocks(self):
-        # Same 3x3 pattern; the middle sample's values are exactly
-        # singular (duplicate rows survive any shared column
-        # ordering's pivoting with a zero pivot).
-        good = [[4.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 2.0]]
-        bad = [[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 1.0, 2.0]]
-        good2 = [[5.0, 2.0, 0.0], [2.0, 6.0, 1.0], [0.0, 1.0, 3.0]]
-        return [_csr(good), _csr(bad), _csr(good2)]
-
-    def test_blockdiaglu_heterogeneous_zero_pivot(self):
-        blocks = self._blocks()
-        lu = BlockDiagLU(blocks)
-        assert lu.is_singular
-        rhs = np.arange(1.0, 10.0)
-        out = lu.solve(rhs)
-        assert np.isfinite(out).all()
-        # Shard-mates get their exact direct solutions...
-        np.testing.assert_allclose(
-            out[:3], np.linalg.solve(blocks[0].toarray(), rhs[:3]), rtol=1e-12
-        )
-        np.testing.assert_allclose(
-            out[6:], np.linalg.solve(blocks[2].toarray(), rhs[6:]), rtol=1e-12
-        )
-        # ...and the singular sample its minimum-norm fallback.
-        expected, *_ = np.linalg.lstsq(
-            blocks[1].toarray(), rhs[3:6], rcond=None
-        )
-        np.testing.assert_allclose(out[3:6], expected, rtol=1e-10, atol=1e-12)
-        cond = lu.condest_blocks()
-        assert np.isinf(cond[1]) and np.isfinite(cond[0]) and np.isfinite(cond[2])
-
-    def test_krylov_blockdiag_heterogeneous_zero_pivot(self):
-        blocks = self._blocks()
-        backend = KrylovBackend()
-        lu = backend.factor_blocks(blocks)
-        assert lu.is_singular
-        rhs = np.arange(1.0, 10.0)
-        out = lu.solve(rhs)
-        assert np.isfinite(out).all()
-        np.testing.assert_allclose(
-            out[:3], np.linalg.solve(blocks[0].toarray(), rhs[:3]), rtol=1e-12
-        )
-        np.testing.assert_allclose(
-            out[6:], np.linalg.solve(blocks[2].toarray(), rhs[6:]), rtol=1e-12
-        )
-        expected, *_ = np.linalg.lstsq(
-            blocks[1].toarray(), rhs[3:6], rcond=None
-        )
-        np.testing.assert_allclose(out[3:6], expected, rtol=1e-10, atol=1e-12)
-        # And deliberately no condest hook: that is what the guards'
-        # graceful-skip path keys on.
-        assert not hasattr(lu, "condest_blocks")
-
-    def test_krylov_blockdiag_matches_blockdiaglu_per_sample(self):
-        """Same shared-ordering factorization path: the fast-path
-        solves are identical to BlockDiagLU's, sample for sample."""
-        good = self._blocks()[::2]  # both nonsingular samples
-        rhs = np.arange(1.0, 7.0)
-        direct = BlockDiagLU(good).solve(rhs)
-        backend = KrylovBackend()
-        iterative = backend.factor_blocks(good).solve(rhs)
-        assert np.array_equal(direct, iterative)
 
 
 class TestStiffnessReprobe:

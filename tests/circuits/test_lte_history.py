@@ -325,7 +325,10 @@ class TestBreakpointRestart:
             ),
         )
 
-    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    # The 461-unknown mesh is past the dense lockstep stack's size, so
+    # only the scalar engine runs it; the lockstep restart is pinned by
+    # test_sharp_edge_rejects_the_restart_step.
+    @pytest.mark.parametrize("engine", ["scalar"])
     def test_pulsed_coil_mesh(self, engine, mesh_reference):
         circuit = self.MESH.build_circuit(drive="pulse")
         result = ENGINES[engine](circuit, self.mesh_options())
