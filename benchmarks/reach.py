@@ -2,20 +2,22 @@
 
 Run from the repository root::
 
-    python benchmarks/reach.py                  # every driver
-    make reach                                  # same
-    python benchmarks/reach.py --only example:  # drivers whose name has 'example:'
+    python benchmarks/reach.py    # or: make reach
 
 The drivers are the repository's own consumers of the library:
 
 * ``perfbench:<workload>`` — one pass of each workload's jobs at seed 1,
-  from ``perfbench/workloads.py`` (imported, not edited);
+  from ``perfbench/workloads.py`` (imported, not edited; the workload
+  names are read from its ``WORKLOADS``);
 * ``example:<file>`` — every ``examples/*.py``, run as ``__main__``;
 * ``bench:<file>`` — every ``benchmarks/bench_*.py`` under pytest, from
   a temporary copy of ``benchmarks/`` so the result files the benches
   write stay out of the working tree;
 * ``run_perf --check`` — the bench regression gate (its gate verdicts
   under the profiler are meaningless and are ignored).
+
+A driver still running after ``DRIVER_TIMEOUT_S`` seconds is stopped,
+together with its pool workers, and marked in the report.
 
 Each driver runs in a fresh process under ``sys.setprofile`` (and
 ``threading.setprofile``).  The first call of every function code object
@@ -53,12 +55,20 @@ from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
-WORKLOADS = ("envelope_mc", "supply_loss_q", "mc_lockstep", "coil_mesh")
+DRIVER_TIMEOUT_S = 1800.0
+
+
+def perfbench_workloads():
+    """``perfbench/workloads.py``, imported with ``src/`` on the path."""
+    sys.path[:0] = [str(SRC), str(ROOT / "perfbench")]
+    import workloads
+
+    return workloads
 
 
 def drivers():
     """Every driver name, in run order."""
-    names = [f"perfbench:{w}" for w in WORKLOADS]
+    names = [f"perfbench:{w}" for w in perfbench_workloads().WORKLOADS]
     names += [f"example:{p.name}" for p in sorted((ROOT / "examples").glob("*.py"))]
     names += [f"bench:{p.name}" for p in sorted((ROOT / "benchmarks").glob("bench_*.py"))]
     names.append("run_perf --check")
@@ -100,9 +110,7 @@ def run_driver(name: str, work_dir: str) -> int:
     """Run one driver in this process; its exit status."""
     kind, _, arg = name.partition(":")
     if kind == "perfbench":
-        sys.path.insert(0, str(ROOT / "perfbench"))
-        import workloads
-
+        workloads = perfbench_workloads()
         bench = workloads.WORKLOADS[arg](1)
         for run in bench.jobs(workloads.build_oscillator):
             run()
@@ -186,7 +194,7 @@ def owned_lines(functions):
     return owner
 
 
-def run_all(names, timeout: float):
+def run_all(names):
     """Run each driver in its own traced process; ``(name, status,
     seconds, keys)`` per driver."""
     env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONDONTWRITEBYTECODE="1")
@@ -205,7 +213,7 @@ def run_all(names, timeout: float):
                                     stderr=subprocess.PIPE, text=True,
                                     start_new_session=True)
             try:
-                _, err = proc.communicate(timeout=timeout)
+                _, err = proc.communicate(timeout=DRIVER_TIMEOUT_S)
                 status = f"exit {proc.returncode}" if proc.returncode else "ok"
                 tail = err.strip().splitlines()[-1:]
                 if proc.returncode and tail:
@@ -213,7 +221,7 @@ def run_all(names, timeout: float):
             except subprocess.TimeoutExpired:
                 os.killpg(proc.pid, signal.SIGKILL)
                 proc.communicate()
-                status = f"timeout after {timeout:.0f} s"
+                status = f"timeout after {DRIVER_TIMEOUT_S:.0f} s"
             seconds = time.perf_counter() - start
             print(f"  {name:44s} {seconds:6.1f} s  {status}", file=sys.stderr, flush=True)
             out.append((name, status, seconds, read_records(record_dir)))
@@ -262,10 +270,6 @@ def report(functions, runs) -> None:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--only", default="",
-                        help="run only the drivers whose name contains this")
-    parser.add_argument("--timeout", type=float, default=1800.0,
-                        help="seconds before a driver is stopped (default 1800)")
     parser.add_argument("--driver", help=argparse.SUPPRESS)
     parser.add_argument("--record-dir", help=argparse.SUPPRESS)
     parser.add_argument("--work-dir", help=argparse.SUPPRESS)
@@ -273,8 +277,7 @@ def main(argv=None) -> int:
     if args.driver:
         record_calls(args.record_dir)
         return run_driver(args.driver, args.work_dir)
-    names = [name for name in drivers() if args.only in name]
-    runs = run_all(names, args.timeout)
+    runs = run_all(drivers())
     report(src_functions(), runs)
     return 0
 
