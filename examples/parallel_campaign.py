@@ -11,7 +11,7 @@ Two properties make the mode safe to reach for by default (and the
 ``"auto"`` policy does, on multi-core machines):
 
 * **Bit-identical merges.**  Every per-sample solve in the lockstep
-  engine — the block-diagonal LU, the per-sample Newton masks, the
+  engine — the batched inverse, the per-sample Newton masks, the
   stacked-Newton DC seed — is independent of batch membership, so a
   fixed-grid campaign merges back bit-identical to the unsharded run
   no matter how it was cut.  This example verifies that for every

@@ -16,8 +16,7 @@ time loop advances every sample together,
   stack once per step size, then every step's solve is one batched
   mat-vec (the ``linear`` strategy's cached-LU path, S-wide);
 * the per-sample engine's rank-1 Sherman–Morrison Newton fast path
-  and, for k >= 2 nonlinear devices, a rank-k Woodbury Newton (where
-  the per-sample engine runs general Newton), vectorized across the
+  for the one nonlinear device, vectorized across the
   sample axis, over a **per-sample working set**: a full view of the
   batch while every sample iterates in step (no gathers at all), index
   arrays only once samples converge, freeze or split — ragged
@@ -32,9 +31,16 @@ time loop advances every sample together,
   stacked to ``(S, m)`` rows, and one gather/scatter advances all
   samples;
 * device linearization across samples in one call when the nonlinear
-  devices declare a *batchable characteristic family*
+  device declares a *batchable characteristic family*
   (``NonlinearVCCS.vector_pair`` — e.g. every Monte-Carlo instance of
   the tanh driver differs only in its ``(gm, IM)`` parameters).
+
+The lockstep strategies are the per-sample engine's two fast paths,
+``linear`` and ``rank1``: a netlist stacks at most one
+:class:`~repro.circuits.controlled.NonlinearVCCS`.  The paper's driver
+is one limiter-controlled transconductor across the tank, so every
+campaign netlist fits; a netlist with more devices takes the
+per-sample engine's general Newton instead.
 
 Lockstep requires a shared time grid: fixed mode uses the common
 ``t_k = k*dt`` grid, adaptive mode drives one
@@ -51,7 +57,8 @@ stays the reference: :func:`run_transient_batched` mirrors its solve
 formulas elementwise, and the equivalence tests pin the two paths to
 each other at rtol 1e-9.  Netlists the lockstep engine cannot stack —
 differing topologies, nonlinear devices other than
-:class:`~repro.circuits.controlled.NonlinearVCCS`, the ``"full"``
+:class:`~repro.circuits.controlled.NonlinearVCCS` or more than one of
+them, the ``"full"``
 Jacobian mode, a ``PhaseSchedule``, a backend that does not resolve to
 dense — raise :class:`BatchIncompatible`,
 which the campaign layer
@@ -112,9 +119,10 @@ __all__ = [
 class BatchIncompatible(SimulationError):
     """The netlists cannot be executed as one lockstep batch.
 
-    Structural problems (topology mismatch, unsupported devices,
-    non-``"auto"`` Jacobian, a phase schedule, a sparse or Krylov
-    backend) raise during batched-assembly construction, before any
+    Structural problems (topology mismatch, unsupported devices, more
+    than one nonlinear device, non-``"auto"`` Jacobian, a phase
+    schedule, a sparse or Krylov backend) raise during
+    batched-assembly construction, before any
     stepping; a singular stacked base matrix raises when its step
     size's entry is built — at construction for
     the initial step size, but an *adaptive* run that walks onto a new
@@ -132,6 +140,17 @@ def _row_max(a: np.ndarray) -> np.ndarray:
     """``a.max(axis=1)`` for ``(S, n)``, ``n >= 1``: the same values, a
     few times faster for small ``n`` as maxima along the sample axis."""
     return np.maximum.reduce(np.ascontiguousarray(a.T))
+
+
+def _incidence(size: int, p: int, n: int) -> np.ndarray:
+    """The ``(size, 1)`` column ``e_p - e_n`` (a ground index, -1,
+    drops out)."""
+    column = np.zeros((size, 1))
+    if p >= 0:
+        column[p, 0] += 1.0
+    if n >= 0:
+        column[n, 0] -= 1.0
+    return column
 
 
 #: Working-set selector for every sample: indexing with it gives views.
@@ -341,20 +360,10 @@ def solve_dc_batched(
             circuits, solution, np.ones(S, dtype=np.intp)
         )
 
-    # Per-device stacked linearization plans: vectorized across the
-    # batch when every sample shares one characteristic family
-    # (``vector_pair``), scalar per sample otherwise.
-    plans = []
-    for name in nl_names:
-        devices = [circuit[name] for circuit in circuits]
-        op_, on_, cp_, cn_ = devices[0]._n
-        vp = devices[0].vector_pair
-        if vp is not None and all(d.vector_pair is vp for d in devices):
-            params = np.array([d.vector_params for d in devices])
-            plans.append((op_, on_, cp_, cn_, vp, params, devices))
-        else:
-            plans.append((op_, on_, cp_, cn_, None, None, devices))
-
+    columns = [
+        _DeviceColumn([circuit[name] for circuit in circuits])
+        for name in nl_names
+    ]
     iterations = np.zeros(S, dtype=np.intp)
     converged = np.zeros(S, dtype=bool)
     for it in range(options.max_iterations):
@@ -364,19 +373,10 @@ def solve_dc_batched(
         G = G_lin[idx].copy()
         rhs = rhs_lin[idx].copy()
         xa = x[idx]
-        for op_, on_, cp_, cn_, vp, params, devices in plans:
-            v_ctrl = (xa[:, cp_] if cp_ >= 0 else 0.0) - (
-                xa[:, cn_] if cn_ >= 0 else 0.0
-            )
-            if vp is not None:
-                i_now, gm = vp(v_ctrl, *params[idx].T)
-                gm = np.asarray(gm, dtype=float)
-                i_eq = np.asarray(i_now, dtype=float) - gm * v_ctrl
-            else:
-                gm = np.empty(idx.size)
-                i_eq = np.empty(idx.size)
-                for k, s in enumerate(idx):
-                    gm[k], i_eq[k] = devices[s].linearize(float(v_ctrl[k]))
+        for column in columns:
+            op_, on_, cp_, cn_ = column.terminals
+            v_ctrl = column.project(xa)
+            gm, i_eq = column.linearize(v_ctrl, idx)
             if op_ >= 0:
                 if cp_ >= 0:
                     G[:, op_, cp_] += gm
@@ -469,16 +469,21 @@ class _SourceColumn:
 class _DeviceColumn:
     """One :class:`NonlinearVCCS` position, stacked across samples.
 
-    Linearizes the device at a vector of per-sample control voltages.
-    When every sample's device declares the same batchable
-    ``vector_pair`` family, one vectorized call covers the whole
-    working set; otherwise a per-sample loop over ``linearize`` keeps
-    arbitrary scalar characteristics correct (just slower).
+    Projects the stacked iterate onto the device's control voltage and
+    linearizes the device there, per sample.  When every sample's
+    device declares the same batchable ``vector_pair`` family (by
+    ``==``, so separately built Monte-Carlo drivers stack), one
+    vectorized call covers the whole working set; otherwise a
+    per-sample loop over ``linearize`` keeps arbitrary scalar
+    characteristics correct (just slower).
     """
 
     def __init__(self, devices: List[NonlinearVCCS]):
         self.devices = devices
         first = devices[0]
+        #: ``(out_p, out_n, ctrl_p, ctrl_n)`` unknown indices, ``-1``
+        #: for ground: every sample's, by the lockstep topology check.
+        self.terminals = first._n
         self.vectorized = first.vector_pair is not None and all(
             d.vector_pair == first.vector_pair
             and len(d.vector_params) == len(first.vector_params)
@@ -491,6 +496,15 @@ class _DeviceColumn:
                 np.array([d.vector_params[j] for d in devices])
                 for j in range(len(first.vector_params))
             )
+
+    def project(self, vec: np.ndarray) -> np.ndarray:
+        """Control voltage per sample, ``(S, size) -> (S,)``: the
+        per-sample engine's expression, ``0.0 - v`` on a grounded
+        ``ctrl_p`` included (``-v`` would flip an exact zero's sign)."""
+        _op, _on, cp, cn = self.terminals
+        if cn < 0:
+            return vec[:, cp].copy() if cp >= 0 else np.zeros(len(vec))
+        return (vec[:, cp] if cp >= 0 else 0.0) - vec[:, cn]
 
     def linearize(
         self, v_ctrl: np.ndarray, rows
@@ -512,7 +526,7 @@ class _BatchedDtEntry:
     ``G_base`` is the frozen ``(S, n, n)`` stack and ``inv`` its
     batched inverse."""
 
-    __slots__ = ("dt", "G_base", "coeffs", "inv", "rank1", "woodbury", "cond")
+    __slots__ = ("dt", "G_base", "coeffs", "inv", "rank1", "cond")
 
     def __init__(
         self,
@@ -526,7 +540,6 @@ class _BatchedDtEntry:
         self.G_base = G_base  # (S, n, n), frozen
         self.inv = inv  # (S, n, n)
         self.rank1: Optional[tuple] = None  # lazy (w[S,n], vw[S], w_vmax[S])
-        self.woodbury: Optional[tuple] = None  # lazy (WU[S,n,k], VWU[S,k,k])
         self.cond: Optional[np.ndarray] = None  # lazy (S,) condition estimates
 
 
@@ -535,7 +548,7 @@ class BatchedTransientAssembly:
 
     The batched counterpart of :class:`~repro.circuits.assembly.
     TransientAssembly`: the same assembly tiers (static once per step
-    size, RHS once per step, nonlinear devices once per Newton
+    size, RHS once per step, the nonlinear device once per Newton
     iteration), with every product carrying a leading sample axis and
     the ``dt``-keyed products living in a small LRU of per-step-size
     entries.  Each sample's static stamps come from its own
@@ -601,6 +614,11 @@ class BatchedTransientAssembly:
                     f"component {name!r} ({type(circuits[0][name]).__name__}) "
                     "is outside the lockstep engine's stamp vocabulary"
                 )
+        if len(full_names) > 1:
+            raise BatchIncompatible(
+                f"{len(full_names)} nonlinear devices: the lockstep engine "
+                "stacks at most one; run the samples one by one"
+            )
         # One PlainElements per sample: each stamps its own static
         # stream, and together they stack the reactive state.
         self.plains = [PlainElements(split0)] + [
@@ -627,29 +645,15 @@ class BatchedTransientAssembly:
                 _SourceColumn([c[comp.name] for c in circuits])
             )
 
-        # Nonlinear device columns + constant rank-k structure.
-        self.devices: List[_DeviceColumn] = [
-            _DeviceColumn([c[name] for c in circuits]) for name in full_names
-        ]
-        self.k = len(self.devices)
-        if self.k:
-            U = np.zeros((self.size, self.k))
-            V = np.zeros((self.size, self.k))
-            cp_idx = np.empty(self.k, dtype=np.intp)
-            cn_idx = np.empty(self.k, dtype=np.intp)
-            for j, name in enumerate(full_names):
-                op, on, cp, cn = circuits[0][name]._n
-                if op >= 0:
-                    U[op, j] += 1.0
-                if on >= 0:
-                    U[on, j] -= 1.0
-                if cp >= 0:
-                    V[cp, j] += 1.0
-                if cn >= 0:
-                    V[cn, j] -= 1.0
-                cp_idx[j], cn_idx[j] = cp, cn
-            self.U, self.V = U, V
-            self._cp_idx, self._cn_idx = cp_idx, cn_idx
+        #: The nonlinear device (``None`` for a linear netlist) and its
+        #: stamp ``G_base + gm * u v^T``, ``u`` and ``v`` as ``(size, 1)``
+        #: columns.
+        self.device: Optional[_DeviceColumn] = None
+        if full_names:
+            self.device = _DeviceColumn([c[full_names[0]] for c in circuits])
+            op, on, cp, cn = self.device.terminals
+            self.u = _incidence(self.size, op, on)
+            self.v = _incidence(self.size, cp, cn)
 
         #: Boolean ``(S,)`` mask of the samples sitting this step out
         #: (quarantined or skipped), or ``None`` while none is; kept
@@ -751,11 +755,6 @@ class BatchedTransientAssembly:
         """
         return _bsolve(self._active.inv, rhs)
 
-    def solve_columns(self, U: np.ndarray) -> np.ndarray:
-        """Base solve of shared ``(n, k)`` columns -> ``(S, n, k)``
-        (the lockstep topology check makes ``U`` every sample's)."""
-        return np.matmul(self._active.inv, U)
-
     def base_dense(self, s: int) -> np.ndarray:
         """Sample ``s``'s base matrix (fallbacks only)."""
         return self._active.G_base[s]
@@ -780,7 +779,7 @@ class BatchedTransientAssembly:
         """Per-sample residual data for post-step certification.
 
         Returns ``(res, norm_g, scale)``: the inf-norm residual of the
-        full nonlinear system ``G_base x + U i_dev(x) - rhs_lin`` per
+        full nonlinear system ``G_base x + u i_dev(x) - rhs_lin`` per
         sample, the inf-norm of each sample's base matrix, and the
         magnitude scale ``max(|G x|, |rhs|)`` the relative margin
         applies to.  Pure recomputation at the committed iterate.
@@ -789,14 +788,10 @@ class BatchedTransientAssembly:
         gx = np.matmul(G, x[..., None])[..., 0]
         norm_g = np.abs(G).sum(axis=-1).max(axis=-1)
         r = gx - rhs_lin
-        if self.k:
-            rows = np.arange(self.n_samples)
-            v_ctrl = self.ctrl_project(x)
-            i_now = np.empty((self.n_samples, self.k))
-            for j, column in enumerate(self.devices):
-                gm, ieq = column.linearize(v_ctrl[:, j], rows)
-                i_now[:, j] = ieq + gm * v_ctrl[:, j]
-            r = r + i_now @ self.U.T
+        if self.device is not None:
+            v_ctrl = self.device.project(x)
+            gm, ieq = self.device.linearize(v_ctrl, _ALL)
+            r = r + (ieq + gm * v_ctrl)[:, None] * self.u.T
         res = np.abs(r).max(axis=1) if r.size else np.zeros(self.n_samples)
         scale = np.maximum(
             np.abs(gx).max(axis=1) if gx.size else 0.0,
@@ -804,37 +799,18 @@ class BatchedTransientAssembly:
         )
         return res, norm_g, np.maximum(scale, 1e-30)
 
-    # -- rank-k structure ------------------------------------------------------
-
-    def ctrl_project(self, vec: np.ndarray) -> np.ndarray:
-        """``V^T vec`` per sample: ``(S, size) -> (S, k)``."""
-        cp, cn = self._cp_idx, self._cn_idx
-        vp = np.where(cp >= 0, vec[:, np.maximum(cp, 0)], 0.0)
-        vn = np.where(cn >= 0, vec[:, np.maximum(cn, 0)], 0.0)
-        return vp - vn
-
     def rank1_data(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Stacked Sherman–Morrison data ``(w[S,n], vw[S], w_vmax[S])``."""
         entry = self._active
         if entry.rank1 is None:
-            w = self.solve_columns(self.U[:, :1])[..., 0]  # (S, n)
-            vw = self.ctrl_project(w)[:, 0]
+            w = np.matmul(entry.inv, self.u)[..., 0]  # (S, n)
+            vw = self.device.project(w)
             w_v = w[:, : self.n_nodes]
             w_vmax = (
                 np.abs(w_v).max(axis=1) if w_v.shape[1] else np.zeros(len(w))
             )
             entry.rank1 = (w, vw, w_vmax)
         return entry.rank1
-
-    def woodbury_data(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Stacked Woodbury data ``(WU[S,n,k], VWU[S,k,k])``."""
-        entry = self._active
-        if entry.woodbury is None:
-            WU = self.solve_columns(self.U)  # (S, n, k)
-            # VWU[s, j, l] = v_j^T W u_l, batched over samples.
-            VWU = np.matmul(self.V.T[np.newaxis, :, :], WU)
-            entry.woodbury = (WU, VWU)
-        return entry.woodbury
 
     # -- state ----------------------------------------------------------------
 
@@ -916,18 +892,13 @@ class _BatchedStepSolver:
         self.guards = bool(guards)
         self.health = health if health is not None else []
         self._cond_checked: set = set()
-        if assembly.k == 0:
+        if assembly.device is None:
             self.strategy = "batched-linear"
-        elif assembly.k == 1:
-            self.strategy = "batched-rank1"
-            self._cp = int(assembly._cp_idx[0])
-            self._cn = int(assembly._cn_idx[0])
+            self.predictor = None
         else:
-            self.strategy = "batched-woodbury"
-        #: The per-sample engine's Newton predictor, on ``(S,)`` arrays.
-        self.predictor = (
-            NewtonPredictor() if self.strategy == "batched-rank1" else None
-        )
+            self.strategy = "batched-rank1"
+            #: The per-sample engine's Newton predictor, on ``(S,)`` arrays.
+            self.predictor = NewtonPredictor()
 
     @property
     def freeze(self) -> Optional[np.ndarray]:
@@ -957,18 +928,6 @@ class _BatchedStepSolver:
             np.copyto(self.skipped, mask)
         self._refreeze()
 
-    def _ctrl1(self, vec: np.ndarray) -> np.ndarray:
-        """k=1 control projection ``(S, size) -> (S,)`` without the
-        generic gather machinery (this sits in the hot loop)."""
-        cp, cn = self._cp, self._cn
-        if cp >= 0 and cn >= 0:
-            return vec[:, cp] - vec[:, cn]
-        if cp >= 0:
-            return vec[:, cp].copy()
-        if cn >= 0:
-            return -vec[:, cn]
-        return np.zeros(len(vec))
-
     def note_commit(self, time: float, x: np.ndarray, restart: bool = False) -> None:
         """``_StepSolver.note_commit`` for the whole batch (frozen
         samples feed their frozen rows)."""
@@ -976,7 +935,7 @@ class _BatchedStepSolver:
         if predictor is not None:
             if restart:
                 predictor.reset()
-            predictor.push(time, self._ctrl1(x))
+            predictor.push(time, self.assembly.device.project(x))
 
     # -- shared helpers -------------------------------------------------------
 
@@ -1089,8 +1048,8 @@ class _BatchedStepSolver:
         s: int,
         x: np.ndarray,
         rhs_lin: np.ndarray,
-        gms: np.ndarray,
-        ieqs: np.ndarray,
+        gm: float,
+        ieq: float,
     ) -> Tuple[np.ndarray, float]:
         """One damped dense Newton step for a single stuck sample.
 
@@ -1100,8 +1059,8 @@ class _BatchedStepSolver:
         """
         asm = self.assembly
         self.fallback_solves[s] += 1
-        G = asm.base_dense(s) + asm.U @ (gms[:, None] * asm.V.T)
-        rhs = rhs_lin[s] - asm.U @ ieqs
+        G = asm.base_dense(s) + asm.u @ (gm * asm.v.T)
+        rhs = rhs_lin[s] - asm.u[:, 0] * ieq
         x_new = solve_dense(G, rhs)
         delta = x_new - x[s]
         v_delta = delta[: self.n_nodes]
@@ -1130,10 +1089,8 @@ class _BatchedStepSolver:
             x_new = self.assembly.solve(rhs_lin)
             if self.freeze is not None:
                 x_new[self.freeze] = x[self.freeze]
-        elif self.strategy == "batched-rank1":
-            x_new = self._step_rank1(x, rhs_lin, time)
         else:
-            x_new = self._step_woodbury(x, rhs_lin, time)
+            x_new = self._step_rank1(x, rhs_lin, time)
         if self.guards:
             rows = nonfinite_sample_rows(x_new, eligible=~self.frozen)
             if rows.size:
@@ -1177,17 +1134,17 @@ class _BatchedStepSolver:
         """
         asm = self.assembly
         options = self.options
-        device = asm.devices[0]
+        device = asm.device
         w, vw, w_vmax = asm.rank1_data()
         n = self.n_nodes
         max_step = options.max_step
         S = asm.n_samples
         self.stacked_solves += 1
         z_lin = asm.solve(rhs_lin)
-        zl_c = self._ctrl1(z_lin)
+        zl_c = device.project(z_lin)
         x = x.copy()
         tol = self._tol(x)
-        v_ctrl = self._ctrl1(x)
+        v_ctrl = device.project(x)
         on_line = np.zeros(S, dtype=bool)
         c = np.zeros(S)
         v_pred = self.predictor.predict(time)
@@ -1220,9 +1177,9 @@ class _BatchedStepSolver:
                         x[s] = z_lin[s] - c[s] * w[s]
                         on_line[s] = False
                     x[s], last = self._dense_fallback(
-                        s, x, rhs_lin, np.array([gm[j]]), np.array([ieq[j]])
+                        s, x, rhs_lin, gm[j], ieq[j]
                     )
-                    v_ctrl[s] = asm.ctrl_project(x[s : s + 1])[0, 0]
+                    v_ctrl[s] = device.project(x[s : s + 1])[0]
                     if last < tol[s]:
                         active[s] = False
                 keep = ~bad
@@ -1273,7 +1230,7 @@ class _BatchedStepSolver:
                     maxd = np.minimum(maxd, max_step)
                     v_ctrl[rf] = np.where(
                         hit,
-                        self._ctrl1(x[rf]),
+                        device.project(x[rf]),
                         zl_c[rf] - qf * vw[rf],
                     )
                 else:
@@ -1284,70 +1241,6 @@ class _BatchedStepSolver:
                 on_line[rf] = ~hit
                 c[rf] = qf
                 active[rf] = ~(maxd < tol[rf])
-        if active.any():
-            raise self._fail(time, active)
-        return x
-
-    def _step_woodbury(
-        self, x: np.ndarray, rhs_lin: np.ndarray, time: float
-    ) -> np.ndarray:
-        """Rank-k Newton via the Woodbury identity around the step's
-        one stacked solve (a ``k×k`` system per sample and iterate),
-        with the rank-1 kernel's working-set selection."""
-        asm = self.assembly
-        options = self.options
-        k = asm.k
-        n = self.n_nodes
-        eye_k = np.eye(k)
-        WU, VWU = asm.woodbury_data()
-        self.stacked_solves += 1
-        z_lin = asm.solve(rhs_lin)
-        x = x.copy()
-        v_ctrl = asm.ctrl_project(x)
-        active = ~self.frozen
-        for _iteration in range(options.max_iterations):
-            rows = _subset(_ALL, active)
-            if rows is None:
-                return x
-            # Contiguous columns: a device family sees the same memory
-            # layout whether the working set is a view or a gather.
-            v_rows = np.ascontiguousarray(v_ctrl[rows].T)
-            gms = np.empty((v_rows.shape[1], k))
-            ieqs = np.empty_like(gms)
-            for j, column in enumerate(asm.devices):
-                gms[:, j], ieqs[:, j] = column.linearize(v_rows[j], rows)
-            self.newton_per_sample[rows] += 1
-            Wb = z_lin[rows] - np.matmul(WU[rows], ieqs[..., None])[..., 0]
-            VWb = asm.ctrl_project(Wb)
-            M = eye_k + VWU[rows] * gms[:, None, :]
-            try:
-                s_sol = np.linalg.solve(M, VWb[..., None])[..., 0]
-                x_new = Wb - np.matmul(WU[rows], (gms * s_sol)[..., None])[..., 0]
-            except np.linalg.LinAlgError:
-                # A sample's small matrix is singular along the rank-k
-                # directions: the batch re-solves sample by sample, and
-                # only the singular samples take a fully assembled
-                # dense solve.
-                x_new = np.empty_like(Wb)
-                for j, s in enumerate(np.arange(len(x))[rows]):
-                    try:
-                        sj = np.linalg.solve(M[j], VWb[j])
-                        x_new[j] = Wb[j] - WU[s] @ (gms[j] * sj)
-                    except np.linalg.LinAlgError:
-                        self.fallback_solves[s] += 1
-                        G = asm.base_dense(s) + asm.U @ (
-                            gms[j][:, None] * asm.V.T
-                        )
-                        x_new[j] = solve_dense(G, rhs_lin[s] - asm.U @ ieqs[j])
-            delta = x_new - x[rows]
-            v_delta = np.abs(delta[:, :n])
-            maxd = _row_max(v_delta) if n else np.zeros(len(gms))
-            over = maxd > options.max_step
-            scale = np.where(over, options.max_step / np.where(over, maxd, 1.0), 1.0)
-            x[rows] += delta * scale[:, None]
-            maxd = np.minimum(maxd, options.max_step)
-            v_ctrl[rows] = asm.ctrl_project(x[rows])
-            active[rows] = ~(maxd < self._tol(x[rows]))
         if active.any():
             raise self._fail(time, active)
         return x
@@ -1437,14 +1330,16 @@ def run_transient_batched(
     Returns one :class:`~repro.circuits.transient.TransientResult` per
     input circuit, in order, equivalent to running
     :func:`~repro.circuits.transient.run_transient` per sample (the
-    equivalence tests pin this at rtol 1e-9 for the strategies the
-    lockstep engine covers).  ``step_control="adaptive"`` integrates
+    equivalence tests pin this at rtol 1e-9 for the ``linear`` and
+    ``rank1`` strategies, the ones the lockstep engine covers).
+    ``step_control="adaptive"`` integrates
     every sample on one shared grid sized by the worst sample's LTE.
 
     Raises :class:`BatchIncompatible` when the netlists cannot be
     stacked: differing topology, nonlinear devices other than
-    :class:`~repro.circuits.controlled.NonlinearVCCS`, a non-``"auto"``
-    Jacobian mode, components outside the stamp split's vectorizable
+    :class:`~repro.circuits.controlled.NonlinearVCCS`, more than one
+    nonlinear device (the per-sample engine's ``general`` strategy),
+    a non-``"auto"`` Jacobian mode, components outside the stamp split's vectorizable
     vocabulary, a backend that does not resolve to dense
     (``options.backend`` ``"sparse"`` or ``"krylov"``, or ``"auto"``
     at :data:`~repro.circuits.backend.SPARSE_AUTO_THRESHOLD` unknowns

@@ -3,12 +3,14 @@
 The contract under test: splitting a fixed-grid lockstep campaign
 into shards — sequentially in-process or across a process pool with
 the shared-memory record stream — merges back **bit-identical** to
-the unsharded vectorized run, for every lockstep solve strategy
-(``batched-linear``/``batched-rank1``/``batched-woodbury``, the last
-at k = 3 and k = 6 devices).  Bit-identity is
-possible because every per-sample solve in the lockstep engine
-(block-diagonal LU, per-sample Newton masks, the batched DC seed) is
-independent of batch membership.
+the unsharded vectorized run, for both lockstep solve strategies
+(``batched-linear``/``batched-rank1``) and for the per-sample
+fallback a shard takes on netlists the lockstep engine declines
+(``woodbury``/``general``: three and six nonlinear devices; the
+``woodbury`` family keeps the name of the rank-k lockstep kernel it
+once ran).  Bit-identity is possible because every per-sample solve
+in the lockstep engine (the batched inverse, per-sample Newton masks,
+the batched DC seed) is independent of batch membership.
 
 Fault paths: quarantined samples keep their (globally remapped)
 quarantine records through the shard merge, and a shard that fails
@@ -91,13 +93,15 @@ def _build_k_vccs(task, k):
 
 
 def build_woodbury(task):
-    """3 NonlinearVCCS devices: the lockstep rank-k Woodbury kernel."""
+    """3 NonlinearVCCS devices: more than the lockstep engine stacks,
+    so every shard runs its samples through the per-sample engine's
+    general Newton."""
     return _build_k_vccs(task, 3)
 
 
 def build_general(task):
-    """6 NonlinearVCCS devices: the same lockstep kernel at a larger k
-    (the per-sample engine runs general Newton for both)."""
+    """6 NonlinearVCCS devices: the same per-sample fallback at a
+    larger k."""
     return _build_k_vccs(task, 6)
 
 
@@ -118,13 +122,13 @@ FAMILIES = {
         build_woodbury,
         [2e-3, 2.4e-3, 2.8e-3, 3.2e-3, 3.6e-3],
         dict(t_stop=1e-5, dt=1e-8, use_dc_operating_point=True),
-        "batched-woodbury",
+        "general",
     ),
     "general": (
         build_general,
         [2e-3, 2.4e-3, 2.8e-3, 3.2e-3, 3.6e-3],
         dict(t_stop=1e-5, dt=1e-8, use_dc_operating_point=True),
-        "batched-woodbury",
+        "general",
     ),
 }
 

@@ -57,7 +57,7 @@ def oscillator(gm_scale=1.0):
 
 
 def k_vccs(k):
-    """General Newton per sample; rank-k Woodbury in lockstep."""
+    """General Newton (k >= 2): the per-sample engine only."""
     circuit = Circuit(f"k{k}")
     circuit.voltage_source("Vin", "in", "0", sine(0.5, 1e6))
     circuit.resistor("R", "in", "a", 100.0)
@@ -97,18 +97,6 @@ class TestSolveCounter:
         assert result.stats["solves"] == result.stats["steps"] == 160
         (stacked,) = run_transient_batched([build()], options())
         assert stacked.stats["solves"] == result.stats["solves"]
-
-    def test_lockstep_woodbury_solves_once_per_fixed_step(self):
-        result = run_transient(k_vccs(2), options())
-        assert result.stats["strategy"] == "general"
-        assert result.stats["solves"] == result.stats["newton_iterations"]
-        (stacked,) = run_transient_batched([k_vccs(2)], options())
-        assert stacked.stats["strategy"] == "batched-woodbury"
-        assert stacked.stats["solves"] == stacked.stats["steps"] == 160
-        assert (
-            stacked.stats["newton_iterations"]
-            == result.stats["newton_iterations"]
-        )
 
     def test_general_newton_solves_once_per_iteration(self):
         result = run_transient(k_vccs(5), options())

@@ -3,10 +3,11 @@
 The contract under test: for every netlist family the lockstep engine
 accepts, ``run_transient_batched(circuits, options)[s]`` matches
 ``run_transient(circuits[s], options)`` at rtol 1e-9 with the same
-Newton iteration count — across all per-sample solve strategies
-(``linear``/``rank1``/``general``, the last against the lockstep
-rank-k Woodbury kernel), both integration methods, ragged Newton
+Newton iteration count — across both lockstep solve strategies
+(``linear``/``rank1``), both integration methods, ragged Newton
 convergence, and the recording options campaigns actually use.
+Netlists with two or more nonlinear devices run per sample instead
+(``tests/campaigns/test_dense_lockstep.py``).
 """
 
 import numpy as np
@@ -57,8 +58,9 @@ def build_oscillator(gm_scale, q_scale=1.0):
 
 
 def build_k_vccs(k, gm, vectorized=True):
-    """k NonlinearVCCS devices: general per sample, batched-woodbury
-    in lockstep."""
+    """k NonlinearVCCS devices: rank1 for k = 1, in both engines;
+    for k >= 2 the per-sample engine's general Newton, which the
+    lockstep engine declines (BatchIncompatible)."""
     circuit = Circuit(f"k{k}")
     circuit.voltage_source("Vin", "in", "0", sine(0.5, 1e5))
     circuit.resistor("R", "in", "a", 100.0)
@@ -128,37 +130,18 @@ class TestStrategyEquivalence:
         assert per[0].stats["strategy"] == "rank1"
         assert bat[0].stats["strategy"] == "batched-rank1"
 
-    def test_woodbury(self, method):
-        builders = [
-            lambda g=g: build_k_vccs(3, g) for g in (2e-3, 2.5e-3, 3e-3)
-        ]
-        per, bat = assert_batch_equivalent(
-            builders, self.options(method), atol=1e-12
-        )
-        assert per[0].stats["strategy"] == "general"
-        assert bat[0].stats["strategy"] == "batched-woodbury"
-
-    def test_general(self, method):
-        # Any count of devices puts the per-sample engine on its
-        # general full-Newton path; the lockstep engine stacks them
-        # as rank-k.
-        builders = [
-            lambda g=g: build_k_vccs(5, g) for g in (2e-3, 2.5e-3, 3e-3)
-        ]
-        per, bat = assert_batch_equivalent(
-            builders, self.options(method), atol=1e-12
-        )
-        assert per[0].stats["strategy"] == "general"
-        assert bat[0].stats["strategy"] == "batched-woodbury"
-
     def test_scalar_linearize_fallback(self, method):
         # Devices without a batchable family loop over linearize();
         # the results must not change.
         builders = [
-            lambda g=g: build_k_vccs(2, g, vectorized=False)
+            lambda g=g: build_k_vccs(1, g, vectorized=False)
             for g in (2e-3, 3e-3)
         ]
-        assert_batch_equivalent(builders, self.options(method), atol=1e-12)
+        per, bat = assert_batch_equivalent(
+            builders, self.options(method), atol=1e-12
+        )
+        assert per[0].stats["strategy"] == "rank1"
+        assert bat[0].stats["strategy"] == "batched-rank1"
 
 
 class TestRaggedConvergence:
@@ -671,33 +654,3 @@ class TestRank1Branches:
             )
         assert info.value.time == first
         assert info.value.failed_samples == expected
-
-
-class TestWoodburyRagged:
-    def test_quarantined_sample_leaves_survivors_per_sample_exact(self):
-        def options(**kw):
-            return TransientOptions(
-                t_stop=2e-5, dt=1e-8, use_dc_operating_point=True, **kw
-            )
-
-        gms = (2e-3, 2.5e-3, 3e-3)
-        circuits = [build_k_vccs(2, g) for g in gms]
-        victim = circuits[1]
-        masked = options(quarantine=True)
-        masked.newton.fail_hook = (
-            lambda t, phase, c: c is victim and t >= 1e-5
-        )
-        bat = run_transient_batched(circuits, masked)
-        per = [run_transient(build_k_vccs(2, g), options()) for g in gms]
-        assert bat[0].stats["strategy"] == "batched-woodbury"
-        assert [r.stats["quarantined"] for r in bat] == [False, True, False]
-        for s in (0, 2):
-            np.testing.assert_allclose(bat[s].x, per[s].x, rtol=1e-9, atol=1e-12)
-            assert bat[s].stats["newton_iterations"] == per[s].stats["newton_iterations"]
-        # The quarantined sample tracks its own run up to the failure
-        # and holds its last converged iterate from there on.
-        before = bat[1].t < bat[1].stats["quarantine"]["time"]
-        np.testing.assert_allclose(
-            bat[1].x[before], per[1].x[before], rtol=1e-9, atol=1e-12
-        )
-        assert (bat[1].x[~before] == bat[1].x[before][-1]).all()
