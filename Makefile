@@ -37,6 +37,12 @@
 #                   one set-up-only run under python -X importtime: the 25
 #                   largest cumulative imports and the repro/scipy module
 #                   counts (benchmarks/importtime.py)
+#   make lockstep-cost
+#                   microseconds per step of run_transient_batched at
+#                   S = 1, 8, 32, 128 and 256 on the mc_lockstep netlist
+#                   (in-process, interleaved, process time), the fitted
+#                   fixed and per-sample-step costs, and run_transient's
+#                   microseconds per step (benchmarks/lockstep_cost.py)
 #   make reach      which src/ functions the drivers reach (one pass of
 #                   each perfbench workload, every example and bench, and
 #                   run_perf.py --check, forked pool workers included);
@@ -57,7 +63,7 @@ PAIRS ?= 10
 SEEDS ?= 1,2
 RTOL ?=
 
-.PHONY: verify test bench bench-check perf perf-pairs same-outputs solver-accuracy importtime reach loc
+.PHONY: verify test bench bench-check perf perf-pairs same-outputs solver-accuracy importtime lockstep-cost reach loc
 
 verify: test bench-check
 
@@ -84,6 +90,9 @@ solver-accuracy:
 
 importtime:
 	$(PYTHON) benchmarks/importtime.py --workload $(WORKLOAD)
+
+lockstep-cost:
+	$(PYTHON) benchmarks/lockstep_cost.py
 
 reach:
 	$(PYTHON) benchmarks/reach.py

@@ -410,6 +410,11 @@ class _ReactiveSet:
         #: Padded iterate: the trailing slot stays 0.0 so ground
         #: indices gather zero.
         self._xp = np.zeros(lead + (size + 1,))
+        if lead:
+            # A stack gathers its element columns by ``take``, about
+            # twice as fast as ``[:, idx]``; a row keeps ``[idx]``.
+            self._grounded = size in self.a_idx or size in self.b_idx
+            self._terminal_v = self._stack_terminal_v
 
         # Scatter matrix: rhs += S @ term.  A cap's ieq flows a->b
         # (rhs[a] -= ieq, rhs[b] += ieq); an inductor's term lands on
@@ -575,6 +580,14 @@ class _ReactiveSet:
         xp = self._xp
         xp[self._at_x] = x
         return xp[self._at_a] - xp[self._at_b]
+
+    def _stack_terminal_v(self, x: np.ndarray) -> np.ndarray:
+        """:meth:`_terminal_v` of a stack, by ``take``: through the
+        padded iterate only when some terminal is grounded."""
+        if self._grounded:
+            self._xp[:, : self.size] = x
+            x = self._xp
+        return x.take(self.a_idx, axis=1) - x.take(self.b_idx, axis=1)
 
     def init_state(self, x: np.ndarray) -> None:
         """Seed integrator state from a converged starting point.

@@ -16,11 +16,12 @@ time loop advances every sample together,
   stack once per step size, then every step's solve is one batched
   mat-vec (the ``linear`` strategy's cached-LU path, S-wide);
 * the per-sample engine's rank-1 Sherman–Morrison Newton fast path
-  for the one nonlinear device, vectorized across the
-  sample axis, over a **per-sample working set**: a full view of the
-  batch while every sample iterates in step (no gathers at all), index
-  arrays only once samples converge, freeze or split — ragged
-  convergence costs only the stragglers;
+  for the one nonlinear device, vectorized across the sample axis: a
+  healthy path on full ``(S,)`` arrays while no sample is frozen and
+  all start on the line, which hands the step at its first ragged
+  event (singular, damped, converging apart) to a loop over a
+  **per-sample working set** of index arrays — ragged convergence
+  costs only the stragglers;
 * the per-sample engine's Newton predictor on ``(S,)`` arrays: every
   rank-1 step starts on the Sherman–Morrison line at the quadratic
   extrapolation of each sample's control voltage through the last
@@ -512,7 +513,8 @@ class _DeviceColumn:
         """``(gm, i_eq)`` arrays for the sample subset ``rows`` (``_ALL``
         or an index array)."""
         if self.vectorized:
-            i_now, gm = self.family(v_ctrl, *(p[rows] for p in self.params))
+            params = self.params if rows is _ALL else [p[rows] for p in self.params]
+            i_now, gm = self.family(v_ctrl, *params)
             return np.asarray(gm, dtype=float), np.asarray(i_now - gm * v_ctrl)
         gm = np.empty(v_ctrl.size)
         ieq = np.empty(v_ctrl.size)
@@ -624,6 +626,9 @@ class BatchedTransientAssembly:
         self.plains = [PlainElements(split0)] + [
             PlainElements(c.partition_components()[0]) for c in circuits[1:]
         ]
+        # Same types and wiring (``_check_lockstep`` above).
+        for plain in self.plains[1:]:
+            plain.share_layouts(self.plains[0])
         self.reactive = _ReactiveSet(self.plains, self.size)
         if self.method.is_multistep:
             self.reactive.enable_history(
@@ -899,6 +904,8 @@ class _BatchedStepSolver:
             self.strategy = "batched-rank1"
             #: The per-sample engine's Newton predictor, on ``(S,)`` arrays.
             self.predictor = NewtonPredictor()
+        #: The iterate last fed to the predictor (see ``_step_rank1``).
+        self._committed: Optional[np.ndarray] = None
 
     @property
     def freeze(self) -> Optional[np.ndarray]:
@@ -930,12 +937,15 @@ class _BatchedStepSolver:
 
     def note_commit(self, time: float, x: np.ndarray, restart: bool = False) -> None:
         """``_StepSolver.note_commit`` for the whole batch (frozen
-        samples feed their frozen rows)."""
+        samples feed their frozen rows).  A step from this very array
+        reads its projection back from the predictor, so never change a
+        committed iterate in place."""
         predictor = self.predictor
         if predictor is not None:
             if restart:
                 predictor.reset()
             predictor.push(time, self.assembly.device.project(x))
+            self._committed = x  # its projection is the newest point
 
     # -- shared helpers -------------------------------------------------------
 
@@ -1120,17 +1130,21 @@ class _BatchedStepSolver:
         is the exact node-voltage delta on the line) — just stacked,
         with converged samples leaving the working set.
 
-        The working set and each branch's share are full views while
-        every sample is active and on one side of the line (the
-        lockstep norm), index arrays only once the set is ragged:
-        converged, frozen or skipped samples, mixed branches, a
-        singular denominator.  Every formula is elementwise, so a
-        sample's arithmetic is the same either way.
-
         Samples start on the line at the shared predictor's
         extrapolated control voltage, under the per-sample kernel's
         rule: from ``x_n`` with fewer than three committed points, and
         per sample where the prediction is a damped move away.
+
+        In the lockstep norm (no sample frozen, all starting on the
+        line) a healthy path iterates on full ``(S,)`` arrays with no
+        gathers or copy of ``x`` and one count per test.  Its first
+        ragged event (a singular denominator, a damped update, partial
+        convergence) hands the step mid-iteration to the general loop,
+        which holds the only index-array, damped, off-line and
+        dense-fallback logic; what the healthy path computed carries
+        over, its linearization included, so none is evaluated twice.
+        Every formula is elementwise, so a sample's arithmetic is the
+        same on either path.
         """
         asm = self.assembly
         options = self.options
@@ -1142,28 +1156,69 @@ class _BatchedStepSolver:
         self.stacked_solves += 1
         z_lin = asm.solve(rhs_lin)
         zl_c = device.project(z_lin)
-        x = x.copy()
         tol = self._tol(x)
-        v_ctrl = device.project(x)
-        on_line = np.zeros(S, dtype=bool)
-        c = np.zeros(S)
-        v_pred = self.predictor.predict(time)
-        if v_pred is not None:
-            on_line = np.abs(v_pred - v_ctrl) * w_vmax < max_step * np.abs(vw)
-            if _subset(_ALL, on_line) is _ALL:  # the lockstep norm
+        predictor = self.predictor
+        healthy = False
+        v_pred = predictor.predict(time)
+        if v_pred is None:
+            on_line = np.zeros(S, dtype=bool)
+            c = np.zeros(S)
+            v_ctrl = device.project(x)
+        else:
+            # The predictor owns its newest point: read it, never write.
+            v_n = predictor.last if x is self._committed else device.project(x)
+            on_line = np.abs(v_pred - v_n) * w_vmax < max_step * np.abs(vw)
+            if np.count_nonzero(on_line) == S:
                 c = (zl_c - v_pred) / vw
                 v_ctrl = zl_c - c * vw
+                healthy = self.freeze is None
             else:
+                c = np.zeros(S)
                 np.divide(zl_c - v_pred, vw, out=c, where=on_line)
-                v_ctrl = np.where(on_line, zl_c - c * vw, v_ctrl)
-        # Quarantined and skipped samples never enter the working set:
-        # their rows of ``x`` stay frozen at the last converged iterate.
-        active = ~self.frozen
-        for _iteration in range(options.max_iterations):
+                v_ctrl = np.where(on_line, zl_c - c * vw, v_n)
+        # Handed to the general loop: its first iteration, the batch's
+        # linearization for it if the healthy path made one, and the
+        # working set after a partial convergence.
+        start, lin, active = 0, None, None
+        while healthy and start < options.max_iterations:
+            gm, ieq = lin = device.linearize(v_ctrl, _ALL)
+            denom = 1.0 + gm * vw
+            if np.count_nonzero(np.abs(denom) < 1e-12):
+                break  # a singular denominator
+            q = ieq + gm * (zl_c - ieq * vw) / denom
+            last = np.abs(c - q) * w_vmax
+            if np.count_nonzero(last > max_step):
+                break  # a damped update
+            start, lin = start + 1, None
+            c = q
+            done = last < tol
+            k = np.count_nonzero(done)
+            if k == S:
+                self.newton_per_sample += start
+                return z_lin - c[:, None] * w
+            v_ctrl = zl_c - c * vw
+            if k:
+                # Partial convergence: the converged samples' rows are
+                # final and they leave the working set; the rest stay
+                # on the line, rows unread.  ``x`` is a new array.
+                x = z_lin - c[:, None] * w
+                active = ~done
+                break
+        if start:
+            self.newton_per_sample += start  # every sample took them
+        if active is None:
+            # Quarantined and skipped samples never enter the working set:
+            # their rows of ``x`` stay frozen at the last converged iterate.
+            active = ~self.frozen
+            x = x.copy()
+        for _iteration in range(start, options.max_iterations):
             rows = _subset(_ALL, active)
             if rows is None:
                 return x
-            gm, ieq = device.linearize(v_ctrl[rows], rows)
+            if lin is None:
+                gm, ieq = device.linearize(v_ctrl[rows], rows)
+            else:
+                (gm, ieq), lin = lin, None
             self.newton_per_sample[rows] += 1
             denom = 1.0 + gm * vw[rows]
             bad = np.abs(denom) < 1e-12

@@ -351,6 +351,12 @@ class PlainElements:
         self.ic = _floats((0.0 if ic is None else ic for ic in ics), len(ics))
         self._layouts: dict = {}
 
+    def share_layouts(self, other: "PlainElements") -> None:
+        """Reuse ``other``'s stream layouts.  A layout is checked against
+        the generic stamps only: share only between lists of the same
+        types and wiring, as ``batched._check_lockstep`` requires."""
+        self._layouts = other._layouts
+
     def _width(self, dc: bool) -> int:
         """Length of ``w``, the per-element values of :meth:`stream`'s
         source vector ``[w, -w, 1, -1, gmin, -gmin]``."""

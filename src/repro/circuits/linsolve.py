@@ -107,6 +107,11 @@ class NewtonPredictor:
         self._t = self._t[-2:] + (t,)
         self._v = self._v[-2:] + (v,)
 
+    @property
+    def last(self):
+        """The newest committed ``v``, or ``None`` with no points."""
+        return self._v[-1] if self._v else None
+
     def predict(self, t: float):
         """Extrapolated control voltage at ``t``, or ``None`` with
         fewer than three points (the step then starts from ``x_n``)."""

@@ -1,12 +1,14 @@
 """Ragged working sets in the lockstep Newton kernel.
 
-The kernel works on a full view of the batch while every sample is in
-its Newton working set, and on index arrays once the set turns ragged:
-samples skipped by an envelope mask, quarantined after a failure,
-converged early, or split between the on-line and off-line branches.
-Either way a sample's arithmetic is its own, so a sample that never
-sits a step out must come out bit-identical, with the same Newton
-count, whatever its neighbours do.
+The kernel takes a healthy path on full ``(S,)`` arrays while every
+sample starts a step on the line and none sits it out, and a general
+loop on index arrays once the set turns ragged: samples skipped by an
+envelope mask, quarantined after a failure, converged early, or split
+between the on-line and off-line branches.  Either way a sample's
+arithmetic is its own, so a sample that never sits a step out must
+come out bit-identical, with the same Newton count, whatever its
+neighbours do; and forcing the general loop on every step must change
+nothing at all.
 """
 
 import numpy as np
@@ -61,23 +63,8 @@ def campaigns(draw):
     return seeds, spread, windows, kills
 
 
-@settings(max_examples=20, deadline=None)
-@given(campaigns())
-def test_untouched_samples_match_the_unmasked_batch(campaign):
-    seeds, spread, windows, kills = campaign
-    n = len(seeds)
-    skip = np.zeros((STEPS + 1, n), dtype=bool)
-    for s, (start, stop) in enumerate(windows):
-        skip[start:stop, s] = True
-    untouched = [
-        s for s in range(n) if not skip[:, s].any() and kills[s] is None
-    ]
-    if not untouched:
-        kills[0], skip[:, 0] = None, False
-        untouched = [0]
-
-    plain = run_transient_batched([fig16_draw(x, spread) for x in seeds], options())
-
+def masked_run(seeds, spread, skip, kills):
+    """The campaign with each sample's skip window and quarantine kill."""
     circuits = [fig16_draw(x, spread) for x in seeds]
     kill_at = {
         id(c): k * T0 / 40 for c, k in zip(circuits, kills) if k is not None
@@ -86,14 +73,59 @@ def test_untouched_samples_match_the_unmasked_batch(campaign):
     masked_options.newton.fail_hook = (
         lambda t, phase, c: id(c) in kill_at and t >= kill_at[id(c)] * (1 - 1e-12)
     )
-    masked = run_transient_batched(
+    return run_transient_batched(
         circuits,
         masked_options,
         skip_mask=lambda t: skip[int(round(t / (T0 / 40)))],
     )
+
+
+def masks(campaign):
+    """Per step and sample, the skip mask; per sample, the kill step.
+    Sample 0 stays untouched unless some other sample does."""
+    seeds, _spread, windows, kills = campaign
+    n = len(seeds)
+    skip = np.zeros((STEPS + 1, n), dtype=bool)
+    for s, (start, stop) in enumerate(windows):
+        skip[start:stop, s] = True
+    kills = list(kills)
+    untouched = [
+        s for s in range(n) if not skip[:, s].any() and kills[s] is None
+    ]
+    if not untouched:
+        kills[0], skip[:, 0] = None, False
+        untouched = [0]
+    return skip, kills, untouched
+
+
+@settings(max_examples=20, deadline=None)
+@given(campaigns())
+def test_untouched_samples_match_the_unmasked_batch(campaign):
+    seeds, spread, _windows, _kills = campaign
+    skip, kills, untouched = masks(campaign)
+    plain = run_transient_batched([fig16_draw(x, spread) for x in seeds], options())
+    masked = masked_run(seeds, spread, skip, kills)
     assert [r.stats["quarantined"] for r in masked] == [k is not None for k in kills]
     for s in untouched:
         assert np.array_equal(masked[s].x, plain[s].x)
         assert (
             masked[s].stats["newton_iterations"] == plain[s].stats["newton_iterations"]
         )
+
+
+@settings(max_examples=20, deadline=None)
+@given(campaigns())
+def test_healthy_path_matches_the_general_loop(healthy_vs_general, campaign):
+    seeds, spread, _windows, _kills = campaign
+    skip, kills, _untouched = masks(campaign)
+    _, gathers, general_gathers = healthy_vs_general(
+        lambda: masked_run(seeds, spread, skip, kills)
+    )
+    # The healthy path runs on a step where no sample sits out, once the
+    # predictor holds three points; elsewhere both runs gather alike.
+    free = [
+        k
+        for k in range(3, STEPS + 1)
+        if not skip[k].any() and all(kill is None or k < kill for kill in kills)
+    ]
+    assert gathers < general_gathers if free else gathers == general_gathers

@@ -23,11 +23,7 @@ from repro.circuits import (
     run_transient_batched,
     sine,
 )
-from repro.circuits.batched import (
-    BatchedTransientAssembly,
-    _BatchedStepSolver,
-    _DeviceColumn,
-)
+from repro.circuits.batched import BatchedTransientAssembly, _BatchedStepSolver
 from repro.core import OscillatorNetlist, supply_loss_tank_circuit
 from repro.envelope import RLCTank, TanhLimiter
 from repro.envelope.describing import tanh_limiter_pair
@@ -498,15 +494,20 @@ DT = 1e-8
 MAX_STEP = 0.05
 
 
-def build_cubic(g0, k=1e-2):
+def build_cubic(g0, k=1e-2, delay=None):
     """One node: a cubic conductance ``g0*v + k*v**3`` against R || C,
-    driven by a sine current.
+    driven by a sine current, or by a current step ``delay`` in.
 
     With ``g0`` at minus the node's companion conductance the rank-1
-    Jacobian is singular at ``v = 0`` (the very first Newton iterate)
-    and nowhere else."""
+    Jacobian is singular at ``v = 0`` (the very first Newton iterate,
+    or every one before the step) and nowhere else."""
     circuit = Circuit("cubic")
-    circuit.current_source("I", "0", "a", sine(1e-3, 1e5))
+    drive = (
+        sine(1e-3, 1e5)
+        if delay is None
+        else pulse(0.0, 1e-3, delay=delay, rise=1e-9, width=1e-6)
+    )
+    circuit.current_source("I", "0", "a", drive)
     circuit.resistor("R", "a", "0", 1e3)
     circuit.capacitor("C", "a", "0", 1e-9)
     circuit.nonlinear_vccs(
@@ -517,15 +518,16 @@ def build_cubic(g0, k=1e-2):
     return circuit
 
 
-def build_steep(g, amplitude=3e-3, i_max=1e-3):
-    """One node: a current step into a steep tanh limiter against R || C.
+def build_steep(g, amplitude=3e-3, i_max=1e-3, delay=0.0):
+    """One node: a current step ``delay`` in, into a steep tanh limiter
+    against R || C.
 
     At ``v = 0`` the limiter's slope is large, so the first Newton
     update is small and lands on the rank-1 line; the limiter then
     saturates and the next update is many ``max_step`` long."""
     circuit = Circuit("steep")
     circuit.current_source(
-        "I", "0", "a", pulse(0.0, amplitude, delay=0.0, rise=1e-9, width=1e-6)
+        "I", "0", "a", pulse(0.0, amplitude, delay=delay, rise=1e-9, width=1e-6)
     )
     circuit.resistor("R", "a", "0", 1e3)
     circuit.capacitor("C", "a", "0", 1e-12)
@@ -535,27 +537,6 @@ def build_steep(g, amplitude=3e-3, i_max=1e-3):
         dfunc=lambda v: g * (1.0 - np.tanh(g * v / i_max) ** 2),
     )
     return circuit
-
-
-def newton_iterates(monkeypatch):
-    """Spy on the batched rank-1 kernel: per lockstep step, each
-    sample's control voltages at its Newton linearizations."""
-    steps = []
-    step_rank1 = _BatchedStepSolver._step_rank1
-    linearize = _DeviceColumn.linearize
-
-    def spy_step(self, x, rhs_lin, time):
-        steps.append([[] for _ in range(len(x))])
-        return step_rank1(self, x, rhs_lin, time)
-
-    def spy_linearize(self, v_ctrl, rows):
-        for s, v in zip(np.arange(len(self.devices))[rows], v_ctrl):
-            steps[-1][s].append(float(v))
-        return linearize(self, v_ctrl, rows)
-
-    monkeypatch.setattr(_BatchedStepSolver, "_step_rank1", spy_step)
-    monkeypatch.setattr(_DeviceColumn, "linearize", spy_linearize)
-    return steps
 
 
 def damped_on_line(steps, n_samples, max_step):
@@ -609,7 +590,7 @@ class TestRank1Branches:
             r.stats["newton_iterations"] for r in per
         ]
 
-    def test_damped_on_line_update(self, monkeypatch):
+    def test_damped_on_line_update(self, monkeypatch, newton_iterates):
         options = TransientOptions(
             t_stop=40 * DT,
             dt=DT,
@@ -628,6 +609,86 @@ class TestRank1Branches:
         assert [r.stats["newton_iterations"] for r in bat] == [
             r.stats["newton_iterations"] for r in per
         ]
+
+    @pytest.mark.parametrize("branch", ["singular", "damped"])
+    def test_healthy_path_hands_off_mid_step(
+        self, monkeypatch, healthy_vs_general, branch
+    ):
+        """A current step five steps in: until then every sample sits at
+        ``v = 0`` with a primed predictor, so those steps start on the
+        healthy path.  There the cubic's first linearization is singular
+        for one sample (dense fallback), and the steep limiter's first
+        update after the step is damped for all of them: each hands the
+        step to the general loop with its linearization, and forcing
+        the general loop throughout changes nothing."""
+        delay = 5 * DT
+        options = TransientOptions(
+            t_stop=40 * DT, dt=DT, use_dc_operating_point=False
+        )
+        if branch == "singular":
+            probe = BatchedTransientAssembly(
+                [build_cubic(0.0)], DT, options.resolved_method(), options.newton.gmin
+            )
+            g_singular = -(1.0 - 1e-13) / probe.rank1_data()[1][0]
+            builders = [
+                lambda g=g: build_cubic(g, delay=delay)
+                for g in (g_singular, -0.5e-3, 1e-3)
+            ]
+        else:
+            options.newton = NewtonOptions(max_step=MAX_STEP, max_iterations=100)
+            builders = [
+                lambda g=g: build_steep(g, delay=delay) for g in (0.05, 0.15, 0.4)
+            ]
+        fallbacks = []
+        fallback = _BatchedStepSolver._dense_fallback
+
+        def spy(self, s, *args):
+            fallbacks.append(int(s))
+            return fallback(self, s, *args)
+
+        monkeypatch.setattr(_BatchedStepSolver, "_dense_fallback", spy)
+        healthy, gathers, general_gathers = healthy_vs_general(
+            lambda: run_transient_batched([build() for build in builders], options)
+        )
+        assert gathers < general_gathers  # the healthy path ran
+        if branch == "singular":
+            # Per run, six steps linearize sample 0 at v = 0 first: five
+            # before the current step and the one predicted from them.
+            # Four start on the healthy path.
+            assert fallbacks == [0] * 12
+        per_sample = [run_transient(build(), options) for build in builders]
+        for reference, result in zip(per_sample, healthy):
+            np.testing.assert_allclose(result.x, reference.x, rtol=1e-9, atol=1e-15)
+            assert (
+                result.stats["newton_iterations"]
+                == reference.stats["newton_iterations"]
+            )
+
+    def test_step_from_an_uncommitted_iterate_projects_it(
+        self, monkeypatch, newton_iterates
+    ):
+        """A step from the committed iterate reads ``x_n``'s control
+        voltage back from the predictor; a step from any other iterate
+        (an adaptive candidate's second half starts at its uncommitted
+        midpoint) projects its own.  Here the predictor holds three
+        points at 0 V and the step starts 10 V away: a damped move off
+        the line, so Newton's first linearization is at 10 V."""
+        options = TransientOptions(dt=T0 / 40, use_dc_operating_point=False)
+        circuits = [build_oscillator(g) for g in (0.9, 1.3)]
+        asm = BatchedTransientAssembly(
+            circuits, options.dt, options.resolved_method(), options.newton.gmin
+        )
+        x_n = np.zeros((len(circuits), asm.size))
+        asm.init_state(x_n)
+        solver = _BatchedStepSolver(asm, options.newton)
+        for k in range(3):
+            solver.note_commit(k * options.dt, x_n)
+        x_far = x_n.copy()
+        x_far[:, circuits[0].node_index("lc1")] = 10.0
+        steps = newton_iterates(monkeypatch)
+        t = 3 * options.dt
+        solver.step(x_far, asm.step_rhs(t, x_far), t)
+        assert [iterates[0] for iterates in steps[0]] == [10.0, 10.0]
 
     def test_newton_nonconvergence_names_the_failed_samples(self):
         options = TransientOptions(
