@@ -24,9 +24,10 @@
 #                   tests/ of the working tree against BASE, from
 #                   git diff --numstat (stage new files first so they
 #                   count), and the totals for src/ and tests/; then the
-#                   line counts of the two engines' modules and the
-#                   assembly in the working tree, and transient.py plus
-#                   batched.py (the one-stepping-core gate is 2.5k)
+#                   line counts of the two engines' modules, the
+#                   assembly and the campaign layer's runner.py and
+#                   vectorized.py in the working tree, and transient.py
+#                   plus batched.py (the one-stepping-core gate is 2.5k)
 #   make solver-accuracy SEEDS=1,2,3
 #                   backward and forward errors of plain splu and of the
 #                   condensed sparse LU, and the Schur complement's
@@ -97,7 +98,8 @@ lockstep-cost:
 reach:
 	$(PYTHON) benchmarks/reach.py
 
-ENGINE_FILES = $(addprefix src/repro/circuits/,transient.py batched.py assembly.py)
+ENGINE_FILES = $(addprefix src/repro/circuits/,transient.py batched.py assembly.py) \
+	$(addprefix src/repro/campaigns/,runner.py vectorized.py)
 
 loc:
 	@git diff --numstat $(BASE) -- src tests | awk '{ net = $$1 - $$2; split($$3, top, "/"); sum[top[1]] += net; printf "%+6d  %s\n", net, $$3 } END { for (d in sum) printf "%+6d  %s/ total\n", sum[d], d }'

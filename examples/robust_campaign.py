@@ -158,13 +158,17 @@ def adjust_for_retry(task, attempt):
 
 def demo_retry_and_resume():
     print("== 3. retry/backoff + checkpoint/resume ==")
+    # Two worker processes: a failed task is resubmitted to the pool
+    # while the others keep running.
     options = BatchOptions(
+        max_workers=2,
         on_error="retry",
         retry=RetryPolicy(max_attempts=2, adjust=adjust_for_retry),
     )
     results = run_batch(flaky_metric, range(12), options)
     print(f"   retry mode: {sum(isinstance(r, TaskFailure) for r in results)} "
-          f"failures after per-task retries (adjust hook healed them all)")
+          f"failures after per-task retries on 2 worker processes "
+          f"(adjust hook healed them all)")
 
     # Checkpoint/resume: the first pass "crashes" on half the tasks;
     # the resumed pass re-runs only what's missing.

@@ -5,20 +5,19 @@ simulation executed over many samples (Monte-Carlo), faults (FMEA),
 stimulus values (DC sweeps) or process corners.  This package owns
 the execution of that shape:
 
-* :class:`BatchOptions`, :func:`run_batch` — independent tasks, with
-  sequential, process-parallel, or (for workers carrying a
-  ``run_many`` hook) lockstep-vectorized scheduling, plus the
-  fault-tolerance policy: ``on_error`` skip/retry modes backed by
-  :class:`RetryPolicy`, structured :class:`~repro.errors.TaskFailure`
-  records, and checkpoint/resume;
+* :class:`BatchOptions`, :func:`run_batch` — independent tasks run
+  in-process or one per job across a process pool, through one
+  execution body with the fault-tolerance policy: ``on_error``
+  raise/skip/retry modes backed by :class:`RetryPolicy`, structured
+  :class:`~repro.errors.TaskFailure` records, and checkpoint/resume;
 * :func:`run_chain` — warm-started (continuation) task chains;
 * :func:`labelled_sweep`, :func:`corner_sweep` — batches keyed by a
   task label;
-* :func:`run_transient_campaign`, :func:`transient_worker`,
-  :class:`TransientMetricSpec` — the transient-campaign front-end
-  (:mod:`repro.campaigns.vectorized`): lockstep stacked-array
-  execution via the batched engine, sharded or per-sample across a
-  process pool, with waveforms streamed through shared memory.
+* :func:`run_transient_campaign`, :class:`TransientMetricSpec` — the
+  transient-campaign front-end (:mod:`repro.campaigns.vectorized`),
+  the one place lockstep runs: stacked-array execution via the
+  batched engine, sharded or per-sample across a process pool, with
+  waveforms streamed through shared memory.
 
 See :mod:`repro.campaigns.runner` for the execution semantics.  The
 core runner deliberately depends only on the standard library (plus
@@ -40,5 +39,5 @@ __all__, __getattr__, __dir__ = lazy_exports(globals(), {
                 "run_chain"),
     ".sweeps": ("corner_sweep", "labelled_sweep"),
     ".vectorized": ("TransientMetricSpec", "run_envelope_campaign",
-                    "run_transient_campaign", "transient_worker"),
+                    "run_transient_campaign"),
 })

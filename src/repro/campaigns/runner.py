@@ -9,13 +9,12 @@ lockstep vectorization) are made in one place instead of being
 reimplemented per campaign:
 
 * :func:`run_batch` — independent tasks, scheduled by the
-  :class:`BatchOptions` policy: sequential, fanned out over a
-  ``concurrent.futures.ProcessPoolExecutor``, or — for workers that
-  expose a vectorized ``run_many`` hook (see
-  :func:`~repro.campaigns.vectorized.transient_worker`) — executed as
-  one lockstep batch.  Results always come back in task order, so
-  seeded campaigns stay reproducible no matter how they were
-  scheduled.
+  :class:`BatchOptions` policy: in-process, or one task per job over a
+  ``concurrent.futures.ProcessPoolExecutor``.  Results always come
+  back in task order, so seeded campaigns stay reproducible no matter
+  how they were scheduled.  Lockstep vectorization needs to see
+  inside the worker, so it lives in the transient front-end,
+  :func:`~repro.campaigns.vectorized.run_transient_campaign`.
 * :func:`run_chain` — ordered tasks threaded through a *carry* (warm
   start): each worker call receives the previous call's carry, which
   is how continuation sweeps reuse the last operating point as the
@@ -30,7 +29,8 @@ continuation chains back pre-existing typed-error contracts
 (``dc_sweep`` documents :class:`~repro.errors.ConvergenceError`), and
 a sequential chain's traceback already names its point.
 
-Fault-tolerant campaigns opt in through :class:`BatchOptions`:
+:func:`run_batch` has one execution body, and fault-tolerant
+campaigns opt in through :class:`BatchOptions`:
 ``on_error="skip"`` records a structured
 :class:`~repro.errors.TaskFailure` in the failing task's slot instead
 of aborting the batch; ``on_error="retry"`` re-attempts each failed
@@ -53,7 +53,6 @@ every simulation layer so any of them can import it without cycles
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import os
 import pickle
@@ -165,9 +164,11 @@ class BatchOptions:
         picklable (module-level functions, no closures).  The string
         ``"auto"`` resolves to ``os.cpu_count()``.
     chunksize:
-        Tasks submitted per inter-process message in parallel mode;
-        raise it when individual tasks are much cheaper than a pickle
-        round-trip.
+        Tasks per pool job of a transient ``"process"`` campaign
+        (:func:`~repro.campaigns.vectorized.run_transient_campaign`);
+        raise it when individual transients are much cheaper than a
+        pickle round-trip.  :func:`run_batch` submits one task per
+        job and ignores it.
     batch_mode:
         How the batch executes:
 
@@ -177,29 +178,29 @@ class BatchOptions:
           ``max_workers``.
         * ``"process"`` — force the process pool (``max_workers``
           defaults to ``"auto"`` if unset).
-        * ``"vectorized"`` — lockstep execution: the whole task list
-          is handed to the worker's ``run_many(tasks)`` hook (one
-          stacked-array simulation instead of a Python loop — see
-          :func:`~repro.campaigns.vectorized.transient_worker`).
-          Workers without the hook fall back to the sequential loop,
-          so the policy is always safe to request.
+        * ``"vectorized"`` — lockstep execution in the transient
+          front-end
+          (:func:`~repro.campaigns.vectorized.run_transient_campaign`):
+          one stacked-array simulation instead of a Python loop.  An
+          opaque :func:`run_batch` worker cannot be stacked, so there
+          the mode runs in-process.
         * ``"sharded"`` — lockstep execution split into sub-batches
           ("shards") of ``shard_size`` samples, dispatched across
-          ``max_workers`` processes; within :func:`run_batch` the mode
-          behaves like ``"vectorized"`` (it dispatches on the same
-          ``run_many`` hook), and the transient front-end
-          (:func:`~repro.campaigns.vectorized.run_transient_campaign`)
-          implements the actual sharding.  One worker (or one core)
-          degrades gracefully to running the shards sequentially
-          in-process; fixed-grid results are bit-identical to the
-          unsharded lockstep run either way.
+          ``max_workers`` processes by the transient front-end.  One
+          worker (or one core) degrades gracefully to running the
+          shards sequentially in-process; fixed-grid results are
+          bit-identical to the unsharded lockstep run either way.
+          Within :func:`run_batch` the mode runs in-process, as
+          ``"vectorized"`` does.
     on_error:
         What a task failure does to the rest of the batch:
 
         * ``"raise"`` (default) — abort with
           :class:`~repro.errors.BatchTaskError` (the historical
-          behaviour).  A pool is killed first, so the error never
-          waits on a hung peer.
+          behaviour) naming the lowest failing index, as task order
+          decides: in a pool it raises once every earlier task has
+          finished, and the pool is killed first, so the error never
+          waits on a later, hung task.
         * ``"skip"`` — record a :class:`~repro.errors.TaskFailure` in
           that task's result slot; the batch finishes.
         * ``"retry"`` — re-attempt per ``retry`` (a default
@@ -325,13 +326,6 @@ class BatchOptions:
             return True
         return self.resolved_max_workers() > 1
 
-    @property
-    def vectorized(self) -> bool:
-        # Both modes dispatch run_batch on the worker's run_many hook;
-        # a sharded-aware hook (transient_worker(batch=...)) carries
-        # the shard policy itself.
-        return self.batch_mode in ("vectorized", "sharded")
-
 
 def wrap_task_error(
     exc: BaseException,
@@ -341,7 +335,7 @@ def wrap_task_error(
 ) -> BatchTaskError:
     """Uniform :class:`BatchTaskError` construction for every path.
 
-    One helper so the campaign layers (sequential loop, process
+    One helper so the campaign layers (in-process loop, process
     drain, vectorized front-end) cannot drift in what they attach to
     a failure.  The rendered traceback of the original exception rides
     along as ``cause_text``: a live ``__cause__`` chain does not
@@ -421,12 +415,9 @@ def nearest_neighbor_chain(
 def _indexed_call(worker: Callable, job):
     """Run one ``(index, task)`` job, attributing a failure child-side.
 
-    A chunked ``executor.map`` surfaces a failed chunk's exception at
-    the chunk's *first* drain position, so parent-side attribution is
-    wrong whenever ``chunksize > 1``.  Wrapping inside the worker
-    process — where the true ``(index, task)`` is in hand — makes the
-    :class:`BatchTaskError` exact; it pickles back through the pool
-    intact and the drain passes it through unchanged.
+    Wrapping inside the worker process renders the traceback where the
+    exception was raised; the :class:`BatchTaskError` pickles back
+    through the pool intact and the drain passes it through unchanged.
     """
     index, task = job
     try:
@@ -437,33 +428,7 @@ def _indexed_call(worker: Callable, job):
         raise wrap_task_error(exc, index, task) from exc
 
 
-def _aligned(results: List, tasks: Sequence) -> List:
-    """Check a ``run_many`` hook returned one result per task."""
-    if len(results) != len(tasks):
-        raise ConfigurationError(
-            f"run_many returned {len(results)} results for {len(tasks)} "
-            "tasks; one result per task is required to keep campaigns aligned"
-        )
-    return results
-
-
-def _wrap_collective(exc: BaseException, tasks: Sequence) -> BatchTaskError:
-    """Wrap a failure of a whole lockstep batch.
-
-    A vectorized solve fails collectively; when the underlying error
-    names its failing samples (the batched engine's ConvergenceError
-    carries ``failed_samples``), the first one becomes the index.
-    Otherwise the index is ``-1``: not attributable to a single task.
-    """
-    samples = getattr(exc, "failed_samples", None)
-    # Duck-typed attribute: guard against numpy arrays, whose bare
-    # truthiness raises for more than one element.
-    index = int(samples[0]) if samples is not None and len(samples) else -1
-    task = tasks[index] if 0 <= index < len(tasks) else None
-    return wrap_task_error(exc, index, task, action="vectorized batch failed")
-
-
-# -- fault-tolerant execution -------------------------------------------------
+# -- execution ----------------------------------------------------------------
 
 
 def _failure_context(exc: BaseException) -> Dict[str, object]:
@@ -695,7 +660,7 @@ def _run_pool_resilient(
     make_pool: Optional[Callable[[], Executor]] = None,
     clock: Callable[[], float] = time.monotonic,
 ) -> None:
-    """The fault-tolerant process path of :func:`run_batch`.
+    """The process path of :func:`run_batch`.
 
     Per-task futures let completed results land (and checkpoint) no
     matter which tasks die.  A failed task resubmits for its retries
@@ -706,6 +671,8 @@ def _run_pool_resilient(
     naming the in-flight tasks.
     """
     attempts = {index: 1 for index in missing}
+    #: ``on_error="raise"`` errors waiting on a lower index to settle.
+    raising: Dict[int, BatchTaskError] = {}
     if make_pool is None:
         make_pool = functools.partial(
             ProcessPoolExecutor,
@@ -723,12 +690,16 @@ def _run_pool_resilient(
                 time.sleep(policy.wait(attempts[index] - 1))
             return job(index)
         if options.on_error == "raise":
-            saver.flush()
-            if kind == "timeout":
-                raise wrap_task_error(
-                    error, index, task_list[index], action="task watchdog fired"
-                ) from error
-            raise error
+            if not isinstance(error, BatchTaskError):
+                cause = error
+                action = "batch worker failed"
+                if kind == "timeout":
+                    action = "task watchdog fired"
+                error = wrap_task_error(cause, index, task_list[index], action)
+                error.__cause__ = cause
+            raising[index] = error
+            raise_first()
+            return None
         failures[index] = TaskFailure(
             index=index,
             task=task_list[index],
@@ -739,11 +710,20 @@ def _run_pool_resilient(
         )
         return None
 
+    def raise_first() -> None:
+        # Task order decides, as in the in-process loop: the lowest
+        # failed index raises once every task before it has finished.
+        first = min(raising, default=None)
+        if first is not None and all(i in done for i in missing if i < first):
+            saver.flush()
+            raise raising[first]
+
     def on_done(index: int, future: Future):
         if future.exception() is not None:
             return fail(index, future.exception(), "error")
         done[index] = future.result()
         saver.tick()
+        raise_first()
         return None
 
     def on_timeout(index: int):
@@ -782,23 +762,54 @@ def _sigterm_to_interrupt(signum, frame):  # pragma: no cover - signal path
     raise KeyboardInterrupt(f"terminated by signal {signum}")
 
 
-def _run_batch_resilient(
-    worker: Callable,
-    task_list: Sequence,
-    options: "BatchOptions",
-    resume_from: Optional[str],
-) -> List:
-    """The fault-tolerant :func:`run_batch` body.
+def run_batch(
+    worker: Callable[[T], R],
+    tasks: Iterable[T],
+    options: Optional[BatchOptions] = None,
+    resume_from: Optional[str] = None,
+) -> List[R]:
+    """Apply ``worker`` to every task; results in task order.
 
-    SIGINT and SIGTERM are graceful here: the completed-results
-    checkpoint is flushed before the interrupt propagates, and — when
-    a checkpoint path is configured — the re-raised interrupt names
-    the ``resume_from=`` path that picks the campaign back up.
-    (SIGTERM is mapped onto :class:`KeyboardInterrupt` for the
-    duration of the batch; restored afterwards.  Only the main thread
-    can install signal handlers — elsewhere SIGTERM keeps its default
-    behaviour and only SIGINT is graceful.)
+    Tasks run in-process unless ``options.parallel`` asks for a pool
+    and there is more than one task, a ``task_timeout`` to enforce,
+    or a forced ``batch_mode="process"``.  In-process runs pickle nothing, so closures and
+    stateful workers are welcome; the pool runs one task per job and
+    needs picklable workers and tasks, and is worthwhile only when
+    tasks are expensive and cores are actually available.  Both paths
+    run under the same ``options.on_error`` policy:
+
+    * ``"raise"`` — a worker exception (anything but
+      :class:`BatchTaskError` itself) is re-raised as
+      :class:`~repro.errors.BatchTaskError` carrying the failing
+      task's index.  In-process the original is chained as
+      ``__cause__``; in the pool the original lives in the worker, so
+      it appears in the error message and the remote traceback
+      instead.
+    * ``"skip"`` / ``"retry"`` — failed tasks come back as
+      :class:`~repro.errors.TaskFailure` records in their result slots
+      (always falsy, so truthy results filter with ``[r for r in
+      results if r]``), after ``options.retry`` attempts under
+      ``"retry"``.
+
+    Completed results checkpoint to ``options.checkpoint_path``;
+    ``resume_from=path`` loads a checkpoint and re-runs only tasks
+    without a stored result (failures are never stored, so a resume
+    re-attempts them) while continuing to checkpoint to the same file
+    unless ``checkpoint_path`` overrides it.  A broken process pool
+    flushes the checkpoint, then raises a
+    :class:`~repro.errors.BatchTaskError` naming the in-flight tasks.
+
+    While a checkpoint path is set, SIGINT and SIGTERM are graceful:
+    the checkpoint is flushed before the interrupt propagates, and the
+    re-raised interrupt names the ``resume_from=`` path that picks the
+    campaign back up.  (SIGTERM is mapped onto
+    :class:`KeyboardInterrupt` for the duration of the batch and
+    restored afterwards.  Only the main thread can install signal
+    handlers; elsewhere SIGTERM keeps its default behaviour and only
+    SIGINT is graceful.)
     """
+    task_list = list(tasks)
+    options = options or BatchOptions()
     n_tasks = len(task_list)
     done: Dict[int, object] = {}
     if resume_from is not None:
@@ -806,30 +817,31 @@ def _run_batch_resilient(
     save_path = options.checkpoint_path or resume_from
     saver = _Checkpointer(save_path, n_tasks, done, options.checkpoint_every)
     restore = None
+    if save_path is not None:
+        try:
+            restore = signal.signal(signal.SIGTERM, _sigterm_to_interrupt)
+        except ValueError:  # pragma: no cover - non-main thread
+            restore = None
     try:
-        restore = signal.signal(signal.SIGTERM, _sigterm_to_interrupt)
-    except ValueError:  # pragma: no cover - non-main thread
-        restore = None
-    try:
-        return _run_batch_resilient_body(worker, task_list, options, done, saver)
+        return _run_batch_body(worker, task_list, options, done, saver)
     except KeyboardInterrupt as exc:
+        if save_path is None:
+            raise
         saver.flush()
-        if save_path is not None:
-            raise KeyboardInterrupt(
-                f"batch interrupted with {len(done)}/{n_tasks} results "
-                f"checkpointed; resume with run_batch(..., "
-                f"resume_from={save_path!r})"
-            ) from exc
-        raise
+        raise KeyboardInterrupt(
+            f"batch interrupted with {len(done)}/{n_tasks} results "
+            f"checkpointed; resume with run_batch(..., "
+            f"resume_from={save_path!r})"
+        ) from exc
     finally:
         if restore is not None:
             signal.signal(signal.SIGTERM, restore)
 
 
-def _run_batch_resilient_body(
+def _run_batch_body(
     worker: Callable,
     task_list: Sequence,
-    options: "BatchOptions",
+    options: BatchOptions,
     done: Dict[int, object],
     saver: _Checkpointer,
 ) -> List:
@@ -837,23 +849,14 @@ def _run_batch_resilient_body(
     policy = options.retry or RetryPolicy()
     failures: Dict[int, TaskFailure] = {}
     missing = [index for index in range(n_tasks) if index not in done]
-
-    collective_failed = False
-    if options.vectorized and missing:
-        run_many = getattr(worker, "run_many", None)
-        if run_many is not None:
-            subset = [task_list[index] for index in missing]
-            try:
-                results = list(run_many(subset))
-            except Exception:  # noqa: BLE001 — fall back per task
-                collective_failed = True
-            else:
-                for index, result in zip(missing, _aligned(results, subset)):
-                    done[index] = result
-                    saver.tick()
-                missing = []
-
-    if missing and options.parallel and not collective_failed:
+    # One task gains nothing from a pool, unless it needs the
+    # isolation a forced "process" mode asks for or a watchdog.
+    in_process = not options.parallel or (
+        n_tasks <= 1
+        and options.batch_mode != "process"
+        and options.task_timeout is None
+    )
+    if missing and not in_process:
         _run_pool_resilient(
             worker, task_list, missing, options, policy, done, failures, saver
         )
@@ -878,105 +881,6 @@ def _run_batch_resilient_body(
         done[index] if index in done else failures[index]
         for index in range(n_tasks)
     ]
-
-
-def run_batch(
-    worker: Callable[[T], R],
-    tasks: Iterable[T],
-    options: Optional[BatchOptions] = None,
-    resume_from: Optional[str] = None,
-) -> List[R]:
-    """Apply ``worker`` to every task; results in task order.
-
-    The sequential path is a plain loop — no pickling, closures and
-    stateful workers welcome.  The parallel path requires picklable
-    workers/tasks and is worthwhile only when tasks are expensive and
-    cores are actually available.  ``batch_mode="vectorized"`` hands
-    the whole list to the worker's ``run_many`` hook when it has one.
-
-    A worker exception (anything but :class:`BatchTaskError` itself)
-    is re-raised as :class:`~repro.errors.BatchTaskError` carrying the
-    failing task's index.  In-process paths chain the original as
-    ``__cause__``; in process mode the original exception lives in the
-    worker, so it appears in the error message and the remote
-    traceback instead of as a live ``__cause__`` object.  A
-    *collective* failure of a vectorized ``run_many`` batch carries
-    the first failing sample's index when the underlying error names
-    one (``failed_samples``), else ``-1``.
-
-    Fault tolerance — engaged when ``options.on_error`` is not
-    ``"raise"``, a ``checkpoint_path`` is set, or ``resume_from`` is
-    given; the plain path below is otherwise byte-for-byte the
-    historical one:
-
-    * failed tasks come back as :class:`~repro.errors.TaskFailure`
-      records in their result slots (always falsy, so truthy results
-      filter with ``[r for r in results if r]``), after
-      ``options.retry`` attempts under ``on_error="retry"``;
-    * completed results checkpoint to ``options.checkpoint_path``;
-      ``resume_from=path`` loads a checkpoint and re-runs only tasks
-      without a stored result (failures are never stored, so a resume
-      re-attempts them) while continuing to checkpoint to the same
-      file unless ``checkpoint_path`` overrides it;
-    * a vectorized batch that fails *collectively* falls back to the
-      per-task loop so individual failures are attributed;
-    * a broken process pool flushes the checkpoint, then raises a
-      :class:`~repro.errors.BatchTaskError` naming the in-flight
-      tasks.
-    """
-    task_list = list(tasks)
-    fault_tolerant = resume_from is not None or (
-        options is not None
-        and (
-            options.on_error != "raise"
-            or options.checkpoint_path is not None
-            or options.task_timeout is not None
-        )
-    )
-    if fault_tolerant:
-        return _run_batch_resilient(
-            worker, task_list, options or BatchOptions(), resume_from
-        )
-    if options is not None and options.vectorized:
-        run_many = getattr(worker, "run_many", None)
-        if run_many is not None:
-            try:
-                results = list(run_many(task_list))
-            except BatchTaskError:
-                raise
-            except Exception as exc:
-                raise _wrap_collective(exc, task_list) from exc
-            return _aligned(results, task_list)
-    force_process = options is not None and options.batch_mode == "process"
-    with contextlib.ExitStack() as stack:
-        if (
-            options is None
-            or not options.parallel
-            or (len(task_list) <= 1 and not force_process)
-        ):
-            outputs = map(worker, task_list)
-        else:
-            executor = stack.enter_context(
-                ProcessPoolExecutor(max_workers=options.resolved_max_workers())
-            )
-            outputs = executor.map(
-                functools.partial(_indexed_call, worker),
-                list(enumerate(task_list)),
-                chunksize=options.chunksize,
-            )
-        # Pool workers wrap child-side (exact attribution even with
-        # chunksize > 1); this wrap covers in-process failures and is
-        # the backstop for pool-level ones, attributed to the position
-        # they surfaced at.
-        results: List[R] = []
-        for index, task in enumerate(task_list):
-            try:
-                results.append(next(outputs))
-            except BatchTaskError:
-                raise
-            except Exception as exc:
-                raise wrap_task_error(exc, index, task) from exc
-        return results
 
 
 def run_chain(

@@ -24,6 +24,8 @@ cannot offer:
   dragged to one outlier's step size.
 * **Per-sample processes** (``batch_mode="process"``) — one transient
   per task in a process pool, ``chunksize`` tasks per job.
+* **Sequential** (``batch_mode="sequential"``, and ``"auto"`` for
+  adaptive grids) — the per-sample engine in a plain loop.
 
 Both pool strategies share one job function (:func:`_run_job`), one
 pool drain with its watchdog (:func:`~repro.campaigns.runner.drain`)
@@ -33,12 +35,12 @@ write at the sample's global offset.  Full waveforms stream at the
 cost of scalars; only a sample that outgrows its slot (a long
 adaptive run) comes back pickled.
 
-:func:`transient_worker` adapts the same build/run/evaluate triple to
-the generic :func:`~repro.campaigns.run_batch` protocol (it carries
-the ``run_many`` hook that ``batch_mode="vectorized"`` dispatches on),
-which is how :func:`~repro.campaigns.corner_sweep` and every other
-``run_batch``-shaped campaign opt into lockstep execution without new
-plumbing.
+The generic :func:`~repro.campaigns.run_batch` sees only an opaque
+worker, so it has none of these strategies: under
+``batch_mode="vectorized"`` or ``"sharded"`` it runs the worker
+in-process.  A campaign that wants lockstep calls
+:func:`run_transient_campaign` (as
+:func:`~repro.mc.montecarlo.run_monte_carlo` does).
 """
 
 from __future__ import annotations
@@ -76,7 +78,6 @@ from .runner import (
     _attempt_task,
     _cause_text,
     _pool_worker_init,
-    _wrap_collective,
     drain,
     nearest_neighbor_chain,
     wrap_task_error,
@@ -86,7 +87,6 @@ __all__ = [
     "TransientMetricSpec",
     "run_envelope_campaign",
     "run_transient_campaign",
-    "transient_worker",
 ]
 
 
@@ -227,55 +227,20 @@ def run_transient_campaign(
     return _run_sequential(tasks, circuits, options)
 
 
-def transient_worker(
-    build: Callable[[object], Circuit],
-    options: TransientOptions,
-    evaluate: Optional[Callable[[object, TransientResult], object]] = None,
-    batch: Optional[BatchOptions] = None,
-) -> Callable[[object], object]:
-    """Adapt a build/run/evaluate triple to the ``run_batch`` protocol.
+def _wrap_collective(exc: BaseException, tasks: Sequence) -> BatchTaskError:
+    """Wrap a failure of a whole lockstep batch.
 
-    The returned worker runs one task per call like any other batch
-    worker, and carries the ``run_many`` hook that
-    ``BatchOptions(batch_mode="vectorized")`` (or ``"sharded"``)
-    dispatches on — so :func:`~repro.campaigns.run_batch`,
-    :func:`~repro.campaigns.corner_sweep` and
-    :func:`~repro.campaigns.labelled_sweep` campaigns built on it
-    execute as one lockstep batch when the netlists allow, with
-    per-task fallback when they do not.  ``batch`` overrides the
-    policy ``run_many`` forwards to the campaign front-end — pass a
-    ``BatchOptions(batch_mode="sharded", ...)`` to shard the lockstep
-    batch over processes (the ``run_batch`` options only select *that*
-    ``run_many`` is used, not how it executes internally).
+    A vectorized solve fails collectively; when the underlying error
+    names its failing samples (the batched engine's ConvergenceError
+    carries ``failed_samples``), the first one becomes the index.
+    Otherwise the index is ``-1``: not attributable to a single task.
     """
-
-    def worker(task: object) -> object:
-        result = run_transient(build(task), options)
-        return evaluate(task, result) if evaluate is not None else result
-
-    def run_many(tasks: Sequence[object]) -> List[object]:
-        tasks = list(tasks)
-        # run_many is only dispatched on an explicit vectorized (or
-        # sharded) policy; forward that intent so adaptive-grid
-        # options lockstep here too instead of degrading to "auto".
-        policy = batch if batch is not None else BatchOptions(
-            batch_mode="vectorized"
-        )
-        results = run_transient_campaign(tasks, build, options, policy)
-        if evaluate is None:
-            return results
-        values: List[object] = []
-        for index, (task, result) in enumerate(zip(tasks, results)):
-            try:
-                values.append(evaluate(task, result))
-            except Exception as exc:
-                raise wrap_task_error(
-                    exc, index, task, action="metric evaluation failed"
-                ) from exc
-        return values
-
-    worker.run_many = run_many
-    return worker
+    samples = getattr(exc, "failed_samples", None)
+    # Duck-typed attribute: guard against numpy arrays, whose bare
+    # truthiness raises for more than one element.
+    index = int(samples[0]) if samples is not None and len(samples) else -1
+    task = tasks[index] if 0 <= index < len(tasks) else None
+    return wrap_task_error(exc, index, task, action="vectorized batch failed")
 
 
 # -- fallback paths -----------------------------------------------------------

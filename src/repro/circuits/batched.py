@@ -272,8 +272,9 @@ def solve_dc_batched(
     its ``(x, iterations)`` is the ladder's by construction.  Batches
     the lockstep vocabulary cannot stack (topology mismatch, nonlinear
     devices other than :class:`~repro.circuits.controlled.
-    NonlinearVCCS`, sparse backends) degrade to per-sample
-    :func:`solve_dc` calls wholesale.
+    NonlinearVCCS`, more than one nonlinear device, sparse backends)
+    degrade to per-sample :func:`solve_dc` calls wholesale, as the
+    lockstep transient engine does.
     """
     options = options or NewtonOptions()
     circuits = list(circuits)
@@ -309,7 +310,7 @@ def solve_dc_batched(
             for name in circuits[0].component_names
             if circuits[0][name].is_nonlinear()
         ]
-        if any(
+        if len(nl_names) > 1 or any(
             not isinstance(circuits[0][name], NonlinearVCCS)
             for name in nl_names
         ):
@@ -361,10 +362,8 @@ def solve_dc_batched(
             circuits, solution, np.ones(S, dtype=np.intp)
         )
 
-    columns = [
-        _DeviceColumn([circuit[name] for circuit in circuits])
-        for name in nl_names
-    ]
+    device = _DeviceColumn([circuit[nl_names[0]] for circuit in circuits])
+    op_, on_, cp_, cn_ = device.terminals
     iterations = np.zeros(S, dtype=np.intp)
     converged = np.zeros(S, dtype=bool)
     for it in range(options.max_iterations):
@@ -374,22 +373,19 @@ def solve_dc_batched(
         G = G_lin[idx].copy()
         rhs = rhs_lin[idx].copy()
         xa = x[idx]
-        for column in columns:
-            op_, on_, cp_, cn_ = column.terminals
-            v_ctrl = column.project(xa)
-            gm, i_eq = column.linearize(v_ctrl, idx)
-            if op_ >= 0:
-                if cp_ >= 0:
-                    G[:, op_, cp_] += gm
-                if cn_ >= 0:
-                    G[:, op_, cn_] -= gm
-                rhs[:, op_] -= i_eq
-            if on_ >= 0:
-                if cp_ >= 0:
-                    G[:, on_, cp_] -= gm
-                if cn_ >= 0:
-                    G[:, on_, cn_] += gm
-                rhs[:, on_] += i_eq
+        gm, i_eq = device.linearize(device.project(xa), idx)
+        if op_ >= 0:
+            if cp_ >= 0:
+                G[:, op_, cp_] += gm
+            if cn_ >= 0:
+                G[:, op_, cn_] -= gm
+            rhs[:, op_] -= i_eq
+        if on_ >= 0:
+            if cp_ >= 0:
+                G[:, on_, cp_] -= gm
+            if cn_ >= 0:
+                G[:, on_, cn_] += gm
+            rhs[:, on_] += i_eq
         G[:, diag, diag] += options.gmin
         x_new = _bsolve_dc(G, rhs)
         # Damping and convergence, vectorized but expression-for-
@@ -661,7 +657,7 @@ class BatchedTransientAssembly:
             self.v = _incidence(self.size, cp, cn)
 
         #: Boolean ``(S,)`` mask of the samples sitting this step out
-        #: (quarantined or skipped), or ``None`` while none is; kept
+        #: (the quarantined ones), or ``None`` while none is; kept
         #: current by the step solver.  Their companion state stays
         #: frozen on commit.
         self.freeze: Optional[np.ndarray] = None
@@ -883,14 +879,6 @@ class _BatchedStepSolver:
         self.fallback_solves = np.zeros(S, dtype=np.int64)
         self.quarantine_enabled = bool(quarantine)
         self.quarantined = np.zeros(S, dtype=bool)
-        #: Per-step *skip* mask (envelope campaigns): samples masked
-        #: here sit this step out exactly like quarantined ones —
-        #: frozen iterate, frozen companion state — but the mask is
-        #: re-evaluated every step, so a sample in a skipped envelope
-        #: phase coexists in the stack with carrier-resolved
-        #: neighbours and resumes when its mask clears.
-        self.skipped = np.zeros(S, dtype=bool)
-        self.skipped_steps = np.zeros(S, dtype=np.int64)
         #: One record per quarantined sample: sample index, the time
         #: the sample died, and why.
         self.quarantine_records: List[Dict[str, object]] = []
@@ -910,30 +898,13 @@ class _BatchedStepSolver:
     @property
     def freeze(self) -> Optional[np.ndarray]:
         """``frozen``, or ``None`` while no sample is frozen (kept
-        current on the assembly by ``set_skipped`` and ``quarantine``)."""
+        current on the assembly by ``quarantine``)."""
         return self.assembly.freeze
 
     @property
     def frozen(self) -> np.ndarray:
-        """Samples sitting this step out (quarantined or skipped)."""
-        return self.quarantined if self.freeze is None else self.freeze
-
-    def _refreeze(self) -> None:
-        frozen = self.quarantined | self.skipped
-        self.assembly.freeze = frozen if frozen.any() else None
-
-    def set_skipped(self, mask: Optional[np.ndarray]) -> None:
-        """Install this step's skip mask (``None`` clears it)."""
-        if mask is None:
-            self.skipped[:] = False
-        else:
-            mask = np.asarray(mask, dtype=bool)
-            if mask.shape != self.skipped.shape:
-                raise SimulationError(
-                    f"skip mask shape {mask.shape} != ({len(self.skipped)},)"
-                )
-            np.copyto(self.skipped, mask)
-        self._refreeze()
+        """Samples sitting this step out: the quarantined ones."""
+        return self.quarantined
 
     def note_commit(self, time: float, x: np.ndarray, restart: bool = False) -> None:
         """``_StepSolver.note_commit`` for the whole batch (frozen
@@ -1036,7 +1007,8 @@ class _BatchedStepSolver:
                 self.quarantine_records.append(
                     {"sample": s, "time": float(time), "reason": reason}
                 )
-        self._refreeze()
+        frozen = self.quarantined
+        self.assembly.freeze = frozen.copy() if frozen.any() else None
 
     def _injected(self, time: float) -> Optional[np.ndarray]:
         """Fault-injection mask from the test-only fail hook."""
@@ -1207,7 +1179,7 @@ class _BatchedStepSolver:
         if start:
             self.newton_per_sample += start  # every sample took them
         if active is None:
-            # Quarantined and skipped samples never enter the working set:
+            # Quarantined samples never enter the working set:
             # their rows of ``x`` stay frozen at the last converged iterate.
             active = ~self.frozen
             x = x.copy()
@@ -1309,8 +1281,8 @@ class _BatchedCertifier:
     committed iterate (base matrix product plus device currents) and
     checked per sample against the same Newton-tolerance-derived
     threshold, and the committed companion state is spot-checked
-    against the committed iterate.  Frozen (quarantined or skipped)
-    samples are exempt from both checks — their rows are frozen, not
+    against the committed iterate.  Frozen (quarantined) samples are
+    exempt from both checks — their rows are frozen, not
     solved.  Pure recomputation; never mutates the run.
     """
 
@@ -1378,7 +1350,6 @@ class _BatchedCertifier:
 def run_transient_batched(
     circuits: Sequence[Circuit],
     options: Optional[TransientOptions] = None,
-    skip_mask=None,
 ) -> List[TransientResult]:
     """Integrate S same-topology circuits in one lockstep time loop.
 
@@ -1417,14 +1388,6 @@ def run_transient_batched(
     ``quarantined=True`` and a ``quarantine`` record, and the
     survivors finish; an all-samples quarantine aborts with reason
     ``"all_quarantined"``.
-
-    ``skip_mask(time) -> (S,) bool array or None`` is the per-sample
-    envelope skip hook: samples masked at a step keep their iterate
-    and companion state frozen for that step (exactly the quarantine
-    freeze, but re-evaluated every step), so samples in skipped
-    envelope phases coexist in one stack with carrier-resolved
-    neighbours.  Per-sample ``stats["skipped_steps"]`` counts the
-    steps each sample sat out.
     """
     options = options or TransientOptions()
     if options.jacobian != "auto":
@@ -1490,12 +1453,12 @@ def run_transient_batched(
         if options.step_control == "fixed":
             _, run_stats = _run_fixed(
                 options, assembly, solver, x, recorder, certifier, None,
-                budget, skip_mask=skip_mask,
+                budget,
             )
         else:
             _, run_stats = _run_adaptive(
                 circuits, options, assembly, solver, x, recorder, certifier,
-                None, budget, skip_mask,
+                None, budget,
             )
     except _RunAbort as abort:
         run_stats = abort.translate(options.on_abort)
@@ -1523,8 +1486,6 @@ def run_transient_batched(
             "lu_refactorizations": assembly.n_factorizations,
             "batch_samples": S,
         }
-        if skip_mask is not None:
-            stats["skipped_steps"] = int(solver.skipped_steps[s])
         stats.update(run_stats)
         if solver.quarantine_enabled:
             stats["quarantined"] = bool(solver.quarantined[s])

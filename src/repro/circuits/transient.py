@@ -1102,7 +1102,6 @@ def _run_fixed(
     rescue: Optional[_StepRescue] = None,
     budget: Optional[_RunBudget] = None,
     steps: Optional[range] = None,
-    skip_mask=None,
     on_commit=None,
 ) -> Tuple[np.ndarray, Dict[str, object]]:
     """The classic uniform grid: t_k = k*dt, every step accepted.
@@ -1114,8 +1113,7 @@ def _run_fixed(
     ``on_commit(x)`` sees every committed step.  A step whose Newton
     fails quarantines the failed samples and is retried with the
     survivors (a quarantining solver), climbs the ``rescue`` ladder,
-    or ends the run; ``skip_mask(time)`` names the samples that sit a
-    step out with frozen state.
+    or ends the run.
 
     Multistep methods ramp their order with the committed history
     (the Gear startup policy: first step at order 1, and so on), so
@@ -1151,9 +1149,6 @@ def _run_fixed(
             exhausted = budget.charge()
             if exhausted is not None:
                 raise abort(exhausted, step)
-        if skip_mask is not None:
-            solver.set_skipped(skip_mask(time))
-            solver.skipped_steps[solver.skipped] += 1
         if multistep:
             order = method.usable_order(target, assembly.history_points)
             if order != assembly.order:
@@ -1273,7 +1268,6 @@ def _run_adaptive(
     certifier=None,
     rescue: Optional[_StepRescue] = None,
     budget: Optional[_RunBudget] = None,
-    skip_mask=None,
 ) -> Tuple[np.ndarray, Dict[str, object]]:
     """LTE-controlled stepping with step-doubling candidates.
 
@@ -1307,8 +1301,7 @@ def _run_adaptive(
 
     Newton failure shrinks the step; at ``dt_min`` it quarantines the
     failed samples (a quarantining solver), rescues the candidate as
-    one full step (``rescue``), or ends the run.  ``skip_mask(t)``
-    names the samples that sit a candidate out with frozen state.
+    one full step (``rescue``), or ends the run.
 
     The caller records the initial point (and feeds it to the solver's
     predictor) first.  Returns the final iterate and the loop's stats.
@@ -1410,11 +1403,6 @@ def _run_adaptive(
             if exhausted is not None:
                 raise abort(exhausted)
         t_target, dt = controller.propose()
-        if skip_mask is not None:
-            # One skip decision per candidate step (evaluated at the
-            # step's landing time), shared by the probe and halves so
-            # the Richardson pair sees one consistent working set.
-            solver.set_skipped(skip_mask(t_target))
         # The whole candidate (probe + both halves) integrates at one
         # order: the controller's target clamped by committed history.
         order = (
@@ -1524,8 +1512,6 @@ def _run_adaptive(
         x = x_half
         if certifier is not None:
             certifier.check_state(x, t_target)
-        if skip_mask is not None:
-            solver.skipped_steps[solver.skipped] += 1
         if x_mid is None:  # rescued as one full step
             history.push(x, dt)
         elif probe:

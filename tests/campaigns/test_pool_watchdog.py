@@ -69,6 +69,17 @@ class TestTaskTimeout:
         assert failure.kind == "timeout"
         assert isinstance(failure.error, TimeoutError)
 
+    def test_single_task_is_watched(self):
+        """A one-task batch with a deadline still runs in the pool: in
+        the parent nothing could stop it."""
+        results = run_batch(
+            _hang_on_seven,
+            [7],
+            BatchOptions(max_workers=2, on_error="skip", task_timeout=1.0),
+        )
+        assert isinstance(results[0], TaskFailure)
+        assert results[0].kind == "timeout"
+
     def test_raise_does_not_wait_on_hung_peer(self):
         """A failure under ``on_error="raise"`` kills the pool instead of
         waiting for a peer that is still running."""

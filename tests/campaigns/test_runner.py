@@ -124,14 +124,6 @@ class TestBatchModes:
         assert result == [2, 4]
         assert calls == [1, 2]
 
-    def test_vectorized_dispatches_run_many(self):
-        def worker(task):
-            raise AssertionError("per-task path must not run")
-
-        worker.run_many = lambda tasks: [t * 10 for t in tasks]
-        result = run_batch(worker, [1, 2], BatchOptions(batch_mode="vectorized"))
-        assert result == [10, 20]
-
 
 def _failing_worker(task):
     if task == 7:
@@ -180,37 +172,65 @@ class TestErrorWrapping:
         pids = run_batch(_worker_pid, [0], options)
         assert pids[0] != os.getpid()
 
-    def test_vectorized_run_many_failure_wrapped_collectively(self):
-        from repro.errors import BatchTaskError
-
-        def worker(task):
-            raise AssertionError("per-task path must not run")
-
-        def run_many(tasks):
-            raise ValueError("lockstep died")
-
-        worker.run_many = run_many
-        with pytest.raises(BatchTaskError) as excinfo:
-            run_batch(worker, [1, 2], BatchOptions(batch_mode="vectorized"))
-        assert excinfo.value.index == -1
-        assert isinstance(excinfo.value.__cause__, ValueError)
-
     def test_vectorized_failure_attributes_failed_samples(self):
+        # A lockstep Newton failure names its samples; the campaign
+        # wraps the collective error around the first of them.
+        from repro.campaigns import run_transient_campaign
+        from repro.circuits import TransientOptions
+        from repro.errors import BatchTaskError, ConvergenceError
+
+        options = TransientOptions(
+            t_stop=2 * _T0, dt=_T0 / 40, use_dc_operating_point=False
+        )
+        options.newton.fail_hook = _kill_gm_above_one
+        with pytest.raises(BatchTaskError) as excinfo:
+            run_transient_campaign(
+                [0.9, 1.1, 1.0],
+                _build_startup,
+                options,
+                BatchOptions(batch_mode="vectorized"),
+            )
+        assert excinfo.value.index == 1
+        assert excinfo.value.task == 1.1
+        assert isinstance(excinfo.value.__cause__, ConvergenceError)
+
+    def test_unpicklable_pool_result_carries_index(self):
+        # The pool's pickling error surfaces as the task's failure,
+        # with or without the watchdog.
         from repro.errors import BatchTaskError
 
-        def worker(task):
-            raise AssertionError("per-task path must not run")
+        for options in (
+            BatchOptions(max_workers=2),
+            BatchOptions(max_workers=2, task_timeout=30.0),
+        ):
+            with pytest.raises(BatchTaskError) as excinfo:
+                run_batch(_local_lambda, [0, 1], options)
+            assert excinfo.value.index == 0
+            assert excinfo.value.task == 0
 
-        def run_many(tasks):
-            error = ValueError("sample 1 diverged")
-            error.failed_samples = [1]
-            raise error
 
-        worker.run_many = run_many
-        with pytest.raises(BatchTaskError) as excinfo:
-            run_batch(worker, ["a", "b"], BatchOptions(batch_mode="vectorized"))
-        assert excinfo.value.index == 1
-        assert excinfo.value.task == "b"
+_T0 = 1.0 / 4e6
+
+
+def _build_startup(gm_scale):
+    """The Fig 1 startup netlist, tagged with its gm scale."""
+    from repro.core import OscillatorNetlist
+    from repro.envelope import RLCTank, TanhLimiter
+
+    tank = RLCTank.from_frequency_and_q(4e6, 15.0, 1e-6)
+    limiter = TanhLimiter(gm=6e-3 * gm_scale, i_max=2e-3)
+    circuit = OscillatorNetlist(tank, vref=2.5).build(limiter)
+    circuit.gm_scale = gm_scale
+    return circuit
+
+
+def _kill_gm_above_one(time, phase, circuit):
+    return circuit.gm_scale > 1.0 and time >= _T0
+
+
+def _local_lambda(task):
+    """Task 0's result is one no pool can pickle back to the parent."""
+    return (lambda: task) if task == 0 else task
 
 
 def _worker_pid(task):

@@ -7,10 +7,7 @@ from hypothesis import strategies as st
 
 from repro.campaigns import (
     BatchOptions,
-    corner_sweep,
-    run_batch,
     run_transient_campaign,
-    transient_worker,
     TransientMetricSpec,
 )
 from repro.circuits import Circuit, TransientOptions, sine
@@ -139,41 +136,6 @@ class TestRunTransientCampaign:
         assert excinfo.value.task == 150.0
 
 
-class TestTransientWorker:
-    def metric(self, task, result):
-        return float(result.waveform("out").y.max())
-
-    def test_run_many_hook_dispatch(self):
-        worker = transient_worker(build_rc, OPTIONS, self.metric)
-        via_hook = run_batch(
-            worker, TASKS, BatchOptions(batch_mode="vectorized")
-        )
-        plain = [worker(task) for task in TASKS]
-        np.testing.assert_allclose(via_hook, plain, rtol=1e-9)
-
-    def test_corner_sweep_vectorized(self):
-        class Corner:
-            def __init__(self, name, r):
-                self.name, self.r = name, r
-
-        corners = [Corner("tt", 100.0), Corner("ss", 220.0)]
-        worker = transient_worker(
-            lambda corner: build_rc(corner.r), OPTIONS, self.metric
-        )
-        swept = corner_sweep(
-            worker, corners, BatchOptions(batch_mode="vectorized")
-        )
-        assert set(swept) == {"tt", "ss"}
-        for corner in corners:
-            assert abs(swept[corner.name] - worker(corner)) < 1e-12
-
-    def test_worker_without_evaluate_returns_results(self):
-        worker = transient_worker(build_rc, OPTIONS)
-        results = worker.run_many(TASKS)
-        assert len(results) == len(TASKS)
-        assert results[0].waveform("out").y.size
-
-
 class TestMetricSpec:
     def test_spec_is_frozen_and_labelled(self):
         spec = TransientMetricSpec(
@@ -216,30 +178,6 @@ class TestAutoModeGridPolicy:
             TASKS, build_rc, options, BatchOptions(batch_mode="vectorized")
         )
         assert explicit[0].stats["strategy"].startswith("batched-")
-
-    def test_run_many_forwards_vectorized_policy_for_adaptive(self):
-        options = TransientOptions(
-            t_stop=2e-5,
-            dt=1e-8,
-            step_control="adaptive",
-            use_dc_operating_point=True,
-        )
-        worker = transient_worker(build_rc, options)
-        results = worker.run_many(TASKS)
-        # Explicit vectorized dispatch locksteps adaptive grids too.
-        assert results[0].stats["strategy"].startswith("batched-")
-
-    def test_run_many_evaluate_failure_carries_task_index(self):
-        def evaluate(task, result):
-            if task == 150.0:
-                raise ValueError("bad metric")
-            return 1.0
-
-        worker = transient_worker(build_rc, OPTIONS, evaluate)
-        with pytest.raises(BatchTaskError) as excinfo:
-            run_batch(worker, TASKS, BatchOptions(batch_mode="vectorized"))
-        assert excinfo.value.index == 1
-        assert excinfo.value.task == 150.0
 
 
 def build_sized(n):

@@ -61,6 +61,25 @@ def build_tanh_vccs(gm, vectorized=True):
     return circuit
 
 
+def build_k_vccs(k, gm):
+    """k tanh VCCSs driven from one node: two or more is more than the
+    stacked Newton takes, so the batch runs per sample."""
+    circuit = Circuit(f"k{k}")
+    circuit.voltage_source("V", "in", "0", dc(0.4))
+    circuit.resistor("R", "in", "a", 100.0)
+    circuit.resistor("RL", "a", "0", 1e3)
+    for j in range(k):
+        gm_j = gm * (1.0 + 0.1 * j)
+        circuit.resistor(f"Ro{j}", f"o{j}", "0", 500.0)
+        circuit.nonlinear_vccs(
+            f"G{j}", f"o{j}", "0", "a", "0",
+            lambda v, g=gm_j: 1e-3 * np.tanh(g * v / 1e-3),
+            vector_pair=tanh_limiter_pair,
+            vector_params=(gm_j, 1e-3),
+        )
+    return circuit
+
+
 def build_diode(i_sat):
     """Diode: not a NonlinearVCCS, so the lockstep gate rejects the
     batch and the wholesale per-sample fallback must carry it."""
@@ -140,6 +159,15 @@ class TestEquivalence:
         assert_dc_equivalent(
             [lambda i=i: build_diode(i) for i in (1e-14, 1e-12)]
         )
+
+
+    def test_two_devices_match_per_sample_bit_for_bit(self):
+        gms = (1e-4, 2e-3, 2e-2, 0.5)
+        batched = solve_dc_batched([build_k_vccs(2, g) for g in gms])
+        for s, g in enumerate(gms):
+            reference = solve_dc(build_k_vccs(2, g))
+            assert np.array_equal(batched.x[s], reference.x)
+            assert int(batched.iterations[s]) == reference.iterations
 
 
 class TestApi:

@@ -2,13 +2,12 @@
 
 The kernel takes a healthy path on full ``(S,)`` arrays while every
 sample starts a step on the line and none sits it out, and a general
-loop on index arrays once the set turns ragged: samples skipped by an
-envelope mask, quarantined after a failure, converged early, or split
-between the on-line and off-line branches.  Either way a sample's
-arithmetic is its own, so a sample that never sits a step out must
-come out bit-identical, with the same Newton count, whatever its
-neighbours do; and forcing the general loop on every step must change
-nothing at all.
+loop on index arrays once the set turns ragged: samples quarantined
+after a failure, converged early, or split between the on-line and
+off-line branches.  Either way a sample's arithmetic is its own, so a
+sample that never sits a step out must come out bit-identical, with
+the same Newton count, whatever its neighbours do; and forcing the
+general loop on every step must change nothing at all.
 """
 
 import numpy as np
@@ -51,81 +50,66 @@ def campaigns(draw):
     n = draw(st.integers(3, 5))
     seeds = draw(st.lists(st.integers(0, 2**16), min_size=n, max_size=n))
     spread = draw(st.sampled_from([1.0, 10.0]))
-    # Per sample: a window of skipped steps (empty when start == stop).
-    windows = [
-        tuple(sorted(draw(st.lists(st.integers(1, STEPS), min_size=2, max_size=2))))
-        for _ in range(n)
-    ]
     # Per sample: the step at which a fault quarantines it, or none.
     kills = draw(
         st.lists(st.one_of(st.none(), st.integers(1, STEPS)), min_size=n, max_size=n)
     )
-    return seeds, spread, windows, kills
+    return seeds, spread, kills
 
 
-def masked_run(seeds, spread, skip, kills):
-    """The campaign with each sample's skip window and quarantine kill."""
+def killed_run(seeds, spread, kills):
+    """The campaign with each sample's quarantine kill."""
     circuits = [fig16_draw(x, spread) for x in seeds]
     kill_at = {
         id(c): k * T0 / 40 for c, k in zip(circuits, kills) if k is not None
     }
-    masked_options = options()
-    masked_options.newton.fail_hook = (
+    killed_options = options()
+    killed_options.newton.fail_hook = (
         lambda t, phase, c: id(c) in kill_at and t >= kill_at[id(c)] * (1 - 1e-12)
     )
-    return run_transient_batched(
-        circuits,
-        masked_options,
-        skip_mask=lambda t: skip[int(round(t / (T0 / 40)))],
-    )
+    return run_transient_batched(circuits, killed_options)
 
 
-def masks(campaign):
-    """Per step and sample, the skip mask; per sample, the kill step.
+def untouched_samples(campaign):
+    """Per sample, the kill step; and the samples never killed.
     Sample 0 stays untouched unless some other sample does."""
-    seeds, _spread, windows, kills = campaign
-    n = len(seeds)
-    skip = np.zeros((STEPS + 1, n), dtype=bool)
-    for s, (start, stop) in enumerate(windows):
-        skip[start:stop, s] = True
+    seeds, _spread, kills = campaign
     kills = list(kills)
-    untouched = [
-        s for s in range(n) if not skip[:, s].any() and kills[s] is None
-    ]
+    untouched = [s for s in range(len(seeds)) if kills[s] is None]
     if not untouched:
-        kills[0], skip[:, 0] = None, False
+        kills[0] = None
         untouched = [0]
-    return skip, kills, untouched
+    return kills, untouched
 
 
 @settings(max_examples=20, deadline=None)
 @given(campaigns())
 def test_untouched_samples_match_the_unmasked_batch(campaign):
-    seeds, spread, _windows, _kills = campaign
-    skip, kills, untouched = masks(campaign)
+    seeds, spread, _kills = campaign
+    kills, untouched = untouched_samples(campaign)
     plain = run_transient_batched([fig16_draw(x, spread) for x in seeds], options())
-    masked = masked_run(seeds, spread, skip, kills)
-    assert [r.stats["quarantined"] for r in masked] == [k is not None for k in kills]
+    killed = killed_run(seeds, spread, kills)
+    assert [r.stats["quarantined"] for r in killed] == [k is not None for k in kills]
     for s in untouched:
-        assert np.array_equal(masked[s].x, plain[s].x)
+        assert np.array_equal(killed[s].x, plain[s].x)
         assert (
-            masked[s].stats["newton_iterations"] == plain[s].stats["newton_iterations"]
+            killed[s].stats["newton_iterations"] == plain[s].stats["newton_iterations"]
         )
 
 
 @settings(max_examples=20, deadline=None)
 @given(campaigns())
 def test_healthy_path_matches_the_general_loop(healthy_vs_general, campaign):
-    seeds, spread, _windows, _kills = campaign
-    skip, kills, _untouched = masks(campaign)
+    seeds, spread, _kills = campaign
+    kills, _untouched = untouched_samples(campaign)
     _, gathers, general_gathers = healthy_vs_general(
-        lambda: masked_run(seeds, spread, skip, kills)
+        lambda: killed_run(seeds, spread, kills)
     )
     # The healthy path runs on a step where no sample sits out, once the
     # predictor holds three points; elsewhere both runs gather alike.
     free = [
         k
         for k in range(3, STEPS + 1)
-        if not skip[k].any() and all(kill is None or k < kill for kill in kills)
+        if all(kill is None or k < kill for kill in kills)
     ]
     assert gathers < general_gathers if free else gathers == general_gathers

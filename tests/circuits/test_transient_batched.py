@@ -435,59 +435,6 @@ class TestMultistepLockstep:
         assert pre == pytest.approx(pre_f, rel=0.05)
 
 
-class TestSkipMask:
-    """Per-sample skip masks: masked samples freeze (state held),
-    unmasked samples are bit-identical to an unmasked run."""
-
-    def _options(self, **kw):
-        return TransientOptions(
-            t_stop=2e-5, dt=1e-8, use_dc_operating_point=True, **kw
-        )
-
-    def test_fixed_masked_sample_freezes_others_identical(self):
-        tasks = [100.0, 150.0, 220.0]
-        circuits = [build_rlc(r) for r in tasks]
-        options = self._options()
-
-        def mask(t):
-            m = np.zeros(3, dtype=bool)
-            m[1] = 0.5e-5 <= t < 1.0e-5
-            return m
-
-        plain = run_transient_batched(
-            [build_rlc(r) for r in tasks], options
-        )
-        masked = run_transient_batched(circuits, options, skip_mask=mask)
-        # Unmasked samples: bit-identical.
-        for s in (0, 2):
-            np.testing.assert_allclose(
-                masked[s].x, plain[s].x, rtol=0, atol=0
-            )
-            assert masked[s].stats["skipped_steps"] == 0
-        # The masked sample froze for the window...
-        assert masked[1].stats["skipped_steps"] > 0
-        t = masked[1].t
-        window = (t >= 0.5e-5) & (t < 1.0e-5)
-        v = masked[1].waveform("out").y
-        assert np.ptp(v[window]) == 0.0
-        # ...and moved again afterwards.
-        assert np.ptp(v[t >= 1.0e-5]) > 0.0
-
-    def test_adaptive_mask_accepted(self):
-        tasks = [100.0, 220.0]
-        options = self._options(step_control="adaptive")
-
-        def mask(t):
-            return np.array([False, t < 0.4e-5])
-
-        results = run_transient_batched(
-            [build_rlc(r) for r in tasks], options, skip_mask=mask
-        )
-        assert results[0].stats["skipped_steps"] == 0
-        assert results[1].stats["skipped_steps"] > 0
-        assert np.isfinite(results[1].x).all()
-
-
 # -- rank-1 kernel branches the oscillator workloads never reach --------------
 
 DT = 1e-8

@@ -65,7 +65,7 @@ PUBLIC_NAMES = {
     "repro.campaigns": """
         BatchOptions RetryPolicy TaskFailure TransientMetricSpec corner_sweep
         labelled_sweep nearest_neighbor_chain run_batch run_chain
-        run_envelope_campaign run_transient_campaign transient_worker
+        run_envelope_campaign run_transient_campaign
     """.split(),
     "repro.circuits": """
         ACResult BDF2 BackwardEuler BatchIncompatible BatchedOperatingPoints
