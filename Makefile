@@ -35,9 +35,11 @@
 #                   systems per seed, the DC system labelled
 #                   (benchmarks/solver_accuracy.py)
 #   make importtime WORKLOAD=supply_loss_q
-#                   one set-up-only run under python -X importtime: the 25
-#                   largest cumulative imports and the repro/scipy module
-#                   counts (benchmarks/importtime.py)
+#                   one set-up-only run under python -X importtime: the
+#                   set-up time, the 25 largest cumulative imports, the
+#                   repro/scipy module counts and the names of the scipy
+#                   subpackages loaded; WORKLOAD=all runs every workload
+#                   (benchmarks/importtime.py)
 #   make lockstep-cost
 #                   microseconds per step of run_transient_batched at
 #                   S = 1, 8, 32, 128 and 256 on the mc_lockstep netlist

@@ -3,18 +3,22 @@
 Run from the repository root::
 
     python benchmarks/importtime.py --workload supply_loss_q
-    make importtime WORKLOAD=supply_loss_q    # same
+    python benchmarks/importtime.py --workload all
+    make importtime WORKLOAD=supply_loss_q    # same; WORKLOAD=all too
 
 Runs ``perfbench/run.py --workload W --seed 1 --setup-only`` under
 ``python -X importtime`` (imports, input generation and the warm-up,
-nothing timed) and prints the 25 largest cumulative import entries,
-then how many ``repro`` and ``scipy`` modules the set-up loaded.  The
-interpreter's own environment is kept, so with
+nothing timed) and prints the set-up time, the 25 largest cumulative
+import entries, how many ``repro`` and ``scipy`` modules the set-up
+loaded, and the names of the scipy subpackages among them.
+``--workload all`` does this for every workload of ``BENCHMARK.json``,
+one after another.  The interpreter's own environment is kept, so with
 ``PYTHONDONTWRITEBYTECODE=1`` the times include compiling every
 imported module from source.
 """
 
 import argparse
+import json
 import os
 import subprocess
 import sys
@@ -27,7 +31,7 @@ TOP = 25
 def parse_args(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", default="supply_loss_q",
-                        help="a workload of BENCHMARK.json")
+                        help="a workload of BENCHMARK.json, or 'all'")
     return parser.parse_args(argv)
 
 
@@ -50,24 +54,54 @@ def count(entries: list, package: str) -> int:
                 if module == package or module.startswith(package + ".")})
 
 
-def main(argv=None) -> int:
-    args = parse_args(argv)
+def subpackages(entries: list, package: str) -> list:
+    """``package``'s public subpackages among the loaded modules: the
+    names with a loaded module below them (so a plain module such as
+    ``scipy.version`` is not one) and no private component."""
+    names = {module for *_, module in entries if module.startswith(package + ".")}
+    parents = {name.rsplit(".", 1)[0] for name in names}
+    return sorted(
+        name for name in names & parents
+        if not any(part.startswith("_") for part in name.split("."))
+    )
+
+
+def report(workload: str) -> int:
+    """Print one workload's set-up import profile; the run's exit code."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     proc = subprocess.run(
         [sys.executable, "-X", "importtime", "perfbench/run.py",
-         "--workload", args.workload, "--seed", "1", "--setup-only"],
+         "--workload", workload, "--seed", "1", "--setup-only"],
         cwd=ROOT, env=env, capture_output=True, text=True,
     )
     if proc.returncode != 0:
         sys.stderr.write(proc.stderr[-4000:])
         return proc.returncode
     entries = import_entries(proc.stderr)
-    print(f"{args.workload}: {proc.stdout.strip().splitlines()[-1]}")
+    setup_s = json.loads(proc.stdout.strip().splitlines()[-1])["setup_s"]
+    print(f"{workload}: setup_s {setup_s:.3f}")
     print(f"{'cumulative ms':>14} {'self ms':>9}  module")
     for cumulative_us, self_us, module in sorted(entries, reverse=True)[:TOP]:
         print(f"{cumulative_us / 1e3:14.1f} {self_us / 1e3:9.1f}  {module}")
     print(f"modules loaded: repro {count(entries, 'repro')}, "
           f"scipy {count(entries, 'scipy')}, all {len({m for *_, m in entries})}")
+    print("scipy subpackages: " + (", ".join(subpackages(entries, "scipy")) or "none"))
+    return 0
+
+
+def main(argv=None) -> int:
+    args = parse_args(argv)
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    names = [w["name"] for w in bench["workloads"]]
+    if args.workload not in names + ["all"]:
+        sys.exit(f"unknown workload {args.workload!r}; choose from {names} or 'all'")
+    workloads = names if args.workload == "all" else [args.workload]
+    for k, workload in enumerate(workloads):
+        if k:
+            print()
+        code = report(workload)
+        if code:
+            return code
     return 0
 
 

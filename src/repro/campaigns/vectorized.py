@@ -57,6 +57,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..analysis.waveform import Waveform
+from ..circuits.backend import preload_scipy
 from ..circuits.batched import (
     BatchIncompatible,
     probe_stiffness_ratios,
@@ -667,6 +668,9 @@ def _run_jobs(
             # Workers rebuild their own circuits; the parent-side ones
             # label the merged results, so they need branch numbering too.
             circuit.prepare()
+        # Forked workers inherit what the parent imported: load the
+        # scipy their solves need once here, not once per worker.
+        preload_scipy(options.backend, max(circuit.size for circuit in circuits))
         capacity = _slot_capacity(options)
         if options.record_nodes is not None:
             width = len(options.record_nodes)

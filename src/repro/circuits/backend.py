@@ -59,45 +59,68 @@ unless the caller passes one instance to both on purpose.
 
 scipy degradation
 -----------------
-scipy is an optional accelerator everywhere in this library
-(mirroring :mod:`~repro.circuits.linsolve`).  Without it,
-``"auto"`` silently resolves to :class:`DenseBackend` — correct on
+scipy is an optional accelerator everywhere in this library.  Without
+it, ``"auto"`` silently resolves to :class:`DenseBackend` — correct on
 every netlist, merely slower on large ones — while an *explicit*
-``backend="sparse"`` request raises :class:`~repro.errors.
-SimulationError` immediately with instructions, rather than failing
-deep inside an engine.
+``backend="sparse"`` or ``"krylov"`` request raises
+:class:`~repro.errors.SimulationError` immediately with instructions,
+rather than failing deep inside an engine.  :data:`_HAVE_SCIPY` asks
+only whether scipy is installed (``importlib.util.find_spec``, which
+imports nothing); a scipy that is installed but fails to import
+degrades the same way at the point of first use.
 
-Which scipy subpackages load, and when: this module imports
-``scipy.sparse`` and ``scipy.sparse.linalg`` (CSR operators, ``splu``,
-the Krylov solvers) and :mod:`~repro.circuits.linsolve` imports
-``scipy.linalg`` (the dense LU), both at module import, so every
-process that runs a transient loads them up front.  No circuit path
-loads any other scipy subpackage: ``scipy.fft``, ``scipy.integrate``
-and ``scipy.optimize`` serve only :mod:`repro.envelope.dynamics`,
-which imports each on the first call that needs it.
+Which scipy subpackages load, and when: none at import.  This module
+imports ``scipy.sparse`` and ``scipy.sparse.linalg`` (CSR operators,
+``splu``, the Krylov solvers; the second loads ``scipy.linalg`` too)
+when :func:`resolve_backend` picks sparse or Krylov, when a
+:class:`SparseLU` is built directly, and when an assembly of
+``assembly._SPARSE_SCATTER_MIN`` (128) unknowns or more builds its CSR
+scatter.  :mod:`~repro.circuits.linsolve` imports ``scipy.linalg`` on
+the first dense factorization of 64 unknowns or more.  A process whose
+systems are all small and dense — every lumped netlist of the paper,
+and the lockstep engine, which inverts with numpy — loads none of
+them.  ``scipy.fft``, ``scipy.integrate`` and ``scipy.optimize`` serve
+only :mod:`repro.envelope.dynamics`, on the first call that needs
+each.  All of them go through one accessor, :class:`repro._lazy.
+LazyModule`, which imports on the first attribute read and caches
+every name it hands out, so hot paths pay a plain attribute lookup.
 """
 
 from __future__ import annotations
 
+from importlib.util import find_spec
 from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
+from .._lazy import LazyModule
 from ..errors import SimulationError
 from .component import StampPattern
-from .linsolve import ReusableLU
+from .linsolve import ReusableLU, lu_factor_for
 
-try:  # scipy is an optional accelerator; numpy covers every path.
-    from scipy import sparse as _sparse
-    from scipy.sparse import linalg as _spla
-    from scipy.sparse.linalg import splu as _splu
+#: Whether scipy is installed (tests patch this to exercise the
+#: scipy-less paths).  Imports nothing; see "scipy degradation".
+_HAVE_SCIPY = find_spec("scipy") is not None
+_sparse = LazyModule("scipy.sparse")
+_spla = LazyModule("scipy.sparse.linalg")
 
-    _HAVE_SCIPY = True
-except ImportError:  # pragma: no cover - exercised via the no-scipy tests
-    _sparse = None
-    _spla = None
-    _splu = None
-    _HAVE_SCIPY = False
+
+def _splu(*args, **kwargs):
+    """``scipy.sparse.linalg.splu``, looked up here on every call so a
+    tool can wrap it (``benchmarks/solver_accuracy.py``)."""
+    return _spla.splu(*args, **kwargs)
+
+
+def _load_sparse() -> bool:
+    """Import ``scipy.sparse`` and ``scipy.sparse.linalg`` now; False
+    when scipy is missing or fails to import."""
+    if not _HAVE_SCIPY:
+        return False
+    try:
+        _sparse.csr_matrix, _spla.splu
+    except ImportError:
+        return False
+    return True
 
 __all__ = [
     "MatrixBackend",
@@ -126,7 +149,7 @@ def triplet_scatter(rows, cols, vals, shape):
     elements) that is a multi-gigabyte intermediate — and
     canonicalized (sorted indices, summed duplicates).
     """
-    if not _HAVE_SCIPY:
+    if not _load_sparse():
         return None
     out = _sparse.coo_matrix(
         (np.asarray(vals, dtype=float),
@@ -619,7 +642,7 @@ class SparseBackend(MatrixBackend):
     is_dense = False
 
     def __init__(self):
-        if not _HAVE_SCIPY:
+        if not _load_sparse():
             raise SimulationError(
                 "backend='sparse' requires scipy (scipy.sparse.linalg.splu); "
                 "install scipy or use backend='auto'/'dense', which run "
@@ -910,7 +933,7 @@ class KrylovBackend(MatrixBackend):
         max_iterations: int = 40,
         pool_size: int = 12,
     ):
-        if not _HAVE_SCIPY:
+        if not _load_sparse():
             raise SimulationError(
                 "backend='krylov' requires scipy (scipy.sparse.linalg); "
                 "install scipy or use backend='auto'/'dense', which run "
@@ -1188,11 +1211,11 @@ def resolve_backend(
     if backend is None:
         backend = "auto"
     if backend == "auto":
-        if _HAVE_SCIPY and size >= KRYLOV_AUTO_THRESHOLD:
+        if size < SPARSE_AUTO_THRESHOLD or not _load_sparse():
+            return _DENSE
+        if size >= KRYLOV_AUTO_THRESHOLD:
             return KrylovBackend()
-        if _HAVE_SCIPY and size >= SPARSE_AUTO_THRESHOLD:
-            return SparseBackend()
-        return _DENSE
+        return SparseBackend()
     if backend == "dense":
         return _DENSE
     if backend == "sparse":
@@ -1203,3 +1226,22 @@ def resolve_backend(
         f"unknown backend {backend!r}; expected 'auto', 'dense', "
         "'sparse', or 'krylov'"
     )
+
+
+def preload_scipy(backend: Union[str, MatrixBackend, None], size: int) -> None:
+    """Import now the scipy subpackages a run of ``size`` unknowns on
+    ``backend`` would import on its first solve: ``scipy.sparse`` and
+    ``scipy.sparse.linalg`` for sparse or Krylov, ``scipy.linalg`` for
+    a dense LU (64 unknowns or more), nothing for a small dense run.
+
+    A campaign calls it before it forks its pool workers, which then
+    inherit the modules instead of each importing them.  A spec the
+    run would reject, or a scipy that fails to import, is left to the
+    run itself to report.
+    """
+    try:
+        chosen = resolve_backend(backend, size)
+    except SimulationError:
+        return
+    if chosen.is_dense:
+        lu_factor_for(size)

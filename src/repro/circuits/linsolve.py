@@ -25,6 +25,13 @@ Four layers:
   LAPACK call overhead dominates the arithmetic.  Used by the
   transient engine for fully linear circuits (one factorization for
   the whole run) and as the frozen Jacobian of the chord-Newton mode.
+
+scipy is an optional accelerator and loads late: ``scipy.linalg`` is
+imported by the first factorization of a system of
+:data:`_SMALL_SYSTEM` unknowns or more, and never by a process whose
+systems are all smaller (the paper's 5- and 6-unknown netlists).
+Without scipy, or when its import fails, large systems are inverted
+with numpy like small ones.
 """
 
 from __future__ import annotations
@@ -33,18 +40,27 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-try:  # scipy is an optional accelerator; numpy covers every path.
-    from scipy.linalg import lu_factor as _lu_factor, lu_solve as _lu_solve
+from .._lazy import LazyModule
 
-    _HAVE_SCIPY = True
-except ImportError:  # pragma: no cover - exercised only without scipy
-    _HAVE_SCIPY = False
+_linalg = LazyModule("scipy.linalg")
 
 __all__ = ["solve_dense", "damp_voltage_delta", "NewtonPredictor", "ReusableLU"]
 
 #: Below this system size an explicit inverse plus ``dot`` beats the
 #: per-call overhead of LAPACK's triangular solves by a wide margin.
 _SMALL_SYSTEM = 64
+
+
+def lu_factor_for(n: int):
+    """``scipy.linalg.lu_factor`` if a system of ``n`` unknowns is
+    factored by LU, importing ``scipy.linalg`` on first use; None when
+    it is inverted instead (below :data:`_SMALL_SYSTEM`, or no scipy)."""
+    if n < _SMALL_SYSTEM:
+        return None
+    try:
+        return _linalg.lu_factor
+    except ImportError:  # pragma: no cover - exercised only without scipy
+        return None
 
 
 def solve_dense(G: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -161,11 +177,12 @@ class ReusableLU:
         self._singular = False
         self._condest = None
         self.n_factorizations += 1
+        lu_factor = lu_factor_for(G.shape[0])
         try:
-            if G.shape[0] < _SMALL_SYSTEM or not _HAVE_SCIPY:
+            if lu_factor is None:
                 self._inv = np.linalg.inv(self._g)
             else:
-                self._lu = _lu_factor(self._g, check_finite=False)
+                self._lu = lu_factor(self._g, check_finite=False)
         except (np.linalg.LinAlgError, ValueError):
             self._singular = True
 
@@ -187,7 +204,7 @@ class ReusableLU:
         if self._inv is not None:
             solution = self._inv.dot(rhs)
         else:
-            solution = _lu_solve(self._lu, rhs, check_finite=False)
+            solution = _linalg.lu_solve(self._lu, rhs, check_finite=False)
         if not np.isfinite(solution).all() and np.isfinite(rhs).all():
             # A zero/denormal pivot slipped through factorization
             # (partial-pivoting LU of an exactly singular matrix does
@@ -215,7 +232,7 @@ class ReusableLU:
             return solution
         if self._inv is not None:
             return self._inv.T.dot(rhs)
-        return _lu_solve(self._lu, rhs, trans=1, check_finite=False)
+        return _linalg.lu_solve(self._lu, rhs, trans=1, check_finite=False)
 
     def condest(self) -> float:
         """Estimated 1-norm condition number of the captured matrix.

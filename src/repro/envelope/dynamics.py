@@ -39,18 +39,22 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 from numpy.polynomial import chebyshev as cheb
 
+from .._lazy import LazyModule
 from ..analysis.waveform import Waveform
 from ..errors import ConfigurationError, SimulationError
 from .describing import LimiterCharacteristic, fundamental_current
 from .tank import RLCTank
 
-# scipy.fft, scipy.integrate and scipy.optimize are imported inside the
-# three functions that use them (``_FundamentalTable.build``,
-# ``EnvelopeModel.simulate``, ``steady_state_amplitude``).  At module
-# level they would cost every process that imports this module about
+# scipy.fft, scipy.integrate and scipy.optimize load on the first call
+# of the three functions that use them (``_FundamentalTable.build``,
+# ``EnvelopeModel.simulate``, ``steady_state_amplitude``).  Imported
+# eagerly they would cost every process that imports this module about
 # 0.6 s (measured on a 2-CPU x86-64 Linux host: scipy.fft drags in
 # scipy.special, scipy.optimize drags in scipy.spatial), and the
 # circuit-level workloads import it without ever calling them.
+_fft = LazyModule("scipy.fft")
+_integrate = LazyModule("scipy.integrate")
+_optimize = LazyModule("scipy.optimize")
 
 __all__ = ["EnvelopeModel", "steady_state_amplitude", "small_signal_growth_rate"]
 
@@ -107,9 +111,7 @@ def steady_state_amplitude(
         expansions += 1
     if f_high > 0:
         raise SimulationError("could not bracket the steady-state amplitude")
-    from scipy.optimize import brentq
-
-    return float(brentq(balance, a_low, a_high, xtol=1e-12, rtol=1e-10))
+    return float(_optimize.brentq(balance, a_low, a_high, xtol=1e-12, rtol=1e-10))
 
 
 @dataclass(frozen=True)
@@ -133,9 +135,7 @@ class _FundamentalTable:
         k = np.arange(_TABLE_DEGREE + 1)
         nodes = 0.5 * s_hi * (1.0 + np.cos(np.pi * (k + 0.5) / k.size))
         h = [limiter.fundamental(vc * s / (1.0 - s)) / (vc * s) for s in nodes.tolist()]
-        from scipy.fft import dct
-
-        coef = dct(h, type=2) / k.size
+        coef = _fft.dct(h, type=2) / k.size
         coef[0] *= 0.5
         # Value and first two derivatives at the piece knots, scaled to
         # each piece's local coordinate t in [0, 1], define one quintic
@@ -311,10 +311,8 @@ class EnvelopeModel:
         def rhs(_t: float, y: np.ndarray) -> np.ndarray:
             return np.array([self.derivative(float(y[0]))])
 
-        from scipy.integrate import solve_ivp
-
         t_eval = np.linspace(0.0, t_stop, n_points)
-        solution = solve_ivp(
+        solution = _integrate.solve_ivp(
             rhs,
             (0.0, t_stop),
             [start],

@@ -1,21 +1,31 @@
 """Import budget: what a circuit-level process loads, and what loads late.
 
-Every package exports its names lazily and ``repro.envelope.dynamics``
-imports its scipy solvers inside the functions that use them, so a
-process that only runs transients never loads scipy's FFT, integrate,
-optimize or special subpackages, nor the fault and digital layers.
-Each check runs in a fresh interpreter: the pytest process has long
-since imported everything.
+Every package exports its names lazily and every scipy subpackage
+loads on first use (``repro._lazy.LazyModule``), so a process that only
+runs the paper's small netlists never loads scipy's linalg, sparse,
+FFT, integrate, optimize or special subpackages, nor the fault and
+digital layers.  A run that does need scipy (a dense LU of 64 unknowns
+or more, the sparse and Krylov backends) loads it there and gets the
+same numbers bit for bit.  Each check runs in a fresh interpreter: the
+pytest process has long since imported everything.
 """
 
 import json
 import os
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
+import pytest
+
+import repro.circuits.backend as backend_mod
+from repro.campaigns import BatchOptions, run_transient_campaign
+from repro.circuits import TransientOptions, run_transient
 from repro.envelope import EnvelopeModel, RLCTank, TanhLimiter
 from repro.envelope.dynamics import steady_state_amplitude
+from repro.errors import TaskFailure
+from repro.sensor import DistributedCoil
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -23,11 +33,17 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 UNUSED_BY_TRANSIENTS = (
     "scipy.fft",
     "scipy.integrate",
+    "scipy.linalg",
     "scipy.optimize",
+    "scipy.sparse",
+    "scipy.sparse.linalg",
     "scipy.special",
     "repro.faults",
     "repro.digital",
 )
+
+#: The scipy subpackages the circuit solvers load on first use.
+SOLVER_SCIPY = ("scipy.linalg", "scipy.sparse", "scipy.sparse.linalg")
 
 TRANSIENT_PROCESS = f"""
 import json, sys
@@ -39,8 +55,10 @@ import repro.core
 import repro.envelope
 import repro.sensor
 import repro.mc.mismatch
-from repro.circuits import TransientOptions, run_transient
-from repro.core import supply_loss_tank_circuit
+from repro.campaigns import BatchOptions, run_transient_campaign
+from repro.circuits import PhaseSchedule, TransientOptions, run_transient, solve_dc
+from repro.core import OscillatorNetlist, supply_loss_tank_circuit
+from repro.envelope import RLCTank, TanhLimiter
 
 period = 1 / 4e6
 result = run_transient(
@@ -49,8 +67,55 @@ result = run_transient(
                      use_dc_operating_point=False),
 )
 assert len(result.t) > 1
+
+# The supply-loss scenario: adaptive trap, then Gear after the fault.
+phased = run_transient(
+    supply_loss_tank_circuit(4e6, 4 * period, q=50.0),
+    TransientOptions(
+        t_stop=8 * period, dt=period / 40, step_control="adaptive",
+        use_dc_operating_point=False, lte_reltol=1e-6, lte_abstol=1e-9,
+        phases=PhaseSchedule.carrier_then_settle(
+            4 * period, carrier_dt=period / 40, settle_dt=period / 4,
+            settle_method="gear", max_order=3,
+        ),
+    ),
+)
+assert phased.t[-1] == 8 * period
+
+
+def oscillator(q):
+    tank = RLCTank.from_frequency_and_q(4e6, q, 1e-6)
+    return OscillatorNetlist(tank, vref=2.5).build(TanhLimiter(gm=6e-3, i_max=2e-3))
+
+
+assert solve_dc(oscillator(15.0)).x.size
+lockstep = run_transient_campaign(
+    [14.0, 15.0, 16.0], oscillator,
+    TransientOptions(t_stop=4 * period, dt=period / 40, use_dc_operating_point=False),
+    BatchOptions(batch_mode="vectorized"),
+)
+assert all(r.stats["strategy"] == "batched-rank1" for r in lockstep)
 print(json.dumps([m for m in {UNUSED_BY_TRANSIENTS!r} if m in sys.modules]))
 """
+
+needs_scipy = pytest.mark.skipif(
+    not backend_mod._HAVE_SCIPY, reason="the solvers load scipy only where installed"
+)
+
+COIL_TANK = RLCTank.from_frequency_and_q(4e6, 15.0, 1e-6)
+
+
+def coil_options(backend: str) -> TransientOptions:
+    return TransientOptions(
+        t_stop=10 / COIL_TANK.frequency,
+        dt=1 / (40 * COIL_TANK.frequency),
+        use_dc_operating_point=False,
+        backend=backend,
+    )
+
+
+def coil(segments: int):
+    return DistributedCoil(COIL_TANK, n_segments=segments).build_circuit()
 
 
 def fresh_python(source: str) -> str:
@@ -81,6 +146,45 @@ def envelope_results() -> dict:
     }
 
 
+def solver_results() -> dict:
+    """Runs that load scipy, with the solver subpackages loaded after
+    each: a dense LU (76 unknowns), then the 121-unknown ladder on the
+    ``"auto"`` (sparse) and Krylov backends."""
+    out = {}
+    for name, segments, backend in (
+        ("dense_lu", 25, "dense"), ("sparse", 40, "auto"), ("krylov", 40, "krylov"),
+    ):
+        result = run_transient(coil(segments), coil_options(backend))
+        out[name] = {
+            "t": result.t.tolist(),
+            "x": result.x.tolist(),
+            "loaded": [m for m in SOLVER_SCIPY if m in sys.modules],
+        }
+    return out
+
+
+def record_and_build(record_dir: str, segments: int):
+    """Campaign build that notes, once per process, whether
+    ``scipy.sparse`` was loaded before the process's first build."""
+    path = Path(record_dir) / str(os.getpid())
+    if not path.exists():
+        path.write_text(json.dumps("scipy.sparse" in sys.modules))
+    return coil(segments)
+
+
+def process_campaign_imports(record_dir: str) -> dict:
+    """A ``batch_mode="process"`` campaign on the 121-unknown ladder:
+    whether the parent's and the workers' first builds saw
+    ``scipy.sparse`` already loaded."""
+    results = run_transient_campaign(
+        [40, 40, 40, 40], partial(record_and_build, record_dir),
+        coil_options("auto"), BatchOptions(batch_mode="process", max_workers=2),
+    )
+    assert not any(isinstance(r, TaskFailure) for r in results)
+    seen = {int(p.name): json.loads(p.read_text()) for p in Path(record_dir).iterdir()}
+    return {"parent": seen.pop(os.getpid()), "workers": sorted(seen.values())}
+
+
 def test_transient_process_skips_unused_modules():
     assert json.loads(fresh_python(TRANSIENT_PROCESS)) == []
 
@@ -94,3 +198,29 @@ def test_deferred_scipy_calls_match_in_a_fresh_process():
         "print(json.dumps(envelope_results()))\n"
     ))
     assert got == expected
+
+
+@needs_scipy
+def test_solver_scipy_loads_on_first_use_with_the_same_numbers():
+    got = json.loads(fresh_python(
+        "import json\n"
+        "from test_imports import solver_results\n"
+        "print(json.dumps(solver_results()))\n"
+    ))
+    assert got["dense_lu"]["loaded"] == ["scipy.linalg"]
+    assert got["sparse"]["loaded"] == list(SOLVER_SCIPY)
+    expected = solver_results()
+    for name, run in expected.items():
+        assert got[name]["t"] == run["t"], name
+        assert got[name]["x"] == run["x"], name
+
+
+@needs_scipy
+def test_process_pool_workers_inherit_scipy(tmp_path):
+    got = json.loads(fresh_python(
+        "import json\n"
+        "from test_imports import process_campaign_imports\n"
+        f"print(json.dumps(process_campaign_imports({str(tmp_path)!r})))\n"
+    ))
+    assert got["parent"] is False
+    assert got["workers"] and all(got["workers"])
