@@ -15,6 +15,15 @@ loaded, and the names of the scipy subpackages among them.
 one after another.  The interpreter's own environment is kept, so with
 ``PYTHONDONTWRITEBYTECODE=1`` the times include compiling every
 imported module from source.
+
+``perfbench/run.py`` runs through ``runpy`` inside the ``-X
+importtime`` process, which on exit prints ``sorted(sys.modules)`` on
+one stderr line marked
+:data:`MODULES_MARK`; the module counts and subpackage names come from
+that list.  ``-X importtime`` reports only modules loaded by the import
+statement, not those loaded through ``importlib.import_module`` (scipy
+loads its submodules that way), so counting its entries would miss
+them and could move when only the way a module is imported changes.
 """
 
 import argparse
@@ -26,6 +35,17 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 TOP = 25
+MODULES_MARK = "importtime.py sys.modules:"
+#: ``python -c`` program: run the benchmark script as ``__main__`` with
+#: this process's arguments, then report every module it loaded.
+RUNNER = f"""\
+import runpy, sys
+sys.argv = ["perfbench/run.py"] + sys.argv[1:]
+try:
+    runpy.run_path("perfbench/run.py", run_name="__main__")
+finally:
+    sys.stderr.write({MODULES_MARK!r} + " " + " ".join(sorted(sys.modules)) + "\\n")
+"""
 
 
 def parse_args(argv=None):
@@ -48,17 +68,25 @@ def import_entries(stderr: str) -> list:
     return entries
 
 
-def count(entries: list, package: str) -> int:
-    """Distinct modules of ``package``: an import cycle can report one twice."""
-    return len({module for *_, module in entries
-                if module == package or module.startswith(package + ".")})
+def loaded_modules(stderr: str) -> list:
+    """The sorted ``sys.modules`` names of the :data:`MODULES_MARK` line."""
+    for line in stderr.splitlines():
+        if line.startswith(MODULES_MARK):
+            return line[len(MODULES_MARK):].split()
+    raise ValueError(f"no {MODULES_MARK!r} line in the run's stderr")
 
 
-def subpackages(entries: list, package: str) -> list:
+def count(modules: list, package: str) -> int:
+    """Modules of ``package`` among the loaded ``modules``."""
+    return sum(1 for module in modules
+               if module == package or module.startswith(package + "."))
+
+
+def subpackages(modules: list, package: str) -> list:
     """``package``'s public subpackages among the loaded modules: the
     names with a loaded module below them (so a plain module such as
     ``scipy.version`` is not one) and no private component."""
-    names = {module for *_, module in entries if module.startswith(package + ".")}
+    names = {module for module in modules if module.startswith(package + ".")}
     parents = {name.rsplit(".", 1)[0] for name in names}
     return sorted(
         name for name in names & parents
@@ -70,7 +98,7 @@ def report(workload: str) -> int:
     """Print one workload's set-up import profile; the run's exit code."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     proc = subprocess.run(
-        [sys.executable, "-X", "importtime", "perfbench/run.py",
+        [sys.executable, "-X", "importtime", "-c", RUNNER,
          "--workload", workload, "--seed", "1", "--setup-only"],
         cwd=ROOT, env=env, capture_output=True, text=True,
     )
@@ -78,14 +106,15 @@ def report(workload: str) -> int:
         sys.stderr.write(proc.stderr[-4000:])
         return proc.returncode
     entries = import_entries(proc.stderr)
+    modules = loaded_modules(proc.stderr)
     setup_s = json.loads(proc.stdout.strip().splitlines()[-1])["setup_s"]
     print(f"{workload}: setup_s {setup_s:.3f}")
     print(f"{'cumulative ms':>14} {'self ms':>9}  module")
     for cumulative_us, self_us, module in sorted(entries, reverse=True)[:TOP]:
         print(f"{cumulative_us / 1e3:14.1f} {self_us / 1e3:9.1f}  {module}")
-    print(f"modules loaded: repro {count(entries, 'repro')}, "
-          f"scipy {count(entries, 'scipy')}, all {len({m for *_, m in entries})}")
-    print("scipy subpackages: " + (", ".join(subpackages(entries, "scipy")) or "none"))
+    print(f"modules loaded: repro {count(modules, 'repro')}, "
+          f"scipy {count(modules, 'scipy')}, all {len(modules)}")
+    print("scipy subpackages: " + (", ".join(subpackages(modules, "scipy")) or "none"))
     return 0
 
 

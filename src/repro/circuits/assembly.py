@@ -1227,25 +1227,36 @@ class TransientAssembly:
         if self.backend.is_dense:
             G, rhs = self.assemble(x, rhs_lin, time)
         else:
-            tri = self._delta_scratch
-            tri.clear()
-            ctx = self._ctx
-            ctx.system = tri
-            ctx.x = x
-            ctx.time = time
-            for component in self.full:
-                component.stamp(ctx)
-            ctx.system = self._scratch
-            G = self.G_base.toarray()
-            if tri.rows:
-                np.add.at(G, (tri.rows, tri.cols), tri.vals)
+            tri = self._record_full(x, time)
+            G = self._dense_with(tri)
             rhs = rhs_lin + tri.rhs
         if extra_gmin:
             idx = np.arange(self.n_nodes)
             G[idx, idx] += extra_gmin
         return G, rhs
 
-    # -- sparse general Newton: base LU + low-rank delta ----------------------
+    # -- sparse/Krylov general Newton: base solver + low-rank delta -----------
+
+    def _record_full(self, x: np.ndarray, time: float) -> TripletSystem:
+        """The full-stamp components' stamps at iterate ``x``, recorded
+        as a triplet stream into the reused ``_delta_scratch``."""
+        tri = self._delta_scratch
+        tri.clear()
+        ctx = self._ctx
+        ctx.system = tri
+        ctx.x = x
+        ctx.time = time
+        for component in self.full:
+            component.stamp(ctx)
+        ctx.system = self._scratch
+        return tri
+
+    def _dense_with(self, tri: TripletSystem) -> np.ndarray:
+        """Dense ``G_base`` plus a recorded triplet stream."""
+        G = self.G_base.toarray()
+        if tri.rows:
+            np.add.at(G, (tri.rows, tri.cols), tri.vals)
+        return G
 
     def _delta_map(self, indices: List[int], positions: Dict[int, int], order: List[int]) -> np.ndarray:
         """Local slots of global indices, extending the union pattern."""
@@ -1277,40 +1288,24 @@ class TransientAssembly:
         rhs_lin: np.ndarray,
         time: float,
     ) -> np.ndarray:
-        """Solve the fully-stamped system against the sparse base LU.
+        """Solve the fully-stamped system against the base solver.
 
-        The sparse backend's replacement for ``assemble`` + dense
-        solve: the nonlinear (or split-incapable) components' stamps
+        The sparse and Krylov backends' replacement for ``assemble`` +
+        dense solve: the nonlinear (or split-incapable) components' stamps
         are recorded as a tiny triplet stream, viewed as the low-rank
         update ``G = G_base + U M V^T`` — ``U``/``V`` select the
         touched rows/columns (a fixed, small set per netlist), ``M``
         is the dense submatrix of this iteration's stamp values — and
         folded into the solution by the generalized Woodbury identity
-        around the cached per-``dt`` factorization.  No sparse
-        refactorization, no dense assembly, exact to rounding: the
-        Newton iterates match the dense path at solver tolerance.
+        around the cached per-``dt`` solver (a sparse LU, or the Krylov
+        backend's stale-LU-preconditioned solver).  No refactorization,
+        no dense assembly, exact to rounding (to the iteration
+        tolerance on Krylov): the Newton iterates match the dense path
+        at solver tolerance.
         """
-        tri = self._delta_scratch
-        tri.clear()
-        ctx = self._ctx
-        ctx.system = tri
-        ctx.x = x
-        ctx.time = time
-        for component in self.full:
-            component.stamp(ctx)
-        ctx.system = self._scratch
+        tri = self._record_full(x, time)
         b = rhs_lin + tri.rhs
-        lu = self.lu()
-        if tri.rows:
-            solve_updated = getattr(lu, "solve_updated", None)
-            if solve_updated is not None:
-                # Matrix-free path (Krylov backend): the Jacobian-vector
-                # product is applied as base-CSR times vector plus a
-                # triplet scatter — no Woodbury bookkeeping, and no
-                # multi-column ``W = G_base^-1 U`` whose per-column
-                # iterative solves would dwarf the step itself.
-                return solve_updated(b, tri.rows, tri.cols, tri.vals)
-        z = lu.solve(b)
+        z = self.lu().solve(b)
         if not tri.rows:
             return z
         r_loc = self._delta_map(tri.rows, self._delta_row_pos, self._delta_rows)
@@ -1325,9 +1320,7 @@ class TransientAssembly:
         except np.linalg.LinAlgError:
             # Momentarily singular along the update directions: fall
             # back to one dense solve (rare, never the steady path).
-            G = self.G_base.toarray()
-            np.add.at(G, (tri.rows, tri.cols), tri.vals)
-            return solve_dense(G, b)
+            return solve_dense(self._dense_with(tri), b)
         return z - W.dot(M.dot(s))
 
     # -- after a converged step ----------------------------------------------

@@ -25,7 +25,9 @@ the paper's hand-built netlists:
   the factorization is reused for every solve at that step size, and
   the engines' Newton updates (Sherman–Morrison for one nonlinear
   device, the low-rank Woodbury update of general Newton otherwise) are
-  applied *against* the sparse LU, so nonlinear steps never
+  applied *against* the per-step-size solver — this LU, or a
+  :class:`KrylovSolver` on the Krylov backend, through the same
+  ``TransientAssembly.delta_solve`` — so nonlinear steps never
   re-factorize.  Right for distributed netlists (coil ladders,
   segmented rails) with hundreds-to-thousands of unknowns, where the
   MNA matrix is overwhelmingly empty.
@@ -684,9 +686,10 @@ class KrylovSolver:
     owning backend's *stale* LU — one factorization shared by every
     solver the backend has handed out, across dt-cache entries and
     Newton iterations.  ``n_factorizations`` counts the preconditioner
-    refreshes (and direct-fallback factorizations) this solver
-    triggered, so the engines' factorization diagnostics stay honest
-    when summed across solvers.
+    refreshes this solver triggered, so the engines' factorization
+    diagnostics stay honest when summed across solvers.  General
+    Newton's multi-column ``solve`` (the assembly's Woodbury ``W``)
+    rides the same path column by column.
 
     Deliberately exposes no ``condest``: there is no factorization of
     *this* matrix to estimate against, and the health guards skip
@@ -767,17 +770,10 @@ class KrylovSolver:
             backend.n_solves += 1
             self._last_applies = 0
             return backend._apply_precond(b)
-        dtype = np.result_type(self._matrix.dtype, b.dtype, np.float64)
-        x, applies, converged = backend._iterate(
-            self._matrix.dot,
-            b,
-            dtype,
-            precond=lambda rhs: backend._apply_precond(rhs, anchor),
-        )
+        x, applies, converged = backend._iterate(self._matrix, b, anchor)
         backend.n_solves += 1
         backend.n_iterations += applies
         self._last_applies = applies
-        backend._last_solve_applies = applies
         if converged:
             return x
         # Non-convergence forces a refresh: factor this matrix and
@@ -785,59 +781,6 @@ class KrylovSolver:
         backend._refresh(self)
         self._last_applies = 0
         return backend._apply_precond(b)
-
-    def solve_updated(
-        self,
-        rhs: np.ndarray,
-        rows: np.ndarray,
-        cols: np.ndarray,
-        vals: np.ndarray,
-    ) -> np.ndarray:
-        """Solve ``(A + delta) x = rhs`` matrix-free.
-
-        ``delta`` is the COO triplet stream of a Newton iteration's
-        nonlinear stamps.  The product ``(A + delta) v`` is applied as
-        ``A v`` plus a scatter-accumulate of the triplets — the
-        stacked CSR is never re-assembled per iteration — and the
-        stale LU of the *base* matrix preconditions the iteration
-        (Newton deltas are local, so it stays an excellent
-        preconditioner).  Non-convergence falls back to one direct
-        one-shot factorization of the updated matrix without stealing
-        the shared preconditioner (the delta changes next iteration).
-        """
-        backend = self._backend
-        rows = np.asarray(rows, dtype=np.intp)
-        cols = np.asarray(cols, dtype=np.intp)
-        vals = np.asarray(vals, dtype=float)
-        b = np.asarray(rhs)
-        A = self._matrix
-
-        def matvec(v):
-            out = A.dot(v)
-            np.add.at(out, rows, vals * v[cols])
-            return out
-
-        if not backend._anchors:
-            backend._refresh(self)
-        # Newton deltas are local: the base matrix's nearest anchor
-        # preconditions the updated system just as well.
-        anchor = backend._anchor_for(A, self._scale_proxy())
-        dtype = np.result_type(A.dtype, b.dtype, np.float64)
-        x, applies, converged = backend._iterate(
-            matvec,
-            b,
-            dtype,
-            precond=lambda rhs: backend._apply_precond(rhs, anchor),
-        )
-        backend.n_solves += 1
-        backend.n_iterations += applies
-        backend._last_solve_applies = applies
-        if converged:
-            return x
-        updated = A + _sparse.coo_matrix((vals, (rows, cols)), shape=A.shape).tocsr()
-        backend.n_fallback_solves += 1
-        self.n_factorizations += 1
-        return SparseLU(updated).solve(b)
 
 
 class _Anchor:
@@ -960,15 +903,10 @@ class KrylovBackend(MatrixBackend):
         # cached per value-stream length.
         self._sketches: dict = {}
         self._cooldown = 0
-        #: Applies the most recent iterative solve needed, whatever
-        #: matrix it hit (diagnostic trail; the proactive trigger
-        #: reads per-matrix evidence only).
-        self._last_solve_applies = 0
         # Run diagnostics, stamped into transient stats.
         self.n_solves = 0
         self.n_iterations = 0
         self.n_refreshes = 0
-        self.n_fallback_solves = 0
 
     def finalize(self, pattern: StampPattern, values: np.ndarray):
         data, indices, indptr = pattern.csr_arrays(values)
@@ -985,15 +923,12 @@ class KrylovBackend(MatrixBackend):
             "solves": self.n_solves,
             "iterations": self.n_iterations,
             "refreshes": self.n_refreshes,
-            "fallbacks": self.n_fallback_solves,
+            # Always 0 (no solve falls back to a one-shot LU); kept
+            # because the perf harnesses read it.
+            "fallbacks": 0,
         }
 
     # -- stale-preconditioner internals --------------------------------------
-
-    @property
-    def _precond(self) -> Optional[SparseLU]:
-        """Most recently used/refreshed anchor's LU (diagnostics)."""
-        return self._anchors[-1].lu if self._anchors else None
 
     @property
     def _precond_matrix(self):
@@ -1066,7 +1001,6 @@ class KrylovBackend(MatrixBackend):
                 anchors.pop(0)
         anchors.append(_Anchor(solver._matrix, solver._scale_proxy()))
         self._cooldown = self.refresh_cooldown
-        self._last_solve_applies = 0
         self.n_refreshes += 1
         solver.n_factorizations += 1
 
@@ -1084,9 +1018,9 @@ class KrylovBackend(MatrixBackend):
         return lu.solve(np.ascontiguousarray(rhs))
 
     def _iterate(
-        self, matvec, b: np.ndarray, dtype, precond=None
+        self, A, b: np.ndarray, anchor: _Anchor
     ) -> Tuple[np.ndarray, int, bool]:
-        """Preconditioned iterative solve of ``A x = b``.
+        """Solve ``A x = b`` iteratively, preconditioned by ``anchor``'s LU.
 
         Returns ``(x, applies, converged)`` where ``applies`` counts
         preconditioner applications (the unit the refresh threshold is
@@ -1109,8 +1043,12 @@ class KrylovBackend(MatrixBackend):
         genuine forward-error bound.  The refinement update *is* the
         preconditioned residual, so the norm costs no extra applies.
         """
-        if precond is None:
-            precond = self._apply_precond
+        matvec = A.dot
+        dtype = np.result_type(A.dtype, b.dtype, np.float64)
+
+        def precond(rhs):
+            return self._apply_precond(rhs, anchor)
+
         nb = float(np.linalg.norm(b))
         n = b.shape[0]
         if nb == 0.0 or not np.isfinite(nb):

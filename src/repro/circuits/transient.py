@@ -830,8 +830,9 @@ class _StepSolver:
 
         Dense backend: copy the cached parts, restamp the full-stamp
         components, one dense solve (the historical path, bit-pinned).
-        Sparse backend: the same equations via the assembly's low-rank
-        delta update around the cached sparse LU — no refactorization.
+        Sparse and Krylov backends: the same equations via the
+        assembly's low-rank Woodbury update around the cached per-dt
+        solver (sparse LU, or the Krylov solver) — no refactorization.
         """
         self.solves += 1
         assembly = self.assembly

@@ -10,7 +10,9 @@ Three claims are pinned here:
   general Newton over several NonlinearVCCS devices (the ``woodbury``
   family, which the sparse backend solves as a low-rank update around
   its cached LU) or a diode — on fixed and adaptive grids,
-  plus the DC and AC analyses;
+  plus the DC and AC analyses; ``backend="krylov"`` does the same
+  transient runs at its rtol 1e-6 contract, general Newton through the
+  same low-rank update;
 * scipy-less environments degrade gracefully: "auto" falls back to
   dense silently, an explicit "sparse" raises a clear error;
 * the condensed ``SparseLU`` (series branches eliminated before
@@ -219,21 +221,30 @@ def _options(backend, step_control, use_dc=True):
     )
 
 
+def _check_transient(family, step_control, backend, rtol):
+    """``backend`` runs ``family`` on the dense run's time grid with the
+    same solve strategy, its waveform within ``rtol`` of dense."""
+    pytest.importorskip("scipy")
+    build, use_dc = FAMILIES[family]
+    dense = run_transient(build(), _options("dense", step_control, use_dc))
+    other = run_transient(build(), _options(backend, step_control, use_dc))
+    assert dense.stats["strategy"] == other.stats["strategy"]
+    assert other.stats["backend"] == backend
+    assert np.array_equal(dense.t, other.t)
+    scale = max(float(np.abs(dense.x).max()), 1e-12)
+    np.testing.assert_allclose(other.x, dense.x, rtol=rtol, atol=rtol * scale)
+
+
 class TestSparseMatchesDense:
     @pytest.mark.parametrize("family", sorted(FAMILIES))
     @pytest.mark.parametrize("step_control", ["fixed", "adaptive"])
     def test_transient_equivalence(self, family, step_control):
-        pytest.importorskip("scipy")
-        build, use_dc = FAMILIES[family]
-        dense = run_transient(build(), _options("dense", step_control, use_dc))
-        sparse = run_transient(build(), _options("sparse", step_control, use_dc))
-        assert dense.stats["strategy"] == sparse.stats["strategy"]
-        assert sparse.stats["backend"] == "sparse"
-        assert np.array_equal(dense.t, sparse.t)
-        scale = max(float(np.abs(dense.x).max()), 1e-12)
-        np.testing.assert_allclose(
-            sparse.x, dense.x, rtol=1e-9, atol=1e-9 * scale
-        )
+        _check_transient(family, step_control, "sparse", rtol=1e-9)
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    @pytest.mark.parametrize("step_control", ["fixed", "adaptive"])
+    def test_krylov_transient_equivalence(self, family, step_control):
+        _check_transient(family, step_control, "krylov", rtol=1e-6)
 
     def test_solve_dc_equivalence(self):
         pytest.importorskip("scipy")

@@ -4,8 +4,9 @@ Pinned claims:
 
 * waveform equivalence: ``backend="krylov"`` reproduces the direct
   sparse path well under the rtol 1e-6 the mesh benches assert, on
-  fixed and adaptive grids, linear and nonlinear (matrix-free
-  ``solve_updated``) circuits, DC and AC;
+  fixed and adaptive grids, linear and nonlinear (general Newton
+  through the same Woodbury ``delta_solve`` as the sparse backend)
+  circuits, DC and AC;
 * refresh policy: the stale preconditioner re-anchors proactively
   when the previous solve of a matrix crossed the iteration
   threshold, and unconditionally when the iteration fails to
@@ -306,10 +307,13 @@ class TestWaveformEquivalence:
         counters = krylov.stats["krylov"]
         assert counters["solves"] > 0
 
-    def test_nonlinear_matrix_free_newton(self):
-        """delta_solve routes through solve_updated (no per-iteration
-        CSR re-assembly) and still matches the dense waveform."""
-        options = dict(t_stop=2e-6, dt=5e-9, step_control="adaptive")
+    @pytest.mark.parametrize("step_control", ["fixed", "adaptive"])
+    def test_nonlinear_woodbury_newton(self, step_control):
+        """General Newton rides the Woodbury update around the Krylov
+        solver: it matches the dense waveform, and its Newton solves
+        iterate against the stale LU instead of failing over to a
+        one-shot factorization of every updated matrix."""
+        options = dict(t_stop=2e-6, dt=5e-9, step_control=step_control)
         dense = run_transient(
             _nonlinear_circuit(), TransientOptions(backend="dense", **options)
         )
@@ -320,6 +324,9 @@ class TestWaveformEquivalence:
         np.testing.assert_allclose(
             krylov.x, dense.x, rtol=1e-6, atol=1e-6 * scale
         )
+        counters = krylov.stats["krylov"]
+        assert counters["fallbacks"] == 0
+        assert counters["iterations"] < counters["solves"]
 
     def test_solve_dc_equivalence(self):
         dense = solve_dc(_nonlinear_circuit(), backend="dense")
