@@ -44,8 +44,10 @@
 #                   microseconds per step of run_transient_batched at
 #                   S = 1, 8, 32, 128 and 256 on the mc_lockstep netlist
 #                   (in-process, interleaved, process time), the fitted
-#                   fixed and per-sample-step costs, and run_transient's
-#                   microseconds per step (benchmarks/lockstep_cost.py)
+#                   fixed and per-sample-step costs, run_transient's
+#                   microseconds per step, and those of run_transient on
+#                   the supply-loss tank (linear, fixed grid) with trap,
+#                   be and gear-3 (benchmarks/lockstep_cost.py)
 #   make reach      which src/ functions the drivers reach (one pass of
 #                   each perfbench workload, every example and bench, and
 #                   run_perf.py --check, forked pool workers included);

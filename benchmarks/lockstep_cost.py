@@ -12,13 +12,17 @@ S draws for every S in ``SIZES`` and ``run_transient`` on draw 0.  The
 sizes run in-process and interleaved, one round after another, on
 ``time.process_time``; each size reports the minimum over ``REPEATS``
 rounds, so a slow moment on a shared host costs one round, not one
-size.
+size.  The same rounds time the scalar engine's linear step:
+``run_transient`` of the supply-loss tank (``TANK_Q``, ``TANK_CYCLES``
+carrier cycles on a fixed grid of 40 steps a cycle) with trapezoidal,
+backward Euler and third-order Gear.
 
 It prints microseconds per step for each size and the scalar engine,
 each also over the scalar engine's (a ratio that holds still while
 the host's speed drifts between runs), then a least-squares fit
 ``us_per_step = fixed + per_sample * S``: the lockstep engine's fixed
-cost per step and its cost per sample-step.
+cost per step and its cost per sample-step.  Last come the tank runs'
+microseconds per step.
 """
 
 import sys
@@ -30,8 +34,19 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
-from repro.circuits import run_transient, run_transient_batched  # noqa: E402
-from workloads import WORKLOADS, build_oscillator, startup_options  # noqa: E402
+from repro.circuits import (  # noqa: E402
+    TransientOptions,
+    run_transient,
+    run_transient_batched,
+)
+from repro.core import supply_loss_tank_circuit  # noqa: E402
+from workloads import (  # noqa: E402
+    F_SUPPLY,
+    T_SUPPLY,
+    WORKLOADS,
+    build_oscillator,
+    startup_options,
+)
 
 
 #: Lockstep batch sizes S (at most the workload's 256 draws).
@@ -42,6 +57,16 @@ CYCLES = 80
 REPEATS = 7
 #: ``mc_lockstep`` workload seed of the mismatch draws.
 SEED = 1
+#: Supply-loss tank of the scalar linear-step runs: its Q, and carrier
+#: cycles per run (the drive stays on throughout).
+TANK_Q = 47.2
+TANK_CYCLES = 400
+#: Integration methods of the tank runs: label -> TransientOptions fields.
+TANK_METHODS = {
+    "trap": {"method": "trap"},
+    "be": {"method": "be"},
+    "gear-3": {"method": "gear", "max_order": 3},
+}
 
 
 def cpu_seconds(run) -> float:
@@ -59,6 +84,16 @@ def main() -> None:
     runs = {f"S={S}": (lambda S=S: run_transient_batched(circuits[:S], options))
             for S in SIZES}
     runs["run_transient"] = lambda: run_transient(circuits[0], options)
+    tank = supply_loss_tank_circuit(F_SUPPLY, 2 * TANK_CYCLES * T_SUPPLY, q=TANK_Q)
+    tank_steps = 40 * TANK_CYCLES
+    for label, fields in TANK_METHODS.items():
+        tank_options = TransientOptions(
+            t_stop=TANK_CYCLES * T_SUPPLY, dt=T_SUPPLY / 40,
+            use_dc_operating_point=False, **fields,
+        )
+        runs[f"tank {label}"] = (
+            lambda o=tank_options: run_transient(tank, o)
+        )
     for run in runs.values():  # warm caches and imports
         run()
     best = {name: np.inf for name in runs}
@@ -66,7 +101,10 @@ def main() -> None:
         for name, run in runs.items():
             best[name] = min(best[name], cpu_seconds(run))
 
-    us = {name: 1e6 * seconds / steps for name, seconds in best.items()}
+    us = {
+        name: 1e6 * seconds / (tank_steps if name.startswith("tank") else steps)
+        for name, seconds in best.items()
+    }
     print(f"{steps} steps per run, min of {REPEATS} interleaved rounds "
           "(process time)")
     scalar = us["run_transient"]
@@ -80,6 +118,10 @@ def main() -> None:
     per_sample, fixed = np.polyfit(SIZES, [us[f"S={S}"] for S in SIZES], 1)
     print(f"fit: {fixed:.1f} us fixed per step + {per_sample:.3f} us per "
           "sample-step")
+    print(f"run_transient, supply-loss tank (Q {TANK_Q}, {tank_steps} fixed "
+          "steps):")
+    for label in TANK_METHODS:
+        print(f"{label:>16}  {us['tank ' + label]:8.1f} us/step")
 
 
 if __name__ == "__main__":

@@ -39,7 +39,18 @@ the system exactly as often as it can change:
   :class:`~repro.circuits.elements.Inductor` states live in the arrays
   of one ``_ReactiveSet``, the companion-state implementation the
   lockstep :class:`~repro.circuits.batched.BatchedTransientAssembly`
-  uses too, with one row per sample);
+  uses too, with one row per sample).  A linear netlist on the dense
+  backend skips even that: below the LU threshold its factorization
+  is an explicit inverse, so the step solution is a fixed linear map
+  of the integrator state and the source stamps, and the committed
+  state one of the solution and the state.  Each cache entry builds
+  the two maps once, as matrices (:meth:`_ReactiveSet.propagator`, the
+  history-source split of EMTP: Dommel, IEEE Trans. PAS-88, 1969),
+  and a step is then two small matrix products in place of the
+  companion scatter, the solve and the commit's gathers
+  (:meth:`TransientAssembly.linear_solve`).  Multistep methods keep
+  their companion term as a vector, since its weights change with the
+  step pattern; the sparse and Krylov backends keep scatter + solve;
 * **once per Newton iteration** — only the nonlinear (or split-
   incapable) components, restamped onto copies of the cached parts.
 
@@ -656,12 +667,66 @@ class _ReactiveSet:
             return np.ascontiguousarray(self.scatter_csr.dot(term.T).T)
         return term @ self.scatter.T
 
+    # -- dense propagator (one netlist, below the sparse scatter) -------------
+
+    def propagator(
+        self, co: _ReactiveCoeffs, inv: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(step, commit)`` matrices of the linear step of one row set
+        against the base matrix's inverse ``inv``.
+
+        ``step`` maps ``[state; b]`` to the step solution
+        ``z = inv (scatter term + b)``, ``b`` being every other RHS
+        stamp, and ``commit`` maps ``[x; state]`` to the committed
+        ``[v'; i']``.  ``state`` is ``[v; i]`` for a one-step method:
+        ``term = alpha v + beta i`` folds into ``step``; ``commit``
+        holds the terminal voltages, the cap update
+        ``upd_g (v' - v) - upd_m i`` and the inductor branch currents.
+        For a multistep method it is the companion term, since the
+        weights change with the step pattern, and ``commit`` holds
+        ``i' = gcol v' + term`` on the cap rows.
+        """
+        m, size, nc = self.n, self.size, self.n_caps
+        rows = np.arange(m)
+        gather = np.zeros((m, size + 1))
+        np.add.at(gather, (rows, self.a_idx), 1.0)
+        np.add.at(gather, (rows, self.b_idx), -1.0)
+        gather = gather[:, :size]
+        caps = np.zeros(m)
+        caps[:nc] = 1.0
+        cap_gain = co.upd_g if co.gcol is None else co.gcol * caps
+        x_to_i = cap_gain[:, None] * gather
+        x_to_i[rows[nc:], self.br_idx] = 1.0
+        inv_scatter = inv.dot(self.scatter)
+        zeros = np.zeros((m, m))
+        if co.gcol is None:
+            step = np.hstack((inv_scatter * co.alpha, inv_scatter * co.beta, inv))
+            commit = np.block([
+                [gather, zeros, zeros],
+                [x_to_i, np.diag(-co.upd_g), np.diag(-co.upd_m * caps)],
+            ])
+        else:
+            step = np.hstack((inv_scatter, inv))
+            commit = np.block([[gather, zeros], [x_to_i, np.diag(caps)]])
+        return step, commit
+
+    def propagate(
+        self, co: _ReactiveCoeffs, step: np.ndarray, b: np.ndarray
+    ) -> np.ndarray:
+        """The step solution ``step @ [state; b]`` (see :meth:`propagator`)."""
+        if not self.n:
+            return step.dot(b)
+        if co.gcol is None:
+            return step.dot(np.concatenate((self.v, self.i, b)))
+        return step.dot(np.concatenate((self._companion_term(co), b)))
+
     def commit(
         self,
         co: _ReactiveCoeffs,
         x: np.ndarray,
         time: float,
         freeze: Optional[np.ndarray],
+        propagator: Optional[np.ndarray] = None,
     ) -> None:
         """Advance the integrator state after a converged step.
 
@@ -669,26 +734,36 @@ class _ReactiveSet:
         sitting this step out, or ``None``: their ``v`` and ``i`` stay
         exactly where their last converged step left them, since
         recomputing them from their frozen iterate rows through the
-        companion formulas would drift them.
+        companion formulas would drift them.  ``propagator`` is a row
+        set's commit matrix (:meth:`propagator`), which then maps
+        ``[x; state]`` to the new state in one product.
         """
         if not self.n:
             self.ring.t_now = time
             return
-        v_new = self._terminal_v(x)
-        if co.gcol is None:
-            i_new = co.upd_g * (v_new - self.v)
-            if co.upd_m:
-                i_new -= self.i
+        if propagator is not None:
+            if co.gcol is None:
+                state = np.concatenate((x, self.v, self.i))
+            else:
+                state = np.concatenate((x, self._companion_term(co)))
+            state = propagator.dot(state)
+            v_new, i_new = state[: self.n], state[self.n :]
         else:
-            # Derivative state from the integration formula itself:
-            # i_{n+1} = geq*v_{n+1} + ieq (cap slots; inductor slots
-            # are overwritten from the branch currents below).
-            i_new = co.gcol * v_new + self._companion_term(co)
-        if len(self.inds):
-            i_new[self._at_inds] = x[self._at_br]
-        if freeze is not None:
-            v_new[freeze] = self.v[freeze]
-            i_new[freeze] = self.i[freeze]
+            v_new = self._terminal_v(x)
+            if co.gcol is None:
+                i_new = co.upd_g * (v_new - self.v)
+                if co.upd_m:
+                    i_new -= self.i
+            else:
+                # Derivative state from the integration formula itself:
+                # i_{n+1} = geq*v_{n+1} + ieq (cap slots; inductor slots
+                # are overwritten from the branch currents below).
+                i_new = co.gcol * v_new + self._companion_term(co)
+            if len(self.inds):
+                i_new[self._at_inds] = x[self._at_br]
+            if freeze is not None:
+                v_new[freeze] = self.v[freeze]
+                i_new[freeze] = self.i[freeze]
         self.ring.push()
         self.v = v_new
         self.i = i_new
@@ -817,9 +892,11 @@ class _DtEntry:
     agnostic ``solve`` interface.
     """
 
-    __slots__ = ("dt", "G_base", "coeffs", "lu", "rank1", "delta")
+    __slots__ = ("dt", "G_base", "coeffs", "lu", "rank1", "delta", "prop")
 
-    def __init__(self, dt: float, G_base, coeffs: _ReactiveCoeffs):
+    def __init__(
+        self, dt: float, G_base, coeffs: _ReactiveCoeffs, propagates: bool
+    ):
         self.dt = dt
         self.G_base = G_base
         self.coeffs = coeffs
@@ -828,6 +905,11 @@ class _DtEntry:
         #: Sparse general-Newton data: (pattern_version, W = G_base^-1 U)
         #: for the nonlinear components' touched-row selector U (lazy).
         self.delta: Optional[tuple] = None
+        #: Dense linear-step propagator: ``None`` until the first step
+        #: builds it, then the ``(step, commit)`` matrices of
+        #: :meth:`_ReactiveSet.propagator`, or ``False`` where there is
+        #: none (not a dense linear run, or no finite inverse).
+        self.prop = None if propagates else False
 
 
 class TransientAssembly:
@@ -957,7 +1039,12 @@ class TransientAssembly:
             self._layout = layout
             self._pattern = StampPattern(self.size, layout.rows, layout.cols)
         G = self.backend.finalize(self._pattern, values)
-        return _DtEntry(dt, G, self.reactive.coeffs(dt, self.method, order))
+        return _DtEntry(
+            dt,
+            G,
+            self.reactive.coeffs(dt, self.method, order),
+            self.is_linear and self.backend.is_dense,
+        )
 
     def set_dt(
         self, dt: float, ephemeral: bool = False, order: Optional[int] = None
@@ -1169,9 +1256,36 @@ class TransientAssembly:
 
     # -- once per step --------------------------------------------------------
 
+    def _propagator(self):
+        """The active entry's propagator, built on first use (from the
+        explicit inverse :class:`~repro.circuits.linsolve.ReusableLU`
+        holds below its LU threshold), or ``False``."""
+        entry = self._active
+        inv = self.lu().inverse
+        entry.prop = (
+            False
+            if inv is None
+            else self.reactive.propagator(entry.coeffs, inv)
+        )
+        return entry.prop
+
     def step_rhs(self, time: float, x: np.ndarray) -> np.ndarray:
-        """Linear right-hand side for one step (iterate-independent)."""
-        rhs = self.reactive.companion_rhs(self._active.coeffs)
+        """Linear right-hand side for one step (iterate-independent).
+
+        Where the active entry has a propagator (a linear netlist on
+        the dense backend), the companion part is left out: the
+        returned vector holds the sources' and every other dynamic
+        stamp only, :meth:`linear_solve` applies the propagator to it
+        and the state, and :meth:`assemble_dense` adds the companion
+        part back for the rescue ladder and the certifier.
+        """
+        prop = self._active.prop
+        if prop is None:
+            prop = self._propagator()
+        if prop:
+            rhs = np.zeros(self.size)
+        else:
+            rhs = self.reactive.companion_rhs(self._active.coeffs)
         if self.dynamic:
             ctx = self._ctx
             # Not written by stamp_dynamic: the frozen dense base, or
@@ -1185,6 +1299,15 @@ class TransientAssembly:
             for component in self.dynamic:
                 component.stamp_dynamic(ctx)
         return rhs
+
+    def linear_solve(self, rhs_lin: np.ndarray) -> np.ndarray:
+        """The step solution of a linear netlist for :meth:`step_rhs`'s
+        right-hand side: one product with the active propagator, or a
+        solve against the cached factorization where there is none."""
+        entry = self._active
+        if entry.prop:
+            return self.reactive.propagate(entry.coeffs, entry.prop[0], rhs_lin)
+        return self.lu().solve(rhs_lin)
 
     # -- once per Newton iteration --------------------------------------------
 
@@ -1222,8 +1345,11 @@ class TransientAssembly:
         node's diagonal, and a residual-continuation stage needs the
         raw ``(G, rhs)`` pair to offset.  Rescue only runs after a
         Newton failure, so materializing the sparse base as dense here
-        is fine — this is never the healthy hot path.
+        is fine — this is never the healthy hot path.  A propagated
+        step's ``rhs_lin`` gets its companion part back here.
         """
+        if self._active.prop:
+            rhs_lin = rhs_lin + self.reactive.companion_rhs(self._active.coeffs)
         if self.backend.is_dense:
             G, rhs = self.assemble(x, rhs_lin, time)
         else:
@@ -1326,8 +1452,12 @@ class TransientAssembly:
     # -- after a converged step ----------------------------------------------
 
     def commit(self, x: np.ndarray, time: float) -> None:
-        """Advance all integrator states after a converged step."""
-        self.reactive.commit(self._active.coeffs, x, time, None)
+        """Advance all integrator states after a converged step (by the
+        active propagator's commit matrix where there is one)."""
+        entry = self._active
+        self.reactive.commit(
+            entry.coeffs, x, time, None, entry.prop[1] if entry.prop else None
+        )
         if self.states:
             ctx = self._ctx
             ctx.x = x

@@ -194,6 +194,16 @@ class ReusableLU:
     def is_singular(self) -> bool:
         return self._singular
 
+    @property
+    def inverse(self) -> Optional[np.ndarray]:
+        """The explicit inverse of a nonsingular small system, or None:
+        a system factored by LU, a singular one (solved by least
+        squares) and an inverse with non-finite entries have none."""
+        inv = self._inv
+        if self._singular or inv is None or not np.isfinite(inv).all():
+            return None
+        return inv
+
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve against the captured matrix for one right-hand side."""
         if self._g is None:

@@ -47,7 +47,11 @@ the engine picks a solve strategy per run:
 
 * ``linear`` — no nonlinear devices: one cached factorization per
   step size (:class:`~repro.circuits.linsolve.ReusableLU`) serves
-  every step taken at that size.
+  every step taken at that size.  On the dense backend below its LU
+  threshold that factorization is an explicit inverse, and each step
+  size's entry turns it into a propagator: the step is one matrix
+  product of the state and the sources, the commit another
+  (:meth:`~repro.circuits.assembly.TransientAssembly.linear_solve`).
 * ``linear-restamp`` — linear circuit containing components outside
   the stamp split (possibly time-varying): fresh assembly and one
   undamped solve per step, never Newton iteration.
@@ -85,6 +89,7 @@ from __future__ import annotations
 import time as time_module
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -854,8 +859,10 @@ class _StepSolver:
         if self.guards:
             self._guard_conditioning(time)
         if self.strategy == "linear":
+            # The active entry's propagator, or a cached-factorization
+            # solve; either counts as the step's one solve.
             self.solves += 1
-            x_new = self.assembly.lu().solve(rhs_lin)
+            x_new = self.assembly.linear_solve(rhs_lin)
         elif self.strategy == "linear-restamp":
             self.newton_iterations += 1
             x_new = self._full_solve(x, rhs_lin, time)
@@ -1226,7 +1233,7 @@ def _apply_phase(
     )
 
 
-def _state_columns(circuit: Circuit, size: int) -> np.ndarray:
+def _state_columns(assembly) -> np.ndarray:
     """0/1 mask of the node voltages the history LTE estimate reads.
 
     Those are the nodes of every component with integrator state
@@ -1236,14 +1243,26 @@ def _state_columns(circuit: Circuit, size: int) -> np.ndarray:
     no integration error.  Nonlinear device terminals count, pinned or
     not: a device that switches inside a step (a rectifier's charging
     pulse) leaves state error that the states' own history can miss,
-    so the estimate keeps the device's drive resolved.  Lockstep
-    batches share one topology, so one circuit's mask serves the batch.
+    so the estimate keeps the device's drive resolved.
+
+    Plain capacitors and inductors come from the assembly's
+    :class:`~repro.circuits.elements.PlainElements` arrays, so only the
+    generic and full-stamp components are visited one by one.  Lockstep
+    batches share one topology, so sample 0's elements and device
+    serve the batch.
     """
-    reactive: List[int] = []
+    plains = getattr(assembly, "plains", None)
+    if plains is None:
+        plain, full = assembly.plain, assembly.full
+    else:
+        plain = plains[0]
+        full = [] if assembly.device is None else assembly.device.devices[:1]
+    size = assembly.size
+    reactive = [plain.c_nodes.ravel(), plain.l_nodes.ravel()]
     pinned: List[int] = []
     devices: List[int] = []
     stateless = Component.init_state
-    for component in circuit:
+    for component in chain(plain.generic, full):
         if isinstance(component, VoltageSource):
             p, n = component._n
             if min(p, n) < 0:
@@ -1251,9 +1270,9 @@ def _state_columns(circuit: Circuit, size: int) -> np.ndarray:
         elif component.is_nonlinear():
             devices += component._n
         elif type(component).init_state is not stateless:
-            reactive += component._n
+            reactive.append(np.asarray(component._n, dtype=np.intp))
     columns = np.zeros(size + 1)  # the extra slot absorbs ground (-1)
-    columns[reactive] = 1.0
+    columns[np.concatenate(reactive)] = 1.0
     columns[pinned] = 0.0
     columns[devices] = 1.0
     return columns[:size]
@@ -1343,7 +1362,7 @@ def _run_adaptive(
     history = LteHistory(
         x,
         max(m.lte_order(m.max_order) for m in methods),
-        _state_columns(circuits[0], assembly.size),
+        _state_columns(assembly),
     )
     lte_probes = {"restart": 0, "retry": 0}
     retry = False

@@ -6,13 +6,19 @@ Three claims are pinned here:
   dense stamping (dense backend = pre-refactor results), and the CSR
   finalization agrees cell for cell;
 * ``backend="sparse"`` reproduces ``backend="dense"`` at rtol 1e-9 on
-  every solve-strategy family — linear, rank-1 Sherman–Morrison, and
+  every solve-strategy family — linear (on the dense backend stepped by
+  its per-dt propagator, on the sparse one by scatter + solve, for
+  every integration method and a phased trap -> Gear run), rank-1
+  Sherman–Morrison, and
   general Newton over several NonlinearVCCS devices (the ``woodbury``
   family, which the sparse backend solves as a low-rank update around
   its cached LU) or a diode — on fixed and adaptive grids,
   plus the DC and AC analyses; ``backend="krylov"`` does the same
   transient runs at its rtol 1e-6 contract, general Newton through the
   same low-rank update;
+* the dense propagator's backward error stays at a direct solve's on
+  the supply-loss tank's stiffest entries, and a singular dense base
+  matrix builds no propagator and keeps the least-squares solve;
 * scipy-less environments degrade gracefully: "auto" falls back to
   dense silently, an explicit "sparse" raises a clear error;
 * the condensed ``SparseLU`` (series branches eliminated before
@@ -30,6 +36,7 @@ from repro.circuits import (
     Circuit,
     DenseBackend,
     MNASystem,
+    PhaseSchedule,
     SparseBackend,
     StampContext,
     TransientOptions,
@@ -40,9 +47,11 @@ from repro.circuits import (
     sine,
     solve_dc,
 )
+from repro.circuits.assembly import TransientAssembly
 from repro.circuits.backend import SPARSE_AUTO_THRESHOLD
 from repro.circuits.component import TripletSystem
-from repro.core import OscillatorNetlist
+from repro.circuits.integration import resolve_method
+from repro.core import OscillatorNetlist, supply_loss_tank_circuit
 from repro.envelope import RLCTank, TanhLimiter
 from repro.errors import SimulationError
 
@@ -211,23 +220,33 @@ FAMILIES = {
 }
 
 
-def _options(backend, step_control, use_dc=True):
+#: Integration setups of the linear family besides the default trap.
+LINEAR_METHODS = {
+    "be": {"method": "be"},
+    "bdf2": {"method": "bdf2"},
+    "gear3": {"method": "gear", "max_order": 3},
+}
+
+
+def _options(backend, step_control, use_dc=True, **fields):
     return TransientOptions(
         t_stop=4e-6,
         dt=6.25e-9,
         backend=backend,
         step_control=step_control,
         use_dc_operating_point=use_dc,
+        **fields,
     )
 
 
-def _check_transient(family, step_control, backend, rtol):
+def _check_transient(family, step_control, backend, rtol, **fields):
     """``backend`` runs ``family`` on the dense run's time grid with the
-    same solve strategy, its waveform within ``rtol`` of dense."""
+    same solve strategy, its waveform within ``rtol`` of dense.
+    ``fields`` are further :class:`TransientOptions` of both runs."""
     pytest.importorskip("scipy")
     build, use_dc = FAMILIES[family]
-    dense = run_transient(build(), _options("dense", step_control, use_dc))
-    other = run_transient(build(), _options(backend, step_control, use_dc))
+    dense = run_transient(build(), _options("dense", step_control, use_dc, **fields))
+    other = run_transient(build(), _options(backend, step_control, use_dc, **fields))
     assert dense.stats["strategy"] == other.stats["strategy"]
     assert other.stats["backend"] == backend
     assert np.array_equal(dense.t, other.t)
@@ -245,6 +264,20 @@ class TestSparseMatchesDense:
     @pytest.mark.parametrize("step_control", ["fixed", "adaptive"])
     def test_krylov_transient_equivalence(self, family, step_control):
         _check_transient(family, step_control, "krylov", rtol=1e-6)
+
+    @pytest.mark.parametrize("method", sorted(LINEAR_METHODS))
+    @pytest.mark.parametrize("step_control", ["fixed", "adaptive"])
+    def test_linear_propagator_every_method(self, method, step_control):
+        _check_transient(
+            "linear", step_control, "sparse", rtol=1e-9, **LINEAR_METHODS[method]
+        )
+
+    def test_linear_propagator_phased_trap_then_gear(self):
+        phases = PhaseSchedule.carrier_then_settle(
+            2e-6, carrier_dt=6.25e-9, settle_dt=2.5e-8,
+            settle_method="gear", max_order=3,
+        )
+        _check_transient("linear", "adaptive", "sparse", rtol=1e-9, phases=phases)
 
     def test_solve_dc_equivalence(self):
         pytest.importorskip("scipy")
@@ -279,6 +312,104 @@ class TestSparseSingularDegradation:
         assert lu.is_singular
         solution = lu.solve(np.array([1.0, 0.0, 0.0]))
         assert np.all(np.isfinite(solution))
+
+
+F_TANK = 2.0 ** 22
+T_TANK = 1.0 / F_TANK
+
+
+def _backward_error(G, z, rhs):
+    """``||G z - rhs|| / (||G|| ||z|| + ||rhs||)`` in the inf-norm."""
+    residual = np.abs(G.dot(z) - rhs).max()
+    norm_g = np.abs(G).sum(axis=1).max()
+    return residual / (norm_g * np.abs(z).max() + np.abs(rhs).max())
+
+
+def _parallel_sources():
+    """Two identical sine sources in parallel drive an RC: the dense
+    base matrix is exactly singular."""
+    c = Circuit("parallel sources")
+    c.voltage_source("v1", "a", "0", sine(1.0, 1e6))
+    c.voltage_source("v2", "a", "0", sine(1.0, 1e6))
+    c.resistor("r", "a", "b", 1e3)
+    c.capacitor("c", "b", "0", 1e-9)
+    return c
+
+
+class TestDensePropagator:
+    """A linear netlist on the dense backend steps by two small matrix
+    products per dt entry (``_ReactiveSet.propagator``)."""
+
+    @pytest.mark.parametrize("q", [5.0, 500.0])
+    @pytest.mark.parametrize(
+        "method, dt",
+        [
+            ("trap", T_TANK / 272),
+            ("trap", T_TANK / 40),
+            ("gear", T_TANK / 4),
+            ("gear", 8 * T_TANK),
+        ],
+    )
+    def test_backward_error_of_a_solve(self, q, method, dt):
+        t_fault = 1000 * T_TANK
+        tank = supply_loss_tank_circuit(F_TANK, t_fault, q=q)
+        assembly = TransientAssembly(
+            tank, dt, resolve_method(method, max_order=3), 1e-12, backend="dense"
+        )
+        x0 = np.zeros(assembly.size)
+        assembly.init_state(x0)
+        reactive = assembly.reactive
+        rng = np.random.default_rng(7)
+        worst = 0.0
+        for _ in range(200):
+            t = rng.uniform(0.0, t_fault - dt)
+            reactive.reseat(
+                rng.uniform(-1.0, 1.0, reactive.n),
+                0.05 * rng.uniform(-1.0, 1.0, reactive.n),
+                t,
+            )
+            if method == "gear":
+                assembly.set_method(assembly.method, bootstrap_dt=dt)
+                assert assembly.order == 3
+            rhs_src = assembly.step_rhs(t + dt, x0)
+            z = assembly.linear_solve(rhs_src)
+            G, rhs_lin = assembly.assemble_dense(z, rhs_src, t + dt)
+            worst = max(worst, _backward_error(G, z, rhs_lin))
+        assert assembly._active.prop
+        assert worst <= 1e-15
+
+    @pytest.mark.parametrize("method", sorted(LINEAR_METHODS))
+    def test_no_reactive_elements(self, method):
+        c = Circuit("divider")
+        c.voltage_source("vin", "in", "0", sine(1.0, 1e6))
+        c.resistor("r1", "in", "out", 1e3)
+        c.resistor("r2", "out", "0", 3e3)
+        result = run_transient(
+            c, _options("dense", "adaptive", **LINEAR_METHODS[method])
+        )
+        out = result.waveform("out")
+        np.testing.assert_allclose(
+            out.y, 0.75 * np.sin(2 * np.pi * 1e6 * out.t), rtol=0, atol=1e-9
+        )
+
+    @pytest.mark.parametrize("step_control", ["fixed", "adaptive"])
+    def test_singular_base_keeps_the_lstsq_solve(self, step_control):
+        result = run_transient(
+            _parallel_sources(),
+            TransientOptions(
+                t_stop=4e-6, dt=1e-8, backend="dense", preflight="off",
+                step_control=step_control,
+            ),
+        )
+        assert np.isfinite(result.x).all()
+        a = result.waveform("a")
+        np.testing.assert_allclose(
+            a.y, np.sin(2 * np.pi * 1e6 * a.t), rtol=0, atol=1e-9
+        )
+        assembly = TransientAssembly(_parallel_sources(), 1e-8, "trap", 1e-12)
+        assembly.step_rhs(1e-8, np.zeros(assembly.size))
+        assert assembly.lu().is_singular
+        assert assembly._active.prop is False
 
 
 def _vccs_ladder(stages=40):

@@ -83,6 +83,14 @@ class TestReusableLU:
         assert np.all(np.isfinite(x))
         np.testing.assert_allclose(G @ x, [2.0, 2.0])
 
+    def test_inverse_only_of_small_nonsingular_finite_systems(self):
+        G = np.array([[2.0, 1.0], [1.0, 3.0]])
+        np.testing.assert_allclose(ReusableLU(G).inverse @ G, np.eye(2), atol=1e-15)
+        assert ReusableLU(np.ones((2, 2))).inverse is None  # singular
+        assert ReusableLU(np.array([[1e-320, 0.0], [0.0, 1.0]])).inverse is None
+        pytest.importorskip("scipy")
+        assert ReusableLU(np.eye(64)).inverse is None  # factored by LU
+
     def test_solve_before_factor_raises(self):
         with pytest.raises(ValueError):
             ReusableLU().solve(np.ones(2))

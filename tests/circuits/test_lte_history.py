@@ -21,6 +21,7 @@ from repro.circuits import (
     run_transient_batched,
     sine,
 )
+from repro.circuits.assembly import TransientAssembly
 from repro.circuits.integration import Gear, Trapezoidal
 from repro.circuits.stepcontrol import (
     LteHistory,
@@ -185,8 +186,7 @@ def test_history_full_step_matches_richardson(name, order, constant, pushed):
 
 def test_state_columns_skip_pinned_nodes_but_keep_device_drives():
     tank = supply_loss_tank_circuit(F0, 10 * T0)
-    tank.prepare()
-    columns = _state_columns(tank, tank.size)
+    columns = _state_columns(TransientAssembly(tank, T0 / 40, "trap", 1e-12))
     assert columns[tank.node_index("drv")] == 0.0  # pinned by Vdrv
     for node in ("lc1", "mid", "lc2"):
         assert columns[tank.node_index(node)] == 1.0
@@ -195,8 +195,7 @@ def test_state_columns_skip_pinned_nodes_but_keep_device_drives():
     rectifier.diode("D1", "in", "out")
     rectifier.resistor("RL", "out", "0", 10e3)
     rectifier.capacitor("CL", "out", "0", 1e-6)
-    rectifier.prepare()
-    columns = _state_columns(rectifier, rectifier.size)
+    columns = _state_columns(TransientAssembly(rectifier, 1e-7, "trap", 1e-12))
     assert columns[rectifier.node_index("in")] == 1.0  # drives the diode
     assert columns[rectifier.node_index("out")] == 1.0
 
