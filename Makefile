@@ -47,7 +47,10 @@
 #                   fixed and per-sample-step costs, run_transient's
 #                   microseconds per step, and those of run_transient on
 #                   the supply-loss tank (linear, fixed grid) with trap,
-#                   be and gear-3 (benchmarks/lockstep_cost.py)
+#                   be, bdf2 and gear-3; then one adaptive phased tank run
+#                   (supply_loss_q's options, Q 47.2): microseconds per
+#                   accepted step in its trap carrier and its gear-3
+#                   settle phase (benchmarks/lockstep_cost.py)
 #   make reach      which src/ functions the drivers reach (one pass of
 #                   each perfbench workload, every example and bench, and
 #                   run_perf.py --check, forked pool workers included);

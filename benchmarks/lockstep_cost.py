@@ -15,14 +15,19 @@ rounds, so a slow moment on a shared host costs one round, not one
 size.  The same rounds time the scalar engine's linear step:
 ``run_transient`` of the supply-loss tank (``TANK_Q``, ``TANK_CYCLES``
 carrier cycles on a fixed grid of 40 steps a cycle) with trapezoidal,
-backward Euler and third-order Gear.
+backward Euler, BDF2 and third-order Gear, and one adaptive phased run
+of the same tank with the ``supply_loss_q`` workload's options (a
+trapezoidal carrier, then a Gear-3 settle phase from the fault on),
+timed whole and stopped at the fault: the carrier phase is the second
+run, and the settle phase the difference.
 
 It prints microseconds per step for each size and the scalar engine,
 each also over the scalar engine's (a ratio that holds still while
 the host's speed drifts between runs), then a least-squares fit
 ``us_per_step = fixed + per_sample * S``: the lockstep engine's fixed
 cost per step and its cost per sample-step.  Last come the tank runs'
-microseconds per step.
+microseconds per step, and the phased run's microseconds per accepted
+step in each phase.
 """
 
 import sys
@@ -33,6 +38,8 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+import dataclasses  # noqa: E402
 
 from repro.circuits import (  # noqa: E402
     TransientOptions,
@@ -65,6 +72,7 @@ TANK_CYCLES = 400
 TANK_METHODS = {
     "trap": {"method": "trap"},
     "be": {"method": "be"},
+    "bdf2": {"method": "bdf2"},
     "gear-3": {"method": "gear", "max_order": 3},
 }
 
@@ -94,6 +102,20 @@ def main() -> None:
         runs[f"tank {label}"] = (
             lambda o=tank_options: run_transient(tank, o)
         )
+    supply = WORKLOADS["supply_loss_q"](SEED)
+    phased_tank = supply_loss_tank_circuit(
+        F_SUPPLY, supply.t_fault, q=TANK_Q, inductance=1e-6
+    )
+    phased = {
+        "phased": supply.options,
+        "carrier": dataclasses.replace(supply.options, t_stop=supply.t_fault),
+    }
+    accepted = {}
+    for name, phase_options in phased.items():
+        runs[name] = lambda o=phase_options: run_transient(phased_tank, o)
+        accepted[name] = run_transient(phased_tank, phase_options).stats[
+            "accepted_steps"
+        ]
     for run in runs.values():  # warm caches and imports
         run()
     best = {name: np.inf for name in runs}
@@ -104,6 +126,7 @@ def main() -> None:
     us = {
         name: 1e6 * seconds / (tank_steps if name.startswith("tank") else steps)
         for name, seconds in best.items()
+        if name not in phased
     }
     print(f"{steps} steps per run, min of {REPEATS} interleaved rounds "
           "(process time)")
@@ -122,6 +145,15 @@ def main() -> None:
           "steps):")
     for label in TANK_METHODS:
         print(f"{label:>16}  {us['tank ' + label]:8.1f} us/step")
+    settle_steps = accepted["phased"] - accepted["carrier"]
+    print(f"run_transient, phased supply-loss tank (Q {TANK_Q}, supply_loss_q "
+          "options), per accepted step:")
+    for label, seconds, count in (
+        ("carrier (trap)", best["carrier"], accepted["carrier"]),
+        ("settle (gear-3)", best["phased"] - best["carrier"], settle_steps),
+    ):
+        print(f"{label:>16}  {1e6 * seconds / count:8.1f} us/step  "
+              f"({count} steps)")
 
 
 if __name__ == "__main__":

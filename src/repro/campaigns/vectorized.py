@@ -486,6 +486,12 @@ def _globalize_quarantine(stats: dict, indices: Sequence[int]) -> None:
 #: Worker-process state installed by :func:`_job_init`.
 _WORKER_STATE: dict = {}
 
+#: The circuits of each sharded campaign whose pool is running, by the
+#: name of its record channel (:func:`_run_jobs`): a forked worker
+#: inherits the dict and runs its campaign's circuits, unpickled; a
+#: spawned worker finds it empty.
+_POOL_CIRCUITS: dict = {}
+
 
 def _job_init(channel, build, options, lockstep) -> None:
     """Pool initializer: attach the record channel, keep the run inputs."""
@@ -501,6 +507,7 @@ def _job_init(channel, build, options, lockstep) -> None:
         build=build,
         options=options,
         lockstep=lockstep,
+        circuits=_POOL_CIRCUITS.get(shm_name),
     )
 
 
@@ -511,7 +518,9 @@ def _run_job(job, state: Optional[dict] = None):
     its tasks as one shard through :func:`_run_one_shard`; a solo job
     runs them one by one.  ``state`` defaults to the pool worker's;
     the in-process shard loop passes its own, with the parent's
-    circuits and no channel.
+    circuits and no channel.  A forked shard worker gets the parent's
+    circuits too (:data:`_POOL_CIRCUITS`); a spawned one has none and
+    builds its tasks' circuits, as a solo job always does.
 
     Returns ``(job_no, items, None)`` with one ``(g, nodes, stats,
     record)`` per sample, where ``record`` is ``None`` when the sample
@@ -665,8 +674,8 @@ def _run_jobs(
             failed[job_no] = (g, message, f"TimeoutError: {message}", "timeout")
 
         for circuit in circuits:
-            # Workers rebuild their own circuits; the parent-side ones
-            # label the merged results, so they need branch numbering too.
+            # Prepared once here: forked shard workers run these very
+            # circuits, and the merged results are labelled with them.
             circuit.prepare()
         # Forked workers inherit what the parent imported: load the
         # scipy their solves need once here, not once per worker.
@@ -689,6 +698,8 @@ def _run_jobs(
                     initargs=(channel, build, options, lockstep),
                 )
 
+            if lockstep:
+                _POOL_CIRCUITS[shm.name] = circuits
             try:
                 drain(make_pool, _run_job, jobs, timeout, on_done, on_timeout)
             except BrokenProcessPool as exc:
@@ -702,6 +713,8 @@ def _run_jobs(
                         f"{exc.in_flight} in flight"
                     ),
                 ) from exc
+            finally:
+                _POOL_CIRCUITS.pop(shm.name, None)
         finally:
             _release_shared_block(shm)
 

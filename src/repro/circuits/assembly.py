@@ -43,14 +43,16 @@ the system exactly as often as it can change:
   backend skips even that: below the LU threshold its factorization
   is an explicit inverse, so the step solution is a fixed linear map
   of the integrator state and the source stamps, and the committed
-  state one of the solution and the state.  Each cache entry builds
-  the two maps once, as matrices (:meth:`_ReactiveSet.propagator`, the
-  history-source split of EMTP: Dommel, IEEE Trans. PAS-88, 1969),
-  and a step is then two small matrix products in place of the
-  companion scatter, the solve and the commit's gathers
-  (:meth:`TransientAssembly.linear_solve`).  Multistep methods keep
-  their companion term as a vector, since its weights change with the
-  step pattern; the sparse and Krylov backends keep scatter + solve;
+  state another fixed linear map of the same inputs.  Each cache
+  entry builds both maps once, stacked into one matrix
+  (:meth:`_ReactiveSet.propagator`, the history-source split of EMTP:
+  Dommel, IEEE Trans. PAS-88, 1969), and a step is then one small
+  matrix product in place of the companion scatter, the solve and the
+  commit's gathers (:meth:`TransientAssembly.linear_solve`); the
+  commit installs the product's state rows.  Multistep methods feed
+  it their companion term as a vector, the ring's weighted
+  contraction, since its weights change with the step pattern; the
+  sparse and Krylov backends keep scatter + solve;
 * **once per Newton iteration** — only the nonlinear (or split-
   incapable) components, restamped onto copies of the cached parts.
 
@@ -159,6 +161,12 @@ class _HistoryRing:
     conjugate derivative), so the per-step companion term is one
     weighted accumulation.
 
+    Row 0 is written in one of two ways after a commit: from the new
+    ``(v, i)`` by :meth:`set_current`, or — on the dense propagator's
+    commit, which hands over the product's ``[v'; i']`` — by one
+    gather into ``rows[:, 0]`` (:meth:`_ReactiveSet.commit`); both
+    copy the same floats.
+
     The ring also owns the spacing-dependent weight memo.  Weights
     depend only on ``(dt, order)`` and the history spacing *relative*
     to the current time — Lagrange interpolation is translation
@@ -171,7 +179,8 @@ class _HistoryRing:
     """
 
     __slots__ = (
-        "state_shape", "depth", "fv", "fd", "t", "fill", "t_now", "_w_cache"
+        "state_shape", "depth", "rows", "fv", "fd", "t", "fill", "t_now",
+        "_w_cache",
     )
 
     def __init__(self, state_shape: Tuple[int, ...]):
@@ -180,6 +189,9 @@ class _HistoryRing:
         #: Formula-form buffers with the *current* state in row 0 and
         #: the committed history in rows 1..fill — the companion term
         #: is then a single weighted contraction over the leading axis.
+        #: ``fv`` and ``fd`` are the two halves of one ``rows`` array,
+        #: so a push shifts both in one copy.
+        self.rows: Optional[np.ndarray] = None
         self.fv: Optional[np.ndarray] = None
         self.fd: Optional[np.ndarray] = None
         self.t: Optional[np.ndarray] = None
@@ -211,16 +223,15 @@ class _HistoryRing:
         extra = depth - 1
         if extra <= 0 or extra <= self.depth:
             return
-        old = (self.fv, self.fd, self.t, self.fill)
+        old = (self.rows, self.t, self.fill)
         self.depth = extra
-        self.fv = np.zeros((extra + 1,) + self.state_shape)
-        self.fd = np.zeros((extra + 1,) + self.state_shape)
+        self.rows = np.zeros((2, extra + 1) + self.state_shape)
+        self.fv, self.fd = self.rows
         self.t = np.zeros(extra)
         if old[0] is not None:
-            keep = old[3]
-            self.fv[: keep + 1] = old[0][: keep + 1]
-            self.fd[: keep + 1] = old[1][: keep + 1]
-            self.t[:keep] = old[2][:keep]
+            keep = old[2]
+            self.rows[:, : keep + 1] = old[0][:, : keep + 1]
+            self.t[:keep] = old[1][:keep]
 
     @property
     def points(self) -> int:
@@ -260,30 +271,38 @@ class _HistoryRing:
         caller refreshes row 0 via :meth:`set_current` afterwards."""
         if not self.depth:
             return
-        self.fv[1:] = self.fv[:-1]
-        self.fd[1:] = self.fd[:-1]
+        self.rows[:, 1:] = self.rows[:, :-1]
         self.t[1:] = self.t[:-1]
         self.t[0] = self.t_now
-        self.fill = min(self.fill + 1, self.depth)
+        if self.fill < self.depth:
+            self.fill += 1
 
     def companion_term(
-        self, wv: np.ndarray, wd: np.ndarray, gcol: np.ndarray
+        self, wv: np.ndarray, wd: Optional[np.ndarray], gcol: np.ndarray
     ) -> np.ndarray:
         """``gcol * sum_k wv[k]*val_k + sum_k wd[k]*der_k`` over the
         current state (row 0) and the committed history, as a single
         weighted contraction per buffer (shape-agnostic: the leading
         row axis is flattened into one gemv regardless of whether the
-        state rows are ``(m,)`` or ``(S, m)``)."""
+        state rows are ``(m,)`` or ``(S, m)``; ``(m,)`` rows are that
+        gemv's operand already, and ``dot`` calls it with less overhead
+        than ``@``).  ``wd`` is None when every derivative
+        weight is zero (:meth:`step_weights`)."""
         rows = self.fv[: len(wv)]
-        term = gcol * (wv @ rows.reshape(len(wv), -1)).reshape(rows.shape[1:])
-        if wd.any():
+        if rows.ndim == 2:
+            term = gcol * wv.dot(rows)
+        else:
+            term = gcol * (wv @ rows.reshape(len(wv), -1)).reshape(rows.shape[1:])
+        if wd is not None:
             rows = self.fd[: len(wd)]
             term += (wd @ rows.reshape(len(wd), -1)).reshape(rows.shape[1:])
         return term
 
     def step_weights(self, co) -> tuple:
         """Memoized ``(wv, wd)`` weight arrays for the active setup
-        and history.
+        and history; ``wd`` is None when every derivative weight is
+        zero (the shipped BDF members), so the companion term skips
+        the derivative ring.
 
         Keyed by the *relative* history offsets, so every uniform
         stretch of a run — regardless of where on the time axis it
@@ -295,7 +314,8 @@ class _HistoryRing:
         if w is None:
             times = (0.0,) + tuple(-float(off) for off in offsets)
             wv, wd = co.method.step_weights(co.dt, co.order, times)
-            w = (np.asarray(wv, dtype=float), np.asarray(wd, dtype=float))
+            wd = np.asarray(wd, dtype=float)
+            w = (np.asarray(wv, dtype=float), wd if wd.any() else None)
             if len(self._w_cache) > 64:
                 self._w_cache.clear()
             self._w_cache[key] = w
@@ -455,6 +475,13 @@ class _ReactiveSet:
             # Never materialized; every consumer goes through the CSR.
             self.scatter = None
 
+        #: Where row 0 of the history ring, ``[fv; fd]``, sits in a
+        #: row's ``[v; i]`` (cap value ``v``, inductor value ``i``).
+        j = np.arange(n)
+        self._ring_order = np.concatenate(
+            (j[:nc], n + j[nc:], n + j[:nc], j[nc:])
+        ).reshape(2, n)
+
         # State arrays, filled by init_state().
         self.v = np.zeros(self.values.shape)
         self.i = np.zeros(self.values.shape)
@@ -477,6 +504,9 @@ class _ReactiveSet:
         #: snapshot restores exactly the state the memo was computed
         #: from.
         self._cterm: Optional[tuple] = None
+        #: ``(z, out)`` of the last :meth:`propagate`, until
+        #: :meth:`commit` consumes it or a state change drops it.
+        self.pending: Optional[tuple] = None
 
     # -- multistep history ------------------------------------------------
 
@@ -545,6 +575,7 @@ class _ReactiveSet:
         self.ring.set_current(self.v, self.i, self.n_caps)
         filled = self.ring.bootstrap(dt, self.ring.fd[0] / self.values)
         self._cterm = None
+        self.pending = None
         return filled
 
     def clear_weights(self) -> None:
@@ -552,6 +583,7 @@ class _ReactiveSet:
         switch on a live run)."""
         self.ring.clear_weights()
         self._cterm = None
+        self.pending = None
 
     # -- coefficients -------------------------------------------------------
 
@@ -618,6 +650,7 @@ class _ReactiveSet:
         if self.ring.depth:
             self.ring.set_current(v, i, self.n_caps)
         self._cterm = None
+        self.pending = None
 
     def step_weights(self, co: _ReactiveCoeffs) -> tuple:
         """Memoized ``(wv, wd)`` for the active setup and history
@@ -669,24 +702,32 @@ class _ReactiveSet:
 
     # -- dense propagator (one netlist, below the sparse scatter) -------------
 
-    def propagator(
-        self, co: _ReactiveCoeffs, inv: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """``(step, commit)`` matrices of the linear step of one row set
-        against the base matrix's inverse ``inv``.
+    def propagator(self, co: _ReactiveCoeffs, inv: np.ndarray) -> np.ndarray:
+        """The linear step of one row set against the base matrix's
+        inverse ``inv``, as one matrix that maps the step's inputs
+        straight to ``out = [z; v'; i']``: the step solution ``z = inv
+        (scatter term + b)``, ``b`` being every other RHS stamp, and the
+        state :meth:`commit` installs for it.
 
-        ``step`` maps ``[state; b]`` to the step solution
-        ``z = inv (scatter term + b)``, ``b`` being every other RHS
-        stamp, and ``commit`` maps ``[x; state]`` to the committed
-        ``[v'; i']``.  ``state`` is ``[v; i]`` for a one-step method:
-        ``term = alpha v + beta i`` folds into ``step``; ``commit``
-        holds the terminal voltages, the cap update
-        ``upd_g (v' - v) - upd_m i`` and the inductor branch currents.
-        For a multistep method it is the companion term, since the
-        weights change with the step pattern, and ``commit`` holds
-        ``i' = gcol v' + term`` on the cap rows.
+        For a one-step method the inputs are ``[v; i; b]``: the
+        companion term ``alpha v + beta i`` and the cap update ``i' =
+        upd_g (v' - v) - upd_m i`` fold in.  For a multistep method
+        they are ``[term; b]``, the term being the ring's weighted
+        contraction (:meth:`_HistoryRing.companion_term`), whose weights
+        change with the step pattern, and the cap rows hold ``i' = gcol
+        v' + term``.  Inductor rows take ``i'`` from their branch
+        currents, and ``v'`` is every element's terminal voltage.
+
+        The ``z`` rows are the inverse applied to the scattered term
+        and the sources, as a solve would; the term itself is not
+        folded into per-pattern matrices, since summing the history
+        rows after the inverse (not before) lost up to 4x in backward
+        error on stiff Gear entries.  :meth:`commit` installs the state
+        rows only for the very ``z`` array :meth:`propagate` returned.
         """
         m, size, nc = self.n, self.size, self.n_caps
+        if not m:
+            return inv
         rows = np.arange(m)
         gather = np.zeros((m, size + 1))
         np.add.at(gather, (rows, self.a_idx), 1.0)
@@ -697,28 +738,41 @@ class _ReactiveSet:
         cap_gain = co.upd_g if co.gcol is None else co.gcol * caps
         x_to_i = cap_gain[:, None] * gather
         x_to_i[rows[nc:], self.br_idx] = 1.0
-        inv_scatter = inv.dot(self.scatter)
-        zeros = np.zeros((m, m))
-        if co.gcol is None:
-            step = np.hstack((inv_scatter * co.alpha, inv_scatter * co.beta, inv))
-            commit = np.block([
-                [gather, zeros, zeros],
-                [x_to_i, np.diag(-co.upd_g), np.diag(-co.upd_m * caps)],
-            ])
-        else:
-            step = np.hstack((inv_scatter, inv))
-            commit = np.block([[gather, zeros], [x_to_i, np.diag(caps)]])
-        return step, commit
+        # out = src b + term_map term (+ the one-step cap update).
+        src = np.vstack((inv, gather.dot(inv), x_to_i.dot(inv)))
+        term_map = src.dot(self.scatter)
+        if co.gcol is not None:
+            term_map[size + m :] += np.diag(caps)
+            return np.hstack((term_map, src))
+        v_map = term_map * co.alpha
+        v_map[size + m :] -= np.diag(co.upd_g)
+        i_map = term_map * co.beta
+        i_map[size + m :] -= np.diag(co.upd_m * caps)
+        return np.hstack((v_map, i_map, src))
 
     def propagate(
-        self, co: _ReactiveCoeffs, step: np.ndarray, b: np.ndarray
+        self, co: _ReactiveCoeffs, prop: np.ndarray, b: np.ndarray
     ) -> np.ndarray:
-        """The step solution ``step @ [state; b]`` (see :meth:`propagator`)."""
+        """The step solution ``z`` for the sources ``b``: one product
+        with the propagator ``prop`` (see :meth:`propagator`).
+
+        The whole product ``[z; v'; i']`` stays pending for
+        :meth:`commit`, which installs its state rows when it is handed
+        this very ``z``; a restore, a reseat, a bootstrap, a method
+        switch, a dt change (:meth:`TransientAssembly.set_dt`) or the
+        commit itself drops it.
+        """
         if not self.n:
-            return step.dot(b)
+            return prop.dot(b)
         if co.gcol is None:
-            return step.dot(np.concatenate((self.v, self.i, b)))
-        return step.dot(np.concatenate((self._companion_term(co), b)))
+            out = prop.dot(np.concatenate((self.v, self.i, b)))
+        else:
+            ring = self.ring
+            term = ring.companion_term(*ring.step_weights(co), co.gcol)
+            out = prop.dot(np.concatenate((term, b)))
+        z = out[: self.size]
+        self.pending = (z, out)
+        return z
 
     def commit(
         self,
@@ -726,27 +780,33 @@ class _ReactiveSet:
         x: np.ndarray,
         time: float,
         freeze: Optional[np.ndarray],
-        propagator: Optional[np.ndarray] = None,
     ) -> None:
         """Advance the integrator state after a converged step.
+
+        Handed the very array :meth:`propagate` returned (``x is z``,
+        and nothing has dropped the product since), the state is the
+        product's pending rows ``[v'; i']``: identity, not equality,
+        is the contract, so a caller that changes ``z`` in place before
+        the commit must commit a copy.  Every other ``x`` — a rescued
+        step, a commit after a restored snapshot or a method switch,
+        any step of the sparse backend or of a stack — gathers the
+        terminal voltages and applies the companion formulas; the two
+        agree to rounding.
 
         ``freeze`` is a stack's boolean ``(S,)`` mask of the samples
         sitting this step out, or ``None``: their ``v`` and ``i`` stay
         exactly where their last converged step left them, since
         recomputing them from their frozen iterate rows through the
-        companion formulas would drift them.  ``propagator`` is a row
-        set's commit matrix (:meth:`propagator`), which then maps
-        ``[x; state]`` to the new state in one product.
+        companion formulas would drift them.
         """
+        pending = self.pending
+        self.pending = None
         if not self.n:
             self.ring.t_now = time
             return
-        if propagator is not None:
-            if co.gcol is None:
-                state = np.concatenate((x, self.v, self.i))
-            else:
-                state = np.concatenate((x, self._companion_term(co)))
-            state = propagator.dot(state)
+        state = None
+        if pending is not None and x is pending[0]:
+            state = pending[1][self.size :]
             v_new, i_new = state[: self.n], state[self.n :]
         else:
             v_new = self._terminal_v(x)
@@ -764,12 +824,17 @@ class _ReactiveSet:
             if freeze is not None:
                 v_new[freeze] = self.v[freeze]
                 i_new[freeze] = self.i[freeze]
-        self.ring.push()
+        ring = self.ring
+        ring.push()
         self.v = v_new
         self.i = i_new
-        if self.ring.depth:
-            self.ring.set_current(v_new, i_new, self.n_caps)
-        self.ring.t_now = time
+        if ring.depth:
+            if state is None:
+                ring.set_current(v_new, i_new, self.n_caps)
+            else:
+                # Row 0 gathered straight from the product's [v'; i'].
+                ring.rows[:, 0] = state[self._ring_order]
+        ring.t_now = time
 
     # -- whole-state access ---------------------------------------------------
 
@@ -782,6 +847,7 @@ class _ReactiveSet:
         v, i, ring_snap = snap
         self.v = v.copy()
         self.i = i.copy()
+        self.pending = None
         self.ring.restore(ring_snap)
         if self.ring.depth:
             self.ring.set_current(self.v, self.i, self.n_caps)
@@ -797,6 +863,7 @@ class _ReactiveSet:
         if ring.depth:
             ring.set_current(v, i, self.n_caps)
         self._cterm = None
+        self.pending = None
 
     def state_faults(self, x: np.ndarray) -> tuple:
         """Where the committed state disagrees with the committed
@@ -906,9 +973,9 @@ class _DtEntry:
         #: for the nonlinear components' touched-row selector U (lazy).
         self.delta: Optional[tuple] = None
         #: Dense linear-step propagator: ``None`` until the first step
-        #: builds it, then the ``(step, commit)`` matrices of
-        #: :meth:`_ReactiveSet.propagator`, or ``False`` where there is
-        #: none (not a dense linear run, or no finite inverse).
+        #: builds it, then :meth:`_ReactiveSet.propagator`'s matrix, or
+        #: ``False`` where there is none (not a dense linear run, or no
+        #: finite inverse).
         self.prop = None if propagates else False
 
 
@@ -1067,6 +1134,7 @@ class TransientAssembly:
         key = (dt, self.method, self._order)
         self._active = self._cache.get(key, ephemeral=ephemeral)
         self._ctx.dt = dt
+        self.reactive.pending = None
 
     def set_method(
         self,
@@ -1261,12 +1329,13 @@ class TransientAssembly:
         explicit inverse :class:`~repro.circuits.linsolve.ReusableLU`
         holds below its LU threshold), or ``False``."""
         entry = self._active
-        inv = self.lu().inverse
-        entry.prop = (
-            False
-            if inv is None
-            else self.reactive.propagator(entry.coeffs, inv)
-        )
+        if entry.prop is None:
+            inv = self.lu().inverse
+            entry.prop = (
+                False
+                if inv is None
+                else self.reactive.propagator(entry.coeffs, inv)
+            )
         return entry.prop
 
     def step_rhs(self, time: float, x: np.ndarray) -> np.ndarray:
@@ -1282,7 +1351,7 @@ class TransientAssembly:
         prop = self._active.prop
         if prop is None:
             prop = self._propagator()
-        if prop:
+        if prop is not False:
             rhs = np.zeros(self.size)
         else:
             rhs = self.reactive.companion_rhs(self._active.coeffs)
@@ -1302,11 +1371,15 @@ class TransientAssembly:
 
     def linear_solve(self, rhs_lin: np.ndarray) -> np.ndarray:
         """The step solution of a linear netlist for :meth:`step_rhs`'s
-        right-hand side: one product with the active propagator, or a
-        solve against the cached factorization where there is none."""
-        entry = self._active
-        if entry.prop:
-            return self.reactive.propagate(entry.coeffs, entry.prop[0], rhs_lin)
+        right-hand side: one product with the active propagator, which
+        also yields the state :meth:`commit` installs for this very
+        array, or a solve against the cached factorization where there
+        is none."""
+        prop = self._active.prop
+        if prop is None:
+            prop = self._propagator()
+        if prop is not False:
+            return self.reactive.propagate(self._active.coeffs, prop, rhs_lin)
         return self.lu().solve(rhs_lin)
 
     # -- once per Newton iteration --------------------------------------------
@@ -1348,7 +1421,7 @@ class TransientAssembly:
         is fine — this is never the healthy hot path.  A propagated
         step's ``rhs_lin`` gets its companion part back here.
         """
-        if self._active.prop:
+        if self._propagator() is not False:
             rhs_lin = rhs_lin + self.reactive.companion_rhs(self._active.coeffs)
         if self.backend.is_dense:
             G, rhs = self.assemble(x, rhs_lin, time)
@@ -1452,12 +1525,14 @@ class TransientAssembly:
     # -- after a converged step ----------------------------------------------
 
     def commit(self, x: np.ndarray, time: float) -> None:
-        """Advance all integrator states after a converged step (by the
-        active propagator's commit matrix where there is one)."""
-        entry = self._active
-        self.reactive.commit(
-            entry.coeffs, x, time, None, entry.prop[1] if entry.prop else None
-        )
+        """Advance all integrator states after a converged step.
+
+        Handed the very array :meth:`linear_solve` returned (identity,
+        not equality), the plain reactive state comes from that step's
+        product; any other ``x`` (a rescued step, say) gathers it from
+        ``x`` (:meth:`_ReactiveSet.commit`).
+        """
+        self.reactive.commit(self._active.coeffs, x, time, None)
         if self.states:
             ctx = self._ctx
             ctx.x = x

@@ -45,16 +45,17 @@ from ..errors import ConfigurationError, SimulationError
 from .describing import LimiterCharacteristic, fundamental_current
 from .tank import RLCTank
 
-# scipy.fft, scipy.integrate and scipy.optimize load on the first call
-# of the three functions that use them (``_FundamentalTable.build``,
-# ``EnvelopeModel.simulate``, ``steady_state_amplitude``).  Imported
-# eagerly they would cost every process that imports this module about
-# 0.6 s (measured on a 2-CPU x86-64 Linux host: scipy.fft drags in
-# scipy.special, scipy.optimize drags in scipy.spatial), and the
+# scipy.fft and scipy.integrate load on the first call of the two
+# functions that use them (``_FundamentalTable.build``,
+# ``EnvelopeModel.simulate``).  Imported eagerly they would cost every
+# process that imports this module about 0.6 s (measured on a 2-CPU
+# x86-64 Linux host: scipy.fft drags in scipy.special), and the
 # circuit-level workloads import it without ever calling them.
+# ``steady_state_amplitude`` finds its root with ``_brentq``, a port of
+# scipy's: ``scipy.optimize`` would load scipy.linalg and
+# scipy.sparse.linalg with it into every behavioural run.
 _fft = LazyModule("scipy.fft")
 _integrate = LazyModule("scipy.integrate")
-_optimize = LazyModule("scipy.optimize")
 
 __all__ = ["EnvelopeModel", "steady_state_amplitude", "small_signal_growth_rate"]
 
@@ -111,7 +112,96 @@ def steady_state_amplitude(
         expansions += 1
     if f_high > 0:
         raise SimulationError("could not bracket the steady-state amplitude")
-    return float(_optimize.brentq(balance, a_low, a_high, xtol=1e-12, rtol=1e-10))
+    return float(_brentq(balance, a_low, a_high, xtol=1e-12, rtol=1e-10))
+
+
+def _brentq(
+    f: Callable[[float], float],
+    xa: float,
+    xb: float,
+    xtol: float,
+    rtol: float,
+    maxiter: int = 100,
+) -> float:
+    """A root of ``f`` in the sign-changing bracket ``[xa, xb]``:
+    ``scipy.optimize.brentq`` (Brent, *Algorithms for Minimization
+    Without Derivatives*, 1973, ch. 4), ported statement for statement
+    from scipy's C implementation (``Zeros/brentq.c``), so it returns
+    the same float.  Like scipy's wrapper it raises ``ValueError`` for
+    a bracket without a sign change or a NaN function value, and
+    ``RuntimeError`` when ``maxiter`` iterations do not converge.
+    """
+
+    def call(x: float) -> float:
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(
+                f"The function value at x={x} is NaN; solver cannot continue."
+            )
+        return fx
+
+    def signbit(x: float) -> bool:
+        return math.copysign(1.0, x) < 0.0
+
+    xpre, xcur = float(xa), float(xb)
+    xblk = fblk = spre = scur = 0.0
+    fpre = call(xpre)
+    fcur = call(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if signbit(fpre) == signbit(fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and signbit(fpre) != signbit(fcur):
+            xblk = xpre
+            fblk = fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:
+                    # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:
+                    # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = (
+                        -fcur * (fblk * dblk - fpre * dpre)
+                        / (dblk * dpre * (fblk - fpre))
+                    )
+            except ZeroDivisionError:
+                # C's division gives an infinite or NaN step here,
+                # which the test below turns into a bisection.
+                stry = math.inf
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                # good short step
+                spre = scur
+                scur = stry
+            else:
+                # bisect
+                spre = sbis
+                scur = sbis
+        else:
+            # bisect
+            spre = sbis
+            scur = sbis
+        xpre = xcur
+        fpre = fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = call(xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
 
 
 @dataclass(frozen=True)

@@ -59,6 +59,13 @@ def build_linear(task):
     return circuit
 
 
+def build_in_parent_only(task):
+    """:func:`build_linear`, refused inside a pool worker."""
+    if multiprocessing.parent_process() is not None:
+        raise RuntimeError("a pool worker rebuilt its circuit")
+    return build_linear(task)
+
+
 def build_rank1(task):
     """Rank-1 strategy: the Fig 1 startup netlist, one NonlinearVCCS."""
     gm_scale = float(task)
@@ -174,6 +181,24 @@ class TestShardMergeBitIdentity:
         )
         assert_bit_identical(reference, sharded)
         assert all(r.stats["shard_workers"] == 2 for r in sharded)
+
+    def test_forked_workers_run_the_parents_circuits(self):
+        """Forked shard workers inherit the circuits the parent built:
+        none builds its own, and the merge stays bit-identical."""
+        if multiprocessing.get_start_method() != "fork":
+            pytest.skip("only a forked worker inherits the parent's circuits")
+        _build, tasks, opt_kw, _strategy = FAMILIES["linear"]
+        options = TransientOptions(**opt_kw)
+        reference = run_transient_campaign(
+            tasks, build_linear, options, BatchOptions(batch_mode="vectorized")
+        )
+        sharded = run_transient_campaign(
+            tasks,
+            build_in_parent_only,
+            options,
+            BatchOptions(batch_mode="sharded", shard_size=2, max_workers=2),
+        )
+        assert_bit_identical(reference, sharded)
 
     def test_shard_size_invariance(self):
         """Any shard cut merges to the same bits as any other."""
@@ -346,10 +371,19 @@ class TestShardedFaults:
 
 
 def build_crash_in_pool(task):
-    """Sample 1 kills its pool worker outright; the parent builds fine."""
-    if task == 1 and multiprocessing.parent_process() is not None:
+    """Sample 1 is marked to kill the pool worker that steps it."""
+    circuit = build_linear(100.0 + 10.0 * task)
+    circuit.crash_in_pool = task == 1
+    return circuit
+
+
+def crash_in_pool(time, phase, circuit):
+    """Fail hook: a marked circuit kills its pool worker outright (a
+    forked worker runs the parent's circuits, so the crash comes at the
+    first step, not at the build); the parent runs it harmlessly."""
+    if circuit.crash_in_pool and multiprocessing.parent_process() is not None:
         os._exit(3)
-    return build_linear(100.0 + 10.0 * task)
+    return False
 
 
 class TestShardCrash:
@@ -358,11 +392,13 @@ class TestShardCrash:
         sample of the crashed shard, like a per-sample process crash,
         not as a raw BrokenProcessPool; no shared memory leaks."""
         before = shm_segments()
+        options = TransientOptions(t_stop=2e-6, dt=1e-8)
+        options.newton.fail_hook = crash_in_pool
         with pytest.raises(BatchTaskError) as excinfo:
             run_transient_campaign(
                 list(range(4)),
                 build_crash_in_pool,
-                TransientOptions(t_stop=2e-6, dt=1e-8),
+                options,
                 BatchOptions(batch_mode="sharded", shard_size=2, max_workers=2),
             )
         assert excinfo.value.index in (0, 1)

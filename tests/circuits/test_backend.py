@@ -47,7 +47,7 @@ from repro.circuits import (
     sine,
     solve_dc,
 )
-from repro.circuits.assembly import TransientAssembly
+from repro.circuits.assembly import TransientAssembly, _ReactiveSet
 from repro.circuits.backend import SPARSE_AUTO_THRESHOLD
 from repro.circuits.component import TripletSystem
 from repro.circuits.integration import resolve_method
@@ -325,6 +325,66 @@ def _backward_error(G, z, rhs):
     return residual / (norm_g * np.abs(z).max() + np.abs(rhs).max())
 
 
+#: Multistep and one-step setups of the dt-ladder tests: (method, order).
+FOLD_METHODS = [
+    ("trap", 2), ("be", 1), ("bdf2", 2), ("gear", 1), ("gear", 2), ("gear", 3),
+]
+
+#: Step sizes of one ladder run, in units of its base step: halved and
+#: doubled on the binary ladder the step controller walks.
+DT_LADDER = (1.0, 1.0, 0.5, 0.5, 0.5, 1.0, 2.0, 2.0, 1.0)
+
+
+def _tank_assembly(q, dt, method):
+    """A dense supply-loss tank assembly seeded at zero, as in the
+    ``supply_loss_q`` workload's linear step."""
+    tank = supply_loss_tank_circuit(F_TANK, 1000 * T_TANK, q=q)
+    assembly = TransientAssembly(tank, dt, method, 1e-12, backend="dense")
+    assembly.init_state(np.zeros(assembly.size))
+    return assembly
+
+
+def _gathered_commit(assembly, z, time):
+    """``(v', i', operands)`` of the commit of ``z`` by the gather
+    path (handed a copy, so not the pending product), then the state
+    restored and the product pending again.  ``operands`` is the
+    largest magnitude the cap update combines (``upd_g v'``, ``upd_g
+    v`` and ``upd_m i``, or ``gcol v'`` and the term) or an inductor's
+    ``i'``: a stiff step can leave ``i'`` far below it, where neither
+    path holds ``i'`` to 1e-14 of its own size."""
+    reactive = assembly.reactive
+    co = assembly._active.coeffs
+    snapshot, pending = assembly.snapshot_state(), reactive.pending
+    v0, i0 = reactive.v.copy(), reactive.i.copy()
+    assembly.commit(z.copy(), time)
+    v, i = reactive.v.copy(), reactive.i.copy()
+    assembly.restore_state(snapshot)
+    reactive.pending = pending
+    if co.gcol is None:
+        operands = (
+            np.abs(co.upd_g) * (np.abs(v) + np.abs(v0)) + abs(co.upd_m) * np.abs(i0)
+        )
+    else:
+        operands = np.abs(co.gcol * v) + np.abs(i - co.gcol * v)
+    nc = reactive.n_caps
+    operands[nc:] = np.abs(i[nc:])
+    return v, i, operands.max()
+
+
+def _commit_paths(monkeypatch):
+    """Record, per ``_ReactiveSet.commit`` call, whether it installs
+    the pending product of :meth:`_ReactiveSet.propagate`."""
+    paths = []
+    commit = _ReactiveSet.commit
+
+    def spy(self, co, x, time, freeze):
+        paths.append(self.pending is not None and x is self.pending[0])
+        commit(self, co, x, time, freeze)
+
+    monkeypatch.setattr(_ReactiveSet, "commit", spy)
+    return paths
+
+
 def _parallel_sources():
     """Two identical sine sources in parallel drive an RC: the dense
     base matrix is exactly singular."""
@@ -337,8 +397,9 @@ def _parallel_sources():
 
 
 class TestDensePropagator:
-    """A linear netlist on the dense backend steps by two small matrix
-    products per dt entry (``_ReactiveSet.propagator``)."""
+    """A linear netlist on the dense backend steps by one small matrix
+    product per step (``_ReactiveSet.propagator``), whose state rows
+    the step's commit installs."""
 
     @pytest.mark.parametrize("q", [5.0, 500.0])
     @pytest.mark.parametrize(
@@ -375,8 +436,165 @@ class TestDensePropagator:
             z = assembly.linear_solve(rhs_src)
             G, rhs_lin = assembly.assemble_dense(z, rhs_src, t + dt)
             worst = max(worst, _backward_error(G, z, rhs_lin))
-        assert assembly._active.prop
+        assert assembly._active.prop is not False
         assert worst <= 1e-15
+
+    @pytest.mark.parametrize("q", [5.0, 500.0])
+    @pytest.mark.parametrize("base_dt", [T_TANK / 272, T_TANK / 4, 8 * T_TANK])
+    @pytest.mark.parametrize("method, order", FOLD_METHODS)
+    def test_folded_step_on_a_dt_ladder(self, q, base_dt, method, order):
+        """The one product per step against scatter + solve, over
+        non-uniform histories: from a restarted and from a bootstrapped
+        ring, steps halved and doubled on the binary ladder.  Its
+        backward error stays at a solve's bound, and the state it
+        commits matches the gathered commit of the same ``z``."""
+        method = resolve_method(method, max_order=order)
+        assembly = _tank_assembly(q, base_dt, method)
+        reactive = assembly.reactive
+        rng = np.random.default_rng(11)
+        x0 = np.zeros(assembly.size)
+        worst = {"fold": 0.0, "solve": 0.0, "v": 0.0, "i": 0.0}
+        for start in ("restart", "bootstrap") * 5:
+            t = rng.uniform(0.0, 500 * T_TANK)
+            reactive.reseat(
+                rng.uniform(-1.0, 1.0, reactive.n),
+                0.05 * rng.uniform(-1.0, 1.0, reactive.n),
+                t,
+            )
+            if start == "bootstrap" and method.is_multistep:
+                assembly.set_method(method, bootstrap_dt=base_dt)
+            for scale in DT_LADDER:
+                dt = scale * base_dt
+                order_now = method.usable_order(order, assembly.history_points)
+                assembly.set_dt(dt, order=order_now)
+                rhs_src = assembly.step_rhs(t + dt, x0)
+                z = assembly.linear_solve(rhs_src)
+                G, rhs_lin = assembly.assemble_dense(z, rhs_src, t + dt)
+                worst["fold"] = max(worst["fold"], _backward_error(G, z, rhs_lin))
+                solved = assembly.lu().solve(rhs_lin)
+                worst["solve"] = max(
+                    worst["solve"], _backward_error(G, solved, rhs_lin)
+                )
+                v, i, operands = _gathered_commit(assembly, z, t + dt)
+                assembly.commit(z, t + dt)
+                assert reactive.pending is None
+                worst["v"] = max(
+                    worst["v"], np.abs(reactive.v - v).max() / np.abs(v).max()
+                )
+                worst["i"] = max(worst["i"], np.abs(reactive.i - i).max() / operands)
+                t += dt
+        if method.is_multistep:
+            assert assembly.order == order
+        assert worst["fold"] <= 1e-15
+        assert worst["solve"] <= 1e-15
+        assert worst["v"] <= 1e-14
+        assert worst["i"] <= 1e-14
+
+    @pytest.mark.parametrize("method", ["trap", "gear"])
+    def test_restore_drops_the_pending_product(self, method):
+        """A rejected candidate's ``restore_state``: the state goes
+        back, and a commit of the rejected ``z`` gathers from the
+        restored state instead of installing the product of the state
+        the candidate left."""
+        method = resolve_method(method, max_order=3)
+        dt = T_TANK / 40
+        assembly = _tank_assembly(47.2, dt, method)
+        x0 = np.zeros(assembly.size)
+        assembly.reactive.reseat(
+            np.array([0.3, -0.2, 0.1]), np.array([1e-3, 2e-3, -1e-3]), 0.0
+        )
+        if method.is_multistep:
+            assembly.set_method(method, bootstrap_dt=dt)
+        snapshot = assembly.snapshot_state()
+        z = assembly.linear_solve(assembly.step_rhs(dt, x0))
+        assembly.commit(z, dt)
+        z = assembly.linear_solve(assembly.step_rhs(2 * dt, z))
+        assembly.restore_state(snapshot)
+        assert assembly.reactive.pending is None
+        assembly.commit(z, 2 * dt)
+        v, i = assembly.reactive.v.copy(), assembly.reactive.i.copy()
+        assembly.restore_state(snapshot)
+        assembly.commit(z.copy(), 2 * dt)
+        assert np.array_equal(assembly.reactive.v, v)
+        assert np.array_equal(assembly.reactive.i, i)
+
+    def test_method_switch_drops_the_pending_product(self):
+        """The phase switch of ``carrier_then_settle`` (a bootstrapped
+        ``set_method``) and every other state or dt change drop the
+        pending product."""
+        dt = T_TANK / 40
+        assembly = _tank_assembly(47.2, dt, resolve_method("trap"))
+        reactive = assembly.reactive
+        x0 = np.zeros(assembly.size)
+        changes = [
+            lambda: assembly.set_method(
+                resolve_method("gear", max_order=3), bootstrap_dt=dt
+            ),
+            lambda: assembly.set_dt(dt / 2),
+            lambda: reactive.reseat(reactive.v, reactive.i, reactive.t_now),
+            lambda: reactive.bootstrap_history(dt),
+            lambda: assembly.init_state(x0),
+        ]
+        for change in changes:
+            method = assembly.method
+            order = method.usable_order(method.max_order, assembly.history_points)
+            assembly.set_dt(dt, order=order)
+            assembly.linear_solve(assembly.step_rhs(reactive.t_now + dt, x0))
+            assert reactive.pending is not None
+            change()
+            assert reactive.pending is None
+
+    def test_phased_run_commits_every_step_from_its_product(self, monkeypatch):
+        """A ``carrier_then_settle`` run on the tank: every accepted
+        half step, in both phases, installs its own product."""
+        paths = _commit_paths(monkeypatch)
+        t_fault = 8 * T_TANK
+        result = run_transient(
+            supply_loss_tank_circuit(F_TANK, t_fault, q=47.2),
+            TransientOptions(
+                t_stop=16 * T_TANK, dt=T_TANK / 40, step_control="adaptive",
+                use_dc_operating_point=False, backend="dense",
+                lte_reltol=1e-6, lte_abstol=1e-9,
+                phases=PhaseSchedule.carrier_then_settle(
+                    t_fault, carrier_dt=T_TANK / 40, settle_dt=T_TANK / 4,
+                    settle_method="gear", max_order=3,
+                ),
+            ),
+        )
+        assert result.stats["phase_switches"] == 1
+        assert result.stats["rejected_steps"] > 0
+        # Two half steps per accepted candidate, one per LTE-rejected.
+        stats = result.stats
+        assert len(paths) == 2 * stats["accepted_steps"] + stats["rejected_steps"]
+        assert all(paths)
+
+    @pytest.mark.parametrize("step_control", ["fixed", "adaptive"])
+    def test_rescued_step_gathers_its_commit(self, monkeypatch, step_control):
+        """A rescued step's solution is not a product the step made:
+        its commit gathers; every healthy step's installs the product."""
+        paths = _commit_paths(monkeypatch)
+        t_fail = 10 * T_TANK + 0.1 * T_TANK / 40
+
+        class FailUntilRescued:
+            rescued = False
+
+            def __call__(self, time, phase, circuit):
+                if phase == "rescue":
+                    self.rescued = True
+                    return False
+                return not self.rescued and time >= t_fail
+
+        options = TransientOptions(
+            t_stop=20 * T_TANK, dt=T_TANK / 40, step_control=step_control,
+            use_dc_operating_point=False, backend="dense",
+            dt_min=T_TANK / 320, rescue=True,
+        )
+        options.newton.fail_hook = FailUntilRescued()
+        tank = supply_loss_tank_circuit(F_TANK, 1000 * T_TANK, q=47.2)
+        result = run_transient(tank, options)
+        assert result.stats["rescues"] == 1
+        assert paths.count(False) == 1
+        assert len(paths) > 100
 
     @pytest.mark.parametrize("method", sorted(LINEAR_METHODS))
     def test_no_reactive_elements(self, method):

@@ -20,6 +20,7 @@ from repro.envelope import (
     small_signal_growth_rate,
     steady_state_amplitude,
 )
+from repro.envelope import dynamics
 from repro.errors import ConfigurationError, SimulationError
 
 
@@ -65,6 +66,47 @@ class TestSteadyState:
     def test_below_critical_gm_returns_zero(self, tank):
         weak = HardLimiter(gm=0.5 / tank.parallel_resistance, i_max=1e-3)
         assert steady_state_amplitude(tank, weak) == 0.0
+
+
+class TestBrentqPort:
+    """``steady_state_amplitude`` finds its root with a port of scipy's
+    ``brentq`` (so ``scipy.optimize`` stays unloaded): the same float,
+    and the same errors, as scipy."""
+
+    def test_bit_equal_to_scipy_on_generated_oscillators(self, monkeypatch):
+        optimize = pytest.importorskip("scipy.optimize")
+        rng = np.random.default_rng(2024)
+        pairs = []
+        for _ in range(240):
+            tank = RLCTank.from_frequency_and_q(
+                10 ** rng.uniform(5.5, 7.0), 10 ** rng.uniform(0.5, 3.0),
+                10 ** rng.uniform(-7.0, -5.0),
+            )
+            limiter_type = HardLimiter if rng.random() < 0.25 else TanhLimiter
+            limiter = limiter_type(
+                gm=(1.0 + 10 ** rng.uniform(-2.0, 1.5)) / tank.parallel_resistance,
+                i_max=10 ** rng.uniform(-4.0, -2.0),
+            )
+            pairs.append((tank, limiter))
+        ported = [steady_state_amplitude(tank, limiter) for tank, limiter in pairs]
+        monkeypatch.setattr(dynamics, "_brentq", optimize.brentq)
+        reference = [steady_state_amplitude(tank, limiter) for tank, limiter in pairs]
+        assert all(a > 0.0 for a in reference)
+        assert ported == reference
+
+    def test_errors_match_scipy(self):
+        optimize = pytest.importorskip("scipy.optimize")
+        cases = [
+            (lambda x: x * x + 1.0, -1.0, 1.0, {}),  # no sign change
+            (lambda x: math.nan if x > 0.5 else x - 0.75, 0.0, 1.0, {}),  # NaN
+            (lambda x: math.exp(x) - 3.0, -4.0, 4.0, {"maxiter": 2}),  # no convergence
+        ]
+        for f, a, b, kw in cases:
+            with pytest.raises(Exception) as expected:
+                optimize.brentq(f, a, b, xtol=1e-12, rtol=1e-10, **kw)
+            with pytest.raises(expected.type):
+                dynamics._brentq(f, a, b, xtol=1e-12, rtol=1e-10, **kw)
+        assert dynamics._brentq(lambda x: x - 0.25, 0.25, 1.0, 1e-12, 1e-10) == 0.25
 
 
 class TestSimulation:
