@@ -45,8 +45,9 @@
 #                   S = 1, 8, 32, 128 and 256 on the mc_lockstep netlist
 #                   (in-process, interleaved, process time), the fitted
 #                   fixed and per-sample-step costs, run_transient's
-#                   microseconds per step, and those of run_transient on
-#                   the supply-loss tank (linear, fixed grid) with trap,
+#                   microseconds per step on that netlist (rank-1) with
+#                   trap, be, bdf2 and gear-3, and those of run_transient
+#                   on the supply-loss tank (linear, fixed grid) with trap,
 #                   be, bdf2 and gear-3; then one adaptive phased tank run
 #                   (supply_loss_q's options, Q 47.2): microseconds per
 #                   accepted step in its trap carrier and its gear-3

@@ -8,7 +8,10 @@ Run from the repository root::
 Builds the ``mc_lockstep`` benchmark workload's mismatch draws (seed
 ``SEED``) and its fixed-grid trapezoidal options (``CYCLES`` carrier
 cycles of 40 steps), then times ``run_transient_batched`` on the first
-S draws for every S in ``SIZES`` and ``run_transient`` on draw 0.  The
+S draws for every S in ``SIZES`` and ``run_transient`` on draw 0, with
+trapezoidal (the lockstep runs' method) and also with backward Euler,
+BDF2 and third-order Gear, whose dt entries hold the multistep rank-1
+propagator.  The
 sizes run in-process and interleaved, one round after another, on
 ``time.process_time``; each size reports the minimum over ``REPEATS``
 rounds, so a slow moment on a shared host costs one round, not one
@@ -25,8 +28,9 @@ It prints microseconds per step for each size and the scalar engine,
 each also over the scalar engine's (a ratio that holds still while
 the host's speed drifts between runs), then a least-squares fit
 ``us_per_step = fixed + per_sample * S``: the lockstep engine's fixed
-cost per step and its cost per sample-step.  Last come the tank runs'
-microseconds per step, and the phased run's microseconds per accepted
+cost per step and its cost per sample-step.  Next come draw 0's
+``run_transient`` microseconds per step for each method, then the tank
+runs' microseconds per step, and the phased run's microseconds per accepted
 step in each phase.
 """
 
@@ -68,7 +72,8 @@ SEED = 1
 #: cycles per run (the drive stays on throughout).
 TANK_Q = 47.2
 TANK_CYCLES = 400
-#: Integration methods of the tank runs: label -> TransientOptions fields.
+#: Integration methods of the draw-0 and tank runs: label ->
+#: TransientOptions fields.
 TANK_METHODS = {
     "trap": {"method": "trap"},
     "be": {"method": "be"},
@@ -92,6 +97,12 @@ def main() -> None:
     runs = {f"S={S}": (lambda S=S: run_transient_batched(circuits[:S], options))
             for S in SIZES}
     runs["run_transient"] = lambda: run_transient(circuits[0], options)
+    for label, fields in TANK_METHODS.items():
+        if label != "trap":  # trap is the run_transient row
+            runs[f"fig16 {label}"] = (
+                lambda o=dataclasses.replace(options, **fields):
+                run_transient(circuits[0], o)
+            )
     tank = supply_loss_tank_circuit(F_SUPPLY, 2 * TANK_CYCLES * T_SUPPLY, q=TANK_Q)
     tank_steps = 40 * TANK_CYCLES
     for label, fields in TANK_METHODS.items():
@@ -141,6 +152,10 @@ def main() -> None:
     per_sample, fixed = np.polyfit(SIZES, [us[f"S={S}"] for S in SIZES], 1)
     print(f"fit: {fixed:.1f} us fixed per step + {per_sample:.3f} us per "
           "sample-step")
+    print(f"run_transient, draw 0 ({steps} fixed steps):")
+    for label in TANK_METHODS:
+        name = "run_transient" if label == "trap" else f"fig16 {label}"
+        print(f"{label:>16}  {us[name]:8.1f} us/step")
     print(f"run_transient, supply-loss tank (Q {TANK_Q}, {tank_steps} fixed "
           "steps):")
     for label in TANK_METHODS:

@@ -52,7 +52,9 @@ the system exactly as often as it can change:
   commit installs the product's state rows.  Multistep methods feed
   it their companion term as a vector, the ring's weighted
   contraction, since its weights change with the step pattern; the
-  sparse and Krylov backends keep scatter + solve;
+  sparse and Krylov backends keep scatter + solve.  The rank-1 case
+  below shares the propagator, and the lockstep assembly builds its
+  ``(S, r, k)`` stack from the same method;
 * **once per Newton iteration** — only the nonlinear (or split-
   incapable) components, restamped onto copies of the cached parts.
 
@@ -62,7 +64,14 @@ controlled.NonlinearVCCS`, the Jacobian is the cached base matrix plus
 a rank-1 update ``gm * u v^T`` with constant ``u, v``, so each Newton
 solve collapses to a Sherman–Morrison update around one cached
 factorization — no matrix assembly or LAPACK factorization at all in
-the inner loop.
+the inner loop.  With a propagator this is EMTP's compensation split
+(Dommel, IEEE Trans. PAS-90, 1971): the linear network's step
+``z_lin`` is the propagator's product, the nonlinear branch a
+correction along one column ``wout = src u`` (:meth:`TransientAssembly.
+rank1_data`), and a Newton step that ends on the line ``z_lin - c w``
+ends at ``out - c wout``, whose state rows the commit installs
+(:meth:`_ReactiveSet.slide`).  A step that ends off the line — damped,
+through the dense fallback, or rescued — gathers its commit.
 """
 
 from __future__ import annotations
@@ -438,6 +447,10 @@ class _ReactiveSet:
         self._at_caps = axis + (slice(None, nc),)
         self._at_inds = axis + (slice(nc, None),)
         self._at_x = axis + (slice(None, size),)
+        # The state rows of a propagator's product ``[z; v'; i']``.
+        self._at_out_v = axis + (slice(size, size + n),)
+        self._at_out_i = axis + (slice(size + n, None),)
+        self._stacked = bool(lead)
         #: Padded iterate: the trailing slot stays 0.0 so ground
         #: indices gather zero.
         self._xp = np.zeros(lead + (size + 1,))
@@ -476,8 +489,9 @@ class _ReactiveSet:
             self.scatter = None
 
         #: Where row 0 of the history ring, ``[fv; fd]``, sits in a
-        #: row's ``[v; i]`` (cap value ``v``, inductor value ``i``).
-        j = np.arange(n)
+        #: product's ``[z; v'; i']`` (cap value ``v``, inductor value
+        #: ``i``).
+        j = size + np.arange(n)
         self._ring_order = np.concatenate(
             (j[:nc], n + j[nc:], n + j[:nc], j[nc:])
         ).reshape(2, n)
@@ -497,15 +511,10 @@ class _ReactiveSet:
         # trapezoidal history bootstrap) and costs one small copy per
         # commit.
         self.ring = _HistoryRing(self.values.shape)
-        #: Single-slot companion-term memo: within one candidate step
-        #: the identical term is needed by the step RHS *and* the
-        #: commit.  ``(dt, order, t_now, fill)`` pins the state —
-        #: ``t_now`` strictly advances on every commit, and a restored
-        #: snapshot restores exactly the state the memo was computed
-        #: from.
-        self._cterm: Optional[tuple] = None
-        #: ``(z, out)`` of the last :meth:`propagate`, until
-        #: :meth:`commit` consumes it or a state change drops it.
+        #: ``(z, out, off)`` of the last :meth:`propagate` (moved by
+        #: :meth:`slide`), until :meth:`commit` consumes it or a state
+        #: change drops it; ``off`` masks the stack rows whose step
+        #: ended off the product, or is None.
         self.pending: Optional[tuple] = None
 
     # -- multistep history ------------------------------------------------
@@ -574,15 +583,13 @@ class _ReactiveSet:
             return 0
         self.ring.set_current(self.v, self.i, self.n_caps)
         filled = self.ring.bootstrap(dt, self.ring.fd[0] / self.values)
-        self._cterm = None
         self.pending = None
         return filled
 
     def clear_weights(self) -> None:
-        """Drop the memoized step weights and companion term (a method
-        switch on a live run)."""
+        """Drop the memoized step weights (a method switch on a live
+        run)."""
         self.ring.clear_weights()
-        self._cterm = None
         self.pending = None
 
     # -- coefficients -------------------------------------------------------
@@ -649,7 +656,6 @@ class _ReactiveSet:
         self.ring.restart()
         if self.ring.depth:
             self.ring.set_current(v, i, self.n_caps)
-        self._cterm = None
         self.pending = None
 
     def step_weights(self, co: _ReactiveCoeffs) -> tuple:
@@ -659,27 +665,9 @@ class _ReactiveSet:
 
     def _companion_term(self, co: _ReactiveCoeffs) -> np.ndarray:
         """Per-element multistep companion term (cap ``ieq`` / inductor
-        branch RHS), from the method's history weights.
-
-        Single-slot memoized: the step RHS and the commit of the same
-        candidate evaluate the identical term (the solve in between
-        never touches integrator state), and callers treat the
-        returned vector as read-only.
-        """
+        branch RHS): the ring's weighted contraction."""
         ring = self.ring
-        memo = self._cterm
-        if (
-            memo is not None
-            and memo[0] == co.dt
-            and memo[1] == co.order
-            and memo[2] == ring.t_now
-            and memo[3] == ring.fill
-        ):
-            return memo[4]
-        wv, wd = self.step_weights(co)
-        term = ring.companion_term(wv, wd, co.gcol)
-        self._cterm = (co.dt, co.order, ring.t_now, ring.fill, term)
-        return term
+        return ring.companion_term(*ring.step_weights(co), co.gcol)
 
     def companion_rhs(self, co: _ReactiveCoeffs) -> np.ndarray:
         """The companion RHS of the current state: a fresh ``(size,)``
@@ -700,14 +688,14 @@ class _ReactiveSet:
             return np.ascontiguousarray(self.scatter_csr.dot(term.T).T)
         return term @ self.scatter.T
 
-    # -- dense propagator (one netlist, below the sparse scatter) -------------
+    # -- dense propagator (below the sparse scatter) --------------------------
 
     def propagator(self, co: _ReactiveCoeffs, inv: np.ndarray) -> np.ndarray:
-        """The linear step of one row set against the base matrix's
-        inverse ``inv``, as one matrix that maps the step's inputs
-        straight to ``out = [z; v'; i']``: the step solution ``z = inv
-        (scatter term + b)``, ``b`` being every other RHS stamp, and the
-        state :meth:`commit` installs for it.
+        """The linear step against the base matrix's inverse ``inv``,
+        as one matrix that maps the step's inputs straight to ``out =
+        [z; v'; i']``: the step solution ``z = inv (scatter term + b)``,
+        ``b`` being every other RHS stamp, and the state :meth:`commit`
+        installs for it.
 
         For a one-step method the inputs are ``[v; i; b]``: the
         companion term ``alpha v + beta i`` and the cap update ``i' =
@@ -722,8 +710,15 @@ class _ReactiveSet:
         and the sources, as a solve would; the term itself is not
         folded into per-pattern matrices, since summing the history
         rows after the inverse (not before) lost up to 4x in backward
-        error on stiff Gear entries.  :meth:`commit` installs the state
-        rows only for the very ``z`` array :meth:`propagate` returned.
+        error on stiff Gear entries.  The last ``size`` columns, ``src
+        = [inv; gather inv; x_to_i inv]``, map any RHS vector to its
+        solution and that solution's state part, so ``src u`` is the
+        rank-1 step's Sherman–Morrison column
+        (:meth:`TransientAssembly.rank1_data`).
+
+        Shape-generic: a stack's ``(S, size, size)`` inverse and
+        ``(S, m)`` coefficients give one ``(S, r, k)`` matrix per
+        sample, through the same broadcast products.
         """
         m, size, nc = self.n, self.size, self.n_caps
         if not m:
@@ -736,43 +731,93 @@ class _ReactiveSet:
         caps = np.zeros(m)
         caps[:nc] = 1.0
         cap_gain = co.upd_g if co.gcol is None else co.gcol * caps
-        x_to_i = cap_gain[:, None] * gather
-        x_to_i[rows[nc:], self.br_idx] = 1.0
+        x_to_i = cap_gain[..., None] * gather
+        x_to_i[..., rows[nc:], self.br_idx] = 1.0
         # out = src b + term_map term (+ the one-step cap update).
-        src = np.vstack((inv, gather.dot(inv), x_to_i.dot(inv)))
-        term_map = src.dot(self.scatter)
+        src = np.concatenate((inv, gather @ inv, x_to_i @ inv), axis=-2)
+        term_map = src @ self.scatter
+        # The state rows' own diagonal: i' from the term or the state.
+        diag = (..., size + m + rows, rows)
         if co.gcol is not None:
-            term_map[size + m :] += np.diag(caps)
-            return np.hstack((term_map, src))
-        v_map = term_map * co.alpha
-        v_map[size + m :] -= np.diag(co.upd_g)
-        i_map = term_map * co.beta
-        i_map[size + m :] -= np.diag(co.upd_m * caps)
-        return np.hstack((v_map, i_map, src))
+            term_map[diag] += caps
+            return np.concatenate((term_map, src), axis=-1)
+        v_map = term_map * co.alpha[..., None, :]
+        v_map[diag] -= co.upd_g
+        i_map = term_map * co.beta[..., None, :]
+        i_map[diag] -= co.upd_m * caps
+        return np.concatenate((v_map, i_map, src), axis=-1)
 
     def propagate(
         self, co: _ReactiveCoeffs, prop: np.ndarray, b: np.ndarray
     ) -> np.ndarray:
         """The step solution ``z`` for the sources ``b``: one product
-        with the propagator ``prop`` (see :meth:`propagator`).
+        with the propagator ``prop`` (see :meth:`propagator`), per
+        stack row on a stack.
 
         The whole product ``[z; v'; i']`` stays pending for
         :meth:`commit`, which installs its state rows when it is handed
-        this very ``z``; a restore, a reseat, a bootstrap, a method
-        switch, a dt change (:meth:`TransientAssembly.set_dt`) or the
-        commit itself drops it.
+        this very ``z`` (or the one :meth:`slide` moved it to); a
+        restore, a reseat, a bootstrap, a method switch, a dt change
+        (:meth:`TransientAssembly.set_dt`) or the commit itself drops
+        it.
         """
         if not self.n:
-            return prop.dot(b)
-        if co.gcol is None:
-            out = prop.dot(np.concatenate((self.v, self.i, b)))
+            inputs = b
+        elif co.gcol is None:
+            inputs = np.concatenate((self.v, self.i, b), axis=-1)
         else:
-            ring = self.ring
-            term = ring.companion_term(*ring.step_weights(co), co.gcol)
-            out = prop.dot(np.concatenate((term, b)))
-        z = out[: self.size]
-        self.pending = (z, out)
+            inputs = np.concatenate((self._companion_term(co), b), axis=-1)
+        if self._stacked:
+            out = np.matmul(prop, inputs[..., np.newaxis])[..., 0]
+        else:
+            out = prop.dot(inputs)
+        z = out[self._at_x]
+        self.pending = (z, out, None)
         return z
+
+    def slide(
+        self,
+        c,
+        wout: np.ndarray,
+        x: Optional[np.ndarray] = None,
+        line: Optional[np.ndarray] = None,
+    ) -> np.ndarray:
+        """The rank-1 step's solution ``z - c w`` on the line through
+        the pending product, and the state it commits: ``out - c wout``
+        (``wout = src u``, see :meth:`propagator`), pending in place of
+        the product.  ``c`` is a float, or a stack's ``(S, 1)`` column.
+
+        On a stack, ``line`` masks the rows whose step ended on the
+        line; every other row takes its row of ``x`` and gathers its
+        commit, as its own netlist's run would.
+        """
+        _z, out, _off = self.pending
+        out = out - c * wout
+        z = out[self._at_x]
+        off = None
+        if line is not None and np.count_nonzero(line) < line.size:
+            off = ~line
+            z[off] = x[off]
+        self.pending = (z, out, off)
+        return z
+
+    def _gathered(self, co: _ReactiveCoeffs, x: np.ndarray) -> tuple:
+        """``(v', i')`` of the commit of ``x`` by the companion
+        formulas: the terminal voltages, and the integration formula's
+        derivative state."""
+        v_new = self._terminal_v(x)
+        if co.gcol is None:
+            i_new = co.upd_g * (v_new - self.v)
+            if co.upd_m:
+                i_new -= self.i
+        else:
+            # Derivative state from the integration formula itself:
+            # i_{n+1} = geq*v_{n+1} + ieq (cap slots; inductor slots
+            # are overwritten from the branch currents below).
+            i_new = co.gcol * v_new + self._companion_term(co)
+        if len(self.inds):
+            i_new[self._at_inds] = x[self._at_br]
+        return v_new, i_new
 
     def commit(
         self,
@@ -783,15 +828,17 @@ class _ReactiveSet:
     ) -> None:
         """Advance the integrator state after a converged step.
 
-        Handed the very array :meth:`propagate` returned (``x is z``,
-        and nothing has dropped the product since), the state is the
-        product's pending rows ``[v'; i']``: identity, not equality,
-        is the contract, so a caller that changes ``z`` in place before
-        the commit must commit a copy.  Every other ``x`` — a rescued
-        step, a commit after a restored snapshot or a method switch,
-        any step of the sparse backend or of a stack — gathers the
-        terminal voltages and applies the companion formulas; the two
-        agree to rounding.
+        Handed the very array :meth:`propagate` or :meth:`slide`
+        returned (``x is z``, and nothing has dropped the product
+        since), the state is the product's pending rows ``[v'; i']``:
+        identity, not equality, is the contract, so a caller that
+        changes ``z`` in place before the commit must commit a copy.
+        Every other ``x`` — a step that ended off the rank-1 line, a
+        rescued step, a commit after a restored snapshot or a method
+        switch, any step of the sparse backend — gathers the terminal
+        voltages and applies the companion formulas (:meth:`_gathered`);
+        the two agree to rounding.  So do the stack rows the pending
+        product marks ``off``.
 
         ``freeze`` is a stack's boolean ``(S,)`` mask of the samples
         sitting this step out, or ``None``: their ``v`` and ``i`` stay
@@ -804,36 +851,31 @@ class _ReactiveSet:
         if not self.n:
             self.ring.t_now = time
             return
-        state = None
         if pending is not None and x is pending[0]:
-            state = pending[1][self.size :]
-            v_new, i_new = state[: self.n], state[self.n :]
+            _z, out, off = pending
+            v_new, i_new = out[self._at_out_v], out[self._at_out_i]
+            if off is not None:
+                v_off, i_off = self._gathered(co, x)
+                v_new[off] = v_off[off]
+                i_new[off] = i_off[off]
         else:
-            v_new = self._terminal_v(x)
-            if co.gcol is None:
-                i_new = co.upd_g * (v_new - self.v)
-                if co.upd_m:
-                    i_new -= self.i
-            else:
-                # Derivative state from the integration formula itself:
-                # i_{n+1} = geq*v_{n+1} + ieq (cap slots; inductor slots
-                # are overwritten from the branch currents below).
-                i_new = co.gcol * v_new + self._companion_term(co)
-            if len(self.inds):
-                i_new[self._at_inds] = x[self._at_br]
-            if freeze is not None:
-                v_new[freeze] = self.v[freeze]
-                i_new[freeze] = self.i[freeze]
+            out = None
+            v_new, i_new = self._gathered(co, x)
+        if freeze is not None:
+            v_new[freeze] = self.v[freeze]
+            i_new[freeze] = self.i[freeze]
         ring = self.ring
         ring.push()
         self.v = v_new
         self.i = i_new
         if ring.depth:
-            if state is None:
+            if out is None:
                 ring.set_current(v_new, i_new, self.n_caps)
+            elif self._stacked:
+                ring.rows[:, 0] = np.moveaxis(out[:, self._ring_order], 1, 0)
             else:
                 # Row 0 gathered straight from the product's [v'; i'].
-                ring.rows[:, 0] = state[self._ring_order]
+                ring.rows[:, 0] = out[self._ring_order]
         ring.t_now = time
 
     # -- whole-state access ---------------------------------------------------
@@ -862,7 +904,6 @@ class _ReactiveSet:
         ring.t_now = time
         if ring.depth:
             ring.set_current(v, i, self.n_caps)
-        self._cterm = None
         self.pending = None
 
     def state_faults(self, x: np.ndarray) -> tuple:
@@ -968,14 +1009,14 @@ class _DtEntry:
         self.G_base = G_base
         self.coeffs = coeffs
         self.lu = None  # lazy backend factorization
-        self.rank1: Optional[tuple] = None  # lazy (w, vw, w_vmax)
+        self.rank1: Optional[tuple] = None  # lazy (w, vw, w_vmax, wout)
         #: Sparse general-Newton data: (pattern_version, W = G_base^-1 U)
         #: for the nonlinear components' touched-row selector U (lazy).
         self.delta: Optional[tuple] = None
-        #: Dense linear-step propagator: ``None`` until the first step
-        #: builds it, then :meth:`_ReactiveSet.propagator`'s matrix, or
-        #: ``False`` where there is none (not a dense linear run, or no
-        #: finite inverse).
+        #: Dense step propagator: ``None`` until the first step builds
+        #: it, then :meth:`_ReactiveSet.propagator`'s matrix, or
+        #: ``False`` where there is none (not a dense ``linear`` or
+        #: ``rank1`` run, or no finite inverse).
         self.prop = None if propagates else False
 
 
@@ -1000,6 +1041,7 @@ class TransientAssembly:
         gmin: float,
         max_dt_entries: int = DT_CACHE_SIZE,
         backend: Union[str, MatrixBackend, None] = "auto",
+        jacobian: str = "auto",
     ):
         circuit.prepare()
         self.circuit = circuit
@@ -1012,6 +1054,13 @@ class TransientAssembly:
 
         split, full = circuit.partition_components()
         self.full: List[Component] = full
+        #: Whether dt entries build a propagator: the dense backend's
+        #: ``linear`` and ``rank1`` strategies (``jacobian="full"``
+        #: takes ``general`` Newton, which restamps instead).
+        self.propagates = self.backend.is_dense and (
+            self.is_linear
+            or (jacobian == "auto" and self.rank1_device() is not None)
+        )
 
         # Type-exact R, C and L are read once into arrays: they stamp
         # the static stream from them, and plain reactive elements get
@@ -1110,7 +1159,7 @@ class TransientAssembly:
             dt,
             G,
             self.reactive.coeffs(dt, self.method, order),
-            self.is_linear and self.backend.is_dense,
+            self.propagates,
         )
 
     def set_dt(
@@ -1273,20 +1322,29 @@ class TransientAssembly:
             v[cn] -= 1.0
         return u, v
 
-    def rank1_data(self) -> Tuple[np.ndarray, float, float]:
-        """``(w, vw, w_vmax)`` of the Sherman–Morrison fast path for
-        the active step size: ``w = G_base^-1 u``, its control-space
-        projection, and the largest node-voltage magnitude of ``w``."""
+    def rank1_data(self) -> Tuple[np.ndarray, float, float, Optional[np.ndarray]]:
+        """``(w, vw, w_vmax, wout)`` of the Sherman–Morrison fast path
+        for the active step size: ``w = G_base^-1 u``, its control-space
+        projection, the largest node-voltage magnitude of ``w``, and,
+        where the entry has a propagator, ``wout = src u = [w; gather
+        w; x_to_i w]`` (:meth:`_ReactiveSet.propagator`), whose first
+        rows ``w`` views; ``None`` elsewhere."""
         entry = self._active
         if entry.rank1 is None:
             device = self.rank1_device()
             op, on, cp, cn = device._n
             u, _v = self.rank1_vectors()
-            w = self.lu().solve(u)
+            prop = self._propagator()
+            if prop is False:
+                wout = None
+                w = self.lu().solve(u)
+            else:
+                wout = prop[:, -self.size :].dot(u)
+                w = wout[: self.size]
             vw = (w[cp] if cp >= 0 else 0.0) - (w[cn] if cn >= 0 else 0.0)
             w_v = w[: self.n_nodes]
             w_vmax = float(np.abs(w_v).max()) if w_v.size else 0.0
-            entry.rank1 = (w, float(vw), w_vmax)
+            entry.rank1 = (w, float(vw), w_vmax, wout)
         return entry.rank1
 
     # -- adaptive-step state management --------------------------------------
@@ -1370,10 +1428,12 @@ class TransientAssembly:
         return rhs
 
     def linear_solve(self, rhs_lin: np.ndarray) -> np.ndarray:
-        """The step solution of a linear netlist for :meth:`step_rhs`'s
-        right-hand side: one product with the active propagator, which
+        """The step solution of the linear part for :meth:`step_rhs`'s
+        right-hand side (the whole step of a linear netlist, a rank-1
+        step's ``z_lin``): one product with the active propagator, which
         also yields the state :meth:`commit` installs for this very
-        array, or a solve against the cached factorization where there
+        array (or for the point :meth:`_ReactiveSet.slide` moves it
+        to), or a solve against the cached factorization where there
         is none."""
         prop = self._active.prop
         if prop is None:
@@ -1384,24 +1444,13 @@ class TransientAssembly:
 
     # -- once per Newton iteration --------------------------------------------
 
-    def assemble(
-        self,
-        x: np.ndarray,
-        rhs_lin: np.ndarray,
-        time: float,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Full system at iterate ``x``: cached copies + full stamps."""
-        G = self.G_base.copy()
-        rhs = rhs_lin.copy()
-        if self.full:
-            ctx = self._ctx
-            self._scratch.G = G
-            self._scratch.rhs = rhs
-            ctx.x = x
-            ctx.time = time
-            for component in self.full:
-                component.stamp(ctx)
-        return G, rhs
+    def full_rhs(self, rhs_lin: np.ndarray) -> np.ndarray:
+        """:meth:`step_rhs`'s right-hand side with the companion part a
+        propagated step leaves out added back (``rhs_lin`` itself where
+        the entry has no propagator)."""
+        if self._propagator() is False:
+            return rhs_lin
+        return rhs_lin + self.reactive.companion_rhs(self._active.coeffs)
 
     def assemble_dense(
         self,
@@ -1413,18 +1462,28 @@ class TransientAssembly:
         """Fully-stamped *dense* ``(G, rhs)`` at iterate ``x``, on any
         backend, with an optional extra node-to-ground conductance.
 
-        This is the rescue ladder's system builder: a per-step gmin
+        On the dense backend this is the full Newton system (copies of
+        the cached parts, restamped by the full-stamp components).  The
+        rescue ladder builds its systems here too: a per-step gmin
         ramp needs the Jacobian with ``extra_gmin`` added on every
         node's diagonal, and a residual-continuation stage needs the
         raw ``(G, rhs)`` pair to offset.  Rescue only runs after a
         Newton failure, so materializing the sparse base as dense here
-        is fine — this is never the healthy hot path.  A propagated
-        step's ``rhs_lin`` gets its companion part back here.
+        is fine.  A propagated step's ``rhs_lin`` gets its companion
+        part back here.
         """
-        if self._propagator() is not False:
-            rhs_lin = rhs_lin + self.reactive.companion_rhs(self._active.coeffs)
+        rhs_lin = self.full_rhs(rhs_lin)
         if self.backend.is_dense:
-            G, rhs = self.assemble(x, rhs_lin, time)
+            G = self.G_base.copy()
+            rhs = rhs_lin.copy()
+            if self.full:
+                ctx = self._ctx
+                self._scratch.G = G
+                self._scratch.rhs = rhs
+                ctx.x = x
+                ctx.time = time
+                for component in self.full:
+                    component.stamp(ctx)
         else:
             tri = self._record_full(x, time)
             G = self._dense_with(tri)
@@ -1489,7 +1548,7 @@ class TransientAssembly:
     ) -> np.ndarray:
         """Solve the fully-stamped system against the base solver.
 
-        The sparse and Krylov backends' replacement for ``assemble`` +
+        The sparse and Krylov backends' replacement for ``assemble_dense`` +
         dense solve: the nonlinear (or split-incapable) components' stamps
         are recorded as a tiny triplet stream, viewed as the low-rank
         update ``G = G_base + U M V^T`` — ``U``/``V`` select the

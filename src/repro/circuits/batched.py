@@ -13,8 +13,10 @@ become arrays ``G_base[S, n, n]`` / ``rhs[S, n]`` and **one** lockstep
 time loop advances every sample together,
 
 * batched linear algebra — ``numpy.linalg.inv`` on the ``(S, n, n)``
-  stack once per step size, then every step's solve is one batched
-  mat-vec (the ``linear`` strategy's cached-LU path, S-wide);
+  stack once per step size, turned into the per-sample engine's
+  propagator stacked ``(S, r, k)`` (one method builds both), so every
+  step's linear part is one batched product whose state rows the
+  commit installs (the ``linear`` strategy's propagated path, S-wide);
 * the per-sample engine's rank-1 Sherman–Morrison Newton fast path
   for the one nonlinear device, vectorized across the sample axis: a
   healthy path on full ``(S,)`` arrays while no sample is frozen and
@@ -29,8 +31,10 @@ time loop advances every sample together,
   or a crossed breakpoint, where the predictor restarts;
 * vectorized companion-state updates: capacitor/inductor integrator
   state lives in the per-sample engine's own companion-state class,
-  stacked to ``(S, m)`` rows, and one gather/scatter advances all
-  samples;
+  stacked to ``(S, m)`` rows; a sample whose step ended on the
+  propagator's product (or, rank-1, on its Sherman–Morrison line)
+  commits the product's rows, as its own run would, and the others
+  one stacked gather;
 * device linearization across samples in one call when the nonlinear
   device declares a *batchable characteristic family*
   (``NonlinearVCCS.vector_pair`` — e.g. every Monte-Carlo instance of
@@ -87,7 +91,7 @@ from .health import (
     nonfinite_sample_rows,
 )
 from .integration import IntegrationMethod, resolve_method
-from .linsolve import NewtonPredictor, solve_dense
+from .linsolve import NewtonPredictor, lu_factor_for, solve_dense
 from .netlist import Circuit
 from .preflight import apply_preflight
 from .sources import CurrentSource, VoltageSource
@@ -521,10 +525,11 @@ class _DeviceColumn:
 
 class _BatchedDtEntry:
     """Everything cached for one quantized step size, stacked:
-    ``G_base`` is the frozen ``(S, n, n)`` stack and ``inv`` its
-    batched inverse."""
+    ``G_base`` is the frozen ``(S, n, n)`` stack, ``inv`` its
+    batched inverse and ``prop`` the stack's propagator (built on the
+    first step; ``False`` where the per-sample engine has none)."""
 
-    __slots__ = ("dt", "G_base", "coeffs", "inv", "rank1", "cond")
+    __slots__ = ("dt", "G_base", "coeffs", "inv", "rank1", "cond", "prop")
 
     def __init__(
         self,
@@ -537,8 +542,10 @@ class _BatchedDtEntry:
         self.coeffs = coeffs  # the stacked _ReactiveSet's, (S, m) rows
         self.G_base = G_base  # (S, n, n), frozen
         self.inv = inv  # (S, n, n)
-        self.rank1: Optional[tuple] = None  # lazy (w[S,n], vw[S], w_vmax[S])
+        # lazy (w[S,n], vw[S], w_vmax[S], wout[S,r] or None)
+        self.rank1: Optional[tuple] = None
         self.cond: Optional[np.ndarray] = None  # lazy (S,) condition estimates
+        self.prop = None
 
 
 class BatchedTransientAssembly:
@@ -626,6 +633,10 @@ class BatchedTransientAssembly:
         for plain in self.plains[1:]:
             plain.share_layouts(self.plains[0])
         self.reactive = _ReactiveSet(self.plains, self.size)
+        #: Whether dt entries build a propagator: where the per-sample
+        #: engine's factorization is an explicit inverse too, so each
+        #: sample steps by its own run's formula.
+        self.propagates = lu_factor_for(self.size) is None
         if self.method.is_multistep:
             self.reactive.enable_history(
                 self.method.history_depth(self.method.max_order)
@@ -723,6 +734,7 @@ class BatchedTransientAssembly:
         # Method-object key, matching the per-sample assembly.
         key = (float(dt), self.method, self._order)
         self._active = self._cache.get(key, ephemeral=ephemeral)
+        self.reactive.pending = None
 
     @property
     def order(self) -> int:
@@ -746,15 +758,37 @@ class BatchedTransientAssembly:
     def n_dt_entries(self) -> int:
         return len(self._cache)
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Base solve of a stacked ``(S, n)`` RHS: one batched mat-vec
-        against the cached inverses.
+    def _propagator(self):
+        """The active entry's propagator (:meth:`~repro.circuits.
+        assembly._ReactiveSet.propagator` of the stacked inverse), built
+        on first use, or ``False``."""
+        entry = self._active
+        if entry.prop is None:
+            entry.prop = (
+                self.reactive.propagator(entry.coeffs, entry.inv)
+                if self.propagates and np.isfinite(entry.inv).all()
+                else False
+            )
+        return entry.prop
 
-        Mirrors the per-sample :class:`~repro.circuits.linsolve.
-        ReusableLU` small-system strategy (explicit inverse, one
-        LAPACK call for the whole stack), built eagerly with the entry.
+    def linear_solve(self, rhs: np.ndarray) -> np.ndarray:
+        """Solution of the linear part for a stacked ``(S, n)``
+        :meth:`step_rhs`: one batched product with the propagator,
+        whose state rows the commit installs, as the per-sample
+        :meth:`~repro.circuits.assembly.TransientAssembly.linear_solve`
+        does, or one batched mat-vec against the cached inverses.
         """
+        prop = self._propagator()
+        if prop is not False:
+            return self.reactive.propagate(self._active.coeffs, prop, rhs)
         return _bsolve(self._active.inv, rhs)
+
+    def full_rhs(self, rhs_lin: np.ndarray) -> np.ndarray:
+        """``rhs_lin`` with the companion part a propagated step leaves
+        out added back (fallbacks and certification only)."""
+        if self._propagator() is False:
+            return rhs_lin
+        return rhs_lin + self.reactive.companion_rhs(self._active.coeffs)
 
     def base_dense(self, s: int) -> np.ndarray:
         """Sample ``s``'s base matrix (fallbacks only)."""
@@ -786,6 +820,7 @@ class BatchedTransientAssembly:
         applies to.  Pure recomputation at the committed iterate.
         """
         G = self._active.G_base
+        rhs_lin = self.full_rhs(rhs_lin)
         gx = np.matmul(G, x[..., None])[..., 0]
         norm_g = np.abs(G).sum(axis=-1).max(axis=-1)
         r = gx - rhs_lin
@@ -800,17 +835,27 @@ class BatchedTransientAssembly:
         )
         return res, norm_g, np.maximum(scale, 1e-30)
 
-    def rank1_data(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Stacked Sherman–Morrison data ``(w[S,n], vw[S], w_vmax[S])``."""
+    def rank1_data(
+        self,
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, Optional[np.ndarray]]:
+        """Stacked Sherman–Morrison data ``(w[S,n], vw[S], w_vmax[S],
+        wout)``, ``wout`` the per-sample ``src u`` columns of the
+        propagator (``w`` viewing their first rows) or ``None``."""
         entry = self._active
         if entry.rank1 is None:
-            w = np.matmul(entry.inv, self.u)[..., 0]  # (S, n)
+            prop = self._propagator()
+            if prop is False:
+                wout = None
+                w = np.matmul(entry.inv, self.u)[..., 0]  # (S, n)
+            else:
+                wout = np.matmul(prop[..., -self.size :], self.u)[..., 0]
+                w = wout[:, : self.size]
             vw = self.device.project(w)
             w_v = w[:, : self.n_nodes]
             w_vmax = (
                 np.abs(w_v).max(axis=1) if w_v.shape[1] else np.zeros(len(w))
             )
-            entry.rank1 = (w, vw, w_vmax)
+            entry.rank1 = (w, vw, w_vmax, wout)
         return entry.rank1
 
     # -- state ----------------------------------------------------------------
@@ -832,8 +877,13 @@ class BatchedTransientAssembly:
 
         ``x`` (the per-sample assembly's iterate argument) is unused:
         the stacked stamp vocabulary has no iterate-dependent RHS.
+        With a propagator the companion part is left out, as in the
+        per-sample engine: :meth:`linear_solve` applies it to the state.
         """
-        rhs = self.reactive.companion_rhs(self._active.coeffs)
+        if self._propagator() is not False:
+            rhs = np.zeros((self.n_samples, self.size))
+        else:
+            rhs = self.reactive.companion_rhs(self._active.coeffs)
         for source in self.sources:
             source.add_rhs(rhs, time)
         return rhs
@@ -1029,7 +1079,7 @@ class _BatchedStepSolver:
         self,
         s: int,
         x: np.ndarray,
-        rhs_lin: np.ndarray,
+        rhs: np.ndarray,
         gm: float,
         ieq: float,
     ) -> Tuple[np.ndarray, float]:
@@ -1037,13 +1087,14 @@ class _BatchedStepSolver:
 
         Mirrors the per-sample engine's singular-denominator escape:
         assemble the full Jacobian for this sample at its current
-        linearization and take one damped dense-solve step.
+        linearization and take one damped dense-solve step.  ``rhs``
+        is the step's full stacked right-hand side
+        (:meth:`BatchedTransientAssembly.full_rhs`).
         """
         asm = self.assembly
         self.fallback_solves[s] += 1
         G = asm.base_dense(s) + asm.u @ (gm * asm.v.T)
-        rhs = rhs_lin[s] - asm.u[:, 0] * ieq
-        x_new = solve_dense(G, rhs)
+        x_new = solve_dense(G, rhs[s] - asm.u[:, 0] * ieq)
         delta = x_new - x[s]
         v_delta = delta[: self.n_nodes]
         max_delta = float(np.abs(v_delta).max()) if v_delta.size else 0.0
@@ -1068,7 +1119,7 @@ class _BatchedStepSolver:
                 raise self._fail_health(time, rows, "non-finite step RHS")
         if self.strategy == "batched-linear":
             self.stacked_solves += 1
-            x_new = self.assembly.solve(rhs_lin)
+            x_new = self.assembly.linear_solve(rhs_lin)
             if self.freeze is not None:
                 x_new[self.freeze] = x[self.freeze]
         else:
@@ -1121,12 +1172,12 @@ class _BatchedStepSolver:
         asm = self.assembly
         options = self.options
         device = asm.device
-        w, vw, w_vmax = asm.rank1_data()
         n = self.n_nodes
         max_step = options.max_step
         S = asm.n_samples
         self.stacked_solves += 1
-        z_lin = asm.solve(rhs_lin)
+        z_lin = asm.linear_solve(rhs_lin)
+        w, vw, w_vmax, wout = asm.rank1_data()
         zl_c = device.project(z_lin)
         tol = self._tol(x)
         predictor = self.predictor
@@ -1167,7 +1218,9 @@ class _BatchedStepSolver:
             k = np.count_nonzero(done)
             if k == S:
                 self.newton_per_sample += start
-                return z_lin - c[:, None] * w
+                if wout is None:
+                    return z_lin - c[:, None] * w
+                return asm.reactive.slide(c[:, None], wout)
             v_ctrl = zl_c - c * vw
             if k:
                 # Partial convergence: the converged samples' rows are
@@ -1183,10 +1236,11 @@ class _BatchedStepSolver:
             # their rows of ``x`` stay frozen at the last converged iterate.
             active = ~self.frozen
             x = x.copy()
+        rhs_full = None  # the dense fallback's, built on its first use
         for _iteration in range(start, options.max_iterations):
             rows = _subset(_ALL, active)
             if rows is None:
-                return x
+                break
             if lin is None:
                 gm, ieq = device.linearize(v_ctrl[rows], rows)
             else:
@@ -1198,13 +1252,15 @@ class _BatchedStepSolver:
                 # Jacobian momentarily singular along the rank-1
                 # direction for these samples: dense fallback step.
                 rows = np.arange(S)[rows]
+                if rhs_full is None:
+                    rhs_full = asm.full_rhs(rhs_lin)
                 for j in np.flatnonzero(bad):
                     s = rows[j]
                     if on_line[s]:
                         x[s] = z_lin[s] - c[s] * w[s]
                         on_line[s] = False
                     x[s], last = self._dense_fallback(
-                        s, x, rhs_lin, gm[j], ieq[j]
+                        s, x, rhs_full, gm[j], ieq[j]
                     )
                     v_ctrl[s] = device.project(x[s : s + 1])[0]
                     if last < tol[s]:
@@ -1270,7 +1326,13 @@ class _BatchedStepSolver:
                 active[rf] = ~(maxd < tol[rf])
         if active.any():
             raise self._fail(time, active)
-        return x
+        if wout is None:
+            return x
+        # Each sample's commit as in its own run: the product's rows
+        # where its step ended on the line, gathered elsewhere.
+        if self.freeze is not None:
+            on_line &= ~self.freeze
+        return asm.reactive.slide(c[:, None], wout, x, on_line)
 
 
 class _BatchedCertifier:

@@ -50,7 +50,8 @@ the engine picks a solve strategy per run:
   every step taken at that size.  On the dense backend below its LU
   threshold that factorization is an explicit inverse, and each step
   size's entry turns it into a propagator: the step is one matrix
-  product of the state and the sources, the commit another
+  product of the state and the sources, whose extra rows are the
+  state the commit installs
   (:meth:`~repro.circuits.assembly.TransientAssembly.linear_solve`).
 * ``linear-restamp`` — linear circuit containing components outside
   the stamp split (possibly time-varying): fresh assembly and one
@@ -59,7 +60,12 @@ the engine picks a solve strategy per run:
   NonlinearVCCS` (the Fig 1 oscillator): the Jacobian is the cached
   base matrix plus a rank-1 update, so each Newton iterate is a
   Sherman–Morrison formula around one cached factorization — the
-  inner loop performs no matrix assembly and no LAPACK call.
+  inner loop performs no matrix assembly and no LAPACK call.  Where
+  the ``linear`` strategy has a propagator, so does this one: the
+  linear part ``z_lin`` is the same one product, and a step that
+  ends on the Sherman–Morrison line ``z_lin - c*w`` takes its
+  committed state from the product moved along the matching column
+  (EMTP's compensation split: Dommel, IEEE Trans. PAS-90, 1971).
 * ``general`` — every other nonlinear netlist: full Newton; each
   iteration copies the cached parts and restamps only the nonlinear
   devices (``jacobian="full"`` forces it for any nonlinear netlist).
@@ -834,7 +840,10 @@ class _StepSolver:
         """One fully-stamped linearized solve at iterate ``x``.
 
         Dense backend: copy the cached parts, restamp the full-stamp
-        components, one dense solve (the historical path, bit-pinned).
+        components, one dense solve (the historical path, bit-pinned;
+        :meth:`~repro.circuits.assembly.TransientAssembly.assemble_dense`,
+        which adds back the companion part a propagated step's
+        ``rhs_lin`` leaves out).
         Sparse and Krylov backends: the same equations via the
         assembly's low-rank Woodbury update around the cached per-dt
         solver (sparse LU, or the Krylov solver) — no refactorization.
@@ -842,7 +851,7 @@ class _StepSolver:
         self.solves += 1
         assembly = self.assembly
         if assembly.backend.is_dense:
-            G, rhs = assembly.assemble(x, rhs_lin, time)
+            G, rhs = assembly.assemble_dense(x, rhs_lin, time)
             return solve_dense(G, rhs)
         return assembly.delta_solve(x, rhs_lin, time)
 
@@ -977,14 +986,22 @@ class _StepSolver:
         envelope jump — and whenever the predicted control voltage is a
         damped move (``max_step`` or more along the line) away from
         ``x_n``'s, or on no point of the line at all (``vw = 0``).
+
+        Where the step size's entry has a propagator, ``z_lin`` is its
+        product and every return on the line is ``out - c*wout``
+        (:meth:`~repro.circuits.assembly._ReactiveSet.slide`), whose
+        state rows the commit installs; a step that ends off the line
+        (damped, or through the dense fallback) gathers its commit.
         """
         options = self.options
         linearize = self._device.linearize
-        w, vw, w_vmax = self.assembly.rank1_data()
+        assembly = self.assembly
         n = self.n_nodes
         max_step = options.max_step
         self.solves += 1
-        z_lin = self.assembly.lu().solve(rhs_lin)
+        z_lin = assembly.linear_solve(rhs_lin)
+        w, vw, w_vmax, wout = assembly.rank1_data()
+        slide = assembly.reactive.slide
         zl_c = self._ctrl_diff(z_lin)
         x_v = x[:n]
         tol = options.abstol_v + options.reltol * (
@@ -1028,7 +1045,7 @@ class _StepSolver:
                     c = q
                 v_ctrl = zl_c - c * vw
                 if last_delta < tol:
-                    return z_lin - c * w
+                    return z_lin - c * w if wout is None else slide(c, wout)
             else:
                 x_new = z_lin - q * w
                 delta, last_delta = damp_voltage_delta(x_new - x, n, max_step)
@@ -1041,6 +1058,8 @@ class _StepSolver:
                     c = q
                     v_ctrl = zl_c - c * vw
                 if last_delta < tol:
+                    if on_line and wout is not None:
+                        return slide(c, wout)
                     return x
         raise self._fail(time, last_delta)
 
@@ -1578,6 +1597,7 @@ def _setup(circuit: Circuit, options: TransientOptions):
         method,
         options.newton.gmin,
         backend=backend,
+        jacobian=options.jacobian,
     )
     assembly.init_state(x)
     needs_history = method.is_multistep or (

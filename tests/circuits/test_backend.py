@@ -19,6 +19,11 @@ Three claims are pinned here:
 * the dense propagator's backward error stays at a direct solve's on
   the supply-loss tank's stiffest entries, and a singular dense base
   matrix builds no propagator and keeps the least-squares solve;
+* on the Fig 16 netlist the rank-1 step's ``z_lin`` and
+  Sherman–Morrison column from the propagator hold a solve's backward
+  error, the step matches scatter + solve for every method, and a
+  step that ends off the line (damped, dense fallback, rescued)
+  gathers its commit;
 * scipy-less environments degrade gracefully: "auto" falls back to
   dense silently, an explicit "sparse" raises a clear error;
 * the condensed ``SparseLU`` (series branches eliminated before
@@ -36,11 +41,13 @@ from repro.circuits import (
     Circuit,
     DenseBackend,
     MNASystem,
+    NewtonOptions,
     PhaseSchedule,
     SparseBackend,
     StampContext,
     TransientOptions,
     dc,
+    pulse,
     resolve_backend,
     run_ac,
     run_transient,
@@ -51,6 +58,7 @@ from repro.circuits.assembly import TransientAssembly, _ReactiveSet
 from repro.circuits.backend import SPARSE_AUTO_THRESHOLD
 from repro.circuits.component import TripletSystem
 from repro.circuits.integration import resolve_method
+from repro.circuits.transient import _StepSolver
 from repro.core import OscillatorNetlist, supply_loss_tank_circuit
 from repro.envelope import RLCTank, TanhLimiter
 from repro.errors import SimulationError
@@ -347,28 +355,34 @@ def _tank_assembly(q, dt, method):
 def _gathered_commit(assembly, z, time):
     """``(v', i', operands)`` of the commit of ``z`` by the gather
     path (handed a copy, so not the pending product), then the state
-    restored and the product pending again.  ``operands`` is the
-    largest magnitude the cap update combines (``upd_g v'``, ``upd_g
-    v`` and ``upd_m i``, or ``gcol v'`` and the term) or an inductor's
-    ``i'``: a stiff step can leave ``i'`` far below it, where neither
-    path holds ``i'`` to 1e-14 of its own size."""
+    restored and the product pending again; ``operands`` as
+    :func:`_operands`."""
     reactive = assembly.reactive
-    co = assembly._active.coeffs
     snapshot, pending = assembly.snapshot_state(), reactive.pending
     v0, i0 = reactive.v.copy(), reactive.i.copy()
     assembly.commit(z.copy(), time)
     v, i = reactive.v.copy(), reactive.i.copy()
     assembly.restore_state(snapshot)
     reactive.pending = pending
+    return v, i, _operands(assembly, v0, i0, v, i)
+
+
+def _operands(assembly, v0, i0, v, i):
+    """The largest magnitude the commit of ``(v, i)`` from ``(v0, i0)``
+    combines into ``i``: ``upd_g v'``, ``upd_g v`` and ``upd_m i``, or
+    ``gcol v'`` and the term, for a cap; an inductor's ``i'``.  A stiff
+    step can leave ``i'`` far below it, where no path holds ``i'`` to
+    1e-14 of its own size."""
+    co = assembly._active.coeffs
     if co.gcol is None:
         operands = (
             np.abs(co.upd_g) * (np.abs(v) + np.abs(v0)) + abs(co.upd_m) * np.abs(i0)
         )
     else:
         operands = np.abs(co.gcol * v) + np.abs(i - co.gcol * v)
-    nc = reactive.n_caps
+    nc = assembly.reactive.n_caps
     operands[nc:] = np.abs(i[nc:])
-    return v, i, operands.max()
+    return operands.max()
 
 
 def _commit_paths(monkeypatch):
@@ -385,6 +399,41 @@ def _commit_paths(monkeypatch):
     return paths
 
 
+T_FIG16 = 1.0 / TANK.frequency
+
+#: Setups of the rank-1 propagator tests: (method, max_order).
+RANK1_METHODS = [("trap", 2), ("be", 1), ("bdf2", 2), ("gear", 3)]
+
+
+def _fig16():
+    """The Fig 16 startup netlist: one NonlinearVCCS, the rank-1 step."""
+    return OscillatorNetlist(TANK, vref=2.5).build(LIMITER)
+
+
+def _random_state(reactive, rng):
+    """A random ``(v, i)`` state of the tank's scale."""
+    return rng.uniform(-1.0, 1.0, reactive.n), 0.05 * rng.uniform(-1.0, 1.0, reactive.n)
+
+
+def _cubic(g0, delay):
+    """One node: a cubic conductance ``g0*v + 1e-2*v**3`` against R || C,
+    a current step ``delay`` in.  With ``g0`` at minus the node's
+    companion conductance the rank-1 denominator vanishes at ``v = 0``,
+    where every step before the current step starts and ends."""
+    circuit = Circuit("cubic")
+    circuit.current_source(
+        "I", "0", "a", pulse(0.0, 1e-3, delay=delay, rise=1e-9, width=1e-6)
+    )
+    circuit.resistor("R", "a", "0", 1e3)
+    circuit.capacitor("C", "a", "0", 1e-9)
+    circuit.nonlinear_vccs(
+        "N", "a", "0", "a", "0",
+        lambda v: g0 * v + 1e-2 * v**3,
+        dfunc=lambda v: g0 + 3e-2 * v * v,
+    )
+    return circuit
+
+
 def _parallel_sources():
     """Two identical sine sources in parallel drive an RC: the dense
     base matrix is exactly singular."""
@@ -399,7 +448,9 @@ def _parallel_sources():
 class TestDensePropagator:
     """A linear netlist on the dense backend steps by one small matrix
     product per step (``_ReactiveSet.propagator``), whose state rows
-    the step's commit installs."""
+    the step's commit installs; a rank-1 netlist's step takes its
+    ``z_lin`` from the same product, and its commit from the product
+    moved along the Sherman–Morrison column."""
 
     @pytest.mark.parametrize("q", [5.0, 500.0])
     @pytest.mark.parametrize(
@@ -628,6 +679,204 @@ class TestDensePropagator:
         assembly.step_rhs(1e-8, np.zeros(assembly.size))
         assert assembly.lu().is_singular
         assert assembly._active.prop is False
+
+    # -- the rank-1 step: the Fig 16 netlist's one NonlinearVCCS --------------
+
+    @pytest.mark.parametrize("dt", [T_FIG16 / 40, T_FIG16 / 4])
+    @pytest.mark.parametrize("method, order", RANK1_METHODS)
+    def test_rank1_backward_error(self, method, order, dt):
+        """The propagated ``z_lin`` solves the linear part, and the
+        Sherman–Morrison column ``wout``'s first rows solve ``G w = u``,
+        each to a direct solve's backward error."""
+        method = resolve_method(method, max_order=order)
+        assembly = TransientAssembly(_fig16(), dt, method, 1e-12, backend="dense")
+        x0 = np.zeros(assembly.size)
+        assembly.init_state(x0)
+        reactive = assembly.reactive
+        rng = np.random.default_rng(5)
+        worst = 0.0
+        for _ in range(100):
+            t = rng.uniform(0.0, 100 * T_FIG16)
+            reactive.reseat(*_random_state(reactive, rng), t)
+            if method.is_multistep:
+                assembly.set_method(method, bootstrap_dt=dt)
+                assert assembly.order == order
+            rhs_src = assembly.step_rhs(t + dt, x0)
+            z = assembly.linear_solve(rhs_src)
+            G = assembly.G_base
+            worst = max(worst, _backward_error(G, z, assembly.full_rhs(rhs_src)))
+        w, _vw, _w_vmax, wout = assembly.rank1_data()
+        u, _v = assembly.rank1_vectors()
+        assert assembly._active.prop is not False
+        assert np.shares_memory(w, wout)
+        assert worst <= 1e-15
+        assert _backward_error(G, w, u) <= 1e-15
+
+    @pytest.mark.parametrize("base_dt", [T_FIG16 / 40, T_FIG16 / 4])
+    @pytest.mark.parametrize("method, order", RANK1_METHODS)
+    def test_rank1_step_on_a_dt_ladder(self, method, order, base_dt):
+        """The rank-1 Newton step on the propagator against the same
+        step on scatter + solve (an assembly built for
+        ``jacobian="full"`` has no propagator), steps halved and doubled
+        on the binary ladder from restarted and bootstrapped rings: the
+        same iterations, solutions and committed states at rtol
+        1e-12 (``i`` of the operands its commit combines, see
+        :func:`_operands`)."""
+        method = resolve_method(method, max_order=order)
+        pair = []
+        for jacobian in ("auto", "full"):
+            assembly = TransientAssembly(
+                _fig16(), base_dt, method, 1e-12, backend="dense", jacobian=jacobian
+            )
+            assembly.init_state(np.zeros(assembly.size))
+            pair.append((assembly, _StepSolver(assembly, NewtonOptions(), "auto")))
+        rng = np.random.default_rng(13)
+        worst = {"x": 0.0, "v": 0.0, "i": 0.0}
+        for start in ("restart", "bootstrap") * 3:
+            t = rng.uniform(0.0, 100 * T_FIG16)
+            v0, i0 = _random_state(pair[0][0].reactive, rng)
+            for assembly, _solver in pair:
+                assembly.reactive.reseat(v0.copy(), i0.copy(), t)
+                if start == "bootstrap" and method.is_multistep:
+                    assembly.set_method(method, bootstrap_dt=base_dt)
+            xs = [np.zeros(pair[0][0].size)] * 2
+            for k, scale in enumerate(DT_LADDER):
+                dt = scale * base_dt
+                v_prev, i_prev = pair[1][0].reactive.v, pair[1][0].reactive.i
+                for j, (assembly, solver) in enumerate(pair):
+                    order_now = method.usable_order(order, assembly.history_points)
+                    assembly.set_dt(dt, order=order_now)
+                    rhs = assembly.step_rhs(t + dt, xs[j])
+                    xs[j] = solver.step(xs[j], rhs, t + dt)
+                    assembly.commit(xs[j], t + dt)
+                    solver.note_commit(t + dt, xs[j], restart=k == 0)
+                (fold, _), (solve, _) = pair
+                v, i = solve.reactive.v, solve.reactive.i
+                for key, a, b, scale in (
+                    ("x", xs[0], xs[1], np.abs(xs[1]).max()),
+                    ("v", fold.reactive.v, v, np.abs(v).max()),
+                    ("i", fold.reactive.i, i, _operands(solve, v_prev, i_prev, v, i)),
+                ):
+                    worst[key] = max(worst[key], np.abs(a - b).max() / scale)
+                t += dt
+        (fold, fold_solver), (solve, solve_solver) = pair
+        assert fold._active.prop is not False
+        assert solve._active.prop is False
+        assert fold_solver.newton_iterations == solve_solver.newton_iterations
+        assert max(worst.values()) <= 1e-12
+
+    def test_rank1_damped_step_gathers_its_commit(self, monkeypatch):
+        """A step that ends on a damped iterate, off the line: the
+        pending product is not its state, and the commit gathers."""
+        paths = _commit_paths(monkeypatch)
+        dt = T_FIG16 / 40
+        assembly = TransientAssembly(_fig16(), dt, "trap", 1e-12, backend="dense")
+        x0 = np.zeros(assembly.size)
+        assembly.init_state(x0)
+        reactive = assembly.reactive
+        reactive.reseat(np.array([0.3, -0.2, 0.1]), np.array([1e-3, 2e-3, -1e-3]), 0.0)
+        # Every move is damped to 1e-4 V, which already converges.
+        solver = _StepSolver(
+            assembly, NewtonOptions(max_step=1e-4, abstol_v=1e-3), "auto"
+        )
+        x = solver.step(x0, assembly.step_rhs(dt, x0), dt)
+        assert solver.newton_iterations == 1
+        assert np.abs(x[: assembly.n_nodes]).max() == pytest.approx(1e-4)
+        assert reactive.pending is not None and x is not reactive.pending[0]
+        assembly.commit(x, dt)
+        assert paths == [False]
+        assert reactive.pending is None
+        assert np.array_equal(reactive.v, reactive._terminal_v(x))
+        assert np.array_equal(reactive.i[reactive.n_caps :], x[reactive.br_idx])
+
+    def test_rank1_dense_fallback_gathers_its_commit(self, monkeypatch):
+        """Steps that end in the ``|denom| < 1e-12`` dense fallback
+        gather their commit; the steps after the current step end on
+        the line and install their product.  The run matches the
+        sparse backend, which always gathers."""
+        pytest.importorskip("scipy")
+        dt = 1e-8
+        probe = TransientAssembly(_cubic(0.0, 0.0), dt, "trap", 1e-12, backend="dense")
+        g_singular = -(1.0 - 1e-13) / probe.rank1_data()[1]
+        fallbacks = []
+        full_solve = _StepSolver._full_solve
+
+        def spy(self, x, rhs_lin, time):
+            fallbacks.append(time)
+            return full_solve(self, x, rhs_lin, time)
+
+        monkeypatch.setattr(_StepSolver, "_full_solve", spy)
+        paths = _commit_paths(monkeypatch)
+        runs = {
+            backend: run_transient(
+                _cubic(g_singular, 5 * dt),
+                TransientOptions(
+                    t_stop=40 * dt, dt=dt, use_dc_operating_point=False,
+                    backend=backend,
+                ),
+            )
+            for backend in ("dense", "sparse")
+        }
+        dense_paths = paths[:40]
+        assert dense_paths[:5] == [False] * 5
+        assert all(dense_paths[5:])
+        assert fallbacks[:5] == pytest.approx([k * dt for k in range(1, 6)])
+        np.testing.assert_allclose(
+            runs["dense"].x, runs["sparse"].x, rtol=1e-9, atol=1e-15
+        )
+        assert (
+            runs["dense"].stats["newton_iterations"]
+            == runs["sparse"].stats["newton_iterations"]
+        )
+
+    def test_full_jacobian_builds_no_propagator(self, monkeypatch):
+        """``jacobian="full"`` runs general Newton, which restamps every
+        iteration: its dt entries build no propagator."""
+        built = []
+        propagator = _ReactiveSet.propagator
+
+        def spy(self, co, inv):
+            built.append(co)
+            return propagator(self, co, inv)
+
+        monkeypatch.setattr(_ReactiveSet, "propagator", spy)
+        options = TransientOptions(
+            t_stop=4 * T_FIG16, dt=T_FIG16 / 40, use_dc_operating_point=False,
+            backend="dense",
+        )
+        assert run_transient(_fig16(), options).stats["strategy"] == "rank1"
+        assert len(built) == 1
+        options.jacobian = "full"
+        assert run_transient(_fig16(), options).stats["strategy"] == "general"
+        assert len(built) == 1
+
+    @pytest.mark.parametrize("step_control", ["fixed", "adaptive"])
+    def test_rank1_rescued_step_gathers_its_commit(self, monkeypatch, step_control):
+        """A rescued Fig 16 step gathers its commit; every healthy
+        step ends on the line and installs its product."""
+        paths = _commit_paths(monkeypatch)
+        t_fail = 10 * T_FIG16 + 0.1 * T_FIG16 / 40
+
+        class FailUntilRescued:
+            rescued = False
+
+            def __call__(self, time, phase, circuit):
+                if phase == "rescue":
+                    self.rescued = True
+                    return False
+                return not self.rescued and time >= t_fail
+
+        options = TransientOptions(
+            t_stop=20 * T_FIG16, dt=T_FIG16 / 40, step_control=step_control,
+            use_dc_operating_point=False, backend="dense",
+            dt_min=T_FIG16 / 320, rescue=True,
+        )
+        options.newton.fail_hook = FailUntilRescued()
+        result = run_transient(_fig16(), options)
+        assert result.stats["strategy"] == "rank1"
+        assert result.stats["rescues"] == 1
+        assert paths.count(False) == 1
+        assert len(paths) > 100
 
 
 def _vccs_ladder(stages=40):

@@ -5,13 +5,15 @@ accepts, ``run_transient_batched(circuits, options)[s]`` matches
 ``run_transient(circuits[s], options)`` at rtol 1e-9 with the same
 Newton iteration count — across both lockstep solve strategies
 (``linear``/``rank1``), both integration methods, ragged Newton
-convergence, and the recording options campaigns actually use.
+convergence, the recording options campaigns actually use, and
+generated rank-1 netlists with one sample quarantined mid-run.
 Netlists with two or more nonlinear devices run per sample instead
 (``tests/campaigns/test_dense_lockstep.py``).
 """
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.circuits import (
     BatchIncompatible,
@@ -19,10 +21,12 @@ from repro.circuits import (
     NewtonOptions,
     TransientOptions,
     pulse,
+    pwl,
     run_transient,
     run_transient_batched,
     sine,
 )
+from repro.circuits.assembly import _ReactiveSet
 from repro.circuits.batched import BatchedTransientAssembly, _BatchedStepSolver
 from repro.core import OscillatorNetlist, supply_loss_tank_circuit
 from repro.envelope import RLCTank, TanhLimiter
@@ -662,3 +666,143 @@ class TestRank1Branches:
             )
         assert info.value.time == first
         assert info.value.failed_samples == expected
+
+
+# -- generated rank-1 netlists --------------------------------------------------
+
+
+def build_generated(values, node, source, spread, name):
+    """An RLC network driven by ``source`` with one NonlinearVCCS, a
+    tanh limiter conductance at ``node``; every element value of
+    ``values`` scaled by ``1 + spread``."""
+    r1, c1, l1, r2, c2, gm, i_max = (v * (1.0 + spread) for v in values)
+    circuit = Circuit(name)
+    circuit.voltage_source("V", "in", "0", source)
+    circuit.resistor("R1", "in", "a", r1)
+    circuit.capacitor("C1", "a", "0", c1)
+    circuit.inductor("L1", "a", "b", l1)
+    circuit.resistor("R2", "b", "0", r2)
+    circuit.capacitor("C2", "b", "0", c2)
+    circuit.nonlinear_vccs(
+        "G", node, "0", node, "0",
+        lambda v: i_max * np.tanh(gm * v / i_max),
+        pair=lambda v: tanh_limiter_pair(v, gm, i_max),
+        vector_pair=tanh_limiter_pair,
+        vector_params=(gm, i_max),
+    )
+    return circuit
+
+
+@st.composite
+def generated_batches(draw):
+    """``(values, node, source, spreads, quarantined, period)``: a
+    netlist of :func:`build_generated`, a function making its pulse or
+    PWL source, 2-4 sample spreads, the index of the sample quarantined
+    mid-run and the nominal LC period."""
+    values = (
+        draw(st.floats(20.0, 500.0)),  # R1
+        draw(st.floats(1e-10, 2e-9)),  # C1
+        draw(st.floats(5e-7, 5e-6)),  # L1
+        draw(st.floats(100.0, 5e3)),  # R2
+        draw(st.floats(1e-11, 1e-9)),  # C2
+        draw(st.floats(1e-4, 2e-2)),  # gm
+        draw(st.floats(1e-4, 3e-3)),  # i_max
+    )
+    period = 2 * np.pi * np.sqrt(values[1] * values[2])
+    amplitude = draw(st.floats(0.05, 2.0))
+    spreads = draw(st.lists(st.floats(-0.2, 0.2), min_size=2, max_size=4))
+    if draw(st.booleans()):
+        def source():
+            return pulse(
+                0.0, amplitude, delay=2 * period, rise=period / 7,
+                fall=period / 5, width=5 * period,
+            )
+    else:
+        def source():
+            return pwl([
+                (0.0, 0.0), (period, amplitude), (4 * period, -amplitude),
+                (9 * period, 0.5 * amplitude),
+            ])
+    node = draw(st.sampled_from(["a", "b"]))
+    quarantined = draw(st.integers(0, len(spreads) - 1))
+    return values, node, source, spreads, quarantined, period
+
+
+class TestGeneratedRank1Netlists:
+    """Lockstep ≡ per-sample on generated rank-1 netlists, with one
+    sample quarantined mid-run: survivors at rtol 1e-9 with equal
+    Newton counts, the quarantined sample up to its death, and its
+    frozen rows never taking the propagator's product."""
+
+    @pytest.mark.parametrize(
+        "fields", [{"method": "trap"}, {"method": "gear", "max_order": 3}],
+        ids=["trap", "gear3"],
+    )
+    @settings(max_examples=12, deadline=2000)
+    @given(batch=generated_batches())
+    def test_lockstep_matches_per_sample(self, fields, batch):
+        values, node, source, spreads, bad, period = batch
+        t_death = 6 * period
+
+        def fail_bad(time, phase, circuit):
+            return circuit.title == "bad" and time >= t_death
+
+        def options(**kw):
+            opts = TransientOptions(
+                t_stop=12 * period, dt=period / 30,
+                use_dc_operating_point=False, **fields, **kw,
+            )
+            opts.newton.fail_hook = fail_bad
+            return opts
+
+        def build():
+            return [
+                build_generated(
+                    values, node, source(), spread, "bad" if s == bad else f"s{s}"
+                )
+                for s, spread in enumerate(spreads)
+            ]
+
+        frozen_commits = []
+        commit = _ReactiveSet.commit
+
+        def spy(self, co, x, time, freeze):
+            if freeze is not None and self.pending is not None and x is self.pending[0]:
+                off = self.pending[2]
+                frozen_commits.append(off is not None and bool(off[freeze].all()))
+            commit(self, co, x, time, freeze)
+
+        # The hook fails the rescue too, so the sample's own run ends
+        # where its lockstep rows freeze.  A run whose own Newton failed
+        # (a rescue counted) is outside the property: the lockstep
+        # engine has no rescue ladder.
+        per_sample = [
+            run_transient(c, options(on_abort="partial", rescue=True))
+            for c in build()
+        ]
+        assume(not any(r.stats["rescues"] for r in per_sample))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_ReactiveSet, "commit", spy)
+            batched = run_transient_batched(build(), options(quarantine=True))
+        assert frozen_commits and all(frozen_commits)
+        for s, (reference, stacked) in enumerate(zip(per_sample, batched)):
+            assert stacked.stats["strategy"] == "batched-rank1"
+            assert reference.stats["strategy"] == "rank1"
+            assert (
+                stacked.stats["newton_iterations"]
+                == reference.stats["newton_iterations"]
+            )
+            if s == bad:
+                assert stacked.stats["quarantined"] is True
+                assert reference.stats["completed"] is False
+                alive = len(reference.t)
+                np.testing.assert_array_equal(stacked.t[:alive], reference.t)
+                frozen = stacked.x[alive - 1 :]
+                assert np.all(frozen == frozen[0])
+            else:
+                assert stacked.stats["quarantined"] is False
+                alive = len(stacked.t)
+                np.testing.assert_array_equal(stacked.t, reference.t)
+            np.testing.assert_allclose(
+                stacked.x[:alive], reference.x, rtol=1e-9, atol=1e-15
+            )
