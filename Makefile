@@ -36,10 +36,10 @@
 #                   (benchmarks/solver_accuracy.py)
 #   make importtime WORKLOAD=supply_loss_q
 #                   one set-up-only run under python -X importtime: the
-#                   set-up time, the 25 largest cumulative imports, the
-#                   repro/scipy module counts and the names of the scipy
-#                   subpackages loaded; WORKLOAD=all runs every workload
-#                   (benchmarks/importtime.py)
+#                   set-up time and peak RSS, the 25 largest cumulative
+#                   imports, the repro/scipy module counts and the names
+#                   of the scipy subpackages loaded; WORKLOAD=all runs
+#                   every workload (benchmarks/importtime.py)
 #   make lockstep-cost
 #                   microseconds per step of run_transient_batched at
 #                   S = 1, 8, 32, 128 and 256 on the mc_lockstep netlist
@@ -51,7 +51,10 @@
 #                   be, bdf2 and gear-3; then one adaptive phased tank run
 #                   (supply_loss_q's options, Q 47.2): microseconds per
 #                   accepted step in its trap carrier and its gear-3
-#                   settle phase (benchmarks/lockstep_cost.py)
+#                   settle phase.  Every row is also printed over a fixed
+#                   bare-numpy reference loop timed in the same rounds,
+#                   a ratio that holds still as the host's speed drifts
+#                   (benchmarks/lockstep_cost.py)
 #   make reach      which src/ functions the drivers reach (one pass of
 #                   each perfbench workload, every example and bench, and
 #                   run_perf.py --check, forked pool workers included);

@@ -10,7 +10,8 @@ Runs ``perfbench/run.py --workload W --seed 1 --setup-only`` under
 ``python -X importtime`` (imports, input generation and the warm-up,
 nothing timed) and prints the set-up time, the 25 largest cumulative
 import entries, how many ``repro`` and ``scipy`` modules the set-up
-loaded, and the names of the scipy subpackages among them.
+loaded, the names of the scipy subpackages among them, and the set-up
+process's peak resident memory.
 ``--workload all`` does this for every workload of ``BENCHMARK.json``,
 one after another.  The interpreter's own environment is kept, so with
 ``PYTHONDONTWRITEBYTECODE=1`` the times include compiling every
@@ -18,12 +19,15 @@ imported module from source.
 
 ``perfbench/run.py`` runs through ``runpy`` inside the ``-X
 importtime`` process, which on exit prints ``sorted(sys.modules)`` on
-one stderr line marked
-:data:`MODULES_MARK`; the module counts and subpackage names come from
-that list.  ``-X importtime`` reports only modules loaded by the import
-statement, not those loaded through ``importlib.import_module`` (scipy
-loads its submodules that way), so counting its entries would miss
-them and could move when only the way a module is imported changes.
+one stderr line marked :data:`MODULES_MARK` and its peak resident
+memory (``ru_maxrss``) on one marked :data:`RSS_MARK`.  The module
+counts and subpackage names come from that list, and the peak RSS is
+printed in MB, as ``peak_rss_mb`` counts it, beside the set-up time,
+so a change to what loads shows its memory effect too.  ``-X
+importtime`` reports only modules loaded by the import statement, not
+those loaded through ``importlib.import_module`` (scipy loads its
+submodules that way), so counting its entries would miss them and
+could move when only the way a module is imported changes.
 """
 
 import argparse
@@ -36,15 +40,19 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 TOP = 25
 MODULES_MARK = "importtime.py sys.modules:"
+RSS_MARK = "importtime.py ru_maxrss:"
 #: ``python -c`` program: run the benchmark script as ``__main__`` with
-#: this process's arguments, then report every module it loaded.
+#: this process's arguments, then report every module it loaded and its
+#: peak resident memory.
 RUNNER = f"""\
-import runpy, sys
+import resource, runpy, sys
 sys.argv = ["perfbench/run.py"] + sys.argv[1:]
 try:
     runpy.run_path("perfbench/run.py", run_name="__main__")
 finally:
     sys.stderr.write({MODULES_MARK!r} + " " + " ".join(sorted(sys.modules)) + "\\n")
+    rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    sys.stderr.write({RSS_MARK!r} + " " + str(rss) + "\\n")
 """
 
 
@@ -68,12 +76,23 @@ def import_entries(stderr: str) -> list:
     return entries
 
 
+def marked(stderr: str, mark: str) -> str:
+    """The rest of the run's stderr line that starts with ``mark``."""
+    for line in stderr.splitlines():
+        if line.startswith(mark):
+            return line[len(mark):]
+    raise ValueError(f"no {mark!r} line in the run's stderr")
+
+
 def loaded_modules(stderr: str) -> list:
     """The sorted ``sys.modules`` names of the :data:`MODULES_MARK` line."""
-    for line in stderr.splitlines():
-        if line.startswith(MODULES_MARK):
-            return line[len(MODULES_MARK):].split()
-    raise ValueError(f"no {MODULES_MARK!r} line in the run's stderr")
+    return marked(stderr, MODULES_MARK).split()
+
+
+def peak_rss_mb(stderr: str) -> float:
+    """The :data:`RSS_MARK` line's ``ru_maxrss`` (KiB on Linux) in MB,
+    the unit of the benchmark's ``peak_rss_mb``."""
+    return int(marked(stderr, RSS_MARK)) / 1024.0
 
 
 def count(modules: list, package: str) -> int:
@@ -108,7 +127,8 @@ def report(workload: str) -> int:
     entries = import_entries(proc.stderr)
     modules = loaded_modules(proc.stderr)
     setup_s = json.loads(proc.stdout.strip().splitlines()[-1])["setup_s"]
-    print(f"{workload}: setup_s {setup_s:.3f}")
+    print(f"{workload}: setup_s {setup_s:.3f}, peak RSS "
+          f"{peak_rss_mb(proc.stderr):.1f} MB")
     print(f"{'cumulative ms':>14} {'self ms':>9}  module")
     for cumulative_us, self_us, module in sorted(entries, reverse=True)[:TOP]:
         print(f"{cumulative_us / 1e3:14.1f} {self_us / 1e3:9.1f}  {module}")

@@ -24,14 +24,22 @@ trapezoidal carrier, then a Gear-3 settle phase from the fault on),
 timed whole and stopped at the fault: the carrier phase is the second
 run, and the settle phase the difference.
 
-It prints microseconds per step for each size and the scalar engine,
-each also over the scalar engine's (a ratio that holds still while
-the host's speed drifts between runs), then a least-squares fit
+The same rounds also time a reference that no change to the library
+touches: ``REFERENCE_STEPS`` iterations of a bare numpy loop, one
+12-by-12 matrix-vector product and a vector add each (numpy's own
+dispatch cost, about what one small engine operation pays).  Every
+row's microseconds are also printed over the reference's microseconds
+per iteration, a ratio that holds still while the host's speed drifts
+between runs and that moves only with the row's own code.
+
+It prints the reference's microseconds per iteration, then
+microseconds per step for each size and the scalar engine, each also
+over the reference, then a least-squares fit
 ``us_per_step = fixed + per_sample * S``: the lockstep engine's fixed
 cost per step and its cost per sample-step.  Next come draw 0's
 ``run_transient`` microseconds per step for each method, then the tank
-runs' microseconds per step, and the phased run's microseconds per accepted
-step in each phase.
+runs' microseconds per step, and the phased run's microseconds per
+accepted step in each phase, each over the reference too.
 """
 
 import sys
@@ -82,6 +90,19 @@ TANK_METHODS = {
 }
 
 
+#: Iterations of the reference loop (about the steps of one tank run).
+REFERENCE_STEPS = 16000
+
+
+def reference_loop() -> None:
+    """The drift reference: a fixed bare numpy loop of small operations."""
+    a = np.full((12, 12), 1.0 / 12.0)
+    b = np.zeros(12)
+    x = np.ones(12)
+    for _ in range(REFERENCE_STEPS):
+        x = a @ x + b
+
+
 def cpu_seconds(run) -> float:
     start = time.process_time()
     run()
@@ -94,8 +115,9 @@ def main() -> None:
     steps = int(round(options.t_stop / options.dt))
     circuits = [build_oscillator(p) for p in profiles[: max(SIZES)]]
 
-    runs = {f"S={S}": (lambda S=S: run_transient_batched(circuits[:S], options))
-            for S in SIZES}
+    runs = {"reference": reference_loop}
+    runs.update({f"S={S}": (lambda S=S: run_transient_batched(circuits[:S], options))
+                 for S in SIZES})
     runs["run_transient"] = lambda: run_transient(circuits[0], options)
     for label, fields in TANK_METHODS.items():
         if label != "trap":  # trap is the run_transient row
@@ -134,41 +156,41 @@ def main() -> None:
         for name, run in runs.items():
             best[name] = min(best[name], cpu_seconds(run))
 
+    best["settle"] = best.pop("phased") - best["carrier"]
+    per_step = {"reference": REFERENCE_STEPS, "carrier": accepted["carrier"],
+                "settle": accepted["phased"] - accepted["carrier"]}
     us = {
-        name: 1e6 * seconds / (tank_steps if name.startswith("tank") else steps)
+        name: 1e6 * seconds / per_step.get(
+            name, tank_steps if name.startswith("tank") else steps
+        )
         for name, seconds in best.items()
-        if name not in phased
     }
-    print(f"{steps} steps per run, min of {REPEATS} interleaved rounds "
-          "(process time)")
-    scalar = us["run_transient"]
-    print(f"{'engine':>16}  {'us/step':>8}  {'us/sample-step':>14}  "
-          f"{'/ run_transient':>15}")
+    ref = us["reference"]
+
+    def row(label: str, name: str, extra: str = "") -> None:
+        print(f"{label:>16}  {us[name]:8.1f} us/step  {us[name] / ref:7.1f}x ref{extra}")
+
+    print(f"min of {REPEATS} interleaved rounds (process time); reference "
+          f"loop ({REFERENCE_STEPS} numpy iterations): {ref:.2f} us per "
+          "iteration")
+    print(f"run_transient_batched, mc_lockstep draws ({steps} fixed steps):")
     for S in SIZES:
         name = f"S={S}"
-        print(f"{'lockstep ' + name:>16}  {us[name]:8.1f}  {us[name] / S:14.2f}  "
-              f"{us[name] / scalar:14.2f}x")
-    print(f"{'run_transient':>16}  {scalar:8.1f}  {scalar:14.2f}  {1.0:14.2f}x")
+        row(f"lockstep {name}", name, f"  {us[name] / S:8.2f} us/sample-step")
     per_sample, fixed = np.polyfit(SIZES, [us[f"S={S}"] for S in SIZES], 1)
-    print(f"fit: {fixed:.1f} us fixed per step + {per_sample:.3f} us per "
-          "sample-step")
+    print(f"fit: {fixed:.1f} us fixed per step ({fixed / ref:.1f}x ref) + "
+          f"{per_sample:.3f} us per sample-step ({per_sample / ref:.3f}x ref)")
     print(f"run_transient, draw 0 ({steps} fixed steps):")
     for label in TANK_METHODS:
-        name = "run_transient" if label == "trap" else f"fig16 {label}"
-        print(f"{label:>16}  {us[name]:8.1f} us/step")
+        row(label, "run_transient" if label == "trap" else f"fig16 {label}")
     print(f"run_transient, supply-loss tank (Q {TANK_Q}, {tank_steps} fixed "
           "steps):")
     for label in TANK_METHODS:
-        print(f"{label:>16}  {us['tank ' + label]:8.1f} us/step")
-    settle_steps = accepted["phased"] - accepted["carrier"]
+        row(label, "tank " + label)
     print(f"run_transient, phased supply-loss tank (Q {TANK_Q}, supply_loss_q "
           "options), per accepted step:")
-    for label, seconds, count in (
-        ("carrier (trap)", best["carrier"], accepted["carrier"]),
-        ("settle (gear-3)", best["phased"] - best["carrier"], settle_steps),
-    ):
-        print(f"{label:>16}  {1e6 * seconds / count:8.1f} us/step  "
-              f"({count} steps)")
+    row("carrier (trap)", "carrier", f"  ({per_step['carrier']} steps)")
+    row("settle (gear-3)", "settle", f"  ({per_step['settle']} steps)")
 
 
 if __name__ == "__main__":

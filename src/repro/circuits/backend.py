@@ -81,11 +81,12 @@ scatter.  :mod:`~repro.circuits.linsolve` imports ``scipy.linalg`` on
 the first dense factorization of 64 unknowns or more.  A process whose
 systems are all small and dense — every lumped netlist of the paper,
 and the lockstep engine, which inverts with numpy — loads none of
-them.  ``scipy.fft``, ``scipy.integrate`` and ``scipy.optimize`` serve
-only :mod:`repro.envelope.dynamics`, on the first call that needs
-each.  All of them go through one accessor, :class:`repro._lazy.
-LazyModule`, which imports on the first attribute read and caches
-every name it hands out, so hot paths pay a plain attribute lookup.
+them.  Outside this package only ``scipy.integrate`` loads, on the
+first :meth:`repro.envelope.EnvelopeModel.simulate`; the envelope
+engine's predictor needs no scipy.  All of them go through one
+accessor, :class:`repro._lazy.LazyModule`, which imports on the first
+attribute read and caches every name it hands out, so hot paths pay a
+plain attribute lookup.
 """
 
 from __future__ import annotations

@@ -32,6 +32,7 @@ itself no longer converges).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Tuple
@@ -45,16 +46,16 @@ from ..errors import ConfigurationError, SimulationError
 from .describing import LimiterCharacteristic, fundamental_current
 from .tank import RLCTank
 
-# scipy.fft and scipy.integrate load on the first call of the two
-# functions that use them (``_FundamentalTable.build``,
-# ``EnvelopeModel.simulate``).  Imported eagerly they would cost every
-# process that imports this module about 0.6 s (measured on a 2-CPU
-# x86-64 Linux host: scipy.fft drags in scipy.special), and the
-# circuit-level workloads import it without ever calling them.
+# scipy.integrate loads on the first call of ``EnvelopeModel.simulate``,
+# the one function that uses it; the circuit-level workloads import this
+# module without ever calling it.  The describing-function table takes
+# its Chebyshev coefficients from a numpy DCT-II (``_dct2``), so
+# ``advance`` loads no scipy at all: ``scipy.fft`` would bring
+# ``scipy.special`` with it, about 260 modules and 17 MB of resident
+# memory per process (measured on a 2-CPU x86-64 Linux host).
 # ``steady_state_amplitude`` finds its root with ``_brentq``, a port of
 # scipy's: ``scipy.optimize`` would load scipy.linalg and
 # scipy.sparse.linalg with it into every behavioural run.
-_fft = LazyModule("scipy.fft")
 _integrate = LazyModule("scipy.integrate")
 
 __all__ = ["EnvelopeModel", "steady_state_amplitude", "small_signal_growth_rate"]
@@ -204,6 +205,34 @@ def _brentq(
     raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
 
 
+@functools.lru_cache(maxsize=None)
+def _dct2_matrix(n: int) -> np.ndarray:
+    """``M[j, k] = 2 cos(pi j (2k + 1) / (2n))``, the unnormalized DCT-II
+    of ``scipy.fft.dct(type=2)``, in long double.
+
+    The angle's multiple ``j (2k + 1)`` of ``pi / (2n)`` is reduced mod
+    ``4n`` in integers, so every ``cos`` argument lies in ``[0, 2 pi)``.
+    In double, ``cos`` of the unreduced ``pi j (k + 0.5) / n`` (up to
+    about ``pi n``) carries that argument's larger rounding, enough to
+    put a table's ``advance`` 1e-12 off exact RK4; the reduction keeps
+    the matrix right where long double is no wider than double.
+    """
+    j = np.arange(n)[:, None]
+    k = np.arange(n)
+    pi = np.arccos(np.longdouble(-1.0))
+    return 2.0 * np.cos(pi * ((j * (2 * k + 1)) % (4 * n)) / (2 * n))
+
+
+def _dct2(x: np.ndarray) -> np.ndarray:
+    """``scipy.fft.dct(x, type=2)`` of a short vector: one product with
+    the cached :func:`_dct2_matrix`, accumulated in long double and
+    rounded once.  Where long double is wider than double (x86-64: a
+    64-bit mantissa), each output is within about half an ulp of its
+    exact value; summed in double, the 65 terms can err by 5 ulps of the
+    largest output."""
+    return (_dct2_matrix(x.size) @ x.astype(np.longdouble)).astype(np.float64)
+
+
 @dataclass(frozen=True)
 class _FundamentalTable:
     """``I1(A)`` of one limiter on ``[0, a_hi)``, or ``pieces=None`` if
@@ -225,7 +254,7 @@ class _FundamentalTable:
         k = np.arange(_TABLE_DEGREE + 1)
         nodes = 0.5 * s_hi * (1.0 + np.cos(np.pi * (k + 0.5) / k.size))
         h = [limiter.fundamental(vc * s / (1.0 - s)) / (vc * s) for s in nodes.tolist()]
-        coef = _fft.dct(h, type=2) / k.size
+        coef = _dct2(np.array(h)) / k.size
         coef[0] *= 0.5
         # Value and first two derivatives at the piece knots, scaled to
         # each piece's local coordinate t in [0, 1], define one quintic

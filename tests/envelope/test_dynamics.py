@@ -7,7 +7,8 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.analysis import envelope_by_peaks, oscillation_frequency
 from repro.circuits import Circuit, TransientOptions, run_transient
@@ -189,6 +190,12 @@ class TestTabulatedAdvance:
         a0_frac=st.floats(0.0, 1.0),
         cycles=st.integers(4, 256),
     )
+    # A near-critical tank: a DCT-II whose cosine arguments are not
+    # reduced, cos(pi * outer(j, k + 0.5) / N), misses the bound at 93
+    # cycles (rel 1.009e-12); at 248 cycles it and the other unreduced
+    # orderings do (1.8e-12 to 2.5e-12, the reduced form 9e-14).
+    @example(q=5.0, gm=0.0078125, i_max=0.00390625, a0_frac=0.0, cycles=93)
+    @example(q=5.0, gm=0.0078125, i_max=0.00390625, a0_frac=0.0, cycles=248)
     def test_matches_exact_rk4(self, q, gm, i_max, a0_frac, cycles):
         tank = RLCTank.from_frequency_and_q(4e6, q, 1e-6)
         model = EnvelopeModel(tank, TanhLimiter(gm=gm, i_max=i_max))
@@ -224,6 +231,23 @@ class TestTabulatedAdvance:
         assert model._table is first
         model.advance(2.0 * first.a_hi, FIG16_PERIOD)
         assert model._table.a_hi > first.a_hi
+
+
+class TestDCT:
+    """The table's numpy DCT-II against ``scipy.fft.dct(type=2)``."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        x=hnp.arrays(
+            np.float64, dynamics._TABLE_DEGREE + 1,
+            elements=st.floats(-1e6, 1e6, allow_subnormal=False),
+        )
+    )
+    def test_matches_scipy(self, x):
+        fft = pytest.importorskip("scipy.fft")
+        expected = fft.dct(x, type=2)
+        got = dynamics._dct2(x)
+        assert np.max(np.abs(got - expected)) <= 1e-15 * np.max(np.abs(expected))
 
 
 class TestTableHygiene:

@@ -2,12 +2,17 @@
 
 Every package exports its names lazily and every scipy subpackage
 loads on first use (``repro._lazy.LazyModule``), so a process that only
-runs the paper's small netlists never loads scipy's linalg, sparse,
-FFT, integrate, optimize or special subpackages, nor the fault and
-digital layers.  A run that does need scipy (a dense LU of 64 unknowns
-or more, the sparse and Krylov backends) loads it there and gets the
-same numbers bit for bit.  Each check runs in a fresh interpreter: the
-pytest process has long since imported everything.
+runs the paper's small netlists, or the envelope-following campaign of
+the Fig 16 oscillator, never loads scipy's linalg, sparse, FFT,
+integrate, optimize or special subpackages, nor the fault and digital
+layers.  No library code loads ``scipy.fft`` or ``scipy.optimize``
+(the describing-function table takes a numpy DCT-II, the steady state
+a port of ``brentq``); ``scipy.integrate`` serves only
+``EnvelopeModel.simulate``.  A run that does need scipy (``simulate``,
+a dense LU of 64 unknowns or more, the sparse and Krylov backends)
+loads it there and gets the same numbers bit for bit.  Each check runs
+in a fresh interpreter: the pytest process has long since imported
+everything.
 """
 
 import json
@@ -98,6 +103,60 @@ assert all(r.stats["strategy"] == "batched-rank1" for r in lockstep)
 print(json.dumps([m for m in {UNUSED_BY_TRANSIENTS!r} if m in sys.modules]))
 """
 
+ENVELOPE_PROCESS = f"""
+import json, sys
+
+import numpy as np
+
+from repro.campaigns import run_envelope_campaign
+from repro.circuits import EnvelopeOptions, TransientOptions
+from repro.core import OscillatorNetlist
+from repro.envelope import EnvelopeModel, RLCTank, TanhLimiter
+from repro.mc.mismatch import MismatchProfile
+
+period = 1 / 4e6
+
+
+def parts(profile):
+    q = 15.0 * (1 + profile.prescale_errors[0])
+    gm = 6e-3 * (1 + profile.gm_stage_errors[0])
+    return RLCTank.from_frequency_and_q(4e6, q, 1e-6), TanhLimiter(gm=gm, i_max=2e-3)
+
+
+def build(profile):
+    tank, limiter = parts(profile)
+    return OscillatorNetlist(tank, vref=2.5).build(limiter)
+
+
+models = []
+
+
+def envelope_for(profile):
+    models.append(EnvelopeModel(*parts(profile)))
+    return EnvelopeOptions(period=period, nodes=("lc1", "lc2"), model=models[-1])
+
+
+# Two Fig 16 mismatch draws over 60 cycles, as the envelope_mc
+# benchmark's warm-up runs them.
+rng = np.random.default_rng(1)
+profiles = [MismatchProfile.sample(rng=rng) for _ in range(2)]
+results = run_envelope_campaign(
+    profiles, build,
+    TransientOptions(t_stop=60 * period, dt=period / 40, method="trap",
+                     use_dc_operating_point=False, record_nodes=("lc1", "lc2")),
+    envelope_for,
+    params=[(p.prescale_errors[0], p.gm_stage_errors[0]) for p in profiles],
+)
+assert all(r.stats["envelope"]["skipped_cycles"] > 0 for r in results)
+assert all(m._table.pieces is not None for m in models)
+
+model = EnvelopeModel(RLCTank.from_frequency_and_q(4e6, 30, 1e-6),
+                      TanhLimiter(gm=10e-3, i_max=1e-3))
+assert model.advance(1e-3, 5e-6) > 1e-3
+assert model._table.pieces is not None
+print(json.dumps([m for m in {UNUSED_BY_TRANSIENTS!r} if m in sys.modules]))
+"""
+
 needs_scipy = pytest.mark.skipif(
     not backend_mod._HAVE_SCIPY, reason="the solvers load scipy only where installed"
 )
@@ -131,8 +190,9 @@ def fresh_python(source: str) -> str:
 
 
 def envelope_results() -> dict:
-    """The three calls whose scipy import is deferred, on a smooth
-    limiter whose describing-function table passes verification."""
+    """``steady_state_amplitude``, ``simulate`` (which loads
+    ``scipy.integrate``) and ``advance``, on a smooth limiter whose
+    describing-function table passes verification."""
     tank = RLCTank.from_frequency_and_q(4e6, 30, 1e-6)
     limiter = TanhLimiter(gm=10e-3, i_max=1e-3)
     model = EnvelopeModel(tank, limiter)
@@ -187,6 +247,10 @@ def process_campaign_imports(record_dir: str) -> dict:
 
 def test_transient_process_skips_unused_modules():
     assert json.loads(fresh_python(TRANSIENT_PROCESS)) == []
+
+
+def test_envelope_process_skips_unused_modules():
+    assert json.loads(fresh_python(ENVELOPE_PROCESS)) == []
 
 
 def test_deferred_scipy_calls_match_in_a_fresh_process():
