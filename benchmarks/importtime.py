@@ -8,7 +8,10 @@ Run from the repository root::
 
 Runs ``perfbench/run.py --workload W --seed 1 --setup-only`` under
 ``python -X importtime`` (imports, input generation and the warm-up,
-nothing timed) and prints the set-up time, the 25 largest cumulative
+nothing timed) in the checkout the script lives in, whose path and
+``git rev-parse --short HEAD`` it prints first (a script copied from
+another checkout measures that one's tree), and prints the set-up
+time, the 25 largest cumulative
 import entries, how many ``repro`` and ``scipy`` modules the set-up
 loaded, the names of the scipy subpackages among them, and the set-up
 process's peak resident memory.
@@ -113,6 +116,22 @@ def subpackages(modules: list, package: str) -> list:
     )
 
 
+def checkout() -> str:
+    """:data:`ROOT` and its ``git rev-parse --short HEAD``, marked when
+    the tree has uncommitted changes."""
+    def git(*args):
+        return subprocess.run(
+            ["git", "-C", str(ROOT), *args], capture_output=True, text=True
+        )
+
+    head = git("rev-parse", "--short", "HEAD")
+    if head.returncode != 0:
+        return f"{ROOT} (not a git checkout)"
+    dirty = git("status", "--porcelain", "--untracked-files=no").stdout.strip()
+    suffix = " with uncommitted changes" if dirty else ""
+    return f"{ROOT} at {head.stdout.strip()}{suffix}"
+
+
 def report(workload: str) -> int:
     """Print one workload's set-up import profile; the run's exit code."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
@@ -145,6 +164,7 @@ def main(argv=None) -> int:
     if args.workload not in names + ["all"]:
         sys.exit(f"unknown workload {args.workload!r}; choose from {names} or 'all'")
     workloads = names if args.workload == "all" else [args.workload]
+    print(f"checkout: {checkout()}")
     for k, workload in enumerate(workloads):
         if k:
             print()

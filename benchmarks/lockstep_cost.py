@@ -39,7 +39,9 @@ over the reference, then a least-squares fit
 cost per step and its cost per sample-step.  Next come draw 0's
 ``run_transient`` microseconds per step for each method, then the tank
 runs' microseconds per step, and the phased run's microseconds per
-accepted step in each phase, each over the reference too.
+accepted step in each phase, each over the reference too, with the
+phase's accepted and rejected steps and solves per accepted step (from
+the runs' ``stats``: a change that steps the same grid keeps them).
 """
 
 import sys
@@ -143,12 +145,14 @@ def main() -> None:
         "phased": supply.options,
         "carrier": dataclasses.replace(supply.options, t_stop=supply.t_fault),
     }
-    accepted = {}
+    counts = {}
     for name, phase_options in phased.items():
         runs[name] = lambda o=phase_options: run_transient(phased_tank, o)
-        accepted[name] = run_transient(phased_tank, phase_options).stats[
-            "accepted_steps"
-        ]
+        stats = run_transient(phased_tank, phase_options).stats
+        counts[name] = np.array(
+            [stats[key] for key in ("accepted_steps", "rejected_steps", "solves")]
+        )
+    counts["settle"] = counts["phased"] - counts["carrier"]
     for run in runs.values():  # warm caches and imports
         run()
     best = {name: np.inf for name in runs}
@@ -157,8 +161,8 @@ def main() -> None:
             best[name] = min(best[name], cpu_seconds(run))
 
     best["settle"] = best.pop("phased") - best["carrier"]
-    per_step = {"reference": REFERENCE_STEPS, "carrier": accepted["carrier"],
-                "settle": accepted["phased"] - accepted["carrier"]}
+    per_step = {"reference": REFERENCE_STEPS, "carrier": counts["carrier"][0],
+                "settle": counts["settle"][0]}
     us = {
         name: 1e6 * seconds / per_step.get(
             name, tank_steps if name.startswith("tank") else steps
@@ -189,8 +193,10 @@ def main() -> None:
         row(label, "tank " + label)
     print(f"run_transient, phased supply-loss tank (Q {TANK_Q}, supply_loss_q "
           "options), per accepted step:")
-    row("carrier (trap)", "carrier", f"  ({per_step['carrier']} steps)")
-    row("settle (gear-3)", "settle", f"  ({per_step['settle']} steps)")
+    for label, name in (("carrier (trap)", "carrier"), ("settle (gear-3)", "settle")):
+        accepted, rejected, solves = counts[name]
+        row(label, name, f"  ({accepted} accepted, {rejected} rejected, "
+            f"{solves / accepted:.3f} solves per accepted)")
 
 
 if __name__ == "__main__":

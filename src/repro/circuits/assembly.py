@@ -52,7 +52,12 @@ the system exactly as often as it can change:
   commit installs the product's state rows.  Multistep methods feed
   it their companion term as a vector, the ring's weighted
   contraction, since its weights change with the step pattern; the
-  sparse and Krylov backends keep scatter + solve.  The rank-1 case
+  sparse and Krylov backends keep scatter + solve.  A run of steps at
+  one setup whose sources read only the time can go as one block
+  (:meth:`TransientAssembly.propagate_block`): the sources of every
+  step stamped first, the products back to back, and the state of any
+  one step installed afterwards (:meth:`TransientAssembly.commit_block`),
+  the rest dropped.  The rank-1 case
   below shares the propagator, and the lockstep assembly builds its
   ``(S, r, k)`` stack from the same method;
 * **once per Newton iteration** — only the nonlinear (or split-
@@ -95,6 +100,7 @@ from .elements import PlainElements
 from .integration import IntegrationMethod, resolve_method
 from .linsolve import solve_dense
 from .netlist import Circuit
+from .sources import CurrentSource, VoltageSource
 
 __all__ = ["DtCache", "TransientAssembly"]
 
@@ -112,6 +118,10 @@ DT_CACHE_SIZE = 16
 #: every lumped netlist so the small-circuit hot path (and its
 #: bit-pinned goldens) is untouched.
 _SPARSE_SCATTER_MIN = 128
+
+#: Per-step stamps that read the step's time and nothing else (the
+#: independent sources), so a block stamps them ahead of its steps.
+_TIME_STAMPS = (VoltageSource.stamp_dynamic, CurrentSource.stamp_dynamic)
 
 
 class _ReactiveCoeffs:
@@ -287,7 +297,11 @@ class _HistoryRing:
             self.fill += 1
 
     def companion_term(
-        self, wv: np.ndarray, wd: Optional[np.ndarray], gcol: np.ndarray
+        self,
+        wv: np.ndarray,
+        wd: Optional[np.ndarray],
+        gcol: np.ndarray,
+        rows: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """``gcol * sum_k wv[k]*val_k + sum_k wd[k]*der_k`` over the
         current state (row 0) and the committed history, as a single
@@ -296,28 +310,33 @@ class _HistoryRing:
         state rows are ``(m,)`` or ``(S, m)``; ``(m,)`` rows are that
         gemv's operand already, and ``dot`` calls it with less overhead
         than ``@``).  ``wd`` is None when every derivative
-        weight is zero (:meth:`step_weights`)."""
-        rows = self.fv[: len(wv)]
+        weight is zero (:meth:`step_weights`).  ``rows`` stands in for
+        the ring's own ``[fv; fd]`` (a block's window,
+        :meth:`_ReactiveSet.propagate_block`)."""
+        fv, fd = (self.fv, self.fd) if rows is None else rows
+        rows = fv[: len(wv)]
         if rows.ndim == 2:
             term = gcol * wv.dot(rows)
         else:
             term = gcol * (wv @ rows.reshape(len(wv), -1)).reshape(rows.shape[1:])
         if wd is not None:
-            rows = self.fd[: len(wd)]
+            rows = fd[: len(wd)]
             term += (wd @ rows.reshape(len(wd), -1)).reshape(rows.shape[1:])
         return term
 
-    def step_weights(self, co) -> tuple:
+    def step_weights(self, co, offsets: Optional[np.ndarray] = None) -> tuple:
         """Memoized ``(wv, wd)`` weight arrays for the active setup
         and history; ``wd`` is None when every derivative weight is
         zero (the shipped BDF members), so the companion term skips
-        the derivative ring.
+        the derivative ring.  ``offsets`` (the current time less each
+        history time, newest first) stand in for the ring's own.
 
         Keyed by the *relative* history offsets, so every uniform
         stretch of a run — regardless of where on the time axis it
         sits — resolves to one cached entry.
         """
-        offsets = self.t_now - self.t[: self.fill]
+        if offsets is None:
+            offsets = self.t_now - self.t[: self.fill]
         key = (co.dt, co.order, offsets.tobytes())
         w = self._w_cache.get(key)
         if w is None:
@@ -516,6 +535,9 @@ class _ReactiveSet:
         #: change drops it; ``off`` masks the stack rows whose step
         #: ended off the product, or is None.
         self.pending: Optional[tuple] = None
+        #: The last :meth:`propagate_block`'s buffers, until
+        #: :meth:`commit_block` installs one of its steps.
+        self.block: Optional[tuple] = None
 
     # -- multistep history ------------------------------------------------
 
@@ -560,6 +582,13 @@ class _ReactiveSet:
     def history_times(self) -> tuple:
         """Committed-state times, newest first (``[0]`` is current)."""
         return self.ring.times()
+
+    def history_points_after(self, commits: int) -> int:
+        """:attr:`history_points` after ``commits`` more commits (a set
+        with no elements pushes none)."""
+        if not self.n:
+            return self.ring.points
+        return min(self.ring.points + commits, self.ring.depth + 1)
 
     def reset_history(self) -> None:
         """Drop the older entries (the current state stays valid);
@@ -774,6 +803,121 @@ class _ReactiveSet:
         z = out[self._at_x]
         self.pending = (z, out, None)
         return z
+
+    def propagate_block(
+        self,
+        co: _ReactiveCoeffs,
+        prop: np.ndarray,
+        b: np.ndarray,
+        times: Sequence[float],
+    ) -> np.ndarray:
+        """Steps landing at each of ``times`` in turn, each departing
+        from the state the one before it would commit: row ``j`` of the
+        returned ``(len(times), r)`` array is step ``j``'s product
+        ``[z; v'; i']`` for the sources ``b[j]``.  The same product on
+        the same inputs as :meth:`propagate` and :meth:`commit` give,
+        step by step, but nothing is committed: :meth:`commit_block`
+        installs the state after any one step, and a block cut short
+        drops the rest.
+
+        The multistep ring runs over the block as one newest-first
+        buffer: each step writes its row just ahead of the window it
+        departs from, so every step's ring is a window of the buffer
+        (the shift of :meth:`_HistoryRing.push` without a copy), and
+        the window after any step is that step's committed ring.
+        One netlist only (no stack).
+        """
+        n, m, size = len(times), self.n, self.size
+        ring = self.ring
+        depth = ring.depth
+        multistep = co.gcol is not None
+        width = m if multistep else 2 * m
+        inputs = np.empty((n, width + size))
+        inputs[:, width:] = b
+        out = np.empty((n, len(prop)))
+        rows = t = None
+        if depth:
+            # Committed times and ring rows, newest first: step j
+            # departs from window n - j and writes the row before it.
+            t = np.empty(n + depth + 1)
+            t[:n] = times[::-1]
+            t[n] = ring.t_now
+            t[n + 1 :] = ring.t
+            rows = np.empty((2, n + depth + 1, m))
+            rows[:, n:] = ring.rows
+        if multistep and m:
+            self._multistep_block(co, prop, inputs, out, rows, t)
+        else:
+            inputs[0, :m] = self.v
+            inputs[0, m:width] = self.i
+            for j in range(n - 1):
+                np.dot(prop, inputs[j], out=out[j])
+                inputs[j + 1, :width] = out[j, size:]
+            np.dot(prop, inputs[n - 1], out=out[n - 1])
+            if depth:
+                rows[:, :n] = np.moveaxis(out[::-1][:, self._ring_order], 1, 0)
+        self.block = (out, rows, t, times)
+        self.pending = None
+        return out
+
+    def _multistep_block(
+        self,
+        co: _ReactiveCoeffs,
+        prop: np.ndarray,
+        inputs: np.ndarray,
+        out: np.ndarray,
+        rows: np.ndarray,
+        t: np.ndarray,
+    ) -> None:
+        """The step loop of :meth:`propagate_block` for a multistep
+        method: each step's companion term is the ring's weighted
+        contraction over its window (:meth:`_HistoryRing.companion_term`,
+        inlined where no derivative weights are used).  Every step's
+        history offsets are known ahead, so they are taken at once, and
+        their weights looked up before the loop."""
+        n, m = len(out), self.n
+        ring = self.ring
+        depth = ring.depth
+        departs = np.arange(n, 0, -1)[:, None]
+        offsets = t[departs] - t[departs + np.arange(1, depth + 1)]
+        fill = ring.fill
+        weights = [
+            ring.step_weights(co, offsets[j, : min(depth, fill + j)])
+            for j in range(n)
+        ]
+        gcol = co.gcol
+        order = self._ring_order
+        values = rows[0]
+        term = inputs[:, :m]
+        for j, (wv, wd) in enumerate(weights):
+            s = n - j
+            if wd is None:
+                np.multiply(gcol, wv.dot(values[s : s + len(wv)]), out=term[j])
+            else:
+                term[j] = ring.companion_term(wv, wd, gcol, rows[:, s:])
+            np.dot(prop, inputs[j], out=out[j])
+            rows[:, s - 1] = out[j, order]
+
+    def commit_block(self, j: int) -> None:
+        """Install the state after step ``j`` of the last
+        :meth:`propagate_block`, as committing its steps ``0..j`` one
+        by one would; its later steps are dropped (all of them for
+        ``j = -1``)."""
+        out, rows, t, times = self.block
+        self.block = None
+        self.pending = None
+        if j < 0:
+            return
+        state = out[j, self.size :]
+        self.v = state[: self.n].copy()
+        self.i = state[self.n :].copy()
+        ring = self.ring
+        if self.n and ring.depth:  # as commit, which pushes no empty state
+            s = len(times) - 1 - j
+            ring.rows[...] = rows[:, s : s + ring.depth + 1]
+            ring.t[:] = t[s + 1 : s + 1 + ring.depth]
+            ring.fill = min(ring.depth, ring.fill + j + 1)
+        ring.t_now = times[j]
 
     def slide(
         self,
@@ -1241,6 +1385,10 @@ class TransientAssembly:
         """Invalidate multistep history (used across breakpoints)."""
         self.reactive.reset_history()
 
+    def history_points_after(self, commits: int) -> int:
+        """:attr:`history_points` after ``commits`` more steps."""
+        return self.reactive.history_points_after(commits)
+
     def _retire(self, entry: Optional[_DtEntry]) -> None:
         """Count, then release, an evicted entry's factorizations.
 
@@ -1426,6 +1574,52 @@ class TransientAssembly:
             for component in self.dynamic:
                 component.stamp_dynamic(ctx)
         return rhs
+
+    @property
+    def blocks(self) -> bool:
+        """Whether steps can run as blocks (:meth:`propagate_block`): a
+        linear netlist whose entries build propagators, with no generic
+        integrator state, whose every per-step stamp is an independent
+        source's."""
+        return (
+            self.propagates
+            and self.is_linear
+            and not self.states
+            and all(type(c).stamp_dynamic in _TIME_STAMPS for c in self.dynamic)
+        )
+
+    def block_sources(self, times: Sequence[float]) -> np.ndarray:
+        """:meth:`step_rhs` of a propagated entry at each of ``times``,
+        one row each, where :attr:`blocks` holds: the sources' stamps,
+        each source's values taken one time after another."""
+        rhs = np.zeros((len(times), self.size))
+        scale = self._ctx.source_scale
+        for component in self.dynamic:
+            component.stamp_times(rhs, times, scale)
+        return rhs
+
+    @property
+    def propagated(self) -> bool:
+        """Whether the active entry has a propagator (built on first
+        use), so its steps can run as :meth:`propagate_block`."""
+        return self._propagator() is not False
+
+    def propagate_block(self, times: Sequence[float]) -> np.ndarray:
+        """The steps of the active setup landing at each of ``times``
+        in turn, as :meth:`_ReactiveSet.propagate_block` products (the
+        solutions are each row's first ``size`` entries), committing
+        nothing.  The active entry must be :attr:`propagated`."""
+        return self.reactive.propagate_block(
+            self._active.coeffs,
+            self._propagator(),
+            self.block_sources(times),
+            times,
+        )
+
+    def commit_block(self, j: int) -> None:
+        """Commit steps ``0..j`` of the last :meth:`propagate_block`
+        and drop the rest."""
+        self.reactive.commit_block(j)
 
     def linear_solve(self, rhs_lin: np.ndarray) -> np.ndarray:
         """The step solution of the linear part for :meth:`step_rhs`'s

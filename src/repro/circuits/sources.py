@@ -154,6 +154,13 @@ def pwl(points: Sequence[Tuple[float, float]]) -> Callable[[float], float]:
     return _f
 
 
+def _values_at(source, times: Sequence[float]) -> np.ndarray:
+    """``source.value_at`` at each of ``times``, called one by one: a
+    vectorized ``np.sin`` or ``np.interp`` need not round as the scalar
+    functions do."""
+    return np.fromiter(map(source.value_at, times), float, len(times))
+
+
 class VoltageSource(Component):
     """Independent voltage source from ``n+`` to ``n-``.
 
@@ -198,6 +205,13 @@ class VoltageSource(Component):
         ctx.system.add_rhs(
             self._b[0], ctx.source_scale * self.value_at(ctx.time)
         )
+
+    def stamp_times(
+        self, rhs: np.ndarray, times: Sequence[float], scale: float = 1.0
+    ) -> None:
+        """:meth:`stamp_dynamic` at each of ``times``, into the rows of
+        ``rhs`` (one per time): the same values, added the same way."""
+        rhs[:, self._b[0]] += scale * _values_at(self, times)
 
     def stamp_ac(self, ctx: ACStampContext) -> None:
         a, b = self._n
@@ -246,6 +260,18 @@ class CurrentSource(Component):
     def stamp_dynamic(self, ctx: StampContext) -> None:
         current = ctx.source_scale * self.value_at(ctx.time)
         ctx.system.stamp_current(self._n[0], self._n[1], current)
+
+    def stamp_times(
+        self, rhs: np.ndarray, times: Sequence[float], scale: float = 1.0
+    ) -> None:
+        """:meth:`stamp_dynamic` at each of ``times``, into the rows of
+        ``rhs`` (one per time): the same values, added the same way."""
+        current = scale * _values_at(self, times)
+        a, b = self._n
+        if a >= 0:
+            rhs[:, a] += -current
+        if b >= 0:
+            rhs[:, b] += current
 
     def stamp_ac(self, ctx: ACStampContext) -> None:
         ctx.add_rhs(self._n[0], -self.ac_magnitude)

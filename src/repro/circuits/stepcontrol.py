@@ -321,6 +321,13 @@ class LteHistory:
     integrator took them.  ``columns`` is a 0/1 mask over the state
     vector that selects the unknowns whose truncation error the
     estimate reads.
+
+    A block of candidates (the adaptive loop's constant-dt blocks)
+    needs no room in the ring: :meth:`full_steps` reads the block's
+    half steps beside it, each candidate's estimate seeing the ring as
+    its own :meth:`full_step` would, and :meth:`commit_block` writes
+    the ring as the block's single steps would have left it, once the
+    controller has decided how many of them to keep.
     """
 
     __slots__ = ("rows", "steps", "head", "points", "columns", "_tables")
@@ -399,14 +406,15 @@ class LteHistory:
         """The weights of :meth:`full_step` for ``key``, per ring slot
         and state column, with the mask and ``x_new`` folded in."""
         constant, order, whole, head = key[:4]
-        n_rows = len(self.steps)
+        steps = key[4:]
+        n_rows = len(steps)
         new = (head + 2) % n_rows
         slots = [new] + [(head + 1 - k) % n_rows for k in range(order + 2)]
         # Node times relative to the new point, newest first, from the
         # steps that reached each slot.
         times = [0.0]
         for k in slots[:-1]:
-            times.append(times[-1] - self.steps[k])
+            times.append(times[-1] - steps[k])
         gain = float(2 ** order - 1)
         if whole:
             halves = (slice(1, None), slice(0, -1))
@@ -429,6 +437,75 @@ class LteHistory:
         """Commit the two half steps :meth:`full_step` last wrote."""
         self.head = (self.head + 2) % len(self.steps)
         self.points += 2
+
+    def full_steps(
+        self,
+        xs: np.ndarray,
+        half: float,
+        order: int,
+        constant: float,
+    ) -> np.ndarray:
+        """:meth:`full_step` of each candidate of a block, at once.
+
+        ``xs`` holds the block's half-step solutions in order, two per
+        candidate, each half step of size ``half``.  Candidate ``k``'s
+        estimate reads the ring as :meth:`full_step` would after the
+        ``k`` candidates before it were accepted: the same weights on
+        the same rows, summed slot by slot in the ring's own slot
+        order, so every row of the result has :meth:`full_step`'s bits.
+        Nothing is written; :meth:`commit_block` settles the ring.
+        """
+        steps = list(self.steps)
+        n_rows = len(steps)
+        n = len(xs) // 2
+        head, points = self.head, self.points
+        # The row of ``rows`` each slot holds at candidate k: the
+        # newest half step written to it, else its committed row.
+        slots = np.arange(n_rows)
+        last = 2 * np.arange(n)[:, None] + 1  # candidate k's newest half step
+        written = last - (head + 1 + last - slots) % n_rows
+        rows = np.concatenate((self.rows, xs))[
+            np.where(written >= 0, n_rows + written, slots)
+        ]
+        # Once every slot holds a half step and the restart point is
+        # no longer read, the key moves with the head only, which
+        # comes round every ``cycle`` candidates.
+        cycle = n_rows // math.gcd(2, n_rows)
+        repeat = cycle + max((n_rows + 1) // 2, (order + 2 - points) // 2 + 1)
+        tables = []
+        for k in range(n):
+            if k >= repeat:
+                tables.append(tables[k - cycle])
+                continue
+            mid, new = (head + 1) % n_rows, (head + 2) % n_rows
+            steps[mid] = steps[new] = half
+            key = (constant, order, points > order + 1, head, *steps)
+            table = self._tables.get(key)
+            tables.append(self._table(key) if table is None else table)
+            head, points = new, points + 2
+        terms = np.stack(tables) * rows
+        total = terms[:, 0].copy()
+        for k in range(1, n_rows):
+            total += terms[:, k]
+        return total
+
+    def commit_block(
+        self, xs: np.ndarray, half: float, written: int, accepted: int
+    ) -> None:
+        """The ring after a block: as :meth:`full_step` for its first
+        ``written`` candidates and :meth:`advance` for its first
+        ``accepted`` (a rejected candidate is written, not advanced)
+        would have left it."""
+        n_rows = len(self.steps)
+        rows, steps = self.rows, self.steps
+        for k in range(max(0, written - n_rows), written):
+            mid = (self.head + 2 * k + 1) % n_rows
+            new = (mid + 1) % n_rows
+            rows[mid] = xs[2 * k]
+            rows[new] = xs[2 * k + 1]
+            steps[mid] = steps[new] = half
+        self.head = (self.head + 2 * accepted) % n_rows
+        self.points += 2 * accepted
 
 
 def stiffness_bins(
@@ -685,6 +762,19 @@ class StepController:
             return bp, remaining
         self._landing_on_bp = False
         return self.t + self.dt, self.dt
+
+    def stretch(self, n: int) -> List[float]:
+        """Landing times of up to ``n`` candidates at the working step
+        from ``t`` on, each accepted before the next: the ones
+        :meth:`propose` would return while ``dt`` holds, up to (not
+        including) the one it would truncate onto a breakpoint."""
+        edge = self.next_breakpoint * (1.0 - _TIME_EPS)
+        t, dt = self.t, self.dt
+        targets: List[float] = []
+        while len(targets) < n and t + dt < edge:
+            t = t + dt
+            targets.append(t)
+        return targets
 
     def error_ratio(
         self,

@@ -77,6 +77,30 @@ of :mod:`~repro.circuits.envelope_transient`; they take the run's
 assembly, solver, recorder, certifier, rescue ladder and budget as
 parameters and branch only on what those offer, never on the caller.
 
+Steps in blocks
+---------------
+Where a linear netlist's steps are propagator products (the dense
+``linear`` strategy) and every per-step stamp is an independent
+source's, both loops take their steps in *blocks*, SPICE2's bypass
+(Nagel, UCB/ERL M520, 1975) applied to the step bookkeeping instead of
+the devices.  The sources of every step in the block are stamped
+first, the products run back to back (each the same matmul on the same
+operands as a single step, so the same bits), and the adaptive loop
+then estimates every candidate's LTE and error ratio at once and feeds
+the ratios to the unchanged controller in order.  Only what the
+single-step loop would have done is kept and counted: the accepted
+prefix, and the estimate of the first rejected candidate.  An adaptive
+block runs while dt and the order hold and ends at the first
+rejection, dt or order change, exhausted budget, or before the
+candidate that lands on a breakpoint (phase onsets and ``t_stop``
+among them), which the single-step body takes, as it takes every
+full-step probe.  A fixed-grid block ends at the order ramp's changes
+and the budget.  Runs armed with ``guards``, ``certify``, ``rescue`` or
+a Newton ``fail_hook``, and runs with an ``on_commit`` callback, take
+blocks of one, the single-step body: their hooks read each step at its
+own committed state.  Armed and unarmed runs are the same run, bit for
+bit.
+
 Results are recorded into a growable buffer that finalizes into a
 :class:`TransientResult` with a (possibly non-uniform) ``t``; pass
 ``record_nodes`` to store only the node voltages a campaign actually
@@ -450,12 +474,21 @@ class _RecordingBuffer:
         #: Rows recorded so far.
         self.n = 0
 
+    def _reserve(self, end: int) -> None:
+        """Double the capacity until ``end`` rows fit."""
+        capacity = self._t.size
+        if end <= capacity:
+            return
+        while capacity < end:
+            capacity *= 2
+        self._t = np.concatenate([self._t, np.empty(capacity - self._t.size)])
+        grown = np.empty((capacity,) + self._x.shape[1:])
+        grown[: self.n] = self._x[: self.n]
+        self._x = grown
+
     def append(self, time: float, x: np.ndarray) -> None:
         if self.n == self._t.size:
-            self._t = np.concatenate([self._t, np.empty(self._t.size)])
-            grown = np.empty((self._t.size,) + self._x.shape[1:])
-            grown[: self.n] = self._x
-            self._x = grown
+            self._reserve(self.n + 1)
         if self._indices is not None:
             # ``x[idx]`` is numpy's fastest gather for one row, ``take``
             # for a stacked one.
@@ -463,6 +496,17 @@ class _RecordingBuffer:
         self._t[self.n] = time
         self._x[self.n] = x
         self.n += 1
+
+    def extend(self, times: Sequence[float], xs: np.ndarray) -> None:
+        """:meth:`append` of one state per time, as one slice (single
+        states only)."""
+        end = self.n + len(times)
+        self._reserve(end)
+        if self._indices is not None:
+            xs = xs[:, self._indices]
+        self._t[self.n : end] = times
+        self._x[self.n : end] = xs
+        self.n = end
 
     def arrays(self, copy_x: bool = True) -> Tuple[np.ndarray, np.ndarray]:
         """The recorded ``(t, x)``: the buffers themselves when full,
@@ -1119,6 +1163,84 @@ def _step_controller(
     )
 
 
+#: Candidates of an adaptive block with no stretch to go by, doubling
+#: while the stretch goes on, and the most candidates of any block.
+_BLOCK_START = 8
+_BLOCK_MAX = 64
+#: Steps of a fixed-grid block (every one is kept).
+_FIXED_BLOCK = 256
+
+
+class _BlockLength:
+    """How many candidates an adaptive run's next block takes.
+
+    A stretch is a run of accepted candidates at one ``(dt, order,
+    method)`` setup, ended by a rejection or a change of dt or order.
+    Stretches recur: a driven carrier walks the same few step sizes in
+    the same pattern every cycle, so the last stretch at a setup
+    predicts the next one there.  A block is sized to take the
+    predicted rest of its stretch and the candidate that ends it.  A
+    stretch with no prediction goes on in blocks of
+    :data:`_BLOCK_START` candidates, and one that outruns its
+    prediction (mostly by a candidate or two) in blocks of two, each
+    doubling up to :data:`_BLOCK_MAX`.  Candidates past a stretch's end
+    are computed and dropped, so a good prediction is what keeps blocks
+    cheap.
+    """
+
+    def __init__(self):
+        self.lengths: Dict[tuple, int] = {}
+        self.setup: Optional[tuple] = None
+        self.run = 0
+        self.grow = _BLOCK_START
+        self.predicted = False
+
+    def next(self, setup: tuple) -> int:
+        """The length of a block starting at ``setup``."""
+        if setup != self.setup:
+            self.setup, self.run, self.grow = setup, 0, _BLOCK_START
+        expected = self.lengths.get(setup)
+        self.predicted = expected is not None and expected >= self.run
+        if self.predicted:
+            return min(expected - self.run + 1, _BLOCK_MAX)
+        return self.grow
+
+    def done(self, accepted: int, ended: bool) -> None:
+        """Account a block that accepted ``accepted`` candidates and
+        whether it ended its stretch."""
+        self.run += accepted
+        if ended:
+            self.lengths[self.setup] = self.run
+            self.setup = None
+        elif self.predicted:
+            self.grow = 2
+        else:
+            self.grow = min(2 * self.grow, _BLOCK_MAX)
+
+
+def _takes_blocks(
+    options: TransientOptions,
+    assembly,
+    solver,
+    certifier,
+    rescue,
+) -> bool:
+    """Whether a run takes its steps in blocks
+    (:meth:`~repro.circuits.assembly.TransientAssembly.propagate_block`):
+    the scalar ``linear`` strategy on an assembly whose steps can run
+    as blocks, unarmed.  Runs with guards, certification, rescue or a
+    Newton fail hook take blocks of one, the single-step body, whose
+    hooks see each step at its own committed state."""
+    return (
+        solver.strategy == "linear"
+        and assembly.blocks
+        and not solver.guards
+        and certifier is None
+        and rescue is None
+        and options.newton.fail_hook is None
+    )
+
+
 def _run_fixed(
     options: TransientOptions,
     assembly,
@@ -1147,6 +1269,11 @@ def _run_fixed(
     the same loop serves trap/BE and BDF/Gear; the one-step path
     stays free of any order bookkeeping.
 
+    A run that takes blocks (:func:`_takes_blocks`, and no
+    ``on_commit``) steps up to :data:`_FIXED_BLOCK` grid steps at a
+    time while the order holds, charging the budget per step and
+    writing the recorded steps as one slice.
+
     The caller records the initial point (and feeds it to the solver's
     predictor) first.  Returns the final iterate and the loop's stats.
     """
@@ -1170,16 +1297,58 @@ def _run_fixed(
         stats["t_abort"] = (step - 1) * dt
         return _RunAbort(reason, error=error, stats=stats)
 
-    for step in steps:
+    blocks = on_commit is None and _takes_blocks(
+        options, assembly, solver, certifier, rescue
+    )
+
+    def take_block(step: int, order: Optional[int]) -> Tuple[np.ndarray, int]:
+        # The steps from ``step`` on (whose budget is charged), up to
+        # _FIXED_BLOCK of them while the order holds, as one block:
+        # every step in one pass, the recorded ones written as one
+        # slice.  Returns the last committed iterate and the steps.
+        n = min(_FIXED_BLOCK, steps.stop - step)
+        if multistep:  # up to the step the startup ramp lifts the order at
+            for j in range(1, n):
+                points = assembly.history_points_after(j)
+                if method.usable_order(target, points) != order:
+                    n = j
+                    break
+        exhausted = None
+        if budget is not None:
+            for j in range(1, n):
+                exhausted = budget.charge()
+                if exhausted is not None:
+                    n = j
+                    break
+        times = [k * dt for k in range(step, step + n)]
+        xs = assembly.propagate_block(times)[:, : assembly.size]
+        solver.solves += n
+        assembly.commit_block(n - 1)
+        if multistep:
+            order_histogram[order] = order_histogram.get(order, 0) + n
+        first = -step % stride
+        recorder.extend(times[first::stride], xs[first::stride])
+        if exhausted is not None:
+            raise abort(exhausted, step + n)
+        return xs[n - 1].copy(), n
+
+    step = steps.start
+    while step < steps.stop:
         time = step * dt
         if budget is not None:
             exhausted = budget.charge()
             if exhausted is not None:
                 raise abort(exhausted, step)
+        order = None
         if multistep:
             order = method.usable_order(target, assembly.history_points)
             if order != assembly.order:
                 assembly.set_dt(dt, order=order)
+        if blocks and assembly.propagated:
+            x, taken = take_block(step, order)
+            step += taken
+            continue
+        if multistep:
             order_histogram[order] = order_histogram.get(order, 0) + 1
         rhs_lin = assembly.step_rhs(time, x)
         while True:
@@ -1219,6 +1388,7 @@ def _run_fixed(
             on_commit(x)
         if step % stride == 0:
             recorder.append(time, x)
+        step += 1
     return x, loop_stats(steps.stop)
 
 
@@ -1342,6 +1512,19 @@ def _run_adaptive(
     failed samples (a quarantining solver), rescues the candidate as
     one full step (``rescue``), or ends the run.
 
+    A run that takes blocks (:func:`_takes_blocks`) starts one at each
+    candidate that needs no probe: the candidates from it on at its dt
+    and order, up to the one that would land on a breakpoint, as many
+    as :class:`_BlockLength` expects the stretch to last.  Their half
+    steps run in one pass
+    (:meth:`~repro.circuits.assembly.TransientAssembly.propagate_block`),
+    their estimates and ratios at once
+    (:meth:`~repro.circuits.stepcontrol.LteHistory.full_steps`), and
+    the controller takes the ratios in order until one is rejected, dt
+    or the order changes, or the budget runs out.  Only that prefix is
+    committed, recorded and counted, with the rejected candidate's
+    estimate rows, as the single-step loop would leave them.
+
     The caller records the initial point (and feeds it to the solver's
     predictor) first.  Returns the final iterate and the loop's stats.
     """
@@ -1435,6 +1618,80 @@ def _run_adaptive(
             }
         )
 
+    blocks = _takes_blocks(options, assembly, solver, certifier, rescue)
+    block_length = _BlockLength()
+
+    def take_block(
+        x: np.ndarray, t: float, dt: float, order: Optional[int]
+    ) -> Optional[Tuple[np.ndarray, bool]]:
+        # The candidates from the proposed one on, while dt and the
+        # order hold and no breakpoint is reached, as one block: every
+        # half step in one pass, every estimate and ratio at once, then
+        # the controller fed in order up to the first rejection, dt or
+        # order change, or exhausted budget.  Only that prefix (and the
+        # rejected candidate's estimate rows) is committed, and only
+        # its candidates count.  Returns the committed iterate and
+        # whether the block ended in a rejection, or None where the
+        # proposed candidate cannot start a block.
+        targets = controller.stretch(
+            block_length.next((dt, order, assembly.method))
+        )
+        if not targets:
+            return None
+        half = 0.5 * dt
+        times: List[float] = []
+        for t_target in targets:
+            times += (t + half, t_target)
+            t = t_target
+        assembly.set_dt(half, order=order)
+        if not assembly.propagated:
+            return None
+        xs = assembly.propagate_block(times)[:, : assembly.size]
+        x_full = history.full_steps(
+            xs, half, controller.lte_order, controller.error_constant
+        )
+        ratios = controller.error_ratio_samples(x_full, xs[1::2], n_nodes).tolist()
+        accepted = 0
+        ended = rejected = False
+        exhausted = None
+        for k, ratio in enumerate(ratios):
+            if k and budget is not None:
+                exhausted = budget.charge()
+                if exhausted is not None:
+                    break
+            solver.solves += 2
+            if ratio > 1.0:
+                ended = rejected = True
+                break
+            controller.accept(targets[k], dt, ratio)
+            accepted += 1
+            ended = controller.dt != dt or (
+                multistep
+                and order != controller.method.usable_order(
+                    controller.order, assembly.history_points_after(2 * accepted)
+                )
+            )
+            if ended:
+                break
+        block_length.done(accepted, ended)
+        history.commit_block(xs, half, accepted + rejected, accepted)
+        last = 2 * accepted - 1
+        assembly.commit_block(last)
+        if accepted:
+            x = xs[last].copy()
+            first = -(controller.accepted - accepted + 1) % stride
+            recorder.extend(
+                targets[first:accepted:stride], xs[2 * first + 1 : last + 1 : 2 * stride]
+            )
+        if exhausted is not None:
+            raise abort(exhausted)
+        if rejected:
+            try:
+                controller.reject(ratios[accepted])
+            except SimulationError as exc:
+                raise abort("step_underflow", error=exc)
+        return x, rejected
+
     while not controller.finished:
         t = controller.t
         if budget is not None:
@@ -1454,6 +1711,11 @@ def _run_adaptive(
         # since the last restart, or a retry after a rejection (the
         # history behind it may hold an undeclared jump).
         probe = retry or not history.covers(controller.lte_order)
+        if blocks and not probe:
+            taken = take_block(x, t, dt, order)
+            if taken is not None:
+                x, retry = taken
+                continue
         if probe:
             lte_probes["retry" if retry else "restart"] += 1
         retry = True  # until the candidate is accepted

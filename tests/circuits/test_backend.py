@@ -386,16 +386,23 @@ def _operands(assembly, v0, i0, v, i):
 
 
 def _commit_paths(monkeypatch):
-    """Record, per ``_ReactiveSet.commit`` call, whether it installs
-    the pending product of :meth:`_ReactiveSet.propagate`."""
+    """Record, per committed step, whether it installs the pending
+    product of :meth:`_ReactiveSet.propagate`; each step a
+    :meth:`_ReactiveSet.commit_block` installs is a product's."""
     paths = []
     commit = _ReactiveSet.commit
+    commit_block = _ReactiveSet.commit_block
 
     def spy(self, co, x, time, freeze):
         paths.append(self.pending is not None and x is self.pending[0])
         commit(self, co, x, time, freeze)
 
+    def block_spy(self, j):
+        paths.extend([True] * (j + 1))
+        commit_block(self, j)
+
     monkeypatch.setattr(_ReactiveSet, "commit", spy)
+    monkeypatch.setattr(_ReactiveSet, "commit_block", block_spy)
     return paths
 
 
@@ -595,9 +602,15 @@ class TestDensePropagator:
             change()
             assert reactive.pending is None
 
-    def test_phased_run_commits_every_step_from_its_product(self, monkeypatch):
+    @pytest.mark.parametrize("certify", [False, True])
+    def test_phased_run_commits_every_step_from_its_product(
+        self, monkeypatch, certify
+    ):
         """A ``carrier_then_settle`` run on the tank: every accepted
-        half step, in both phases, installs its own product."""
+        half step, in both phases, installs its own product.  Armed
+        (``certify``), each candidate commits its first half step
+        before its test; unarmed, a candidate rejected inside a block
+        commits nothing."""
         paths = _commit_paths(monkeypatch)
         t_fault = 8 * T_TANK
         result = run_transient(
@@ -610,13 +623,19 @@ class TestDensePropagator:
                     t_fault, carrier_dt=T_TANK / 40, settle_dt=T_TANK / 4,
                     settle_method="gear", max_order=3,
                 ),
+                certify=certify,
             ),
         )
         assert result.stats["phase_switches"] == 1
         assert result.stats["rejected_steps"] > 0
-        # Two half steps per accepted candidate, one per LTE-rejected.
+        # Two half steps per accepted candidate, one per LTE-rejected
+        # candidate that committed its first.
         stats = result.stats
-        assert len(paths) == 2 * stats["accepted_steps"] + stats["rejected_steps"]
+        accepted, rejected = stats["accepted_steps"], stats["rejected_steps"]
+        if certify:
+            assert len(paths) == 2 * accepted + rejected
+        else:
+            assert 2 * accepted <= len(paths) < 2 * accepted + rejected
         assert all(paths)
 
     @pytest.mark.parametrize("step_control", ["fixed", "adaptive"])
